@@ -83,8 +83,22 @@ def _load_config(path):
     return out
 
 
-def cmd_kernel(args) -> int:
-    from .kernels import adjudicate_composition, s1_block, s4_block, oracle_block
+def _apply_config(args, defaults, parser):
+    """Fill options left unset on the command line from `defaults`, each
+    value cast through the type its option declares."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    for key, text in defaults.items():
+        attr = key.replace("-", "_")
+        if getattr(args, attr, None) in (None, False):
+            action = actions.get(attr)
+            cast = getattr(action, "type", None) or str
+            setattr(args, attr, text == "true" if isinstance(action, argparse._StoreTrueAction)
+                    else cast(text))
+
+
+def cmd_kernel(args, config) -> int:
+    from .kernels import adjudicate_composition, s1_block, s4_block
     fam = _family(args)
     window = _parse_window(args.window, fam, args.N)
     route = "oracle" if args.oracle else "contour"
@@ -96,7 +110,7 @@ def cmd_kernel(args) -> int:
     reports.write_json(stem + ".json",
                        {"metadata": reports.block_metadata(blk),
                         "composition_adjudication": adj},
-                       config=vars(args) | {"command": "kernel"})
+                       config=config)
     if args.dump_ops:
         from .families import truncate, TruncatedLattice
         from .lattice_ops import build_d, build_epsilon_direct, dump_csv
@@ -107,13 +121,13 @@ def cmd_kernel(args) -> int:
     return 0 if adj["outcome"] == "match" else 3
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, config) -> int:
     from .validate import run_validation
     fam = _family(args) if args.family else None
     report = run_validation(fam, wrong_nesting=args.wrong_nesting)
     out = reports.output_dir(args.out)
     path = os.path.join(out, "validate.json")
-    reports.write_json(path, report, config=vars(args) | {"command": "validate"})
+    reports.write_json(path, report, config=config)
     for item in report["invariants"]:
         status = "pass" if item["passes"] else "FINDING"
         print(f"[{status}] {item['name']}: residual {item['residual']:.3e} "
@@ -122,13 +136,12 @@ def cmd_validate(args) -> int:
     return 0 if report["all_pass"] else 3
 
 
-def cmd_asym(args) -> int:
+def cmd_asym(args, config) -> int:
     from .harness import (Regime, bulk_convergence_test, correction_extract,
                           crossover_test, edge_convergence_test)
     out = reports.output_dir(args.out)
     if args.study == "density":
-        from .saddles import (bulk_support, cos_theta, density_and_spacing,
-                              saddle_solve, site_density)
+        from .saddles import bulk_support, cos_theta, density_and_spacing, site_density
         reg = _regime(args)
         fam, N = reg.family_and_N(args.A or 64)
         lo, hi = bulk_support(fam, N)
@@ -146,20 +159,20 @@ def cmd_asym(args) -> int:
         rep = bulk_convergence_test(_regime(args), args.beta, args.u,
                                     _parse_list(args.A_list), block=args.block)
         path = os.path.join(out, f"bulk_{args.family}_b{args.beta}.json")
-        reports.write_json(path, rep, config=vars(args) | {"command": "asym bulk"})
+        reports.write_json(path, rep, config=config)
         print(f"slope {rep['slope']:.3f}; wrote {path}")
         return 0
     if args.study == "edge":
         rep = edge_convergence_test(_regime(args), args.beta,
                                     _parse_list(args.A_list), block=args.block)
         path = os.path.join(out, f"edge_{args.family}_b{args.beta}.json")
-        reports.write_json(path, rep, config=vars(args) | {"command": "asym edge"})
+        reports.write_json(path, rep, config=config)
         print(f"monotone decreasing: {rep['monotone_decreasing']}; wrote {path}")
         return 0
     if args.study == "correction":
         rep = correction_extract(_regime(args), args.beta, args.u, _parse_list(args.A_list))
         path = os.path.join(out, f"correction_{args.family}_b{args.beta}.json")
-        reports.write_json(path, rep, config=vars(args) | {"command": "asym correction"})
+        reports.write_json(path, rep, config=config)
         print(f"alpha_hat {rep['alpha_hat']:.4f} beta_hat {rep['beta_hat']:.4f} "
               f"residual {rep['relative_residual']:.3f}; wrote {path}")
         return 0
@@ -167,7 +180,7 @@ def cmd_asym(args) -> int:
         rep = crossover_test(args.alpha, _parse_list(args.N_list), beta=args.beta,
                              block=args.block)
         path = os.path.join(out, "crossover.json")
-        reports.write_json(path, rep, config=vars(args) | {"command": "asym crossover"})
+        reports.write_json(path, rep, config=config)
         print(f"alpha_hat {rep['alpha_hat']:.3f} monotone {rep['monotone_decreasing']}; "
               f"wrote {path}")
         return 0
@@ -178,13 +191,13 @@ def cmd_asym(args) -> int:
         rep = bulk_scaled_gap_comparison(fam, N, args.u,
                                          [float(v) for v in args.lengths.split(",")])
         path = os.path.join(out, "gap.json")
-        reports.write_json(path, rep, config=vars(args) | {"command": "asym gap"})
+        reports.write_json(path, rep, config=config)
         print(f"wrote {path}")
         return 0
     return 1
 
 
-def cmd_splice(args) -> int:
+def cmd_splice(args, config) -> int:
     from .kuznetsov import (GaussianTest, edge_ratio_report, m_h, m_h_numeric,
                             reality_symmetry_check, spliced_oracle, spliced_s4)
     from .harness import Regime
@@ -201,7 +214,7 @@ def cmd_splice(args) -> int:
         reports.write_json(stem + ".json",
                            {"metadata": reports.block_metadata(blk),
                             "oracle_rel_diff": rel},
-                           config=vars(args) | {"command": "splice kernel"})
+                           config=config)
         print(f"spliced block vs oracle: {rel:.3e}; wrote {stem}.csv")
         return 0 if rel < 1e-6 else 3
     if args.study == "reality":
@@ -213,13 +226,13 @@ def cmd_splice(args) -> int:
         path = os.path.join(out, "reality.csv")
         reports.write_table_csv(path, ["phi", "re_mh", "im_mh", "re_numeric"], rows)
         reports.write_json(os.path.join(out, "reality.json"), rep,
-                           config=vars(args) | {"command": "splice reality"})
+                           config=config)
         print(f"max |Im m_h| on circle: {rep['max_imag_unit_circle']:.3e}; wrote {path}")
         return 0
     if args.study == "edge-ratio":
         rep = edge_ratio_report(Regime(kind="charlier", tau=args.tau), test, A=args.A or 96)
         path = os.path.join(out, "edge_ratio.json")
-        reports.write_json(path, rep, config=vars(args) | {"command": "splice edge-ratio"})
+        reports.write_json(path, rep, config=config)
         print(f"measured {rep['measured_ratio']:.4f} vs predicted "
               f"{rep['predicted_ratio']:.4f} (rel diff {rep['rel_diff']:.3f}); wrote {path}")
         return 0
@@ -239,7 +252,6 @@ def build_parser() -> _Parser:
     k.add_argument("--oracle", action="store_true", help="lattice-oracle provenance")
     k.add_argument("--dump-ops", action="store_true", help="CSV dumps of D and eps")
     k.add_argument("--out")
-    k.add_argument("--threads", type=int, default=0)
     k.set_defaults(fn=cmd_kernel)
 
     v = sub.add_parser("validate", help="run the full invariant suite")
@@ -295,15 +307,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.config:
-        defaults = _load_config(args.config)
-        for key, val in defaults.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) in (None, False):
-                cur = getattr(args, attr, None)
-                cast = type(cur) if cur is not None else str
-                setattr(args, attr, cast(val) if cast is not bool else val == "true")
+        try:
+            _apply_config(args, _load_config(args.config), parser)
+        except (OSError, ValueError) as exc:
+            print(f"error: --config {args.config}: {exc}", file=sys.stderr)
+            return 1
+    fn = vars(args).pop("fn")
+    command = " ".join(filter(None, (args.command, getattr(args, "study", None))))
     try:
-        return args.fn(args)
+        return fn(args, vars(args) | {"command": command})
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,7 @@ Node counts double until the two-level error estimate meets the tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +27,12 @@ MAX_NODES = 2 ** 20
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Positively oriented circle with branch-handling policy."""
+    """Circle of given orientation with its trapezoid node count."""
 
     radius: float
     center: complex = 0.0 + 0.0j
     node_count: int = 256
     orientation: int = 1
-    branch_policy: str = "none"   # or "principal-log"
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -57,24 +56,6 @@ class ContourSpec:
         return self.orientation * (z - self.center) / len(z)
 
 
-@dataclass(frozen=True)
-class ContourPair:
-    """Two loops of a double-contour formula.
-
-    inner_variable records which formula variable ("1" or "2") runs on
-    `inner`; the adjudication in the kernels module decides the convention
-    that reproduces the lattice oracle for each family.
-    """
-
-    inner: ContourSpec
-    outer: ContourSpec
-    inner_variable: str = "2"
-
-    def __post_init__(self):
-        if self.inner.center == self.outer.center and self.inner.radius >= self.outer.radius:
-            raise ContractError("concentric pair requires inner.radius < outer.radius")
-
-
 def circle_quadrature(integrand, spec: ContourSpec, tol: float = 1e-10,
                       start_nodes: int | None = None):
     """Adaptive trapezoid on a circle; returns (value, error_estimate, nodes).
@@ -85,43 +66,16 @@ def circle_quadrature(integrand, spec: ContourSpec, tol: float = 1e-10,
     n = start_nodes or spec.node_count
     z = spec.nodes(n)
     val = np.sum(integrand(z) * spec.weights(z))
+    prev = None
     while True:
         if not np.isfinite(val):
             raise QuadratureError("integrand not finite on contour", last=val)
         n2 = 2 * n
         if n2 > MAX_NODES:
-            raise QuadratureError(
-                f"no convergence at {n} nodes", last=val, prev=prev if n > spec.node_count else None)
+            raise QuadratureError(f"no convergence at {n} nodes", last=val, prev=prev)
         z = spec.nodes(n2)
         val2 = np.sum(integrand(z) * spec.weights(z))
         err = abs(val2 - val)
         if err < tol:
             return val2, err, n2
         prev, val, n = val, val2, n2
-
-
-def tensor_quadrature(core, spec1: ContourSpec, spec2: ContourSpec,
-                      tol: float = 1e-10, start_nodes: int | None = None):
-    """Double-contour version: core(z1[:,None], z2[None,:]) on node grids."""
-    n = start_nodes or max(spec1.node_count, spec2.node_count)
-
-    def level(m):
-        z1, z2 = spec1.nodes(m), spec2.nodes(m)
-        w1, w2 = spec1.weights(z1), spec2.weights(z2)
-        return np.einsum("i,ij,j->", w1, core(z1[:, None], z2[None, :]), w2)
-
-    val = level(n)
-    while True:
-        if not np.isfinite(val):
-            raise QuadratureError("integrand not finite on contour grid", last=val)
-        if 2 * n > 2 ** 13:
-            raise QuadratureError(f"no convergence at {n}^2 nodes", last=val)
-        val2 = level(2 * n)
-        err = abs(val2 - val)
-        if err < tol:
-            return val2, err, 2 * n
-        val, n = val2, 2 * n
-
-
-def with_nodes(spec: ContourSpec, n: int) -> ContourSpec:
-    return replace(spec, node_count=n)

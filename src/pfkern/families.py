@@ -7,7 +7,7 @@ coefficients of the monic orthogonal polynomials.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -107,11 +107,6 @@ class Krawtchouk:
 WeightFamily = Meixner | Charlier | Krawtchouk
 
 
-def support_max(family) -> int | None:
-    """M for Krawtchouk, None (unbounded) otherwise."""
-    return family.M if family.finite else None
-
-
 def check_support(family, x) -> None:
     x = np.asarray(x)
     if np.any(x < 0) or np.any(x != np.floor(x)):
@@ -134,7 +129,6 @@ def beta1_weight(family, x):
     check_support(family, x)
     xa = int(np.max(np.asarray(x)))
     lw = family.log_weight(np.arange(xa + 1))
-    signs = np.ones(xa + 1)
     lW = np.empty(xa + 1)
     lW[0] = lw[0]
     for k in range(1, xa + 1):
@@ -142,7 +136,7 @@ def beta1_weight(family, x):
     if np.any(lW < np.log(np.finfo(float).tiny)):
         bad = int(np.argmax(lW < np.log(np.finfo(float).tiny)))
         raise DomainError(f"beta1 weight underflows at x={bad}")
-    W = signs * np.exp(lW)
+    W = np.exp(lW)
     return W[np.asarray(x)] if np.ndim(x) else float(W[int(x)])
 
 
@@ -156,7 +150,6 @@ class TruncatedLattice:
 
     x_max: int
     tail_tol: float = 1e-14
-    clamped: bool = field(default=False, compare=False)
 
     @property
     def size(self) -> int:

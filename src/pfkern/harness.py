@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import Charlier, Krawtchouk, Meixner
-from .kernels import beta1_indices, oracle_block, projection_direct, rank_of
-from .lattice_ops import apply_eps
+from .families import Charlier, DomainError, Krawtchouk, Meixner
+from .kernels import (_assemble_blocks, _rank_one_factors, beta1_indices, contour_rows,
+                      oracle_block, projection_direct, rank_of, rank_one_window)
 from .refkernels import airy_kernel, bessel_kernel, sine_kernel, sine_kernel_deriv
-from .saddles import (bulk_support, edge_data, large_parameter, saddle_solve,
-                      site_density)
-from .wavefunctions import get_table
+from .saddles import bulk_support, edge_data, saddle_solve, site_density
 
 
 @dataclass(frozen=True)
@@ -43,14 +41,6 @@ class Regime:
         N = int(round(self.gamma * A))
         return Krawtchouk(M=A, p=self.p), N
 
-    def support(self, A_ref: int = 64):
-        fam, N = self.family_and_N(A_ref)
-        return bulk_support(fam, N)
-
-    def rho_site(self, u: float, A_ref: int = 64) -> float:
-        fam, N = self.family_and_N(A_ref)
-        return site_density(fam, u, N)
-
 
 DEFAULT_GRID = np.linspace(-2.0, 2.0, 17)
 
@@ -60,8 +50,13 @@ def _window_positions(A, u, spacing_sites, grid):
     return xs[xs >= 0]
 
 
-def _block_matrix(blk, which):
-    return {"S": blk.S, "SD": blk.SD, "epsS": blk.epsS}[which]
+def _window_block(fam, N, beta, xs, block):
+    """The requested block on the window: K (the projection) or the oracle
+    route's S, SD or epsS."""
+    if block == "K":
+        return projection_direct(fam, N, xs)
+    blk = oracle_block(fam, N, beta, xs)
+    return {"S": blk.S, "SD": blk.SD, "epsS": blk.epsS}[block]
 
 
 def fit_amplitude(V, T):
@@ -83,8 +78,7 @@ def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
         rho = site_density(fam, u, N)
         sp = 1.0 / rho
         xs = _window_positions(A, u, sp, grid)
-        blk = oracle_block(fam, N, beta, xs)
-        V = _block_matrix(blk, block) * sp
+        V = _window_block(fam, N, beta, xs, block) * sp
         seff = (xs - A * u) * rho
         T = sine_kernel(seff[:, None], seff[None, :])
         c = fit_amplitude(V, T)
@@ -95,10 +89,7 @@ def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
             "diag_err": float(np.max(np.abs(np.diag(V) - 1.0))),
         }
         if beta == 1:
-            a, b = beta1_indices(fam, N)
-            tab = get_table(fam, a + 1, None if fam.finite else int(xs[-1] * 2 + 2))
-            r1 = 0.5 * np.outer(tab.phi[a, xs], apply_eps(fam, tab.phi[b])[xs])
-            entry["rank_one_sup"] = float(np.max(np.abs(r1)) * sp)
+            entry["rank_one_sup"] = float(np.max(np.abs(rank_one_window(fam, N, xs))) * sp)
         rows.append(entry)
     errs = [r["sup_err_fitted"] for r in rows]
     ok = bool(np.all(np.isfinite(errs))) and min(errs) > 0 and len(errs) > 1
@@ -126,11 +117,7 @@ def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right"
         xs = xs[xs >= 0]
         if fam.finite:
             xs = xs[xs <= fam.M]
-        if block == "K":
-            V = projection_direct(fam, N, xs) * c_A
-        else:
-            blk = oracle_block(fam, N, beta, xs)
-            V = _block_matrix(blk, block) * c_A
+        V = _window_block(fam, N, beta, xs, block) * c_A
         seff = orient * (xs - A * u_star) / c_A
         order = np.argsort(seff)
         T = airy_kernel(seff[order], seff[order])
@@ -139,10 +126,7 @@ def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right"
         entry = {"A": int(A), "c_A": c_A, "c_fit": c,
                  "sup_err_fitted": float(np.max(np.abs(Vo / c - T))) if c else float("inf")}
         if beta == 1:
-            a, b = beta1_indices(fam, N)
-            tab = get_table(fam, a + 1, None if fam.finite else int(xs[-1] * 2 + 2))
-            r1 = 0.5 * np.outer(tab.phi[a, xs], apply_eps(fam, tab.phi[b])[xs])
-            entry["rank_one_sup"] = float(np.max(np.abs(r1)) * c_A)
+            entry["rank_one_sup"] = float(np.max(np.abs(rank_one_window(fam, N, xs))) * c_A)
         rows.append(entry)
     errs = [r["sup_err_fitted"] for r in rows]
     return {"regime": regime.kind, "beta": beta, "side": side, "u_star": u_star,
@@ -224,9 +208,7 @@ def correction_extract(regime: Regime, beta: int, u: float, A_list,
         blk = oracle_block(fam, N, beta, xs)
         V = blk.S * sp
         if beta == 1 and subtract_rank_one:
-            a, b = beta1_indices(fam, N)
-            tab = get_table(fam, a + 1, None if fam.finite else int(xs[-1] * 2 + 2))
-            V = V - 0.5 * np.outer(tab.phi[a, xs], apply_eps(fam, tab.phi[b])[xs]) * sp
+            V = V - rank_one_window(fam, N, xs) * sp
         seff = (xs - A * u) * rho
         T = sine_kernel(seff[:, None], seff[None, :])
         # resample onto the requested grid so fields are commensurate
@@ -327,8 +309,11 @@ def crossover_test(alpha: float, N_list, x_top: int = 40, block: str = "S",
     the residual; the adjudicated finding (beta_m = 1 throughout) is that
     the matching Bessel index is beta_m - 1 = 0 while the printed statement
     names the rate alpha as the index, so the spec-facing comparison against
-    bessel(alpha) is reported alongside the index-0 fit.
+    bessel(alpha) is reported alongside the index-0 fit.  Only the S and K
+    blocks are computed; SD and epsS raise DomainError.
     """
+    if block not in ("S", "K"):
+        raise DomainError(f"crossover computes the S and K blocks, not {block}")
     xs = np.arange(0, x_top + 1)
     rows = []
     for N in N_list:
@@ -363,14 +348,14 @@ def _crossover_block(family, N, xs, beta, block):
     assembled without materializing the macroscopic lattice: window wave
     functions from the contour representation and the eps Gram matrix from
     `meixner_eps_gram`."""
-    from .symbols import eps_phi_via_contour, phi_via_contour
+    from .symbols import eps_phi_via_contour
     r = rank_of(family, N)
-    Phi = np.asarray([phi_via_contour(family, k, xs) for k in range(r + 1)])
+    Phi = contour_rows(family, range(r + 1), xs)
     if block == "K":
         return Phi[:r].T @ Phi[:r]
     if beta == 1:
         a, b = beta1_indices(family, N)
-        eps_b = eps_phi_via_contour(family, b, xs)
-        return Phi[:r].T @ Phi[:r] + 0.5 * np.outer(Phi[a], eps_b)
-    E = meixner_eps_gram(family, r)
-    return Phi[:r].T @ E @ Phi[:r]
+        factors = _rank_one_factors(Phi[:r], Phi[a], eps_phi_via_contour(family, b, xs))
+    else:
+        factors = Phi[:r], meixner_eps_gram(family, r), Phi[:r]
+    return _assemble_blocks(*factors)[0]

@@ -1,8 +1,15 @@
 """Projection kernels and the beta = 1, 4 scalar/off-diagonal blocks.
 
+Every block on a window is one Gram sandwich S = L_x^T E R_y: row stacks
+L, R of wave functions (or their multiplier images) on the truncated lattice
+around a small Gram E.  `_assemble_blocks` evaluates it, and each route only
+chooses (L, E, R).  The inserted blocks come from the same factors,
+SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps applied as
+stencil and prefix sums, so no lattice-by-lattice matrix is formed.
+
 Three evaluation routes coexist and are cross-checked:
 
-  * oracle     -- dense lattice linear algebra with the parity-split eps
+  * oracle     -- recurrence-table wave functions with the parity-split eps
                   (the ground truth for every adjudication);
   * columns    -- the composed operator realized through single-contour
                   multiplier images of the wave functions (exact for any
@@ -21,12 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .contours import ContourSpec, ContourPair
-from .families import Charlier, Krawtchouk, Meixner, TruncatedLattice, truncate
-from .lattice_ops import apply_eps, build_d
-from .symbols import (default_contour, degree_integrand, degree_prefactor,
-                      eps_phi_raw_via_contour, inverse_eps_symbol,
-                      phi_via_contour, symbol)
+from .families import Charlier, Meixner, TruncatedLattice, truncate
+from .lattice_ops import apply_d, apply_eps
+from .symbols import (contour_image, default_contour, eps_multiplier,
+                      inverse_eps_symbol, symbol)
 from .wavefunctions import get_table, _zone_need
 
 
@@ -69,6 +74,60 @@ class KernelBlockSet:
 
 
 # ---------------------------------------------------------------------------
+# the block core
+
+
+def _assemble_blocks(L, E, R, xs=slice(None), ys=None, family=None):
+    """(S, SD, epsS) with S = L_x^T E R_y for row stacks L, R (k x sites)
+    and a k x k Gram E; ys defaults to xs.
+
+    With `family`, also SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y,
+    where D and eps act on the sites of L and R; otherwise both are None.
+    """
+    ys = xs if ys is None else ys
+    ER = E @ R[:, ys]
+    S = L[:, xs].T @ ER
+    if family is None:
+        return S, None, None
+    RD = -apply_d(family, R.T).T          # R D, since D^T = -D
+    SD = L[:, xs].T @ (E @ RD[:, ys])
+    epsS = apply_eps(family, L.T)[xs] @ ER
+    return S, SD, epsS
+
+
+def _rank_one_factors(K_rows, a_row, eps_b_row):
+    """(L, E, R) of K + (1/2) phi_a (x) (eps phi_b): the rank-one term is one
+    more row of each stack, weighted 1/2 in E."""
+    E = np.eye(len(K_rows) + 1)
+    E[-1, -1] = 0.5
+    return np.vstack([K_rows, a_row]), E, np.vstack([K_rows, eps_b_row])
+
+
+def _scalar_block(family, N: int, beta: int, window, route: str,
+                  lattice: TruncatedLattice | None = None, **meta) -> KernelBlockSet:
+    """The beta = 1 or 4 scalar block with SD and epsS from the rows
+    phi_0..phi_r of the route ('oracle': recurrence tables, 'contour':
+    contour extraction): L = R = Phi with E = Phi eps(Phi^T) for beta = 4,
+    the rank-one stacks for beta = 1."""
+    window = default_window(family, N) if window is None else np.asarray(window)
+    lattice = lattice or oracle_lattice(family, N, window)
+    r = rank_of(family, N)
+    phi = (_phi_on(family, r + 1, lattice) if route == "oracle"
+           else contour_rows(family, range(r + 1), np.arange(lattice.size)))
+    if beta == 4:
+        factors = phi[:r], phi[:r] @ apply_eps(family, phi[:r].T), phi[:r]
+    elif beta == 1:
+        a, b = beta1_indices(family, N)
+        factors = _rank_one_factors(phi[:r], phi[a], apply_eps(family, phi[b]))
+    else:
+        raise ValueError("beta must be 1 or 4")
+    S, SD, epsS = _assemble_blocks(*factors, window, family=family)
+    return KernelBlockSet(family=family, beta=beta, N=N, xs=window, ys=window,
+                          S=S, SD=SD, epsS=epsS, provenance=route,
+                          meta={"lattice_x_max": lattice.x_max, **meta})
+
+
+# ---------------------------------------------------------------------------
 # oracle route
 
 
@@ -82,7 +141,7 @@ def oracle_lattice(family, N: int, window) -> TruncatedLattice:
 
 def _phi_on(family, n_top, lattice):
     tab = get_table(family, n_top, None if family.finite else lattice.x_max)
-    return tab.phi[:, : lattice.size], tab
+    return tab.phi[:, : lattice.size]
 
 
 def projection_direct(family, N: int, xs, ys=None):
@@ -96,78 +155,37 @@ def projection_direct(family, N: int, xs, ys=None):
 
 def oracle_block(family, N: int, beta: int, window=None,
                  lattice: TruncatedLattice | None = None) -> KernelBlockSet:
-    """S, SD, epsS by dense lattice products with the parity-split eps."""
-    window = default_window(family, N) if window is None else np.asarray(window)
-    lattice = lattice or oracle_lattice(family, N, window)
-    r = rank_of(family, N)
-    phi, tab = _phi_on(family, r + 1, lattice)
-    K = phi[:r].T @ phi[:r]
-    if beta == 4:
-        S = K @ apply_eps(family, K)
-    elif beta == 1:
-        a, b = beta1_indices(family, N)
-        S = K + 0.5 * np.outer(phi[a], apply_eps(family, phi[b]))
-    else:
-        raise ValueError("beta must be 1 or 4")
-    D = build_d(family, lattice).mat
-    SD = S @ D
-    epsS = apply_eps(family, S)
-    ix = np.ix_(window, window)
-    return KernelBlockSet(family=family, beta=beta, N=N, xs=window, ys=window,
-                          S=S[ix], SD=SD[ix], epsS=epsS[ix], provenance="oracle",
-                          meta={"lattice_x_max": lattice.x_max})
+    """S, SD, epsS from the recurrence tables with the parity-split eps."""
+    return _scalar_block(family, N, beta, window, "oracle", lattice)
+
+
+def rank_one_window(family, N: int, xs) -> np.ndarray:
+    """The beta = 1 rank-one term (1/2) phi_a(x) (eps phi_b)(y) on the window,
+    from the same lattice and wave table as `oracle_block`."""
+    xs = np.asarray(xs)
+    phi = _phi_on(family, rank_of(family, N) + 1, oracle_lattice(family, N, xs))
+    a, b = beta1_indices(family, N)
+    return 0.5 * np.outer(phi[a, xs], apply_eps(family, phi[b])[xs])
 
 
 # ---------------------------------------------------------------------------
 # columns route (exact contour realization of composed operators)
 
 
-def multiplier_columns(family, degrees, m_func=None, lattice=None):
-    """Rows U[k, x]: the single-contour image of phi_k under the
-    inverse-difference symbol times the optional analytic m_func."""
-    xs = np.arange(lattice.size)
-    rows = [eps_phi_raw_via_contour(family, int(k), xs, m_extra=m_func)
-            for k in degrees]
-    return np.asarray(rows)
+def contour_rows(family, degrees, xs, multiplier=None, kind: str = "single"):
+    """Rows [k, x]: the single-contour image of phi_k under `multiplier`
+    (phi_k itself without one) on the circle `default_contour(family, kind, k)`."""
+    return np.asarray([contour_image(family, int(k), xs, default_contour(family, kind, int(k)),
+                                     multiplier) for k in degrees])
 
 
-def compose_columns(family, N: int, xs, ys=None, m_func=None,
-                    lattice: TruncatedLattice | None = None,
-                    with_insertions: bool = True) -> KernelBlockSet:
-    """(K T K) blocks where T acts by the inverse-eps symbol times m_func.
-
-    This is the exact resummation of the double-contour composition; the
-    printed difference-quotient formulas are checked against it and against
-    the lattice oracle by `adjudicate_composition`.
-    """
-    ys = xs if ys is None else ys
-    window_hi = int(max(np.max(xs), np.max(ys)))
-    lattice = lattice or oracle_lattice(family, N, np.array([window_hi]))
-    r = rank_of(family, N)
-    phi, tab = _phi_on(family, r + 1, lattice)
-    U = multiplier_columns(family, range(r), m_func, lattice)
-    E = phi[:r] @ U.T                     # E_{jk} = <phi_j, T phi_k>
-    core_x = phi[:r, xs].T
-    core_y = phi[:r, ys].T
-    S = core_x @ E @ core_y.T
-    SD = epsS = None
-    if with_insertions:
-        D = build_d(family, lattice).mat
-        Dphi = phi[:r] @ (D @ phi[:r].T)  # D in the wave-function basis
-        SD = core_x @ E @ Dphi @ core_y.T
-        Ueps = U[:, xs] if m_func is None else multiplier_columns(
-            family, range(r), None, lattice)[:, xs]
-        epsS = Ueps.T @ E @ core_y.T
-    return KernelBlockSet(family=family, beta=4, N=N, xs=np.asarray(xs),
-                          ys=np.asarray(ys), S=S, SD=SD, epsS=epsS,
-                          provenance="contour-columns",
-                          meta={"lattice_x_max": lattice.x_max})
-
-
-def contour_wave_rows(family, n_top: int, lattice: TruncatedLattice):
-    """phi_n rows on the lattice, evaluated by contour extraction."""
-    xs = np.arange(lattice.size)
-    return np.asarray([phi_via_contour(family, n, xs) for n in range(n_top)])
+def multiplier_gram(family, phi, m_func=None):
+    """E[j, k] = <phi_j, T phi_k> where T acts by the inverse-eps symbol times
+    the optional analytic m_func; phi holds the rows phi_0..phi_{r-1} on the
+    lattice."""
+    sites = np.arange(phi.shape[1])
+    return phi @ contour_rows(family, range(len(phi)), sites, eps_multiplier(family, m_func),
+                              "eps").T
 
 
 def block_with_symbol_insertions(family, N: int, xs, m_center=None,
@@ -182,33 +200,26 @@ def block_with_symbol_insertions(family, N: int, xs, m_center=None,
     ys = xs if ys is None else ys
     lattice = oracle_lattice(family, N, np.array([int(max(np.max(xs), np.max(ys)))]))
     r = rank_of(family, N)
-    phi, _ = _phi_on(family, r + 1, lattice)
-    U = multiplier_columns(family, range(r), m_center, lattice)
-    E = phi[:r] @ U.T
-    left = phi[:r, xs] if m_x is None else _symbol_image_rows(family, r, m_x, lattice)[:, xs]
-    right = phi[:r, ys] if m_y is None else _symbol_image_rows(family, r, m_y, lattice)[:, ys]
-    return left.T @ E @ right
+    phi = _phi_on(family, r + 1, lattice)[:r]
+    sites = np.arange(lattice.size)
+    L = phi if m_x is None else contour_rows(family, range(r), sites, m_x, "image")
+    R = phi if m_y is None else contour_rows(family, range(r), sites, m_y, "image")
+    return _assemble_blocks(L, multiplier_gram(family, phi, m_center), R, xs, ys)[0]
 
 
-def _symbol_image_rows(family, r, m_func, lattice):
-    from .symbols import phi_image_under_symbol
-    xs = np.arange(lattice.size)
-    return np.asarray([phi_image_under_symbol(family, n, xs, m_func) for n in range(r)])
+def compose_columns(family, N: int, xs, ys=None, m_func=None) -> KernelBlockSet:
+    """(K T K) block where T acts by the inverse-eps symbol times m_func.
 
-
-def _assemble_blocks(family, N, window, phi, beta):
-    """Dense block assembly shared by the oracle and contour routes."""
-    r = rank_of(family, N)
-    K = phi[:r].T @ phi[:r]
-    if beta == 4:
-        S = K @ apply_eps(family, K)
-    else:
-        a, b = beta1_indices(family, N)
-        S = K + 0.5 * np.outer(phi[a], apply_eps(family, phi[b]))
-    lattice = TruncatedLattice(x_max=phi.shape[1] - 1)
-    D = build_d(family, lattice).mat
-    ix = np.ix_(window, window)
-    return S[ix], (S @ D)[ix], apply_eps(family, S)[ix]
+    This is the exact resummation of the double-contour composition; the
+    printed difference-quotient formulas are checked against it and against
+    the lattice oracle by `adjudicate_composition`.
+    """
+    ys = xs if ys is None else ys
+    lattice = oracle_lattice(family, N, np.array([int(max(np.max(xs), np.max(ys)))]))
+    S = block_with_symbol_insertions(family, N, xs, m_center=m_func, ys=ys)
+    return KernelBlockSet(family=family, beta=4, N=N, xs=np.asarray(xs),
+                          ys=np.asarray(ys), S=S, provenance="contour-columns",
+                          meta={"lattice_x_max": lattice.x_max})
 
 
 def s4_block(family, N: int, window=None, route: str = "contour") -> KernelBlockSet:
@@ -220,32 +231,18 @@ def s4_block(family, N: int, window=None, route: str = "contour") -> KernelBlock
     lattice operator; see `adjudicate_composition`).  route='oracle' uses
     the recurrence tables.
     """
-    window = default_window(family, N) if window is None else np.asarray(window)
     if route == "oracle":
         return oracle_block(family, N, 4, window)
-    lattice = oracle_lattice(family, N, window)
-    a, _ = beta1_indices(family, N)
-    phi = contour_wave_rows(family, a + 1, lattice)
-    S, SD, epsS = _assemble_blocks(family, N, window, phi, 4)
-    return KernelBlockSet(family=family, beta=4, N=N, xs=window, ys=window,
-                          S=S, SD=SD, epsS=epsS, provenance="contour",
-                          meta={"lattice_x_max": lattice.x_max,
-                                "adjudication": adjudicate_composition(family)["outcome"]})
+    return _scalar_block(family, N, 4, window, "contour",
+                         adjudication=adjudicate_composition(family)["outcome"])
 
 
 def s1_block(family, N: int, window=None, route: str = "contour") -> KernelBlockSet:
     """beta = 1 scalar block: projection plus the half rank-one term."""
-    window = default_window(family, N) if window is None else np.asarray(window)
     if route == "oracle":
         return oracle_block(family, N, 1, window)
-    lattice = oracle_lattice(family, N, window)
-    a, b = beta1_indices(family, N)
-    phi = contour_wave_rows(family, a + 1, lattice)
-    S, SD, epsS = _assemble_blocks(family, N, window, phi, 1)
-    return KernelBlockSet(family=family, beta=1, N=N, xs=window, ys=window,
-                          S=S, SD=SD, epsS=epsS, provenance="contour",
-                          meta={"lattice_x_max": lattice.x_max,
-                                "rank_one_indices": (a, b)})
+    return _scalar_block(family, N, 1, window, "contour",
+                         rank_one_indices=beta1_indices(family, N))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +486,7 @@ def adjudicate_composition(family, N: int = 6) -> dict:
     """
     window = np.arange(0, min(3 * N + 5, family.M + 1 if family.finite else 10 ** 9))
     oracle = oracle_block(family, N, 4, window)
-    cols = compose_columns(family, N, window, with_insertions=False)
+    cols = compose_columns(family, N, window)
     report = {"family": family.name, "N": N, "candidates": {}, "scale": float(np.max(np.abs(oracle.S)))}
     m = lambda z: symbol(family, "eps", z)
     m_inv = lambda z: inverse_eps_symbol(family, z)

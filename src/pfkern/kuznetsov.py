@@ -15,20 +15,17 @@ the need to encircle the origin genuinely conflict for circle contours).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .contours import ContourSpec
 from .families import DomainError
-from .kernels import (KernelBlockSet, beta1_indices, compose_columns,
-                      default_window, multiplier_columns, oracle_lattice,
-                      rank_of)
-from .saddles import large_parameter, site_density
-from .symbols import (default_contour, eps_phi_raw_via_contour,
+from .kernels import (KernelBlockSet, _assemble_blocks, _phi_on, _rank_one_factors,
+                      beta1_indices, compose_columns, contour_rows, default_window,
+                      multiplier_gram, oracle_lattice, rank_of)
+from .symbols import (contour_image, default_contour, eps_multiplier,
                       inverse_eps_symbol)
-from .wavefunctions import get_table
 
 
 @dataclass(frozen=True)
@@ -157,40 +154,35 @@ def _mh_func(test):
     return lambda z: m_h(test, z)
 
 
+def _spliced(family, N: int, test: SpectralTest, window, route: str) -> KernelBlockSet:
+    """K (T_h eps) K on the window: L = R = the wave-function rows of the
+    route ('contour': extraction, 'oracle': recurrence tables), with E from
+    the m_h-spliced multiplier columns."""
+    window = default_window(family, N) if window is None else np.asarray(window)
+    lattice = oracle_lattice(family, N, window)
+    r = rank_of(family, N)
+    phi = (contour_rows(family, range(r), np.arange(lattice.size)) if route == "contour"
+           else _phi_on(family, r + 1, lattice)[:r])
+    S = _assemble_blocks(phi, multiplier_gram(family, phi, _mh_func(test)), phi, window)[0]
+    meta = ({"sigma": getattr(test, "sigma", None),
+             "branch_jump": branch_jump(test, default_contour(family, degree=N).radius)}
+            if route == "contour" else {"imag_max": 0.0, "lattice_x_max": lattice.x_max})
+    return KernelBlockSet(family=family, beta=4, N=N, xs=window, ys=window, S=S,
+                          provenance=route, meta=meta)
+
+
 def spliced_s4(family, N: int, test: SpectralTest, window=None) -> KernelBlockSet:
     """K (T_h eps) K with every factor coming from contour quadrature:
     multiplier columns for T_h eps and contour-extracted wave functions for
     both projections (the spliced oracle below evaluates the same operator
     from the recurrence tables instead)."""
-    from .kernels import contour_wave_rows
-    window = default_window(family, N) if window is None else np.asarray(window)
-    lattice = oracle_lattice(family, N, window)
-    r = rank_of(family, N)
-    phi = contour_wave_rows(family, r + 1, lattice)
-    U = multiplier_columns(family, range(r), _mh_func(test), lattice)
-    E = phi[:r] @ U.T
-    S = phi[:r, window].T @ E @ phi[:r, window]
-    return KernelBlockSet(family=family, beta=4, N=N, xs=window, ys=window, S=S,
-                          provenance="contour",
-                          meta={"sigma": getattr(test, "sigma", None),
-                                "branch_jump": branch_jump(
-                                    test, default_contour(family, degree=N).radius)})
+    return _spliced(family, N, test, window, "contour")
 
 
 def spliced_oracle(family, N: int, test: SpectralTest, window=None) -> KernelBlockSet:
     """Independent evaluation: identical multiplier realization, but all
     projection sums taken from the recurrence tables on a larger lattice."""
-    window = default_window(family, N) if window is None else np.asarray(window)
-    lattice = oracle_lattice(family, N, window)
-    r = rank_of(family, N)
-    tab = get_table(family, r + 1, None if family.finite else lattice.x_max)
-    phi = tab.phi[:, : lattice.size]
-    U = multiplier_columns(family, range(r), _mh_func(test), lattice)
-    E = phi[:r] @ U.T
-    S = phi[:r, window].T @ E @ phi[:r, window]
-    return KernelBlockSet(family=family, beta=4, N=N, xs=window, ys=window,
-                          S=S, provenance="oracle",
-                          meta={"imag_max": 0.0, "lattice_x_max": lattice.x_max})
+    return _spliced(family, N, test, window, "oracle")
 
 
 def spliced_s1(family, N: int, test: SpectralTest, window=None) -> KernelBlockSet:
@@ -198,11 +190,11 @@ def spliced_s1(family, N: int, test: SpectralTest, window=None) -> KernelBlockSe
     window = default_window(family, N) if window is None else np.asarray(window)
     lattice = oracle_lattice(family, N, window)
     r = rank_of(family, N)
-    tab = get_table(family, r + 1, None if family.finite else lattice.x_max)
+    phi = _phi_on(family, r + 1, lattice)[:, window]
     a, b = beta1_indices(family, N)
-    K = tab.phi[:r, window].T @ tab.phi[:r, window]
-    col = eps_phi_raw_via_contour(family, b, window, m_extra=_mh_func(test))
-    S = K + 0.5 * np.outer(tab.phi[a, window], col)
+    col = contour_image(family, b, window, default_contour(family, "eps", b),
+                        eps_multiplier(family, _mh_func(test)))
+    S = _assemble_blocks(*_rank_one_factors(phi[:r], phi[a], col))[0]
     return KernelBlockSet(family=family, beta=1, N=N, xs=window, ys=window, S=S,
                           provenance="contour-columns",
                           meta={"rank_one_indices": (a, b)})
@@ -223,33 +215,6 @@ def constant_limit_check(family, N: int, sigmas=(1e2, 1e4, 1e6), window=None) ->
             "decreasing": bool(np.all(np.diff([r["rel_err"] for r in rows]) < 0))}
 
 
-# ---------------------------------------------------------------------------
-# spliced asymptotics
-
-
-def spliced_bulk_report(regime, test: SpectralTest, u: float, A_list,
-                        grid=None) -> dict:
-    """Bulk sine comparison for the spliced beta = 4 block (fitted constant
-    reported, not assumed)."""
-    from .harness import DEFAULT_GRID, fit_amplitude, _window_positions
-    from .refkernels import sine_kernel
-    grid = DEFAULT_GRID if grid is None else grid
-    rows = []
-    for A in A_list:
-        fam, N = regime.family_and_N(int(A))
-        rho = site_density(fam, u, N)
-        xs = _window_positions(A, u, 1.0 / rho, grid)
-        blk = spliced_oracle(fam, N, test, xs)
-        V = blk.S / rho
-        seff = (xs - A * u) * rho
-        T = sine_kernel(seff[:, None], seff[None, :])
-        c = fit_amplitude(V, T)
-        rows.append({"A": int(A), "c_fit": c,
-                     "sup_err_fitted": float(np.max(np.abs(V / c - T))) if c else float("inf"),
-                     "sup_err_raw": float(np.max(np.abs(V - T)))})
-    return {"u": u, "entries": rows}
-
-
 def edge_ratio_report(regime, test: SpectralTest, A: int = 96,
                       s_grid=None) -> dict:
     """Spliced/unspliced amplitude ratio at the soft edge against the
@@ -268,7 +233,7 @@ def edge_ratio_report(regime, test: SpectralTest, A: int = 96,
     xs = np.unique(np.floor(A * ed["u_star"] + s_grid * c_A).astype(int))
     xs = xs[(xs >= 0) & (xs <= fam.M if fam.finite else True)]
     spl = spliced_oracle(fam, N, test, xs).S
-    base = compose_columns(fam, N, xs, with_insertions=False).S
+    base = compose_columns(fam, N, xs).S
     measured = float(np.sum(spl * base) / np.sum(base * base))
     z_star = ed["z_star"]
     h = 1e-6

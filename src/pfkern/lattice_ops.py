@@ -181,6 +181,18 @@ def apply_eps(family, vecs: np.ndarray) -> np.ndarray:
     return out if np.ndim(vecs) > 1 else out[:, 0]
 
 
+def apply_d(family, vecs: np.ndarray) -> np.ndarray:
+    """D @ vecs for one vector or a stack of columns: the two-diagonal
+    stencil of `build_d`, without forming the matrix."""
+    v = np.atleast_2d(vecs.T).T  # (size, ncols)
+    lw = family.log_weight(np.arange(v.shape[0], dtype=float))
+    ratio = np.exp(0.5 * (lw[:-1] - lw[1:]))[:, None]
+    out = np.zeros_like(v, dtype=float)
+    out[:-1] += ratio * v[1:]
+    out[1:] -= ratio * v[:-1]
+    return out if np.ndim(vecs) > 1 else out[:, 0]
+
+
 def interior_window(lattice: TruncatedLattice) -> slice:
     """Rows/cols unaffected by eps-row truncation: x <= x_max/2."""
     return slice(0, lattice.x_max // 2 + 1)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import os
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -52,7 +51,7 @@ def output_dir(cli_value: str | None) -> str:
     return d
 
 
-def block_metadata(blk, extra: dict | None = None) -> dict:
+def block_metadata(blk) -> dict:
     meta = {
         "family": blk.family.name,
         "family_params": {k: v for k, v in vars(blk.family).items()},
@@ -63,6 +62,4 @@ def block_metadata(blk, extra: dict | None = None) -> dict:
         "antisymmetry_defect": blk.antisymmetry_defect(),
     }
     meta.update(blk.meta)
-    if extra:
-        meta.update(extra)
     return meta

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .families import Charlier, Krawtchouk, Meixner, DomainError
+from .families import Charlier, Meixner, DomainError
 
 
 @dataclass(frozen=True)
@@ -277,15 +277,3 @@ def edge_data(family, side: str = "right", N: int | None = None) -> dict:
     return {"u_star": float(u_star), "z_star": float(np.real(z_star)),
             "kappa": complex(kappa), "lam": float(np.real(lam)),
             "side": side}
-
-
-def site_density_near_edge_exponent(family, u_star, N=None, h=1e-3):
-    """Crude slope log rho_site vs log distance just inside the edge."""
-    lo, hi = bulk_support(family, N)
-    inward = -1.0 if u_star >= hi else 1.0
-    ds = np.array([4 * h, 2 * h, h])
-    vals = [site_density(family, u_star + inward * d, N) for d in ds]
-    if min(vals) <= 0:
-        return 0.0
-    fit = np.polyfit(np.log(ds), np.log(vals), 1)
-    return float(fit[0])

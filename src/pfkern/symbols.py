@@ -22,6 +22,7 @@ from scipy.special import gammaln
 
 from .contours import ContourSpec, ContractError
 from .families import Charlier, Krawtchouk, Meixner, DomainError
+from .lattice_ops import apply_eps
 from .wavefunctions import get_table
 
 # ---------------------------------------------------------------------------
@@ -147,16 +148,23 @@ def default_contour(family, kind: str = "single", degree: int = 0) -> ContourSpe
     Single-contour extraction radii balance the integrand maximum against
     r^(-degree) (roundoff conditioning), clamped inside the admissible disc;
     pair radii follow the fixed defaults used by the kernel formulas.
+    'eps' and 'image' are the extraction circles of the images of phi_n
+    under the inverse-difference multiplier and under an analytic symbol.
+    They equal 'single' except for Meixner, whose circle lies near 1 for
+    conditioning in x and so needs more nodes to resolve the +-1 poles of
+    the inverse multiplier.
     """
     if isinstance(family, Meixner):
         s = family.s
-        if kind == "single":
+        if kind in ("single", "eps", "image"):
             radius = max(0.95, (1.0 + s) / 2.0)
-            nodes = 256 if s <= 0.8 else (2048 if s <= 0.95 else 16384)
+            nodes = {"single": 256 if s <= 0.8 else (2048 if s <= 0.95 else 16384),
+                     "eps": 2048 if s <= 0.9 else 16384,
+                     "image": 2048}[kind]
             return ContourSpec(radius=radius, node_count=nodes)
         radius = {"inner": (2 * s + 1) / 3.0, "outer": (s + 2) / 3.0}[kind]
     elif isinstance(family, Charlier):
-        if kind == "single":
+        if kind in ("single", "eps", "image"):
             th, n = family.theta, max(degree, 1)
             b = th - n
             radius = (-b + np.sqrt(b * b + 4.0 * th * n)) / (2.0 * th)
@@ -165,7 +173,7 @@ def default_contour(family, kind: str = "single", degree: int = 0) -> ContourSpe
             radius = {"inner": 0.35, "outer": 0.7}[kind]
     else:
         rstar = min(1.0 / family.p, 1.0 / family.q)
-        if kind == "single":
+        if kind in ("single", "eps", "image"):
             n = max(degree, 1)
             radius = n / (family.p * max(family.M - n, 1))
             radius = float(np.clip(radius, 0.25, 0.97 * rstar))
@@ -174,7 +182,7 @@ def default_contour(family, kind: str = "single", degree: int = 0) -> ContourSpe
     return ContourSpec(radius=radius)
 
 
-def check_admissible(family, spec: ContourSpec, kind: str = "single") -> None:
+def check_admissible(family, spec: ContourSpec) -> None:
     if spec.center != 0:
         raise ContractError("single-contour formulas use origin-centred circles")
     r = spec.radius
@@ -193,11 +201,22 @@ def check_admissible(family, spec: ContourSpec, kind: str = "single") -> None:
 # single-contour wave functions
 
 
-def phi_via_contour(family, n: int, x, contour: ContourSpec | None = None):
-    """phi_n(x) by contour coefficient extraction (adjudicated normalization).
+def eps_multiplier(family, m_extra=None):
+    """z -> inverse_eps_symbol(family, z), times the analytic m_extra(z) if given."""
+    if m_extra is None:
+        return lambda z: inverse_eps_symbol(family, z)
+    return lambda z: inverse_eps_symbol(family, z) * m_extra(z)
 
-    Meixner requires beta_m = 1; the recurrence tables are the authority for
-    other beta_m.
+
+def contour_image(family, n: int, x, contour: ContourSpec | None = None,
+                  multiplier=None):
+    """(M phi_n)(x) by contour coefficient extraction (adjudicated
+    normalization), where M multiplies the generating representation of
+    phi_n by multiplier(z) in the contour variable; phi_n itself without one.
+
+    The contour defaults to `default_contour(family, degree=n)`.  Meixner
+    requires beta_m = 1; the recurrence tables are the authority for other
+    beta_m.
     """
     if family.finite and n > family.M:
         raise DomainError(f"degree {n} exceeds Krawtchouk M={family.M}")
@@ -205,6 +224,7 @@ def phi_via_contour(family, n: int, x, contour: ContourSpec | None = None):
     check_admissible(family, contour)
     z = contour.nodes()
     w = contour.weights(z)
+    mult = 1.0 if multiplier is None else multiplier(z)
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(x)
     if isinstance(family, Meixner):
@@ -213,12 +233,11 @@ def phi_via_contour(family, n: int, x, contour: ContourSpec | None = None):
                                 "the recurrence table is authoritative otherwise")
         s = family.s
         szego = np.sqrt(1.0 - s * s) / (1.0 - s * z)
-        blaschke = (z - s) / (1.0 - s * z)
-        core = szego * blaschke ** n
+        core = szego * ((z - s) / (1.0 - s * z)) ** n * mult
         vals = _meixner_extract(core * w, z, xs)
     else:
         g = degree_integrand(family, xs, z)
-        raw = (g * (z ** (-n - 1) * w)[None, :]).sum(axis=1).real
+        raw = (g * (mult * z ** (-n - 1) * w)[None, :]).sum(axis=1).real
         sign, logmag = degree_prefactor(family, n, xs)
         vals = sign * raw * np.exp(logmag)
     return float(vals[0]) if scalar else vals
@@ -231,96 +250,6 @@ def _meixner_extract(core_w, z, xs):
     return (exps @ core_w).real
 
 
-def eps_phi_raw_via_contour(family, n: int, y, contour: ContourSpec | None = None,
-                            m_extra=None):
-    """Single-contour image of phi_n under the inverse-difference multiplier
-    (optionally times an extra analytic symbol m_extra), before the kernel
-    correction; see `eps_phi_via_contour`."""
-    if contour is None:
-        if isinstance(family, Meixner):
-            # near 1 for y-extraction conditioning, resolving the +-1 poles
-            # of the inverse multiplier with a deep node count
-            nodes = 2048 if family.s <= 0.9 else 16384
-            contour = ContourSpec(radius=max(0.95, (1 + family.s) / 2), node_count=nodes)
-        else:
-            contour = default_contour(family, degree=n)
-    check_admissible(family, contour)
-    z = contour.nodes()
-    w = contour.weights(z)
-    mult = inverse_eps_symbol(family, z)
-    if m_extra is not None:
-        mult = mult * m_extra(z)
-    scalar = np.ndim(y) == 0
-    ys = np.atleast_1d(y)
-    if isinstance(family, Meixner):
-        s = family.s
-        szego = np.sqrt(1.0 - s * s) / (1.0 - s * z)
-        core = szego * ((z - s) / (1.0 - s * z)) ** n * mult
-        vals = _meixner_extract(core * w, z, ys)
-    else:
-        g = degree_integrand(family, ys, z)
-        raw = (g * (mult * z ** (-n - 1) * w)[None, :]).sum(axis=1).real
-        sign, logmag = degree_prefactor(family, n, ys)
-        vals = sign * raw * np.exp(logmag)
-    return float(vals[0]) if scalar else vals
-
-
-def phi_image_under_symbol(family, n: int, y, m_func,
-                           contour: ContourSpec | None = None):
-    """Image of phi_n under multiplication by an analytic symbol in the
-    contour variable (no inverse-difference factor)."""
-    if contour is None:
-        if isinstance(family, Meixner):
-            contour = ContourSpec(radius=max(0.95, (1 + family.s) / 2), node_count=2048)
-        else:
-            contour = default_contour(family, degree=n)
-    check_admissible(family, contour)
-    z = contour.nodes()
-    w = contour.weights(z)
-    mult = m_func(z)
-    scalar = np.ndim(y) == 0
-    ys = np.atleast_1d(y)
-    if isinstance(family, Meixner):
-        s = family.s
-        szego = np.sqrt(1.0 - s * s) / (1.0 - s * z)
-        core = szego * ((z - s) / (1.0 - s * z)) ** n * mult
-        vals = _meixner_extract(core * w, z, ys)
-    else:
-        g = degree_integrand(family, ys, z)
-        raw = (g * (mult * z ** (-n - 1) * w)[None, :]).sum(axis=1).real
-        sign, logmag = degree_prefactor(family, n, ys)
-        vals = sign * raw * np.exp(logmag)
-    return float(vals[0]) if scalar else vals
-
-
-def apply_eps_sums(family, values, y):
-    """The parity-split inverse-difference sums applied to a lattice vector.
-
-    `values` must cover the truncation window {0..len-1}; the even-row tails
-    are truncated there (certified by the weight truncation rule).
-    """
-    size = len(values)
-    lw = family.log_weight(np.arange(size, dtype=float))
-    csum = np.concatenate([[0.0], np.cumsum(lw[1::2] - lw[0:-1:2][: len(lw[1::2])])])
-    ys = np.atleast_1d(y)
-    out = np.empty(len(ys))
-    for i, yy in enumerate(ys):
-        yy = int(yy)
-        if yy % 2 == 0:
-            m = yy // 2
-            ks = np.arange(m, (size - 2) // 2 + 1)
-            cols = 2 * ks + 1
-            lv = 0.5 * (lw[yy] - lw[cols]) + (csum[ks + 1] - csum[m])
-            out[i] = -np.sum(np.exp(lv) * values[cols])
-        else:
-            m = (yy - 1) // 2
-            ks = np.arange(0, m + 1)
-            cols = 2 * ks
-            lv = 0.5 * (lw[cols] - lw[yy]) + (csum[m + 1] - csum[ks])
-            out[i] = np.sum(np.exp(lv) * values[cols])
-    return float(out[0]) if np.ndim(y) == 0 else out
-
-
 def meixner_parity_sums(family: Meixner, n: int) -> tuple[float, float]:
     """(sum over even x, sum over odd x) of phi_n for the geometric weight,
     from the boundary values of the generating representation:
@@ -331,17 +260,17 @@ def meixner_parity_sums(family: Meixner, n: int) -> tuple[float, float]:
     return 0.5 * (plus + minus), 0.5 * (plus - minus)
 
 
-def meixner_eps_correction(family: Meixner, n: int, contour: ContourSpec | None = None):
+def meixner_eps_correction(family: Meixner, n: int):
     """Coefficient of the even-parity constant chain (the kernel of D at
     beta_m = 1) separating the multiplier image from the lattice eps image,
     pinned by the defining sum (eps phi_n)(0) = -s * sum_odd phi_n."""
     _, odd_total = meixner_parity_sums(family, n)
     target = -family.s * odd_total
-    raw0 = eps_phi_raw_via_contour(family, n, 0, contour)
+    raw0 = contour_image(family, n, 0, default_contour(family, "eps", n), eps_multiplier(family))
     return target - raw0
 
 
-def eps_phi_via_contour(family, n: int, y, contour: ContourSpec | None = None):
+def eps_phi_via_contour(family, n: int, y):
     """(eps phi_n)(y) through the contour representation.
 
     Meixner (beta_m = 1): the weight ratios are constant, the inverse
@@ -356,8 +285,8 @@ def eps_phi_via_contour(family, n: int, y, contour: ContourSpec | None = None):
     in the kernels module records the measured failure of the printed route.
     """
     if isinstance(family, Meixner):
-        c = meixner_eps_correction(family, n, contour)
-        raw = eps_phi_raw_via_contour(family, n, y, contour)
+        c = meixner_eps_correction(family, n)
+        raw = contour_image(family, n, y, default_contour(family, "eps", n), eps_multiplier(family))
         ys = np.atleast_1d(y)
         out = raw + np.where(ys % 2 == 0, c, 0.0)
         return float(out[0]) if np.ndim(y) == 0 else out
@@ -367,5 +296,5 @@ def eps_phi_via_contour(family, n: int, y, contour: ContourSpec | None = None):
         x_top = max(get_table(family, max(n, 8)).lattice.x_max,
                     int(np.max(np.atleast_1d(y))) + 40)
         xs = np.arange(x_top + 1)
-    vals = phi_via_contour(family, n, xs)
-    return apply_eps_sums(family, vals, y)
+    out = apply_eps(family, contour_image(family, n, xs))[np.atleast_1d(y)]
+    return float(out[0]) if np.ndim(y) == 0 else out

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -69,6 +71,53 @@ def test_config_file_round_trip(tmp_path):
     assert code in (0, 3)
     meta = json.loads((tmp_path / "kernel_charlier_b4_N4.json").read_text())
     assert meta["config"]["window"] == "0:8"
+
+
+def test_config_values_take_the_declared_type(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("xi=0.25\n")
+    code = main(["--config", str(cfg), "kernel", "--family", "meixner", "--beta", "4",
+                 "--N", "2", "--window", "0:4", "--out", str(tmp_path)])
+    assert code in (0, 3)
+    meta = json.loads((tmp_path / "kernel_meixner_b4_N2.json").read_text())
+    assert meta["config"]["xi"] == 0.25
+    cfg.write_text("xi=abc\n")
+    code = main(["--config", str(cfg), "kernel", "--family", "meixner", "--beta", "4",
+                 "--N", "2", "--out", str(tmp_path / "bad")])
+    assert code == 1
+    assert "could not convert string to float: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_json_report_identical_across_processes(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    docs = []
+    for _ in range(2):
+        subprocess.run([sys.executable, "-m", "pfkern.cli", "splice", "reality",
+                        "--family", "charlier", "--theta", "1", "--out", str(tmp_path)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        docs.append((tmp_path / "reality.json").read_bytes())
+    assert docs[0] == docs[1]
+    config = json.loads(docs[0])["config"]
+    assert "fn" not in config and config["command"] == "splice reality"
+
+
+def test_asym_bulk_block_k(tmp_path):
+    code = main(["asym", "bulk", "--family", "charlier", "--tau", "1", "--beta", "1",
+                 "--u", "2.0", "--block", "K", "--A-list", "24,48", "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "bulk_charlier_b1.json").read_text())
+    assert rep["block"] == "K"
+    assert all(abs(e["c_fit"] - 1) < 0.1 for e in rep["entries"])
+
+
+def test_asym_crossover_refuses_sd(tmp_path, capsys):
+    code = main(["asym", "crossover", "--family", "meixner", "--xi", "0.5", "--block", "SD",
+                 "--N-list", "12", "--out", str(tmp_path)])
+    assert code == 1
+    assert "SD" in capsys.readouterr().err
+    assert not (tmp_path / "crossover.json").exists()
 
 
 def test_splice_reality(tmp_path):

@@ -5,8 +5,8 @@ from pfkern.contours import (ContourSpec, ContractError, QuadratureError,
                              circle_quadrature)
 from pfkern.families import Charlier, Krawtchouk, Meixner, truncate
 from pfkern.lattice_ops import build_d, build_epsilon_direct
-from pfkern.symbols import (charlier_w_map, default_contour, eps_phi_via_contour,
-                            inverse_eps_symbol, meixner_G, phi_via_contour,
+from pfkern.symbols import (charlier_w_map, contour_image, default_contour,
+                            eps_phi_via_contour, inverse_eps_symbol, meixner_G,
                             ratio_map, symbol)
 from pfkern.wavefunctions import get_table
 
@@ -33,6 +33,12 @@ def test_quadrature_nonconvergence_raises():
     with pytest.raises(QuadratureError):
         # pole on the contour: never converges
         circle_quadrature(lambda z: 1.0 / (z - 1.0), spec, tol=1e-14)
+
+
+def test_quadrature_start_beyond_max_nodes_raises():
+    # no level can be doubled: the first comparison already exceeds MAX_NODES
+    with pytest.raises(QuadratureError):
+        circle_quadrature(lambda z: 1.0 / z, ContourSpec(radius=0.5), start_nodes=2 ** 20)
 
 
 def test_contour_spec_validation():
@@ -100,7 +106,7 @@ def test_phi_contour_matches_recurrence(fam):
     tab = get_table(fam, 16, x_max=40 if not fam.finite else None)
     for n in (0, 1, 5, 15):
         xs = np.arange(0, 41)
-        vals = phi_via_contour(fam, n, xs)
+        vals = contour_image(fam, n, xs)
         assert np.max(np.abs(vals - tab.phi[n, :41])) < 1e-9
 
 
@@ -109,19 +115,19 @@ def test_phi_contour_matches_recurrence_meixner():
     tab = get_table(fam, 16, x_max=40)
     for n in (0, 1, 7, 15):
         xs = np.arange(0, 41)
-        vals = phi_via_contour(fam, n, xs)
+        vals = contour_image(fam, n, xs)
         assert np.max(np.abs(vals - tab.phi[n, :41])) < 1e-9
 
 
 def test_meixner_beta2_contour_rejected():
     with pytest.raises(ContractError):
-        phi_via_contour(Meixner(xi=0.5, beta_m=2.0), 1, 3)
+        contour_image(Meixner(xi=0.5, beta_m=2.0), 1, 3)
 
 
 def test_radius_independence():
     fam = Charlier(theta=1.0)
-    a = phi_via_contour(fam, 6, 11, ContourSpec(radius=0.3))
-    b = phi_via_contour(fam, 6, 11, ContourSpec(radius=0.8))
+    a = contour_image(fam, 6, 11, ContourSpec(radius=0.3))
+    b = contour_image(fam, 6, 11, ContourSpec(radius=0.8))
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -130,7 +136,7 @@ def test_charlier_phi0_contour_residue():
     fam = Charlier(theta=1.0)
     from pfkern.families import weight
     for x in (0, 3, 9):
-        assert phi_via_contour(fam, 0, x) == pytest.approx(
+        assert contour_image(fam, 0, x) == pytest.approx(
             np.sqrt(weight(fam, x)), rel=1e-10)
 
 

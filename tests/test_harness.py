@@ -23,6 +23,13 @@ def test_bulk_beta1_charlier_small():
     assert rep["entries"][1]["sup_err_fitted"] < rep["entries"][0]["sup_err_fitted"]
 
 
+def test_bulk_rank_one_shares_the_oracle_table():
+    from pfkern.wavefunctions import _cached_table
+    _cached_table.cache_clear()
+    bulk_convergence_test(CH, 1, 2.0, [24, 48])
+    assert _cached_table.cache_info().misses == 2   # one wave table per A
+
+
 def test_bulk_diag_within_error():
     rep = bulk_convergence_test(CH, 1, 2.0, [48])
     e = rep["entries"][0]

@@ -67,6 +67,31 @@ def test_oracle_blocks_structure(fam):
     assert sv[1] < 1e-8 * sv[0]
 
 
+@pytest.mark.parametrize("fam", FAMS, ids=IDS)
+@pytest.mark.parametrize("beta", [1, 4])
+def test_oracle_block_vs_dense_operators(fam, beta):
+    # the Gram form against dense D and the eps matrix of its defining sums
+    from pfkern.kernels import oracle_lattice
+    from pfkern.lattice_ops import build_d, build_epsilon_direct
+    from pfkern.wavefunctions import get_table
+    N = 6
+    blk = oracle_block(fam, N, beta)
+    lat = oracle_lattice(fam, N, blk.xs)
+    r = rank_of(fam, N)
+    phi = get_table(fam, r + 1, None if fam.finite else lat.x_max).phi[:, :lat.size]
+    eps = build_epsilon_direct(fam, lat).mat
+    K = phi[:r].T @ phi[:r]
+    if beta == 4:
+        S = K @ eps @ K
+    else:
+        a, b = beta1_indices(fam, N)
+        S = K + 0.5 * np.outer(phi[a], eps @ phi[b])
+    ix = np.ix_(blk.xs, blk.xs)
+    for got, ref in ((blk.S, S[ix]), (blk.SD, (S @ build_d(fam, lat).mat)[ix]),
+                     (blk.epsS, (eps @ S)[ix])):
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 def test_oracle_block_truncation_stability():
     fam = Charlier(theta=1.0)
     N = 6
@@ -84,7 +109,7 @@ def test_compose_columns_vs_oracle_structure(fam):
     # the weighted shifts are genuine multipliers; larger for the others)
     N = 6
     xs = np.arange(0, 20)
-    blk = compose_columns(fam, N, xs, with_insertions=False)
+    blk = compose_columns(fam, N, xs)
     orc = oracle_block(fam, N, 4, xs)
     R = blk.S - orc.S
     if fam.name == "meixner":

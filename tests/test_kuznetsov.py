@@ -97,11 +97,12 @@ def test_spliced_s1_constant_limit():
     blk = spliced_s1(fam, 6, GaussianTest(sigma=sigma))
     K = projection_direct(fam, 6, blk.xs)
     spliced_r1 = blk.S - K
-    from pfkern.symbols import eps_phi_raw_via_contour
+    from pfkern.symbols import contour_image, default_contour, eps_multiplier
     from pfkern.wavefunctions import get_table
     tab = get_table(fam, 8, x_max=int(blk.xs[-1]))
     base = 0.5 * np.outer(tab.phi[6, blk.xs],
-                          eps_phi_raw_via_contour(fam, 5, blk.xs))
+                          contour_image(fam, 5, blk.xs, default_contour(fam, "eps", 5),
+                                        eps_multiplier(fam)))
     rel = np.max(np.abs(spliced_r1 - np.sqrt(np.pi / sigma) * base))
     assert rel < 1e-4 * np.sqrt(np.pi / sigma) * np.max(np.abs(base)) + 1e-12
 

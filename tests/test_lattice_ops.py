@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pfkern.families import Charlier, Krawtchouk, Meixner, TruncatedLattice, truncate, weight
-from pfkern.lattice_ops import (build_d, build_dminus, build_dplus,
+from pfkern.lattice_ops import (apply_d, build_d, build_dminus, build_dplus,
                                 build_epsilon_direct, build_epsilon_factored,
                                 check_mutual_inverse, dump_csv, interior_window,
                                 upsilon)
@@ -23,6 +23,15 @@ class ConstantWeight:
 
 
 FAMS = [Charlier(theta=1.0), Meixner(xi=0.25, beta_m=1.0), Krawtchouk(M=60, p=0.4)]
+
+
+@pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
+def test_apply_d_matches_build_d(fam):
+    lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=80)
+    v = np.random.default_rng(5).standard_normal((lat.size, 3))
+    ref = build_d(fam, lat).mat @ v
+    assert np.max(np.abs(apply_d(fam, v) - ref)) < 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(apply_d(fam, v[:, 0]) - ref[:, 0])) < 1e-14 * np.max(np.abs(ref))
 
 
 def test_dplus_entry_charlier():
