@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contours import ContourSpec, QuadratureError
 from .families import Charlier, DomainError, Krawtchouk, Meixner
 from .kernels import (_assemble_blocks, _rank_one_factors, beta1_indices, contour_rows,
                       oracle_block, projection_direct, rank_of, rank_one_window)
@@ -250,10 +251,11 @@ def meixner_eps_gram(family, r: int, nodes: int = 4096) -> np.ndarray:
     """E_{jk} = <phi_j, eps phi_k> for the geometric weight without any
     lattice: a Toeplitz part from one contour (Parseval pairing of the
     inverse multiplier) plus the rank-one even-chain correction with closed
-    parity sums.
+    parity sums.  Raises QuadratureError when E is not finite or not
+    antisymmetric to 1e-8 (relative), as once s = sqrt(xi) nears the
+    radius-0.9 circle.
     """
     from .symbols import inverse_eps_symbol, meixner_parity_sums
-    from .contours import ContourSpec
     s = family.s
     spec = ContourSpec(radius=0.9, node_count=nodes)
     z = spec.nodes()
@@ -280,7 +282,13 @@ def meixner_eps_gram(family, r: int, nodes: int = 4096) -> np.ndarray:
         cks[k] = -s * odd_k - raw0[k]
     # eps phi_k = (multiplier image) + c_k 1_even, so the Gram picks up the
     # rank-one term <phi_j, 1_even> c_k = evens_j c_k
-    return T + np.outer(evens, cks)
+    E = T + np.outer(evens, cks)
+    defect = np.linalg.norm(E + E.T) / np.linalg.norm(E)
+    if not defect <= 1e-8:
+        raise QuadratureError(f"Meixner eps Gram at xi={family.xi:.6g} is not antisymmetric "
+                              f"(defect {defect:.3g}); its radius-0.9 circle does not "
+                              f"resolve s={s:.6g}")
+    return E
 
 
 def _bessel_fit(V, xs, index, scale, offsets=np.linspace(0.0, 1.6, 17)):

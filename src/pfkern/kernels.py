@@ -15,7 +15,10 @@ Three evaluation routes coexist and are cross-checked:
                   multiplier images of the wave functions (exact for any
                   analytic symbol; this is the production contour route);
   * paper      -- the printed double-contour formulas, evaluated verbatim
-                  in their candidate contour regimes.
+                  in their candidate contour regimes.  On trapezoid grids
+                  each is (1/n^2) sum_ij A[x, i] C[i, j] B[y, j] for integrand
+                  rows A, B and a Cauchy matrix C, taken as the two matrix
+                  products (A C) B^T, not as the O(nx ny n^2) triple sum.
 
 `adjudicate_projection` / `adjudicate_composition` measure every candidate
 against the oracle and record which convention (if any) reproduces it; the
@@ -28,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .contours import QuadratureError
 from .families import Charlier, Meixner, TruncatedLattice, truncate
 from .lattice_ops import apply_d, apply_eps
 from .symbols import (contour_image, default_contour, eps_multiplier,
@@ -108,12 +112,19 @@ def _scalar_block(family, N: int, beta: int, window, route: str,
     """The beta = 1 or 4 scalar block with SD and epsS from the rows
     phi_0..phi_r of the route ('oracle': recurrence tables, 'contour':
     contour extraction): L = R = Phi with E = Phi eps(Phi^T) for beta = 4,
-    the rank-one stacks for beta = 1."""
+    the rank-one stacks for beta = 1.  The contour route raises
+    QuadratureError where its rows give K(x, x) > 1 + 1e-6 on the lattice."""
     window = default_window(family, N) if window is None else np.asarray(window)
     lattice = lattice or oracle_lattice(family, N, window)
     r = rank_of(family, N)
-    phi = (_phi_on(family, r + 1, lattice) if route == "oracle"
-           else contour_rows(family, range(r + 1), np.arange(lattice.size)))
+    if route == "oracle":
+        phi = _phi_on(family, r + 1, lattice)
+    else:
+        phi = contour_rows(family, range(r + 1), np.arange(lattice.size))
+        diag = float(np.max(np.sum(phi[:r] ** 2, axis=0)))   # max K(x, x), at most 1
+        if not diag <= 1.0 + 1e-6:
+            raise QuadratureError(f"contour rows give K(x, x) = {diag:.3g} > 1 "
+                                  f"on {lattice.size} sites")
     if beta == 4:
         factors = phi[:r], phi[:r] @ apply_eps(family, phi[:r].T), phi[:r]
     elif beta == 1:
@@ -249,6 +260,15 @@ def s1_block(family, N: int, window=None, route: str = "contour") -> KernelBlock
 # printed double-contour formulas
 
 
+def _unit_nodes(nodes):
+    return np.exp(2j * np.pi * np.arange(nodes) / nodes)
+
+
+def _contract(A, C, B, nodes):
+    """(1/n^2) sum_ij A[x, i] C[i, j] B[y, j] as two matrix products."""
+    return (A @ C) @ B.T / nodes ** 2
+
+
 def _meixner_pair(family, regime: str) -> tuple[float, float]:
     s = family.s
     if regime == "product<1":
@@ -284,39 +304,52 @@ def projection_contour(family, N, xs, ys=None, variant: str = "adjudicated",
     return _dual_kernel(family, N, xs, ys, nodes)
 
 
-def _meixner_paper_kernel(family, N, xs, ys, r1, r2, nodes):
+def _meixner_rows(family, N, xs, w):
+    """Rows [x, i] = G_2N(w_i) w_i^(2N - x) of the printed Meixner integrand."""
     s = family.s
-    t = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    G = np.exp(2 * N * (np.log(1 - s / w) - np.log(1 - s * w)))
+    return G * w ** (2 * N - np.asarray(xs))[:, None]
+
+
+def _meixner_paper_kernel(family, N, xs, ys, r1, r2, nodes, dq=None):
+    """The printed Meixner double contour on |w1| = r1, |w2| = r2 with the
+    Cauchy factor 1/(w1 w2 - 1), times a composition's difference quotient
+    dq(W1, W2) if given."""
+    t = _unit_nodes(nodes)
     w1, w2 = r1 * t, r2 * t
-    G1 = np.exp(2 * N * (np.log(1 - s / w1) - np.log(1 - s * w1)))
-    G2 = np.exp(2 * N * (np.log(1 - s / w2) - np.log(1 - s * w2)))
-    A = np.array([G1 * w1 ** (-(x - 2 * N)) for x in np.asarray(xs)])
-    B = np.array([G2 * w2 ** (-(y - 2 * N)) for y in np.asarray(ys)])
-    C = 1.0 / (np.outer(w1, w2) - 1.0)
-    return np.einsum("xi,ij,yj->xy", A, C, B).real / nodes ** 2
+    W1, W2 = w1[:, None], w2[None, :]
+    C = 1.0 / (W1 * W2 - 1.0)
+    if dq is not None:
+        C = C * dq(W1, W2)
+    return _contract(_meixner_rows(family, N, xs, w1), C,
+                     _meixner_rows(family, N, ys, w2), nodes).real
 
 
-def _printed_nested_kernel(family, N, xs, ys, swap, nodes):
-    """The printed concentric-circle forms with denominator t1 - t2."""
-    inner = default_contour(family, "inner").radius
-    outer = default_contour(family, "outer").radius
-    r1, r2 = (inner, outer) if swap else (outer, inner)
-    t = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    t1, t2 = r1 * t, r2 * t
-    lw = family.log_weight(np.arange(int(max(np.max(xs), np.max(ys))) + 1, dtype=float))
+def _nested_rows(family, xs, t):
+    """Rows [x, i] of the printed Charlier/Krawtchouk integrand at the nodes t."""
+    x = np.asarray(xs)[:, None]
     if isinstance(family, Charlier):
-        e1 = np.exp(-family.theta * t1)
-        e2 = np.exp(-family.theta * t2)
-        A = np.array([e1 * (1 + t1) ** x for x in np.asarray(xs)])
-        B = np.array([e2 * (1 + t2) ** y for y in np.asarray(ys)])
-    else:
-        p, q, M = family.p, family.q, family.M
-        A = np.array([(1 + p * t1) ** (M - x) * (1 - q * t1) ** x for x in np.asarray(xs)])
-        B = np.array([(1 + p * t2) ** (M - y) * (1 - q * t2) ** y for y in np.asarray(ys)])
-    C = (t2[None, :] / t1[:, None]) ** N / (t1[:, None] - t2[None, :])
-    pref = np.exp(0.5 * (lw[np.asarray(xs)][:, None] + lw[np.asarray(ys)][None, :]))
-    out = np.einsum("xi,ij,yj->xy", A, C, B) / nodes ** 2
-    return pref * out.real
+        return np.exp(-family.theta * t) * (1 + t) ** x
+    p, q, M = family.p, family.q, family.M
+    return (1 + p * t) ** (M - x) * (1 - q * t) ** x
+
+
+def _printed_nested_kernel(family, N, xs, ys, swap, nodes, dq=None):
+    """The printed concentric-circle forms, t1 on the outer circle (inner if
+    swapped), with the Cauchy factor (t2/t1)^N/(t1 - t2), times a
+    composition's difference quotient dq(T1, T2) if given."""
+    t = _unit_nodes(nodes)
+    t1, t2 = (default_contour(family, kind).radius * t
+              for kind in (("inner", "outer") if swap else ("outer", "inner")))
+    T1, T2 = t1[:, None], t2[None, :]
+    C = (T2 / T1) ** N / (T1 - T2)
+    if dq is not None:
+        C = C * dq(T1, T2)
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    lw = family.log_weight(np.arange(int(max(np.max(xs), np.max(ys))) + 1, dtype=float))
+    pref = np.exp(0.5 * (lw[xs][:, None] + lw[ys][None, :]))
+    return pref * _contract(_nested_rows(family, xs, t1), C,
+                            _nested_rows(family, ys, t2), nodes).real
 
 
 def _dual_y_radius(family, y, N, r_inner):
@@ -350,48 +383,44 @@ def _dual_kernel(family, N, xs, ys, nodes):
     """Corrected two-centre double contour: extraction loop around 0 and a
     dual loop around the weight's generating singularity (-1 for Charlier,
     1/q for Krawtchouk), with per-column balanced radii."""
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
+    xs, ys = np.asarray(xs), np.asarray(ys)
     lw = family.log_weight(np.arange(int(max(np.max(xs), np.max(ys))) + 1, dtype=float))
-    t = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    t = _unit_nodes(nodes)
+    x = xs[:, None]
     if isinstance(family, Charlier):
         r_in = 0.45
-        center = -1.0
         tin = r_in * t
-        Ahat = np.array([np.exp(-family.theta * tin + x * np.log1p(tin)
-                                + 0.5 * lw[x]) for x in xs]) * tin ** (-N)
-        out = np.empty((len(xs), len(ys)))
-        for iy, y in enumerate(ys):
-            rho = _dual_y_radius(family, y, N, r_in)
-            u = center + rho * t
-            Bhat = np.exp(family.theta * u - (y + 1) * np.log(1.0 + u)
-                          - 0.5 * lw[y]) * u ** N
-            C = 1.0 / (tin[:, None] - u[None, :])
-            out[:, iy] = -np.einsum("xi,ij,j->x", Ahat * tin, C, Bhat * (u - center)).real / nodes ** 2
-        return out
-    p, q, M = family.p, family.q, family.M
-    r_in = 0.4 * min(1 / p, 1 / q)
-    tin = r_in * t
-    Ahat = np.array([np.exp((M - x) * np.log(1 + p * tin) + x * np.log(1 - q * tin)
-                            + 0.5 * lw[x]) for x in xs]) * tin ** (-N)
+        log_a = -family.theta * tin + x * np.log1p(tin)
+    else:
+        p, q, M = family.p, family.q, family.M
+        r_in = 0.4 * min(1 / p, 1 / q)
+        tin = r_in * t
+        log_a = (M - x) * np.log(1 + p * tin) + x * np.log(1 - q * tin)
+    A = np.exp(log_a + 0.5 * lw[x]) * tin ** (-N) * tin
     out = np.empty((len(xs), len(ys)))
     for iy, y in enumerate(ys):
         rho = _dual_y_radius(family, y, N, r_in)
-        # high columns use the p <-> q reflected dual loop around -1/p,
-        # which reverses orientation (hence the sign)
-        center, sign = (1.0 / q, 1.0) if y <= M // 2 else (-1.0 / p, -1.0)
-        u = center + rho * t
-        Bhat = np.exp((y - M - 1) * np.log(1.0 + p * u) - (y + 1) * np.log(1.0 - q * u)
-                      - 0.5 * lw[y]) * u ** N
+        if isinstance(family, Charlier):
+            center, sign = -1.0, -1.0
+            u = center + rho * t
+            log_b = family.theta * u - (y + 1) * np.log(1.0 + u)
+        else:
+            # high columns use the p <-> q reflected dual loop around -1/p,
+            # which reverses orientation (hence the sign)
+            center, sign = (1.0 / q, 1.0) if y <= M // 2 else (-1.0 / p, -1.0)
+            u = center + rho * t
+            log_b = (y - M - 1) * np.log(1.0 + p * u) - (y + 1) * np.log(1.0 - q * u)
+        v = np.exp(log_b - 0.5 * lw[y]) * u ** N * (u - center)
         C = 1.0 / (tin[:, None] - u[None, :])
-        out[:, iy] = sign * np.einsum("xi,ij,j->x", Ahat * tin, C,
-                                      Bhat * (u - center)).real / nodes ** 2
+        out[:, iy] = sign * (A @ (C @ v)).real / nodes ** 2
     return out
 
 
 def compose_contour(family, N, m_func, xs, ys=None, variant: str = "paper",
                     numerator: str = "difference-quotient", nodes: int = 512):
-    """The printed Cauchy-multiplier composition formulas, verbatim.
+    """The printed Cauchy-multiplier composition formulas, verbatim: the
+    projection's double contour with its Cauchy factor times the difference
+    quotient (m(z1) - m(z2))/(z1 - z2).
 
     For Meixner `numerator` selects between the generic difference quotient
     of the printed eps symbol and the printed (w2 - w1) numerator of the
@@ -399,41 +428,14 @@ def compose_contour(family, N, m_func, xs, ys=None, variant: str = "paper",
     the lattice oracle.
     """
     ys = xs if ys is None else ys
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    t = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    swapped = variant != "paper"
+    dq = lambda z1, z2: (m_func(z1) - m_func(z2)) / (z1 - z2)
     if isinstance(family, Meixner):
-        s = family.s
-        regime = "product<1" if variant == "paper" else "product>1"
-        r1, r2 = _meixner_pair(family, regime)
-        w1, w2 = r1 * t, r2 * t
-        G1 = np.exp(2 * N * (np.log(1 - s / w1) - np.log(1 - s * w1)))
-        G2 = np.exp(2 * N * (np.log(1 - s / w2) - np.log(1 - s * w2)))
-        A = np.array([G1 * w1 ** (-(x - 2 * N)) for x in xs])
-        B = np.array([G2 * w2 ** (-(y - 2 * N)) for y in ys])
-        W1, W2 = w1[:, None], w2[None, :]
         if numerator == "printed":
-            DQ = (W2 - W1) / ((W1 ** 2 - 1) * (W2 ** 2 - 1))
-        else:
-            DQ = (m_func(W1) - m_func(W2)) / (W1 - W2)
-        C = DQ / (W1 * W2 - 1.0)
-        return np.einsum("xi,ij,yj->xy", A, C, B).real / nodes ** 2
-    inner = default_contour(family, "inner").radius
-    outer = default_contour(family, "outer").radius
-    r1, r2 = (outer, inner) if variant == "paper" else (inner, outer)
-    t1, t2 = r1 * t, r2 * t
-    lw = family.log_weight(np.arange(int(max(np.max(xs), np.max(ys))) + 1, dtype=float))
-    if isinstance(family, Charlier):
-        A = np.array([np.exp(-family.theta * t1) * (1 + t1) ** x for x in xs])
-        B = np.array([np.exp(-family.theta * t2) * (1 + t2) ** y for y in ys])
-    else:
-        p, q, M = family.p, family.q, family.M
-        A = np.array([(1 + p * t1) ** (M - x) * (1 - q * t1) ** x for x in xs])
-        B = np.array([(1 + p * t2) ** (M - y) * (1 - q * t2) ** y for y in ys])
-    T1, T2 = t1[:, None], t2[None, :]
-    C = ((T2 / T1) ** N / (T1 - T2) ** 2) * (m_func(T1) - m_func(T2)) / (T1 * T2)
-    pref = np.exp(0.5 * (lw[xs][:, None] + lw[ys][None, :]))
-    return pref * np.einsum("xi,ij,yj->xy", A, C * (T1 * T2), B).real / nodes ** 2
+            dq = lambda w1, w2: (w2 - w1) / ((w1 ** 2 - 1) * (w2 ** 2 - 1))
+        r1, r2 = _meixner_pair(family, "product>1" if swapped else "product<1")
+        return _meixner_paper_kernel(family, N, xs, ys, r1, r2, nodes, dq)
+    return _printed_nested_kernel(family, N, xs, ys, swapped, nodes, dq)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +443,9 @@ def compose_contour(family, N, m_func, xs, ys=None, variant: str = "paper",
 
 
 def _max_rel(a, b):
+    """max |a - b| / max |b| to 12 significant digits, so roundoff cannot break a tie."""
     scale = max(np.max(np.abs(b)), 1e-300)
-    return float(np.max(np.abs(a - b)) / scale)
+    return float(f"{np.max(np.abs(a - b)) / scale:.12g}")
 
 
 @lru_cache(maxsize=16)
@@ -460,9 +463,8 @@ def adjudicate_projection(family, N: int = 8) -> dict:
         for variant in ("paper", "paper-swapped", "dual"):
             Kc = projection_contour(family, N, xs, variant=variant, nodes=1024)
             report["candidates"][variant] = _max_rel(Kc, K)
-    best = min(report["candidates"], key=report["candidates"].get)
-    report["winner"] = best
-    report["winner_error"] = report["candidates"][best]
+    report["winner"] = min(report["candidates"], key=report["candidates"].get)
+    report["winner_error"] = report["candidates"][report["winner"]]
     report["passes"] = report["winner_error"] < 1e-8
     return report
 
@@ -478,7 +480,7 @@ def residual_rank(R, tol_ratio=1e-6):
 def adjudicate_composition(family, N: int = 6) -> dict:
     """Printed composition vs the exact columns route vs the lattice oracle.
 
-    Outcome классы:
+    Outcome classes:
       * 'match'      -- a printed variant reproduces K eps K within 1e-6;
       * 'structured' -- no printed variant matches, but the residual between
         the multiplier realization and the lattice eps is low-rank (the
@@ -490,14 +492,12 @@ def adjudicate_composition(family, N: int = 6) -> dict:
     report = {"family": family.name, "N": N, "candidates": {}, "scale": float(np.max(np.abs(oracle.S)))}
     m = lambda z: symbol(family, "eps", z)
     m_inv = lambda z: inverse_eps_symbol(family, z)
-    for name, variant, mm, num in (
-            ("paper printed-symbol", "paper", m, "difference-quotient"),
-            ("paper swapped", "paper-swapped", m, "difference-quotient"),
-            ("paper inverse-symbol", "paper", m_inv, "difference-quotient"),
-            ("paper inverse-symbol swapped", "paper-swapped", m_inv, "difference-quotient"),
-    ):
+    for name, variant, mm in (("paper printed-symbol", "paper", m),
+                              ("paper swapped", "paper-swapped", m),
+                              ("paper inverse-symbol", "paper", m_inv),
+                              ("paper inverse-symbol swapped", "paper-swapped", m_inv)):
         try:
-            Sc = compose_contour(family, N, mm, window, variant=variant, numerator=num)
+            Sc = compose_contour(family, N, mm, window, variant=variant)
             report["candidates"][name] = _max_rel(Sc, oracle.S)
         except Exception as exc:   # pole on contour etc.
             report["candidates"][name] = float("inf")
@@ -509,9 +509,8 @@ def adjudicate_composition(family, N: int = 6) -> dict:
     R = cols.S - oracle.S
     report["columns_residual_rank"] = residual_rank(R)
     report["columns_residual_max"] = float(np.max(np.abs(R)))
-    best = min(report["candidates"], key=report["candidates"].get)
-    report["winner"] = best
-    report["winner_error"] = report["candidates"][best]
+    report["winner"] = min(report["candidates"], key=report["candidates"].get)
+    report["winner_error"] = report["candidates"][report["winner"]]
     if report["winner_error"] < 1e-6:
         report["outcome"] = "match"
     elif report["columns_residual_rank"] <= 2:

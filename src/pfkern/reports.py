@@ -28,13 +28,13 @@ def write_json(path: str, payload: dict, config: dict | None = None) -> None:
 
 def write_kernel_csv(path: str, blk) -> None:
     """Rows (x, y, S, SD, epsS) with 17 significant digits."""
+    sd = blk.SD if blk.SD is not None else np.full_like(blk.S, np.nan)
+    es = blk.epsS if blk.epsS is not None else np.full_like(blk.S, np.nan)
+    ys = np.asarray(blk.ys).tolist()
     with open(path, "w") as fh:
         fh.write("x,y,S,SD,epsS\n")
-        sd = blk.SD if blk.SD is not None else np.full_like(blk.S, np.nan)
-        es = blk.epsS if blk.epsS is not None else np.full_like(blk.S, np.nan)
-        for i, x in enumerate(blk.xs):
-            for j, y in enumerate(blk.ys):
-                fh.write(f"{x},{y},{blk.S[i, j]:.17g},{sd[i, j]:.17g},{es[i, j]:.17g}\n")
+        for x, *rows in zip(np.asarray(blk.xs).tolist(), blk.S.tolist(), sd.tolist(), es.tolist()):
+            fh.writelines(f"{x},{y},{s:.17g},{d:.17g},{e:.17g}\n" for y, s, d, e in zip(ys, *rows))
 
 
 def write_table_csv(path: str, header: list[str], rows) -> None:

@@ -234,7 +234,7 @@ def contour_image(family, n: int, x, contour: ContourSpec | None = None,
         s = family.s
         szego = np.sqrt(1.0 - s * s) / (1.0 - s * z)
         core = szego * ((z - s) / (1.0 - s * z)) ** n * mult
-        vals = _meixner_extract(core * w, z, xs)
+        vals = _meixner_extract(core * w, contour, xs)
     else:
         g = degree_integrand(family, xs, z)
         raw = (g * (mult * z ** (-n - 1) * w)[None, :]).sum(axis=1).real
@@ -243,11 +243,14 @@ def contour_image(family, n: int, x, contour: ContourSpec | None = None,
     return float(vals[0]) if scalar else vals
 
 
-def _meixner_extract(core_w, z, xs):
-    """[w^x]-coefficients of core for a batch of x, via one matrix product."""
-    logz = np.log(z)
-    exps = np.exp(-np.outer(np.asarray(xs, dtype=float) + 1.0, logz))
-    return (exps @ core_w).real
+def _meixner_extract(core_w, contour: ContourSpec, xs):
+    """[w^x]-coefficients sum_j core_j w_j z_j^-(x+1) for a batch of sites x,
+    from one FFT of core_j w_j on the origin-centred circle z_j =
+    r exp(o 2 pi i j / n):  r^-(x+1) FFT(core w)[o (x+1) mod n].  Sites
+    x >= n alias (they read the bin of x mod n), as the trapezoid sum does."""
+    k = np.asarray(xs, dtype=np.int64) + 1
+    coef = np.fft.fft(core_w)[(contour.orientation * k) % len(core_w)]
+    return (coef * contour.radius ** -k).real
 
 
 def meixner_parity_sums(family: Meixner, n: int) -> tuple[float, float]:

@@ -138,3 +138,22 @@ def test_validate_wrong_nesting_names_loser(tmp_path):
     nest = [f for f in rep["findings"] if f["type"] == "nesting"][0]
     losers = {k: v for k, v in nest["candidates"].items() if k != nest["winner"]}
     assert min(losers.values()) > 1e-3
+
+
+def test_kernel_contour_route_refuses_inaccurate_rows(tmp_path, capsys):
+    # at xi = 0.99, N = 40 the lattice outgrows the extraction circle's node
+    # count, the rows alias and K(x, x) leaves [0, 1]: a numerical failure
+    code = main(["kernel", "--family", "meixner", "--xi", "0.99", "--beta", "4",
+                 "--N", "40", "--out", str(tmp_path)])
+    assert code == 2
+    assert "K(x, x)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_asym_crossover_beta4_refuses_unresolved_gram(tmp_path, capsys):
+    # xi = 1 - 1/32 puts s outside the eps Gram's circle; no inf fits are written
+    code = main(["asym", "crossover", "--family", "meixner", "--alpha", "1", "--beta", "4",
+                 "--block", "S", "--N-list", "16", "--out", str(tmp_path)])
+    assert code == 2
+    assert "not antisymmetric" in capsys.readouterr().err
+    assert not (tmp_path / "crossover.json").exists()

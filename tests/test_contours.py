@@ -159,3 +159,38 @@ def test_eps_phi_contour_vs_lattice(fam):
         full = eps_phi_via_contour(fam, n, np.arange(lat.size))
         rec = d @ full
         assert np.max(np.abs(rec[:half] - tab.phi[n, :half])) < 1e-8
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_meixner_extraction_matches_defining_sum(orientation):
+    # contour_image's FFT against sum_j core_j w_j z_j^-(x+1), sites beyond
+    # the node count included (they alias onto x mod n in both)
+    fam = Meixner(xi=0.36, beta_m=1.0)
+    spec = ContourSpec(radius=0.8, node_count=64, orientation=orientation)
+    z = spec.nodes()
+    w = spec.weights(z)
+    s, n = fam.s, 5
+    core = np.sqrt(1 - s * s) / (1 - s * z) * ((z - s) / (1 - s * z)) ** n
+    xs = np.array([0, 1, 7, 62, 63, 64, 65, 130, 200])
+    terms = np.array([core * w * z ** (-(x + 1.0)) for x in xs])
+    ref = terms.sum(axis=1).real
+    got = contour_image(fam, n, xs, spec)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(terms).sum(axis=1))
+    if orientation == 1:
+        # below the node count the sum is the wave function itself
+        tab = get_table(fam, n + 1, x_max=40)
+        assert np.max(np.abs(got[:3] - tab.phi[n, xs[:3]])) < 1e-12
+
+
+def test_meixner_extraction_memory_is_linear():
+    # xi = 0.99 takes 16384 nodes; a sites x nodes array would need 9.5 GB
+    import tracemalloc
+    fam = Meixner(xi=0.99, beta_m=1.0)
+    tracemalloc.start()
+    try:
+        vals = contour_image(fam, 3, np.arange(36368))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (36368,) and np.all(np.isfinite(vals))
+    assert peak < 64 * 2 ** 20

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pfkern.contours import QuadratureError
 from pfkern.families import Charlier
 from pfkern.harness import (Regime, bulk_convergence_test, coalescence_exponent,
                             correction_dictionary, correction_extract,
@@ -93,12 +94,20 @@ def test_correction_extract_beta1_two_basis():
 
 def test_meixner_eps_gram_matches_lattice():
     from pfkern.families import Meixner
-    fam = Meixner(xi=0.25, beta_m=1.0)
     r = 10
-    tab = get_table(fam, r + 1, x_max=400)
-    E_lat = tab.phi[:r] @ apply_eps(fam, tab.phi[:r].T)
-    E_ct = meixner_eps_gram(fam, r)
-    assert np.max(np.abs(E_lat - E_ct)) < 1e-10
+    for xi, x_max in ((0.25, 400), (0.64, 1000)):
+        fam = Meixner(xi=xi, beta_m=1.0)
+        tab = get_table(fam, r + 1, x_max=x_max)
+        E_lat = tab.phi[:r] @ apply_eps(fam, tab.phi[:r].T)
+        E_ct = meixner_eps_gram(fam, r)
+        assert np.max(np.abs(E_lat - E_ct)) < 1e-10
+
+
+def test_meixner_eps_gram_refuses_unresolved_circle():
+    from pfkern.families import Meixner
+    # s = 0.95 lies outside the Gram's radius-0.9 circle: E is not antisymmetric
+    with pytest.raises(QuadratureError):
+        meixner_eps_gram(Meixner(xi=0.9, beta_m=1.0), 10)
 
 
 def test_crossover_small():

@@ -196,3 +196,141 @@ def test_offdiagonal_symbol_reciprocity(fam):
         both = block_with_symbol_insertions(fam, N, xs,
                                             m_y=lambda z: dd(z) * m_eps(z))
         assert np.max(np.abs(both - base)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# printed formulas against the naive triple sum on a 64-node grid.  Some of
+# the printed forms cancel to 1e-16 of their terms, so the comparison is
+# relative to the roundoff scale: the same sum over absolute values.
+
+NAIVE_NODES = 64
+
+
+def _circle(r):
+    return r * np.exp(2j * np.pi * np.arange(NAIVE_NODES) / NAIVE_NODES)
+
+
+def _naive(A, C, B):
+    """(value, sum of absolute terms) of the triple sum."""
+    val, mag = (np.einsum("xi,ij,yj->xy", *ops, optimize=False) / NAIVE_NODES ** 2
+                for ops in ((A, C, B), (abs(A), abs(C), abs(B))))
+    return val.real, mag.real
+
+
+def _naive_meixner(fam, N, xs, regime, dq=lambda W1, W2: 1.0):
+    from pfkern.kernels import _meixner_pair
+    s = fam.s
+    w1, w2 = (_circle(r) for r in _meixner_pair(fam, regime))
+    rows = lambda w: np.array([((1 - s / w) / (1 - s * w)) ** (2 * N) * w ** (2 * N - x)
+                               for x in xs])
+    W1, W2 = w1[:, None], w2[None, :]
+    return _naive(rows(w1), dq(W1, W2) / (W1 * W2 - 1), rows(w2))
+
+
+def _naive_nested(fam, N, xs, swap, m_func=None):
+    from pfkern.symbols import default_contour
+    inner, outer = (default_contour(fam, k).radius for k in ("inner", "outer"))
+    t1, t2 = (_circle(inner), _circle(outer)) if swap else (_circle(outer), _circle(inner))
+    if fam.name == "charlier":
+        rows = lambda t: np.array([np.exp(-fam.theta * t) * (1 + t) ** x for x in xs])
+    else:
+        rows = lambda t: np.array([(1 + fam.p * t) ** (fam.M - x) * (1 - fam.q * t) ** x
+                                   for x in xs])
+    T1, T2 = t1[:, None], t2[None, :]
+    C = (T2 / T1) ** N / (T1 - T2)
+    if m_func is not None:
+        C = C * (m_func(T1) - m_func(T2)) / (T1 - T2)
+    lw = fam.log_weight(np.asarray(xs, dtype=float))
+    pref = np.exp(0.5 * (lw[:, None] + lw[None, :]))
+    return tuple(pref * v for v in _naive(rows(t1), C, rows(t2)))
+
+
+def _naive_dual(fam, N, xs):
+    from pfkern.kernels import _dual_y_radius
+    t = _circle(1.0)
+    lw = fam.log_weight(np.asarray(xs, dtype=float))
+    if fam.name == "charlier":
+        r_in = 0.45
+        a = lambda x, z: np.exp(-fam.theta * z) * (1 + z) ** x
+    else:
+        p, q, M = fam.p, fam.q, fam.M
+        r_in = 0.4 * min(1 / p, 1 / q)
+        a = lambda x, z: (1 + p * z) ** (M - x) * (1 - q * z) ** x
+    tin = r_in * t
+    A = np.array([a(x, tin) * np.exp(0.5 * lw[i]) * tin ** (1 - N) for i, x in enumerate(xs)])
+    out = np.empty((len(xs), len(xs)))
+    mag = np.empty((len(xs), len(xs)))
+    for iy, y in enumerate(xs):
+        rho = _dual_y_radius(fam, y, N, r_in)
+        if fam.name == "charlier":
+            center, sign = -1.0, -1.0
+            u = center + rho * t
+            b = np.exp(fam.theta * u) * (1 + u) ** (-(y + 1))
+        else:
+            center, sign = (1 / q, 1.0) if y <= M // 2 else (-1 / p, -1.0)
+            u = center + rho * t
+            b = (1 + p * u) ** (y - M - 1) * (1 - q * u) ** (-(y + 1))
+        v = b * np.exp(-0.5 * lw[iy]) * u ** N * (u - center)
+        C = 1.0 / (tin[:, None] - u[None, :])
+        out[:, iy], mag[:, iy] = (
+            np.einsum("xi,ij,j->x", *ops, optimize=False).real / NAIVE_NODES ** 2
+            for ops in ((sign * A, C, v), (abs(A), abs(C), abs(v))))
+    return out, mag
+
+
+def _printed_cases():
+    mx, ch, kr = FAMS
+    m_mx = lambda z: symbol(mx, "eps", z)
+    printed = lambda W1, W2: (W2 - W1) / ((W1 ** 2 - 1) * (W2 ** 2 - 1))
+    dq = lambda m: (lambda W1, W2: (m(W1) - m(W2)) / (W1 - W2))
+    cases = {
+        "meixner-paper": (lambda xs: projection_contour(mx, 4, xs, variant="paper", nodes=64),
+                          lambda xs: _naive_meixner(mx, 4, xs, "product<1")),
+        "meixner-swapped": (lambda xs: projection_contour(mx, 4, xs, variant="paper-swapped",
+                                                          nodes=64),
+                            lambda xs: _naive_meixner(mx, 4, xs, "product>1")),
+        "meixner-compose": (lambda xs: compose_contour(mx, 4, m_mx, xs, nodes=64),
+                            lambda xs: _naive_meixner(mx, 4, xs, "product<1", dq(m_mx))),
+        "meixner-compose-swapped": (
+            lambda xs: compose_contour(mx, 4, m_mx, xs, variant="paper-swapped", nodes=64),
+            lambda xs: _naive_meixner(mx, 4, xs, "product>1", dq(m_mx))),
+        "meixner-compose-printed": (
+            lambda xs: compose_contour(mx, 4, m_mx, xs, numerator="printed", nodes=64),
+            lambda xs: _naive_meixner(mx, 4, xs, "product<1", printed)),
+    }
+    for fam in (ch, kr):
+        m = lambda z, fam=fam: inverse_eps_symbol(fam, z)
+        for swap in (False, True):
+            variant = "paper-swapped" if swap else "paper"
+            cases[f"{fam.name}-{variant}"] = (
+                lambda xs, fam=fam, v=variant: projection_contour(fam, 4, xs, variant=v, nodes=64),
+                lambda xs, fam=fam, s=swap: _naive_nested(fam, 4, xs, s))
+            cases[f"{fam.name}-compose-{variant}"] = (
+                lambda xs, fam=fam, v=variant, m=m: compose_contour(fam, 4, m, xs, variant=v,
+                                                                    nodes=64),
+                lambda xs, fam=fam, s=swap, m=m: _naive_nested(fam, 4, xs, s, m))
+        cases[f"{fam.name}-dual"] = (
+            lambda xs, fam=fam: projection_contour(fam, 4, xs, variant="dual", nodes=64),
+            lambda xs, fam=fam: _naive_dual(fam, 4, xs))
+    return cases
+
+
+PRINTED_CASES = _printed_cases()
+
+
+@pytest.mark.parametrize("case", sorted(PRINTED_CASES))
+def test_printed_formula_matches_naive_triple_sum(case):
+    fast, naive = PRINTED_CASES[case]
+    xs = np.arange(0, 14)
+    ref, mag = naive(xs)
+    assert np.all(np.abs(fast(xs) - ref) <= 1e-13 * mag)
+
+
+@pytest.mark.parametrize("M", [58, 63, 64, 65])
+def test_composition_winner_is_stable_under_roundoff(M):
+    # the printed composition vanishes to roundoff here, so the two symbol
+    # candidates tie at 1.0 and the first declared one is named; unrounded,
+    # the last digits pick either, depending on the contraction order
+    rep = adjudicate_composition(Krawtchouk(M=M, p=0.4))
+    assert rep["candidates"]["paper printed-symbol"] == rep["candidates"]["paper inverse-symbol"]
+    assert rep["winner"] == "paper printed-symbol"
