@@ -112,9 +112,9 @@ def cmd_kernel(args, config) -> int:
                         "composition_adjudication": adj},
                        config=config)
     if args.dump_ops:
-        from .families import truncate, TruncatedLattice
+        from .kernels import oracle_lattice
         from .lattice_ops import build_d, build_epsilon_direct, dump_csv
-        lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=int(window[-1]) * 2)
+        lat = oracle_lattice(fam, args.N, window)
         dump_csv(build_d(fam, lat), stem + "_d.csv")
         dump_csv(build_epsilon_direct(fam, lat), stem + "_eps.csv")
     print(f"wrote {stem}.csv ({len(window)}^2 rows) provenance={blk.provenance}")

@@ -175,7 +175,7 @@ def eps_dictionary_closed_form(theta: float) -> dict:
 
 
 def correction_extract(regime: Regime, beta: int, u: float, A_list,
-                       grid=DEFAULT_GRID, subtract_rank_one: bool = False) -> dict:
+                       grid=DEFAULT_GRID) -> dict:
     """Fit R = A (Delta S - sine) by least squares on the saddle-expansion basis.
 
     The five columns, in the microscopic coordinates (s, t) of `grid`:
@@ -196,9 +196,9 @@ def correction_extract(regime: Regime, beta: int, u: float, A_list,
     2 R(A_2) - R(A_1), before the fit.  That step assumes R(A) = R + O(1/A),
     which the sum-frequency part does not obey; two fields of one frequency
     combine into one sinusoid, so the extrapolated field stays in the span,
-    but `sum_cos_hat` and `sum_sin_hat` are not limits of anything.  With
-    `subtract_rank_one` false the beta = 1 rank-one part stays in the field
-    and the basis cannot represent it.
+    but `sum_cos_hat` and `sum_sin_hat` are not limits of anything.  For
+    beta = 1 the rank-one part (1/2) phi_a (x) (eps phi_b) is subtracted
+    first: it is separable, and the basis cannot represent it.
     """
     fields = []
     for A in A_list:
@@ -208,7 +208,7 @@ def correction_extract(regime: Regime, beta: int, u: float, A_list,
         xs = _window_positions(A, u, sp, grid)
         blk = oracle_block(fam, N, beta, xs)
         V = blk.S * sp
-        if beta == 1 and subtract_rank_one:
+        if beta == 1:
             V = V - rank_one_window(fam, N, xs) * sp
         seff = (xs - A * u) * rho
         T = sine_kernel(seff[:, None], seff[None, :])
@@ -308,29 +308,27 @@ def _bessel_fit(V, xs, index, scale, offsets=np.linspace(0.0, 1.6, 17)):
 
 
 def crossover_test(alpha: float, N_list, x_top: int = 40, block: str = "S",
-                   beta: int = 4, beta_m: float = 1.0) -> dict:
+                   beta: int = 4) -> dict:
     """Meixner hard edge with xi = 1 - alpha/(2N) against the Bessel kernel.
 
     The lattice maps to the Bessel variable through u = c_h A (x + d) with
     c_h A = 4 alpha' tied to the candidate rate and d a fitted sub-lattice
     offset.  The recovered alpha is the rate whose tied-scale fit minimizes
-    the residual; the adjudicated finding (beta_m = 1 throughout) is that
-    the matching Bessel index is beta_m - 1 = 0 while the printed statement
-    names the rate alpha as the index, so the spec-facing comparison against
-    bessel(alpha) is reported alongside the index-0 fit.  Only the S and K
-    blocks are computed; SD and epsS raise DomainError.
+    the residual; the adjudicated finding for the geometric weight is that
+    the matching Bessel index is 0 (the Meixner shape parameter minus one)
+    while the printed statement names the rate alpha as the index, so the
+    spec-facing comparison against bessel(alpha) is reported alongside the
+    index-0 fit.  Only the S and K blocks are computed; SD and epsS raise
+    DomainError.
     """
     if block not in ("S", "K"):
         raise DomainError(f"crossover computes the S and K blocks, not {block}")
     xs = np.arange(0, x_top + 1)
     rows = []
     for N in N_list:
-        fam = Meixner(xi=1.0 - alpha / (2.0 * N), beta_m=beta_m)
-        V = _crossover_block(fam, N, xs, beta, block) if beta_m == 1.0 else None
-        if V is None:
-            V = projection_direct(fam, N, xs)
+        V = _crossover_block(Meixner(xi=1.0 - alpha / (2.0 * N)), N, xs, beta, block)
         err_spec, d_spec, amp_spec = _bessel_fit(V, xs, alpha, 4.0 * alpha)
-        err_idx0, d0, amp0 = _bessel_fit(V, xs, beta_m - 1.0, 4.0 * alpha)
+        err_idx0, d0, amp0 = _bessel_fit(V, xs, 0.0, 4.0 * alpha)
         rows.append({"N": int(N), "xi": 1.0 - alpha / (2.0 * N),
                      "err_vs_bessel_alpha": err_spec, "amp": amp_spec,
                      "err_vs_bessel_index0": err_idx0, "amp_index0": amp0,
@@ -338,12 +336,10 @@ def crossover_test(alpha: float, N_list, x_top: int = 40, block: str = "S",
     errs = [r["err_vs_bessel_alpha"] for r in rows]
     # rate recovery at the largest N via the tied-scale scan
     N = int(N_list[-1])
-    fam = Meixner(xi=1.0 - alpha / (2.0 * N), beta_m=beta_m)
-    V = (_crossover_block(fam, N, xs, beta, block) if beta_m == 1.0
-         else projection_direct(fam, N, xs))
+    V = _crossover_block(Meixner(xi=1.0 - alpha / (2.0 * N)), N, xs, beta, block)
     scan = []
     for a_try in np.linspace(max(0.1, alpha - 0.8), alpha + 0.8, 33):
-        err, _, _ = _bessel_fit(V, xs, beta_m - 1.0, 4.0 * a_try)
+        err, _, _ = _bessel_fit(V, xs, 0.0, 4.0 * a_try)
         scan.append((float(a_try), err))
     alpha_hat = float(min(scan, key=lambda t: t[1])[0])
     return {"alpha": alpha, "beta": beta, "block": block, "entries": rows,

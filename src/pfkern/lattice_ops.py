@@ -1,15 +1,16 @@
-"""Difference operators D+, D-, D and the inverse-difference operator eps
-as dense matrices on a truncated lattice.
+"""The difference operator D and its inverse eps on the lattice.
 
-eps is built two independent ways: directly from its parity-split defining
-sums, and through the factorization eps = F Y F with diagonal F and the
-signed 0/+-1 checkerboard Y.  All weight-ratio products are accumulated in
-log space.
+Each operator exists twice.  The blocks run the O(L) forms: `apply_d`, the
+two-diagonal stencil, and `apply_eps`, the factorization eps = F Y F (diagonal
+F, signed 0/+-1 checkerboard Y) taken as parity-split prefix and suffix sums.
+`build_d` and `build_epsilon_direct` are the dense L x L references, the
+latter straight from the defining sums; tests and `check_mutual_inverse`
+measure the running forms against them.  All weight-ratio products are
+accumulated in log space.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -17,53 +18,27 @@ from .families import TruncatedLattice
 from .wavefunctions import WaveTable
 
 
-class OpKind(Enum):
-    DPLUS = "dplus"
-    DMINUS = "dminus"
-    D = "d"
-    EPSILON_DIRECT = "epsilon_direct"
-    EPSILON_FACTORED = "epsilon_factored"
-
-
 @dataclass(frozen=True)
 class LatticeOperator:
     family: object
     lattice: TruncatedLattice
-    kind: OpKind
     mat: np.ndarray
     tail_bound: float = 0.0   # size of the first truncated term (eps rows)
-
-    @property
-    def size(self) -> int:
-        return self.mat.shape[0]
 
 
 def _log_w(family, lattice):
     return family.log_weight(lattice.grid().astype(float))
 
 
-def build_dplus(family, lattice: TruncatedLattice) -> LatticeOperator:
+def build_d(family, lattice: TruncatedLattice) -> LatticeOperator:
+    """D = D+ - D-: sqrt(w(x)/w(x+1)) on the superdiagonal, minus it below."""
     lw = _log_w(family, lattice)
     n = lattice.size
     mat = np.zeros((n, n))
     ratio = np.exp(0.5 * (lw[:-1] - lw[1:]))
     mat[np.arange(n - 1), np.arange(1, n)] = ratio
-    return LatticeOperator(family, lattice, OpKind.DPLUS, mat)
-
-
-def build_dminus(family, lattice: TruncatedLattice) -> LatticeOperator:
-    lw = _log_w(family, lattice)
-    n = lattice.size
-    mat = np.zeros((n, n))
-    ratio = np.exp(0.5 * (lw[:-1] - lw[1:]))
-    mat[np.arange(1, n), np.arange(n - 1)] = ratio
-    return LatticeOperator(family, lattice, OpKind.DMINUS, mat)
-
-
-def build_d(family, lattice: TruncatedLattice) -> LatticeOperator:
-    dp = build_dplus(family, lattice)
-    dm = build_dminus(family, lattice)
-    return LatticeOperator(family, lattice, OpKind.D, dp.mat - dm.mat)
+    mat[np.arange(1, n), np.arange(n - 1)] = -ratio
+    return LatticeOperator(family, lattice, mat)
 
 
 def build_epsilon_direct(family, lattice: TruncatedLattice) -> LatticeOperator:
@@ -99,58 +74,14 @@ def build_epsilon_direct(family, lattice: TruncatedLattice) -> LatticeOperator:
             k_next = ks[-1] + 1
             if 2 * k_next + 1 >= n and np.isfinite(ratio[-1] if k_next >= npairs else ratio[k_next - 1]):
                 tail = max(tail, vals[-1] * np.exp(ratio[-1]))
-    return LatticeOperator(family, lattice, OpKind.EPSILON_DIRECT, mat, tail_bound=tail)
-
-
-def epsilon_f_diagonal(family, lattice: TruncatedLattice) -> np.ndarray:
-    """log f(k): f(2k) = w(2)w(4)..w(2k) / (sqrt(w(2k)) w(1)w(3)..w(2k-1)),
-    f(2k+1) = w(1)w(3)..w(2k+1) / (sqrt(w(2k+1)) w(2)w(4)..w(2k))."""
-    lw = _log_w(family, lattice)
-    n = lattice.size
-    logf = np.zeros(n)
-    even_acc = 0.0  # log prod w(2)...w(2k)
-    odd_acc = 0.0   # log prod w(1)...w(2k-1)
-    for k in range(n):
-        if k % 2 == 0:
-            j = k // 2
-            if j >= 1:
-                even_acc += lw[2 * j]
-            logf[k] = -0.5 * lw[k] + even_acc - odd_acc
-        else:
-            j = (k - 1) // 2
-            odd_acc += lw[2 * j + 1]
-            logf[k] = -0.5 * lw[k] + odd_acc - even_acc
-    return logf
-
-
-def upsilon(n: int) -> np.ndarray:
-    """Signed checkerboard: Y(2i, 2j+1) = -1 for j >= i, Y(2i+1, 2j) = +1 for j <= i."""
-    Y = np.zeros((n, n))
-    for i in range(0, n, 2):
-        cols = np.arange(i + 1, n, 2)
-        Y[i, cols] = -1.0
-    for i in range(1, n, 2):
-        cols = np.arange(0, i, 2)
-        Y[i, cols] = 1.0
-    return Y
-
-
-def build_epsilon_factored(family, lattice: TruncatedLattice) -> LatticeOperator:
-    """eps = F Y F computed entirely in log space: eps_ij = f_i Y_ij f_j."""
-    logf = epsilon_f_diagonal(family, lattice)
-    n = lattice.size
-    Y = upsilon(n)
-    lv = logf[:, None] + logf[None, :]
-    if np.any((lv > 700) & (Y != 0)):
-        i, j = np.nonzero((lv > 700) & (Y != 0))
-        raise OverflowError(f"f(k) product overflows at entry ({i[0]}, {j[0]})")
-    mat = Y * np.exp(np.minimum(lv, 700.0))
-    return LatticeOperator(family, lattice, OpKind.EPSILON_FACTORED, mat)
+    return LatticeOperator(family, lattice, mat, tail_bound=tail)
 
 
 def eps_separable_exponents(family, size: int):
     """alpha, beta with eps(2m, 2k+1) = -exp(alpha_m + beta_k) for k >= m
-    and the antisymmetric partners; both exponent chains stay O(poly log)."""
+    and the antisymmetric partners; both exponent chains stay O(poly log).
+    They are the diagonal of eps = F Y F up to one constant:
+    log f(2m) = alpha_m - log w(0), log f(2k+1) = beta_k + log w(0)."""
     lw = family.log_weight(np.arange(size, dtype=float))
     odd = lw[1::2]
     even = lw[0::2][: len(odd)]
@@ -198,18 +129,15 @@ def interior_window(lattice: TruncatedLattice) -> slice:
     return slice(0, lattice.x_max // 2 + 1)
 
 
-def check_mutual_inverse(d_op: LatticeOperator, eps_op: LatticeOperator,
-                         table: WaveTable, n_test: int = 20) -> dict:
-    """max_n of ||D(eps phi_n) - phi_n||_inf and ||eps(D phi_n) - phi_n||_inf
-    on the interior window; boundary rows reported separately."""
-    win = interior_window(d_op.lattice)
-    r_in = r_out = 0.0
-    for n in range(min(n_test, table.n_max) + 1):
-        ph = table.phi[n, : d_op.size]
-        for v in (d_op.mat @ (eps_op.mat @ ph) - ph, eps_op.mat @ (d_op.mat @ ph) - ph):
-            r_in = max(r_in, float(np.max(np.abs(v[win]))))
-            r_out = max(r_out, float(np.max(np.abs(v))))
-    return {"interior_residual": r_in, "full_residual": r_out}
+def check_mutual_inverse(family, table: WaveTable, n_test: int = 20) -> dict:
+    """max over phi_0..phi_n_test of |D(eps phi) - phi| and |eps(D phi) - phi|,
+    with `apply_d`/`apply_eps` on the table's own lattice: on the interior
+    window and over the whole lattice."""
+    phi = table.phi[: min(n_test, table.n_max) + 1].T
+    res = np.abs(np.hstack([apply_d(family, apply_eps(family, phi)) - phi,
+                            apply_eps(family, apply_d(family, phi)) - phi]))
+    return {"interior_residual": float(np.max(res[interior_window(table.lattice)])),
+            "full_residual": float(np.max(res))}
 
 
 def dump_csv(op: LatticeOperator, path: str) -> None:

@@ -132,12 +132,15 @@ def degree_integrand(family, x, z):
 
 
 def degree_prefactor(family, n, x):
-    """(sign, log magnitude) of the factor multiplying the extraction."""
-    tab = get_table(family, max(int(np.max(n)), 8),
-                    None if family.finite else int(np.max(np.asarray(x))))
+    """(sign, log magnitude) of the factor multiplying the extraction.
+
+    The monic norms come from the Jacobi recurrence, log h_n = sum_{k<=n}
+    log b_k^2, with h_0 = 1 for the Poisson and binomial weights."""
     n = np.asarray(n)
+    _, b2 = family.jacobi(np.arange(1, int(np.max(n)) + 1))
+    log_h = np.concatenate([[0.0], np.cumsum(np.log(b2))])
     lw = family.log_weight(np.asarray(x, dtype=float))
-    logmag = 0.5 * lw + gammaln(n + 1.0) - 0.5 * tab.log_h[n]
+    logmag = 0.5 * lw + gammaln(n + 1.0) - 0.5 * log_h[n]
     sign = np.where(n % 2 == 0, 1.0, -1.0) if isinstance(family, Krawtchouk) else np.ones_like(logmag)
     return sign, logmag
 

@@ -3,16 +3,23 @@
 Each invariant reports (name, residual, tolerance, passes); the overall
 verdict separates hard failures from adjudicated findings (the composition
 mismatches that ship with structured residual diagnostics).
+
+Every lattice check runs on the lattice of the family's degree-30 wave
+table (the full lattice for Krawtchouk), so the lattice grows with the
+family instead of being fixed.  The eps checks measure the operators the
+blocks run: `apply_eps` (the factorization eps = F Y F as prefix sums)
+against the defining sums of `build_epsilon_direct`, and `apply_d` /
+`apply_eps` as mutual inverses on the wave functions.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .families import Charlier, Krawtchouk, Meixner, TruncatedLattice, truncate
+from .families import Charlier, Krawtchouk, Meixner
 from .kernels import (adjudicate_composition, adjudicate_projection,
                       projection_contour, projection_direct)
-from .lattice_ops import (build_d, build_epsilon_direct, build_epsilon_factored,
-                          check_mutual_inverse, interior_window)
+from .lattice_ops import (apply_eps, build_epsilon_direct, check_mutual_inverse,
+                          interior_window)
 from .wavefunctions import get_table
 
 DESK_FAMILIES = (
@@ -38,22 +45,18 @@ def run_validation(family=None, wrong_nesting: bool = False) -> dict:
         invariants.append(_item(f"{fam!r} orthonormality (Gram)",
                                 np.max(np.abs(gram - np.eye(31))), 1e-9))
 
-        lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=120)
-        eps_d = build_epsilon_direct(fam, lat)
-        eps_f = build_epsilon_factored(fam, lat)
+        lat = tab.lattice
+        eps_d = build_epsilon_direct(fam, lat).mat
         win = interior_window(lat)
         invariants.append(_item(f"{fam!r} eps direct vs factored",
-                                np.max(np.abs(eps_d.mat[win, win] - eps_f.mat[win, win])),
+                                np.max(np.abs(eps_d[win, win]
+                                              - apply_eps(fam, np.eye(lat.size))[win, win])),
                                 1e-12))
         invariants.append(_item(f"{fam!r} eps antisymmetry",
-                                np.max(np.abs(eps_d.mat[win, win] + eps_d.mat.T[win, win])),
+                                np.max(np.abs(eps_d[win, win] + eps_d.T[win, win])),
                                 1e-10))
         inv_fam = Krawtchouk(M=61, p=0.4) if fam.finite else fam
-        inv_lat = truncate(inv_fam) if inv_fam.finite else lat
-        res = check_mutual_inverse(build_d(inv_fam, inv_lat),
-                                   build_epsilon_direct(inv_fam, inv_lat),
-                                   get_table(inv_fam, 22, None if inv_fam.finite
-                                             else inv_lat.x_max), 20)
+        res = check_mutual_inverse(inv_fam, get_table(inv_fam, 30), 20)
         invariants.append(_item(f"{inv_fam!r} D eps mutual inverse (interior)",
                                 res["interior_residual"], 1e-8))
 
@@ -61,7 +64,7 @@ def run_validation(family=None, wrong_nesting: bool = False) -> dict:
         xs = np.arange(0, min(3 * N + 5, fam.M + 1 if fam.finite else 10 ** 9))
         K = projection_direct(fam, N, xs)
         invariants.append(_item(f"{fam!r} projection idempotence",
-                                _idempotence_defect(fam, N), 1e-9))
+                                _idempotence_defect(fam, N, lat), 1e-9))
         variant = "paper" if (wrong_nesting and not isinstance(fam, Meixner)) \
             else "adjudicated"
         if wrong_nesting and isinstance(fam, Meixner):
@@ -90,7 +93,6 @@ def run_validation(family=None, wrong_nesting: bool = False) -> dict:
             "all_pass": bool(all_pass and composition_clean)}
 
 
-def _idempotence_defect(fam, N):
-    span = np.arange(0, fam.M + 1 if fam.finite else 140)
-    K = projection_direct(fam, N, span)
+def _idempotence_defect(fam, N, lattice):
+    K = projection_direct(fam, N, lattice.grid())
     return np.max(np.abs(K @ K - K))

@@ -42,6 +42,24 @@ def test_kernel_oracle_provenance(tmp_path):
     assert meta["metadata"]["provenance"] == "oracle"
 
 
+def test_kernel_dump_ops_on_the_block_lattice(tmp_path):
+    from pfkern.families import Charlier
+    from pfkern.kernels import oracle_lattice
+    from pfkern.lattice_ops import build_d, build_epsilon_direct
+    main(["kernel", "--family", "charlier", "--theta", "1", "--beta", "4", "--N", "4",
+          "--window", "0:16", "--oracle", "--dump-ops", "--out", str(tmp_path)])
+    fam = Charlier(theta=1.0)
+    lat = oracle_lattice(fam, 4, np.arange(17))
+    for suffix, ref in (("d", build_d(fam, lat)), ("eps", build_epsilon_direct(fam, lat))):
+        rows = np.loadtxt(tmp_path / f"kernel_charlier_b4_N4_{suffix}.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        got = np.zeros((lat.size, lat.size))
+        got[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2]
+        assert np.array_equal(got, ref.mat)
+        if suffix == "d":
+            assert rows[:, :2].max() == lat.x_max    # D reaches the last site
+
+
 def test_kernel_rerun_byte_identical(tmp_path):
     args = ["kernel", "--family", "krawtchouk", "--M", "30", "--p", "0.4",
             "--beta", "1", "--N", "4", "--window", "0:12", "--out", str(tmp_path)]

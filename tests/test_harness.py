@@ -81,15 +81,12 @@ def test_dictionary_at_right_angle():
 
 
 def test_correction_extract_beta1_two_basis():
-    rep = correction_extract(CH, 1, 2.0, [48, 96], subtract_rank_one=True)
+    rep = correction_extract(CH, 1, 2.0, [48, 96])
     assert rep["relative_residual"] < 0.3
     # the density-gradient term matches its saddle prediction rho'/(2 rho^2),
     # which is -2/pi in closed form at tau = 1, u = 2
     assert rep["gradient_hat"] == pytest.approx(rep["gradient_predicted"], rel=0.05)
     assert rep["gradient_predicted"] == pytest.approx(-2 / np.pi, rel=1e-6)
-    rep_full = correction_extract(CH, 1, 2.0, [48, 96], subtract_rank_one=False)
-    # the rank-one part is separable and degrades the fit
-    assert rep_full["relative_residual"] >= rep["relative_residual"] - 0.05
 
 
 def test_meixner_eps_gram_matches_lattice():

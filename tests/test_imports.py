@@ -1,10 +1,14 @@
-"""Static guard: every name a pfkern module imports is used in that module."""
+"""Static guards: every name a pfkern module imports is used in that module,
+and every top-level function or class of pfkern is named somewhere outside
+its own definition, in the package, its tests or its benchmark."""
 import ast
+import functools
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "pfkern"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pfkern"
 
 
 def unused_imports(path):
@@ -24,3 +28,40 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def _referenced(stmt):
+    """Identifiers a statement names: bare names, attributes and imports."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@functools.cache
+def _named_elsewhere():
+    """Every identifier named in src/, tests/ or bench/, leaving out each
+    top-level definition's references to itself."""
+    named = set()
+    for folder in ("src", "tests", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+                refs = _referenced(stmt)
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    refs.discard(stmt.name)
+                named |= refs
+    return named
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_orphan_definitions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = [stmt.name for stmt in tree.body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+    named = _named_elsewhere()
+    assert [name for name in defined if name not in named] == []

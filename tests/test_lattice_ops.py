@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from pfkern.families import Charlier, Krawtchouk, Meixner, TruncatedLattice, truncate, weight
-from pfkern.lattice_ops import (apply_d, build_d, build_dminus, build_dplus,
-                                build_epsilon_direct, build_epsilon_factored,
-                                check_mutual_inverse, dump_csv, interior_window,
-                                upsilon)
+from pfkern.lattice_ops import (apply_d, apply_eps, build_d, build_epsilon_direct,
+                                check_mutual_inverse, dump_csv, interior_window)
 from pfkern.wavefunctions import get_table
 
 
@@ -34,33 +32,21 @@ def test_apply_d_matches_build_d(fam):
     assert np.max(np.abs(apply_d(fam, v[:, 0]) - ref[:, 0])) < 1e-14 * np.max(np.abs(ref))
 
 
-def test_dplus_entry_charlier():
-    fam = Charlier(theta=1.0)
-    lat = TruncatedLattice(x_max=10)
-    dp = build_dplus(fam, lat)
-    # w(0) = w(1) = e^-1 so the first superdiagonal entry is 1
-    assert dp.mat[0, 1] == pytest.approx(1.0, rel=1e-14)
-    assert np.count_nonzero(dp.mat) == 10
-
-
-def test_dminus_first_row_zero():
-    for fam in FAMS:
-        lat = TruncatedLattice(x_max=20) if not fam.finite else truncate(fam)
-        dm = build_dminus(fam, lat)
-        assert np.all(dm.mat[0] == 0.0)
-
-
 def test_d_bandedness():
-    fam = Charlier(theta=4.0)
-    lat = TruncatedLattice(x_max=30)
-    d = build_d(fam, lat)
-    band = np.zeros_like(d.mat, dtype=bool)
-    idx = np.arange(30)
-    band[idx, idx + 1] = True
-    band[idx + 1, idx] = True
-    assert np.all(d.mat[~band] == 0.0)
-    assert np.all(d.mat[idx, idx + 1] > 0)
-    assert np.all(d.mat[idx + 1, idx] < 0)
+    # D = D+ - D-: one positive superdiagonal, its negative below, zero elsewhere
+    for fam in (Charlier(theta=4.0), *FAMS):
+        lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=30)
+        d = build_d(fam, lat).mat
+        idx = np.arange(lat.x_max)
+        band = np.zeros_like(d, dtype=bool)
+        band[idx, idx + 1] = True
+        band[idx + 1, idx] = True
+        assert np.all(d[~band] == 0.0)
+        assert np.all(d[idx, idx + 1] > 0)
+        assert np.array_equal(d[idx + 1, idx], -d[idx, idx + 1])
+    # w(0) = w(1) = e^-1 so the first superdiagonal entry is 1
+    d = build_d(Charlier(theta=1.0), TruncatedLattice(x_max=10)).mat
+    assert d[0, 1] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_constant_weight_d_is_shift_stencil():
@@ -84,27 +70,27 @@ def test_constant_weight_epsilon_entries():
     assert eps.mat[2, 1] == 0.0
 
 
-def test_constant_weight_factored_is_upsilon():
-    fam = ConstantWeight(1.0)
-    lat = TruncatedLattice(x_max=9)
-    epsf = build_epsilon_factored(fam, lat)
-    assert np.allclose(epsf.mat, upsilon(10))
-
-
-def test_upsilon_pattern():
-    Y = upsilon(8)
-    assert Y[1, 0] == 1.0 and Y[0, 1] == -1.0
-    assert Y[0, 3] == -1.0 and Y[3, 0] == 1.0 and Y[3, 2] == 1.0
-    assert np.all(Y + Y.T == 0)
+def test_constant_weight_eps_is_checkerboard():
+    # with w == 1 the factors F are 1 and apply_eps is the signed checkerboard
+    # Y(2i, 2j+1) = -1 for j >= i, Y(2i+1, 2j) = +1 for j <= i
+    i, j = np.indices((10, 10))
+    Y = np.where((i % 2 == 0) & (j % 2 == 1) & (j > i), -1.0, 0.0)
+    Y += np.where((i % 2 == 1) & (j % 2 == 0) & (j < i), 1.0, 0.0)
+    eps = apply_eps(ConstantWeight(1.0), np.eye(10))
+    assert np.array_equal(eps, Y)
+    assert eps[1, 0] == 1.0 and eps[0, 1] == -1.0
+    assert eps[0, 3] == -1.0 and eps[3, 0] == 1.0 and eps[3, 2] == 1.0
+    assert np.all(eps + eps.T == 0)
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
 def test_direct_equals_factored(fam):
+    # the defining sums against the factorization as the blocks run it
     lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=80)
-    d = build_epsilon_direct(fam, lat)
-    f = build_epsilon_factored(fam, lat)
+    d = build_epsilon_direct(fam, lat).mat
+    f = apply_eps(fam, np.eye(lat.size))
     win = interior_window(lat)
-    assert np.max(np.abs(d.mat[win, win] - f.mat[win, win])) < 1e-12
+    assert np.max(np.abs(d[win, win] - f[win, win])) < 1e-12
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
@@ -117,17 +103,15 @@ def test_epsilon_antisymmetric(fam):
 
 def test_mutual_inverse_charlier():
     fam = Charlier(theta=1.0)
-    lat = TruncatedLattice(x_max=120)
     tab = get_table(fam, 22, x_max=120)
-    res = check_mutual_inverse(build_d(fam, lat), build_epsilon_direct(fam, lat), tab, n_test=20)
+    res = check_mutual_inverse(fam, tab, n_test=20)
     assert res["interior_residual"] < 1e-8
 
 
 def test_mutual_inverse_meixner():
     fam = Meixner(xi=0.25, beta_m=1.0)
-    lat = TruncatedLattice(x_max=200)
     tab = get_table(fam, 22, x_max=200)
-    res = check_mutual_inverse(build_d(fam, lat), build_epsilon_direct(fam, lat), tab, n_test=20)
+    res = check_mutual_inverse(fam, tab, n_test=20)
     assert res["interior_residual"] < 1e-8
 
 
@@ -135,9 +119,7 @@ def test_mutual_inverse_krawtchouk_odd_m():
     # for odd M the lattice difference operator is invertible and the
     # parity-split inverse is exact; see the even-M test below
     fam = Krawtchouk(M=61, p=0.4)
-    lat = truncate(fam)
-    tab = get_table(fam, 22)
-    res = check_mutual_inverse(build_d(fam, lat), build_epsilon_direct(fam, lat), tab, n_test=20)
+    res = check_mutual_inverse(fam, get_table(fam, 22), n_test=20)
     assert res["interior_residual"] < 1e-8
     assert res["full_residual"] < 1e-8
 
