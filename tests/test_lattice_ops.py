@@ -44,9 +44,22 @@ def test_d_bandedness():
         assert np.all(d[~band] == 0.0)
         assert np.all(d[idx, idx + 1] > 0)
         assert np.array_equal(d[idx + 1, idx], -d[idx, idx + 1])
-    # w(0) = w(1) = e^-1 so the first superdiagonal entry is 1
+
+
+def test_dplus_entry_charlier():
+    # the D+ half of D is its superdiagonal
     d = build_d(Charlier(theta=1.0), TruncatedLattice(x_max=10)).mat
+    # w(0) = w(1) = e^-1 so the first superdiagonal entry is 1
     assert d[0, 1] == pytest.approx(1.0, rel=1e-14)
+    assert np.count_nonzero(np.triu(d)) == 10
+
+
+def test_dminus_first_row_zero():
+    # the D- half of D is its subdiagonal, which has nothing in row 0
+    for fam in FAMS:
+        lat = TruncatedLattice(x_max=20) if not fam.finite else truncate(fam)
+        d = build_d(fam, lat).mat
+        assert np.all(np.tril(d)[0] == 0.0)
 
 
 def test_constant_weight_d_is_shift_stencil():
@@ -70,17 +83,24 @@ def test_constant_weight_epsilon_entries():
     assert eps.mat[2, 1] == 0.0
 
 
-def test_constant_weight_eps_is_checkerboard():
-    # with w == 1 the factors F are 1 and apply_eps is the signed checkerboard
+def _signed_checkerboard(n):
     # Y(2i, 2j+1) = -1 for j >= i, Y(2i+1, 2j) = +1 for j <= i
-    i, j = np.indices((10, 10))
+    i, j = np.indices((n, n))
     Y = np.where((i % 2 == 0) & (j % 2 == 1) & (j > i), -1.0, 0.0)
-    Y += np.where((i % 2 == 1) & (j % 2 == 0) & (j < i), 1.0, 0.0)
+    return Y + np.where((i % 2 == 1) & (j % 2 == 0) & (j < i), 1.0, 0.0)
+
+
+def test_constant_weight_factored_is_upsilon():
+    # with w == 1 the factors F are 1 and apply_eps is the signed checkerboard
     eps = apply_eps(ConstantWeight(1.0), np.eye(10))
-    assert np.array_equal(eps, Y)
-    assert eps[1, 0] == 1.0 and eps[0, 1] == -1.0
-    assert eps[0, 3] == -1.0 and eps[3, 0] == 1.0 and eps[3, 2] == 1.0
-    assert np.all(eps + eps.T == 0)
+    assert np.array_equal(eps, _signed_checkerboard(10))
+
+
+def test_upsilon_pattern():
+    Y = apply_eps(ConstantWeight(1.0), np.eye(8))
+    assert Y[1, 0] == 1.0 and Y[0, 1] == -1.0
+    assert Y[0, 3] == -1.0 and Y[3, 0] == 1.0 and Y[3, 2] == 1.0
+    assert np.all(Y + Y.T == 0)
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
