@@ -1,8 +1,8 @@
-"""Circle contours and trapezoidal quadrature for analytic integrands.
+"""Circle contours for the trapezoidal rule on analytic integrands.
 
 Quadrature convention: values approximate (1/(2 pi i)) * oint f(z) dz, which
 for a circle z = c + r e^(i a) equals the mean over nodes of f(z) (z - c).
-Node counts double until the two-level error estimate meets the tolerance.
+Each circle carries a fixed node count, chosen by its caller.
 """
 from __future__ import annotations
 
@@ -16,13 +16,7 @@ class ContractError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    def __init__(self, msg, last=None, prev=None):
-        super().__init__(msg)
-        self.last = last
-        self.prev = prev
-
-
-MAX_NODES = 2 ** 20
+    """A quadrature result failed its consistency check."""
 
 
 @dataclass(frozen=True)
@@ -54,28 +48,3 @@ class ContourSpec:
     def weights(self, z):
         """Quadrature weights w_j such that sum_j w_j f(z_j) ~ (1/2pi i) oint f."""
         return self.orientation * (z - self.center) / len(z)
-
-
-def circle_quadrature(integrand, spec: ContourSpec, tol: float = 1e-10,
-                      start_nodes: int | None = None):
-    """Adaptive trapezoid on a circle; returns (value, error_estimate, nodes).
-
-    The integrand must accept a complex ndarray; the error estimate is the
-    difference between consecutive node-doubling levels.
-    """
-    n = start_nodes or spec.node_count
-    z = spec.nodes(n)
-    val = np.sum(integrand(z) * spec.weights(z))
-    prev = None
-    while True:
-        if not np.isfinite(val):
-            raise QuadratureError("integrand not finite on contour", last=val)
-        n2 = 2 * n
-        if n2 > MAX_NODES:
-            raise QuadratureError(f"no convergence at {n} nodes", last=val, prev=prev)
-        z = spec.nodes(n2)
-        val2 = np.sum(integrand(z) * spec.weights(z))
-        err = abs(val2 - val)
-        if err < tol:
-            return val2, err, n2
-        prev, val, n = val, val2, n2

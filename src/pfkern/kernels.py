@@ -35,7 +35,7 @@ from .contours import QuadratureError
 from .families import Charlier, Meixner, TruncatedLattice, truncate
 from .lattice_ops import apply_d, apply_eps
 from .symbols import (contour_image, default_contour, eps_multiplier,
-                      inverse_eps_symbol, symbol)
+                      inverse_eps_symbol, meixner_G, symbol)
 from .wavefunctions import get_table, _zone_need
 
 
@@ -306,9 +306,7 @@ def projection_contour(family, N, xs, ys=None, variant: str = "adjudicated",
 
 def _meixner_rows(family, N, xs, w):
     """Rows [x, i] = G_2N(w_i) w_i^(2N - x) of the printed Meixner integrand."""
-    s = family.s
-    G = np.exp(2 * N * (np.log(1 - s / w) - np.log(1 - s * w)))
-    return G * w ** (2 * N - np.asarray(xs))[:, None]
+    return meixner_G(2 * N, w, family.s) * w ** (2 * N - np.asarray(xs))[:, None]
 
 
 def _meixner_paper_kernel(family, N, xs, ys, r1, r2, nodes, dq=None):

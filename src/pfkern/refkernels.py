@@ -1,9 +1,9 @@
 """Reference universal kernels: sine, Airy, Bessel.
 
-The Airy function is evaluated by this module's own contour quadrature of
-the integral representation (rotated rays through the real saddle), locked
-by tests against the Maclaurin series and scipy.  Bessel J_a uses its power
-series.  Kernel formulas (not printed in the sources this library encodes)
+Each kernel is a closed form in special functions from numpy and
+scipy.special: the sine kernel is `np.sinc`, the Airy kernel takes Ai and Ai'
+from one `airy` call per argument array, and the Bessel kernel takes J from
+`jv`.  Kernel formulas (not printed in the sources this library encodes)
 follow the standard literature conventions:
 
     K_sine(s, t) = sin(pi (s - t)) / (pi (s - t))
@@ -14,14 +14,11 @@ follow the standard literature conventions:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import airy, jv
 
 
 def sine_kernel(s, t):
-    d = np.asarray(s, dtype=float) - np.asarray(t, dtype=float)
-    out = np.where(np.abs(d) < 1e-14, 1.0,
-                   np.sin(np.pi * np.where(np.abs(d) < 1e-14, 1.0, d))
-                   / (np.pi * np.where(np.abs(d) < 1e-14, 1.0, d)))
+    out = np.sinc(np.asarray(s, dtype=float) - np.asarray(t, dtype=float))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -36,77 +33,11 @@ def sine_kernel_deriv(s, t):
     return float(val) if np.ndim(val) == 0 else val
 
 
-# ---------------------------------------------------------------------------
-# Airy function by contour quadrature
-
-
-_GL_NODES = None
-
-
-def _gl(n=800):
-    global _GL_NODES
-    if _GL_NODES is None or len(_GL_NODES[0]) != n:
-        from numpy.polynomial.legendre import leggauss
-        _GL_NODES = leggauss(n)
-    return _GL_NODES
-
-
-def _airy_pair_quadrature(x: float) -> tuple[float, float]:
-    """(Ai(x), Ai'(x)) from the two-ray contour at angles +-pi/3.
-
-    Ai(x) = (1/pi) Im[ e^{i pi/3} int_0^inf exp(-r^3/3 - x r e^{i pi/3}) dr ];
-    the cubic decays along both rays for every real x.  Gauss-Legendre nodes
-    on the truncated ray give ~1e-13 absolute accuracy on the windows the
-    edge tests use.
-    """
-    rmax = 12.0 + 2.2 * abs(x) ** 0.5
-    nodes, weights = _gl()
-    r = 0.5 * rmax * (nodes + 1.0)
-    wgt = 0.5 * rmax * weights
-    ph = np.exp(1j * np.pi / 3.0)
-    f = np.exp(-r ** 3 / 3.0 - x * r * ph)
-    ai = float((np.sum(f * wgt) * ph).imag / np.pi)
-    aip = float((np.sum(-r * ph * f * wgt) * ph).imag / np.pi)
-    return ai, aip
-
-
-def airy_ai(x):
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_airy_pair_quadrature(float(v))[0] for v in xs])
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def airy_ai_prime(x):
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_airy_pair_quadrature(float(v))[1] for v in xs])
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def airy_series(x, terms: int = 40):
-    """Maclaurin series of Ai (validation oracle for small arguments)."""
-    import math
-    c1 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-    c2 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)
-    f = g = 1.0
-    fsum, gsum = 1.0, 1.0
-    xt = np.asarray(x, dtype=float)
-    fterm = np.ones_like(xt)
-    gterm = xt.copy()
-    fsum = np.ones_like(xt)
-    gsum = xt.copy()
-    for k in range(1, terms):
-        fterm = fterm * xt ** 3 * (3 * k - 2) / ((3 * k) * (3 * k - 1) * (3 * k - 2))
-        gterm = gterm * xt ** 3 * (3 * k - 1) / ((3 * k + 1) * (3 * k) * (3 * k - 1))
-        fsum = fsum + fterm
-        gsum = gsum + gterm
-    return c1 * fsum - c2 * gsum
-
-
 def airy_kernel(x, y):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    ax, apx = np.array([_airy_pair_quadrature(v) for v in x]).T
-    ay, apy = np.array([_airy_pair_quadrature(v) for v in y]).T
+    ax, apx = airy(x)[:2]
+    ay, apy = airy(y)[:2]
     X, Y = x[:, None], y[None, :]
     num = ax[:, None] * apy[None, :] - apx[:, None] * ay[None, :]
     den = X - Y
@@ -115,40 +46,23 @@ def airy_kernel(x, y):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Bessel
-
-
-def bessel_j(alpha: float, z, terms: int = 60):
-    """J_alpha by the power series; adequate for the hard-edge windows."""
-    z = np.asarray(z, dtype=float)
-    half = 0.5 * z
-    out = np.zeros_like(z)
-    for k in range(terms):
-        out = out + (-1.0) ** k * np.exp(
-            (alpha + 2 * k) * np.log(np.maximum(half, 1e-300))
-            - gammaln(k + 1.0) - gammaln(alpha + k + 1.0))
-    return np.where(z == 0.0, 1.0 if alpha == 0 else 0.0, out)
-
-
-def bessel_j_prime(alpha: float, z, terms: int = 60):
-    z = np.asarray(z, dtype=float)
-    return 0.5 * (bessel_j(alpha - 1, z, terms) - bessel_j(alpha + 1, z, terms))
-
-
 def bessel_kernel(alpha: float, x, y):
-    """Hard-edge (Bessel) kernel in the squared variables."""
+    """Hard-edge (Bessel) kernel in the squared variables, alpha >= 0.
+
+    s J_a'(s) is taken as a J_a(s) - s J_{a+1}(s), and the diagonal
+    (J_a^2 - J_{a+1} J_{a-1}) / 4 with J_{a-1} = (2a/s) J_a - J_{a+1}, so
+    both stay finite at x = 0, where J_{a-1} is infinite for 0 < a < 1."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     sx, sy = np.sqrt(x), np.sqrt(y)
-    jx, jy = bessel_j(alpha, sx), bessel_j(alpha, sy)
-    jpx, jpy = bessel_j_prime(alpha, sx), bessel_j_prime(alpha, sy)
-    num = jx[:, None] * (sy * jpy)[None, :] - (sx * jpx)[:, None] * jy[None, :]
+    jx, jy = jv(alpha, sx), jv(alpha, sy)
+    j1x = jv(alpha + 1, sx)
+    dx = alpha * jx - sx * j1x
+    dy = alpha * jy - sy * jv(alpha + 1, sy)
+    num = jx[:, None] * dy[None, :] - dx[:, None] * jy[None, :]
     den = 2.0 * (x[:, None] - y[None, :])
-    # diagonal: (J_a(s)^2 - J_{a+1}(s) J_{a-1}(s)) / 4
-    jm = bessel_j(alpha - 1, sx)
-    jp = bessel_j(alpha + 1, sx)
-    diag = 0.25 * (jx ** 2 - jm * jp)
+    # (2a/s) J_a J_{a+1} -> 0 as s -> 0 for every a >= 0
+    diag = 0.25 * (jx ** 2 + j1x ** 2 - 2.0 * alpha * jx * j1x / np.where(sx > 0, sx, 1.0))
     out = np.where(np.abs(den) < 1e-12, diag[:, None],
                    num / np.where(np.abs(den) < 1e-12, 1.0, den))
     return out

@@ -112,7 +112,10 @@ def meixner_G(m: int, omega, s: float):
         raise DomainError("G_m pole at 0 or 1/s")
     if m == 0:
         return np.ones_like(omega)
-    return np.exp(m * (np.log(1.0 - s / omega) - np.log(1.0 - s * omega)))
+    num = 1.0 - s / omega           # exactly 0 at omega = s, the zero of G_m
+    zero = num == 0
+    G = np.exp(m * (np.log(np.where(zero, 1.0, num)) - np.log(1.0 - s * omega)))
+    return np.where(zero, 0.0, G)
 
 
 def degree_integrand(family, x, z):

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from pfkern.contours import QuadratureError
-from pfkern.families import Charlier
-from pfkern.harness import (Regime, bulk_convergence_test, coalescence_exponent,
-                            correction_dictionary, correction_extract,
-                            crossover_test, edge_convergence_test,
-                            eps_dictionary_closed_form, meixner_eps_gram)
-from pfkern.kernels import oracle_block
-from pfkern.lattice_ops import apply_eps
+from pfkern.families import Charlier, Meixner, truncate
+from pfkern.harness import (Regime, _crossover_block, bulk_convergence_test,
+                            coalescence_exponent, correction_dictionary,
+                            correction_extract, crossover_test, edge_convergence_test,
+                            eps_dictionary_closed_form)
+from pfkern.kernels import oracle_block, oracle_lattice
 from pfkern.saddles import saddle_solve
 from pfkern.symbols import universal_symbol
-from pfkern.wavefunctions import get_table
 
 CH = Regime(kind="charlier", tau=1.0)
 KR = Regime(kind="krawtchouk", gamma=0.25, p=0.4)
@@ -89,22 +86,16 @@ def test_correction_extract_beta1_two_basis():
     assert rep["gradient_predicted"] == pytest.approx(-2 / np.pi, rel=1e-6)
 
 
-def test_meixner_eps_gram_matches_lattice():
-    from pfkern.families import Meixner
-    r = 10
-    for xi, x_max in ((0.25, 400), (0.64, 1000)):
-        fam = Meixner(xi=xi, beta_m=1.0)
-        tab = get_table(fam, r + 1, x_max=x_max)
-        E_lat = tab.phi[:r] @ apply_eps(fam, tab.phi[:r].T)
-        E_ct = meixner_eps_gram(fam, r)
-        assert np.max(np.abs(E_lat - E_ct)) < 1e-10
-
-
-def test_meixner_eps_gram_refuses_unresolved_circle():
-    from pfkern.families import Meixner
-    # s = 0.95 lies outside the Gram's radius-0.9 circle: E is not antisymmetric
-    with pytest.raises(QuadratureError):
-        meixner_eps_gram(Meixner(xi=0.9, beta_m=1.0), 10)
+def test_crossover_beta4_block_matches_doubled_lattice():
+    # E = G^-1 on contour rows against the oracle on a lattice twice the
+    # default length, which is itself off by up to 5e-5 as xi -> 1
+    xs = np.arange(41)
+    for xi in (0.25, 0.64, 0.81, 0.9, 1 - 1 / 32):
+        fam = Meixner(xi=xi)
+        S = _crossover_block(fam, 8, xs, 4, "S")
+        lattice = truncate(fam, x_min=2 * oracle_lattice(fam, 8, xs).x_max)
+        S_ref = oracle_block(fam, 8, 4, xs, lattice=lattice).S
+        assert np.max(np.abs(S - S_ref)) < 1e-11 * np.max(np.abs(S_ref))
 
 
 def test_crossover_small():
