@@ -37,13 +37,9 @@ class ContourSpec:
         if self.orientation not in (1, -1):
             raise ContractError("orientation must be +-1")
 
-    def nodes(self, node_count: int | None = None):
-        n = node_count or self.node_count
-        a = 2.0 * np.pi * np.arange(n) / n
-        if self.orientation < 0:
-            a = -a
-        z = self.center + self.radius * np.exp(1j * a)
-        return z
+    def nodes(self):
+        a = 2.0 * np.pi * self.orientation * np.arange(self.node_count) / self.node_count
+        return self.center + self.radius * np.exp(1j * a)
 
     def weights(self, z):
         """Quadrature weights w_j such that sum_j w_j f(z_j) ~ (1/2pi i) oint f."""

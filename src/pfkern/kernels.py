@@ -34,7 +34,7 @@ import numpy as np
 from .contours import QuadratureError
 from .families import Charlier, Meixner, TruncatedLattice, truncate
 from .lattice_ops import apply_d, apply_eps
-from .symbols import (contour_image, default_contour, eps_multiplier,
+from .symbols import (_generating_logs, contour_image, default_contour, eps_multiplier,
                       inverse_eps_symbol, meixner_G, symbol)
 from .wavefunctions import get_table, _zone_need
 
@@ -324,12 +324,9 @@ def _meixner_paper_kernel(family, N, xs, ys, r1, r2, nodes, dq=None):
 
 
 def _nested_rows(family, xs, t):
-    """Rows [x, i] of the printed Charlier/Krawtchouk integrand at the nodes t."""
-    x = np.asarray(xs)[:, None]
-    if isinstance(family, Charlier):
-        return np.exp(-family.theta * t) * (1 + t) ** x
-    p, q, M = family.p, family.q, family.M
-    return (1 + p * t) ** (M - x) * (1 - q * t) ** x
+    """Rows [x, i] = c(t_i) a(t_i)^x of the printed Charlier/Krawtchouk integrand."""
+    log_c, log_a = _generating_logs(family, t)
+    return np.exp(log_c + np.asarray(xs)[:, None] * log_a)
 
 
 def _printed_nested_kernel(family, N, xs, ys, swap, nodes, dq=None):
@@ -385,16 +382,10 @@ def _dual_kernel(family, N, xs, ys, nodes):
     lw = family.log_weight(np.arange(int(max(np.max(xs), np.max(ys))) + 1, dtype=float))
     t = _unit_nodes(nodes)
     x = xs[:, None]
-    if isinstance(family, Charlier):
-        r_in = 0.45
-        tin = r_in * t
-        log_a = -family.theta * tin + x * np.log1p(tin)
-    else:
-        p, q, M = family.p, family.q, family.M
-        r_in = 0.4 * min(1 / p, 1 / q)
-        tin = r_in * t
-        log_a = (M - x) * np.log(1 + p * tin) + x * np.log(1 - q * tin)
-    A = np.exp(log_a + 0.5 * lw[x]) * tin ** (-N) * tin
+    r_in = 0.45 if isinstance(family, Charlier) else 0.4 * min(1 / family.p, 1 / family.q)
+    tin = r_in * t
+    log_c, log_a = _generating_logs(family, tin)
+    A = np.exp(log_c + x * log_a + 0.5 * lw[x]) * tin ** (-N) * tin
     out = np.empty((len(xs), len(ys)))
     for iy, y in enumerate(ys):
         rho = _dual_y_radius(family, y, N, r_in)
@@ -405,6 +396,7 @@ def _dual_kernel(family, N, xs, ys, nodes):
         else:
             # high columns use the p <-> q reflected dual loop around -1/p,
             # which reverses orientation (hence the sign)
+            p, q, M = family.p, family.q, family.M
             center, sign = (1.0 / q, 1.0) if y <= M // 2 else (-1.0 / p, -1.0)
             u = center + rho * t
             log_b = (y - M - 1) * np.log(1.0 + p * u) - (y + 1) * np.log(1.0 - q * u)

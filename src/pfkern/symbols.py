@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-from .contours import ContourSpec, ContractError
+from .contours import ContourSpec, ContractError, QuadratureError
 from .families import Charlier, Krawtchouk, Meixner, DomainError
 from .lattice_ops import apply_eps
 from .wavefunctions import get_table
@@ -118,20 +118,30 @@ def meixner_G(m: int, omega, s: float):
     return np.where(zero, 0.0, G)
 
 
-def degree_integrand(family, x, z):
-    """g(z; x) whose z^n coefficient carries phi_n(x) (Charlier/Krawtchouk).
-
-    phi_n(x) = sign_n * exp(log_pref(n, x)) * (1/2pi i) oint g(z;x) z^(-n-1) dz
-    with sign and log-prefactor from `degree_prefactor`.
-    """
-    z = np.asarray(z, dtype=complex)[None, :]
-    x = np.atleast_1d(np.asarray(x, dtype=float))[:, None]
+def _generating_logs(family, z):
+    """(log c, log a) of the generating integrand g(z; x) = c a^x: c = e^(-theta z),
+    a = 1 + z (Charlier); c = (1 + p z)^M, a = (1 - q z)/(1 + p z) (Krawtchouk)."""
     if isinstance(family, Charlier):
-        return np.exp(-family.theta * z + x * np.log1p(z))
-    if isinstance(family, Krawtchouk):
-        return np.exp((family.M - x) * np.log(1.0 + family.p * z)
-                      + x * np.log(1.0 - family.q * z))
-    raise ContractError("degree extraction applies to Charlier/Krawtchouk")
+        return -family.theta * z, np.log1p(z)
+    log_p = np.log1p(family.p * z)
+    return family.M * log_p, np.log1p(-family.q * z) - log_p
+
+
+def degree_integrand(family, xs, z, v):
+    """sum_j c(z_j) a(z_j)^x v_j at the sites x >= 0 (`_generating_logs`); with
+    v_j = multiplier * weight * z_j^(-n-1) it is the z^n coefficient that
+    `degree_prefactor` scales to phi_n(x).  Blocked running product: x = iB + k,
+    B = floor(sqrt(max x + 1)), sums (A0 P)[i, k] with P[j, k] = a_j^k and
+    A0[i, j] = c_j v_j a_j^(iB); overflow shows as a non-finite sum."""
+    log_c, log_a = _generating_logs(family, z)
+    xs = np.asarray(xs, dtype=np.int64)
+    size = int(xs.max(initial=0)) + 1
+    block = int(np.sqrt(size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.vander(np.exp(log_a), block + 1, increasing=True)
+        A0 = np.repeat(P[None, :, -1], -(-size // block), axis=0)
+        A0[0] = np.exp(log_c) * v
+        return (np.multiply.accumulate(A0) @ P[:, :-1]).ravel()[xs]
 
 
 def degree_prefactor(family, n, x):
@@ -222,7 +232,8 @@ def contour_image(family, n: int, x, contour: ContourSpec | None = None,
 
     The contour defaults to `default_contour(family, degree=n)`.  Meixner
     requires beta_m = 1; the recurrence tables are the authority for other
-    beta_m.
+    beta_m.  A Charlier/Krawtchouk node sum (`degree_integrand`) that is not
+    finite raises QuadratureError: e^(-theta z) overflows once theta r > 709.
     """
     if family.finite and n > family.M:
         raise DomainError(f"degree {n} exceeds Krawtchouk M={family.M}")
@@ -242,8 +253,9 @@ def contour_image(family, n: int, x, contour: ContourSpec | None = None,
         core = szego * ((z - s) / (1.0 - s * z)) ** n * mult
         vals = _meixner_extract(core * w, contour, xs)
     else:
-        g = degree_integrand(family, xs, z)
-        raw = (g * (mult * z ** (-n - 1) * w)[None, :]).sum(axis=1).real
+        raw = degree_integrand(family, xs, z, mult * w * z ** (-n - 1)).real
+        if not np.all(np.isfinite(raw)):
+            raise QuadratureError(f"degree {n} extraction on radius {contour.radius:.6g} is not finite")
         sign, logmag = degree_prefactor(family, n, xs)
         vals = sign * raw * np.exp(logmag)
     return float(vals[0]) if scalar else vals

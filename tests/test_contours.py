@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pfkern.contours import ContourSpec, ContractError
+from pfkern.contours import ContourSpec, ContractError, QuadratureError
 from pfkern.families import Charlier, Krawtchouk, Meixner, truncate
 from pfkern.lattice_ops import build_d, build_epsilon_direct
-from pfkern.symbols import (charlier_w_map, contour_image, default_contour,
-                            eps_phi_via_contour, inverse_eps_symbol, meixner_G,
-                            ratio_map, symbol)
+from pfkern.kuznetsov import GaussianTest, m_h
+from pfkern.symbols import (charlier_w_map, contour_image, degree_integrand,
+                            default_contour, eps_multiplier, eps_phi_via_contour,
+                            inverse_eps_symbol, meixner_G, ratio_map, symbol)
 from pfkern.wavefunctions import get_table
 
 
@@ -163,3 +164,75 @@ def test_meixner_extraction_memory_is_linear():
         tracemalloc.stop()
     assert vals.shape == (36368,) and np.all(np.isfinite(vals))
     assert peak < 64 * 2 ** 20
+
+
+def _spliced(fam):
+    test = GaussianTest(sigma=2.0)
+    return eps_multiplier(fam, lambda z: m_h(test, z))
+
+
+def _defining_sums(fam, xs, z, v):
+    """sum_j exp(log c_j + x log a_j) v_j and sum_j |term_j| in extended
+    precision, from the printed generating integrands."""
+    zl = np.asarray(z, dtype=np.clongdouble)
+    if isinstance(fam, Charlier):
+        log_c, log_a = -np.longdouble(fam.theta) * zl, np.log(1 + zl)
+    else:
+        log_p = np.log(1 + np.longdouble(fam.p) * zl)
+        log_c, log_a = fam.M * log_p, np.log(1 - np.longdouble(fam.q) * zl) - log_p
+    xl = np.atleast_1d(xs).astype(np.longdouble)[:, None]
+    terms = np.exp(log_c + xl * log_a) * np.asarray(v, dtype=np.clongdouble)
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+@pytest.mark.parametrize("fam", [Charlier(theta=1.0), Charlier(theta=96.0),
+                                 Krawtchouk(M=64, p=0.4), Krawtchouk(M=200, p=0.4)],
+                         ids=lambda f: f"{f.name}-{getattr(f, 'theta', getattr(f, 'M', 0))}")
+@pytest.mark.parametrize("spliced", [False, True], ids=["plain", "spliced"])
+def test_degree_integrand_matches_defining_sum(fam, spliced):
+    # the blocked running product against the node sum it replaces, on each
+    # degree's own circle.  The reference is taken on every 8th site, offset
+    # by the degree, plus 27, 28, 29: the block edges of the internal block
+    # length 28 that 785 sites give.  A window far from 0 and scalar sites
+    # are checked every 16th degree.
+    L = fam.M + 1 if fam.finite else 785
+    xs = np.arange(L)
+    for n in range(min(L - 1, 96) + 1):
+        spec = default_contour(fam, "eps" if spliced else "single", n)
+        z = spec.nodes()
+        mult = _spliced(fam)(z) if spliced else 1.0
+        v = mult * spec.weights(z) * z ** (-n - 1)
+        sites = np.unique(np.r_[np.arange(n % 8, L, 8), 27, 28, 29, L - 1])
+        checks = [(sites, degree_integrand(fam, xs, z, v)[sites])]
+        if n % 16 == 0:
+            part = np.arange(max(L - 85, 1), L)[::3]
+            checks.append((part, degree_integrand(fam, part, z, v)))
+            for x in (0, 29, L - 1):
+                one = degree_integrand(fam, x, z, v)
+                assert np.ndim(one) == 0
+                checks.append(([x], np.atleast_1d(one)))
+        for sites, vals in checks:
+            ref, mag = _defining_sums(fam, sites, z, v)
+            assert np.all(np.abs(vals - ref) <= 1e-13 * mag), (n, sites)
+
+
+def test_charlier_extraction_memory_is_linear():
+    # one sites x nodes complex array alone would take 3.2 MB
+    import tracemalloc
+    fam = Charlier(theta=96.0)
+    spec, mult = default_contour(fam, "eps", 60), _spliced(fam)
+    tracemalloc.start()
+    try:
+        vals = contour_image(fam, 60, np.arange(785), spec, mult)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (785,) and np.all(np.isfinite(vals))
+    assert peak < 2 ** 20
+
+
+def test_nonfinite_extraction_is_refused():
+    # e^(-theta z) overflows on the radius-0.97 circle once theta * 0.97 > 709;
+    # Tier-1 turns any RuntimeWarning on the way into a failure
+    with pytest.raises(QuadratureError, match="degree 760 .* radius 0.97"):
+        contour_image(Charlier(theta=768.0), 760, np.arange(5))

@@ -117,3 +117,11 @@ def test_edge_ratio_small_scale():
                             GaussianTest(sigma=2.0), A=48)
     assert rep["predicted_ratio"] == pytest.approx(np.sqrt(np.pi / 2), rel=1e-10)
     assert rep["rel_diff"] < 0.15
+
+
+def test_edge_ratio_pins_the_spliced_circles():
+    # m_h has a branch cut that the extraction circles cross, so this value
+    # moves if the radii or node counts of `default_contour` do
+    rep = edge_ratio_report(Regime(kind="charlier", tau=1.0),
+                            GaussianTest(sigma=2.0), A=96)
+    assert rep["measured_ratio"] == pytest.approx(1.2917296127151738, rel=1e-12)
