@@ -130,18 +130,18 @@ def _generating_logs(family, z):
 def degree_integrand(family, xs, z, v):
     """sum_j c(z_j) a(z_j)^x v_j at the sites x >= 0 (`_generating_logs`); with
     v_j = multiplier * weight * z_j^(-n-1) it is the z^n coefficient that
-    `degree_prefactor` scales to phi_n(x).  Blocked running product: x = iB + k,
-    B = floor(sqrt(max x + 1)), sums (A0 P)[i, k] with P[j, k] = a_j^k and
-    A0[i, j] = c_j v_j a_j^(iB); overflow shows as a non-finite sum."""
+    `degree_prefactor` scales to phi_n(x).  Blocked: x = iB + k, B = floor(sqrt(max x + 1)),
+    sums (A0 P)[i, k] with P[j, k] = a_j^k and A0[i, j] = exp(log c_j + log v_j + iB log a_j)
+    at each block start iB that holds sites; an overflowing term gives a non-finite sum."""
     log_c, log_a = _generating_logs(family, z)
     xs = np.asarray(xs, dtype=np.int64)
-    size = int(xs.max(initial=0)) + 1
-    block = int(np.sqrt(size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = np.vander(np.exp(log_a), block + 1, increasing=True)
-        A0 = np.repeat(P[None, :, -1], -(-size // block), axis=0)
-        A0[0] = np.exp(log_c) * v
-        return (np.multiply.accumulate(A0) @ P[:, :-1]).ravel()[xs]
+    lo, hi = int(xs.min(initial=0)), int(xs.max(initial=0))
+    block = int(np.sqrt(hi + 1))
+    starts = np.arange(lo - lo % block, hi + 1, block)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        A0 = np.exp(log_c + np.log(np.asarray(v, dtype=complex)) + starts[:, None] * log_a)
+        P = np.vander(np.exp(log_a), block, increasing=True)
+        return (A0 @ P).ravel()[xs - starts[0]]
 
 
 def degree_prefactor(family, n, x):

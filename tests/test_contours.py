@@ -186,28 +186,32 @@ def _defining_sums(fam, xs, z, v):
 
 
 @pytest.mark.parametrize("fam", [Charlier(theta=1.0), Charlier(theta=96.0),
-                                 Krawtchouk(M=64, p=0.4), Krawtchouk(M=200, p=0.4)],
-                         ids=lambda f: f"{f.name}-{getattr(f, 'theta', getattr(f, 'M', 0))}")
+                                 Krawtchouk(M=64, p=0.4), Krawtchouk(M=200, p=0.4),
+                                 Krawtchouk(M=200, p=0.6), Krawtchouk(M=600, p=0.4)],
+                         ids=lambda f: f"{f.name}-{getattr(f, 'theta', getattr(f, 'M', 0))}"
+                                       + (f"-p{f.p}" if f.finite and f.p != 0.4 else ""))
 @pytest.mark.parametrize("spliced", [False, True], ids=["plain", "spliced"])
 def test_degree_integrand_matches_defining_sum(fam, spliced):
-    # the blocked running product against the node sum it replaces, on each
-    # degree's own circle.  The reference is taken on every 8th site, offset
-    # by the degree, plus 27, 28, 29: the block edges of the internal block
-    # length 28 that 785 sites give.  A window far from 0 and scalar sites
-    # are checked every 16th degree.
+    # the blocked product against the node sum it replaces, on each degree's
+    # own circle: every degree up to 96, then every 8th.  The reference is
+    # taken on every 8th site, offset by the degree, plus B - 1, B, B + 1 for
+    # the internal block length B = floor(sqrt(L)).  A window far from 0 and
+    # scalar sites are checked every 16th degree.  The last two families put
+    # (1 + p z)^M below the double range at z = -r on the high-degree circles
+    # while the terms at x near M there are the largest of the sum.
     L = fam.M + 1 if fam.finite else 785
-    xs = np.arange(L)
-    for n in range(min(L - 1, 96) + 1):
+    xs, B = np.arange(L), int(np.sqrt(L))
+    for n in np.r_[0:min(L - 1, 96) + 1, 97:L:8]:
         spec = default_contour(fam, "eps" if spliced else "single", n)
         z = spec.nodes()
         mult = _spliced(fam)(z) if spliced else 1.0
         v = mult * spec.weights(z) * z ** (-n - 1)
-        sites = np.unique(np.r_[np.arange(n % 8, L, 8), 27, 28, 29, L - 1])
+        sites = np.unique(np.r_[np.arange(n % 8, L, 8), B - 1, B, B + 1, L - 1])
         checks = [(sites, degree_integrand(fam, xs, z, v)[sites])]
         if n % 16 == 0:
             part = np.arange(max(L - 85, 1), L)[::3]
             checks.append((part, degree_integrand(fam, part, z, v)))
-            for x in (0, 29, L - 1):
+            for x in (0, B + 1, L - 1):
                 one = degree_integrand(fam, x, z, v)
                 assert np.ndim(one) == 0
                 checks.append(([x], np.atleast_1d(one)))
@@ -234,5 +238,16 @@ def test_charlier_extraction_memory_is_linear():
 def test_nonfinite_extraction_is_refused():
     # e^(-theta z) overflows on the radius-0.97 circle once theta * 0.97 > 709;
     # Tier-1 turns any RuntimeWarning on the way into a failure
+    fam = Charlier(theta=768.0)
     with pytest.raises(QuadratureError, match="degree 760 .* radius 0.97"):
-        contour_image(Charlier(theta=768.0), 760, np.arange(5))
+        contour_image(fam, 760, np.arange(5))
+    # sites far from 0, where every term is in range, are still extracted.
+    # The exponents reach theta r = 745 here, and rounding them alone puts
+    # a per-site evaluation 7e-14 off the reference; the blocked sum is 1.0e-13
+    window = np.arange(700, 761)
+    assert np.all(np.isfinite(contour_image(fam, 760, window)))
+    spec = default_contour(fam, degree=760)
+    z = spec.nodes()
+    v = spec.weights(z) * z ** (-761)
+    ref, mag = _defining_sums(fam, window, z, v)
+    assert np.all(np.abs(degree_integrand(fam, window, z, v) - ref) <= 2e-13 * mag)
