@@ -220,9 +220,9 @@ def cmd_splice(args, config) -> int:
     if args.study == "reality":
         rep = reality_symmetry_check(test)
         phis = np.linspace(-3 * np.pi / 4, 3 * np.pi / 4, 25)
-        rows = [(float(ph), float(np.real(m_h(test, np.exp(1j * ph)))),
-                 float(np.imag(m_h(test, np.exp(1j * ph)))),
-                 float(np.real(m_h_numeric(test, np.exp(1j * ph))))) for ph in phis]
+        w = np.exp(1j * phis)
+        rows = [(float(ph), float(v.real), float(v.imag), float(v_num.real))
+                for ph, v, v_num in zip(phis, m_h(test, w), m_h_numeric(test, w))]
         path = os.path.join(out, "reality.csv")
         reports.write_table_csv(path, ["phi", "re_mh", "im_mh", "re_numeric"], rows)
         reports.write_json(os.path.join(out, "reality.json"), rep,

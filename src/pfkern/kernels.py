@@ -5,7 +5,9 @@ L, R of wave functions (or their multiplier images) on the truncated lattice
 around a small Gram E.  `_assemble_blocks` evaluates it, and each route only
 chooses (L, E, R).  The inserted blocks come from the same factors,
 SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps applied as
-stencil and prefix sums, so no lattice-by-lattice matrix is formed.
+stencil and prefix sums, so no lattice-by-lattice matrix is formed.  A
+`KernelBlockSet` computes them on first read, so a caller that reads only S
+never pays for them.
 
 Three evaluation routes coexist and are cross-checked:
 
@@ -27,7 +29,7 @@ losing candidates stay available for the diagnostics reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,7 +60,12 @@ def default_window(family, N: int) -> np.ndarray:
 
 @dataclass
 class KernelBlockSet:
-    """Scalar block S plus the symbol-inserted blocks on a lattice window."""
+    """Scalar block S plus the symbol-inserted blocks on a lattice window.
+
+    A block built from lattice factors (L, E, R), S = L_x^T E R_y, computes
+    SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y on first read, with D
+    and eps applied to the whole lattice as stencil and prefix sums.  Without
+    factors both read None."""
 
     family: object
     beta: int
@@ -66,10 +73,24 @@ class KernelBlockSet:
     xs: np.ndarray
     ys: np.ndarray
     S: np.ndarray
-    SD: np.ndarray | None = None
-    epsS: np.ndarray | None = None
     provenance: str = "oracle"
     meta: dict = field(default_factory=dict)
+    factors: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def SD(self) -> np.ndarray | None:
+        if self.factors is None:
+            return None
+        L, E, R = self.factors
+        RD = -apply_d(self.family, R.T).T          # R D, since D^T = -D
+        return _assemble_blocks(L, E, RD, self.xs, self.ys)
+
+    @cached_property
+    def epsS(self) -> np.ndarray | None:
+        if self.factors is None:
+            return None
+        L, E, R = self.factors
+        return _assemble_blocks(apply_eps(self.family, L.T).T, E, R, self.xs, self.ys)
 
     def antisymmetry_defect(self) -> float:
         if self.S.shape[0] != self.S.shape[1]:
@@ -81,35 +102,26 @@ class KernelBlockSet:
 # the block core
 
 
-def _assemble_blocks(L, E, R, xs=slice(None), ys=None, family=None):
-    """(S, SD, epsS) with S = L_x^T E R_y for row stacks L, R (k x sites)
-    and a k x k Gram E; ys defaults to xs.
-
-    With `family`, also SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y,
-    where D and eps act on the sites of L and R; otherwise both are None.
-    """
+def _assemble_blocks(L, E, R, xs=slice(None), ys=None):
+    """S = L_x^T E R_y for row stacks L, R (k x sites) and a k x k Gram E;
+    ys defaults to xs."""
     ys = xs if ys is None else ys
-    ER = E @ R[:, ys]
-    S = L[:, xs].T @ ER
-    if family is None:
-        return S, None, None
-    RD = -apply_d(family, R.T).T          # R D, since D^T = -D
-    SD = L[:, xs].T @ (E @ RD[:, ys])
-    epsS = apply_eps(family, L.T)[xs] @ ER
-    return S, SD, epsS
+    return L[:, xs].T @ (E @ R[:, ys])
 
 
-def _rank_one_factors(K_rows, a_row, eps_b_row):
-    """(L, E, R) of K + (1/2) phi_a (x) (eps phi_b): the rank-one term is one
-    more row of each stack, weighted 1/2 in E."""
-    E = np.eye(len(K_rows) + 1)
+def _rank_one_factors(rows, eps_b_row):
+    """(L, E, R) of K + (1/2) phi_a (x) (eps phi_b) from the rows phi_0..phi_a:
+    a = r (`beta1_indices`), so K takes all rows but the last.  L is `rows`
+    itself; the rank-one term is its last row against the extra row eps phi_b
+    of R, weighted 1/2 in E."""
+    E = np.eye(len(rows))
     E[-1, -1] = 0.5
-    return np.vstack([K_rows, a_row]), E, np.vstack([K_rows, eps_b_row])
+    return rows, E, np.vstack([rows[:-1], eps_b_row])
 
 
 def _scalar_block(family, N: int, beta: int, window, route: str,
                   lattice: TruncatedLattice | None = None, **meta) -> KernelBlockSet:
-    """The beta = 1 or 4 scalar block with SD and epsS from the rows
+    """The beta = 1 or 4 scalar block (SD and epsS on first read) from the rows
     phi_0..phi_r of the route ('oracle': recurrence tables, 'contour':
     contour extraction): L = R = Phi with E = Phi eps(Phi^T) for beta = 4,
     the rank-one stacks for beta = 1.  The contour route raises
@@ -129,13 +141,12 @@ def _scalar_block(family, N: int, beta: int, window, route: str,
         factors = phi[:r], phi[:r] @ apply_eps(family, phi[:r].T), phi[:r]
     elif beta == 1:
         a, b = beta1_indices(family, N)
-        factors = _rank_one_factors(phi[:r], phi[a], apply_eps(family, phi[b]))
+        factors = _rank_one_factors(phi[:a + 1], apply_eps(family, phi[b]))
     else:
         raise ValueError("beta must be 1 or 4")
-    S, SD, epsS = _assemble_blocks(*factors, window, family=family)
     return KernelBlockSet(family=family, beta=beta, N=N, xs=window, ys=window,
-                          S=S, SD=SD, epsS=epsS, provenance=route,
-                          meta={"lattice_x_max": lattice.x_max, **meta})
+                          S=_assemble_blocks(*factors, window), provenance=route,
+                          meta={"lattice_x_max": lattice.x_max, **meta}, factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +226,7 @@ def block_with_symbol_insertions(family, N: int, xs, m_center=None,
     sites = np.arange(lattice.size)
     L = phi if m_x is None else contour_rows(family, range(r), sites, m_x, "image")
     R = phi if m_y is None else contour_rows(family, range(r), sites, m_y, "image")
-    return _assemble_blocks(L, multiplier_gram(family, phi, m_center), R, xs, ys)[0]
+    return _assemble_blocks(L, multiplier_gram(family, phi, m_center), R, xs, ys)
 
 
 def compose_columns(family, N: int, xs, ys=None, m_func=None) -> KernelBlockSet:
@@ -482,19 +493,21 @@ def adjudicate_composition(family, N: int = 6) -> dict:
     report = {"family": family.name, "N": N, "candidates": {}, "scale": float(np.max(np.abs(oracle.S)))}
     m = lambda z: symbol(family, "eps", z)
     m_inv = lambda z: inverse_eps_symbol(family, z)
-    for name, variant, mm in (("paper printed-symbol", "paper", m),
-                              ("paper swapped", "paper-swapped", m),
-                              ("paper inverse-symbol", "paper", m_inv),
-                              ("paper inverse-symbol swapped", "paper-swapped", m_inv)):
-        try:
-            Sc = compose_contour(family, N, mm, window, variant=variant)
-            report["candidates"][name] = _max_rel(Sc, oracle.S)
-        except Exception as exc:   # pole on contour etc.
-            report["candidates"][name] = float("inf")
-            report.setdefault("errors", {})[name] = repr(exc)
+    quot = "difference-quotient"
+    candidates = [("paper printed-symbol", "paper", m, quot),
+                  ("paper swapped", "paper-swapped", m, quot),
+                  ("paper inverse-symbol", "paper", m_inv, quot),
+                  ("paper inverse-symbol swapped", "paper-swapped", m_inv, quot)]
     if isinstance(family, Meixner):
-        Sc = compose_contour(family, N, m, window, variant="paper", numerator="printed")
-        report["candidates"]["paper printed-numerator"] = _max_rel(Sc, oracle.S)
+        candidates.append(("paper printed-numerator", "paper", m, "printed"))
+    for name, variant, mm, numerator in candidates:
+        try:    # a candidate that overflows is scored inf below, without a warning
+            with np.errstate(all="ignore"):
+                Sc = compose_contour(family, N, mm, window, variant=variant, numerator=numerator)
+        except ValueError as exc:   # pole on contour etc.
+            Sc = np.full_like(oracle.S, np.inf)
+            report.setdefault("errors", {})[name] = repr(exc)
+        report["candidates"][name] = _max_rel(Sc, oracle.S) if np.all(np.isfinite(Sc)) else np.inf
     report["columns_vs_oracle"] = _max_rel(cols.S, oracle.S)
     R = cols.S - oracle.S
     report["columns_residual_rank"] = residual_rank(R)

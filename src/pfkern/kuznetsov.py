@@ -163,7 +163,7 @@ def _spliced(family, N: int, test: SpectralTest, window, route: str) -> KernelBl
     r = rank_of(family, N)
     phi = (contour_rows(family, range(r), np.arange(lattice.size)) if route == "contour"
            else _phi_on(family, r + 1, lattice)[:r])
-    S = _assemble_blocks(phi, multiplier_gram(family, phi, _mh_func(test)), phi, window)[0]
+    S = _assemble_blocks(phi, multiplier_gram(family, phi, _mh_func(test)), phi, window)
     meta = ({"sigma": getattr(test, "sigma", None),
              "branch_jump": branch_jump(test, default_contour(family, degree=N).radius)}
             if route == "contour" else {"imag_max": 0.0, "lattice_x_max": lattice.x_max})
@@ -194,7 +194,7 @@ def spliced_s1(family, N: int, test: SpectralTest, window=None) -> KernelBlockSe
     a, b = beta1_indices(family, N)
     col = contour_image(family, b, window, default_contour(family, "eps", b),
                         eps_multiplier(family, _mh_func(test)))
-    S = _assemble_blocks(*_rank_one_factors(phi[:r], phi[a], col))[0]
+    S = _assemble_blocks(*_rank_one_factors(phi[:a + 1], col))
     return KernelBlockSet(family=family, beta=1, N=N, xs=window, ys=window, S=S,
                           provenance="contour-columns",
                           meta={"rank_one_indices": (a, b)})

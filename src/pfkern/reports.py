@@ -30,11 +30,11 @@ def write_kernel_csv(path: str, blk) -> None:
     """Rows (x, y, S, SD, epsS) with 17 significant digits."""
     sd = blk.SD if blk.SD is not None else np.full_like(blk.S, np.nan)
     es = blk.epsS if blk.epsS is not None else np.full_like(blk.S, np.nan)
-    ys = np.asarray(blk.ys).tolist()
+    x, y = np.meshgrid(blk.xs, blk.ys, indexing="ij")
+    cells = np.stack([x.ravel(), y.ravel(), blk.S.ravel(), sd.ravel(), es.ravel()], axis=1)
     with open(path, "w") as fh:
         fh.write("x,y,S,SD,epsS\n")
-        for x, *rows in zip(np.asarray(blk.xs).tolist(), blk.S.tolist(), sd.tolist(), es.tolist()):
-            fh.writelines(f"{x},{y},{s:.17g},{d:.17g},{e:.17g}\n" for y, s, d, e in zip(ys, *rows))
+        fh.write("%d,%d,%.17g,%.17g,%.17g\n" * len(cells) % tuple(cells.ravel().tolist()))
 
 
 def write_table_csv(path: str, header: list[str], rows) -> None:

@@ -7,11 +7,16 @@ x << a_n - 2 b_n, where phi_n is the minimal solution; those entries are
 filled through the self-duality phi_n(x) = (-1)^(n+x) phi_x(n) shared by all
 three families, which maps them into the stable region of the table.
 
+The table is built in one pass over the degree: each row is finished as soon
+as the recurrence reaches it (log magnitude, norm, duality fill), so phi is
+the only table-sized array and the recurrence itself keeps two rows.
+
 Norms h_n are always obtained by direct lattice summation (in log space),
 never from closed forms; closed forms appear only in tests.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,29 +42,6 @@ class WaveTable:
         return self.phi.shape[0] - 1
 
 
-def _forward_monic(family, n_max, x):
-    """Scaled monic values R[n,:] with shared exponents E[n,:]."""
-    r_prev = np.ones_like(x)
-    e = np.zeros_like(x)
-    a0, _ = family.jacobi(0)
-    r_cur = x - a0
-    R = [r_prev.copy(), r_cur.copy()]
-    E = [e.copy(), e.copy()]
-    for n in range(1, n_max):
-        an, bn2 = family.jacobi(n)
-        r_next = (x - an) * r_cur - bn2 * r_prev
-        r_prev, r_cur = r_cur, r_next
-        big = np.abs(r_cur) > _RESCALE_LIMIT
-        if np.any(big):
-            sc = np.where(big, np.abs(r_cur), 1.0)
-            r_cur = r_cur / sc
-            r_prev = r_prev / sc
-            e = e + np.log(sc)
-        R.append(r_cur.copy())
-        E.append(e.copy())
-    return np.array(R[: n_max + 1]), np.array(E[: n_max + 1])
-
-
 def _zone_edges(family, ns):
     """Oscillatory-zone edges a_n -+ 2 b_n per degree."""
     a, b2 = family.jacobi(ns.astype(float))
@@ -67,21 +49,16 @@ def _zone_edges(family, ns):
     return a - 2.0 * b, a + 2.0 * b, b
 
 
-def _bad_mask(family, n_max, x):
-    """Entries in the left classically-forbidden region x < a_n - 2 b_n,
-    where the forward recurrence amplifies roundoff.  There the dual entry
-    (degree x, point n) sits in its stable right-forbidden region (the zone
-    edges of the three families are dual: x < left(n) iff n > right(x)), so
-    the duality fill is available whenever the table has row x."""
-    ns = np.arange(n_max + 1)
-    left, _, _ = _zone_edges(family, ns)
-    deep = x[None, :] < (left[:, None] - 1.0)
-    right = np.full(x.size, np.inf)
-    have_dual = x.astype(int) <= n_max
-    _, right_vals, _ = _zone_edges(family, x[have_dual])
-    right[have_dual] = right_vals
-    dual_ok = ns[:, None] > (right[None, :] + 1.0)
-    return deep & dual_ok
+def _bad_edges(family, n_max, x):
+    """Entry (n, x) is bad iff x < deep[n] and n > dual[x]: it lies in the
+    left classically-forbidden region x < a_n - 2 b_n, where the forward
+    recurrence amplifies roundoff.  There the dual entry (degree x, point n)
+    sits in its stable right-forbidden region (the zone edges of the three
+    families are dual: x < left(n) iff n > right(x)), so the duality fill is
+    available whenever the table has row x; dual[x] is inf past row n_max."""
+    left = _zone_edges(family, np.arange(n_max + 1))[0]
+    right = np.where(x <= n_max, _zone_edges(family, x)[1], np.inf)
+    return left - 1.0, right + 1.0
 
 
 def _zone_need(family, n_max):
@@ -116,32 +93,43 @@ def wave_table(family, n_max: int, lattice: TruncatedLattice | None = None) -> W
             log_h[n] = log_h[n - 1] + np.log(b2)
         return WaveTable(family=family, lattice=lattice, phi=phi, log_h=log_h)
     x = lattice.grid().astype(float)
-    lw = family.log_weight(x)
-    R, E = _forward_monic(family, n_max, x)
-
-    logabs = np.where(R != 0.0, np.log(np.abs(R) + 1e-320), -np.inf) + E
-    bad = _bad_mask(family, n_max, x)
-
-    # Normalize rows in increasing degree.  Trusted columns give a partial
-    # norm; the discarded region's true mass equals sum_B phi_x(n)^2 by
-    # duality, with all dual rows (degree x < n) already final, so
-    #   h_n = (trusted sum) / (1 - sum_B phi_x(n)^2)     exactly.
-    m = np.where(bad, -np.inf, 2.0 * logabs + lw[None, :])
-    mx = np.max(m, axis=1)
-    log_h_part = mx + np.log(np.sum(np.exp(m - mx[:, None]), axis=1))
-
-    phi = np.zeros_like(R)
+    deep, dual = _bad_edges(family, n_max, x)
+    a, b2 = (c.tolist() for c in family.jacobi(np.arange(n_max, dtype=float)))
+    phi = np.empty((n_max + 1, x.size))
     log_h = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        cols = np.nonzero(bad[n])[0]
-        mass = float(np.sum(phi[cols, n] ** 2)) if cols.size else 0.0
-        log_h[n] = log_h_part[n] - np.log1p(-mass)
-        expo = logabs[n] + 0.5 * lw - 0.5 * log_h[n]
-        row = np.where(expo > _TINY_LOG, np.sign(R[n]) * np.exp(expo), 0.0)
-        if cols.size:
-            sign = np.where((n + cols) % 2 == 0, 1.0, -1.0)
-            row[cols] = sign * phi[cols, n]
-        phi[n] = row
+    # scaled monic values r_cur = P_n exp(-e), r_prev = P_{n-1} exp(-e);
+    # shift = e + log sqrt(w), so log|P_n sqrt(w)| = log|r_cur| + shift
+    r_prev, r_cur, shift = np.zeros_like(x), np.ones_like(x), 0.5 * family.log_weight(x)
+    with np.errstate(divide="ignore"):          # log|r| = -inf at an exact root
+        for n in range(n_max + 1):
+            if n:       # b_0^2 = 0, so P_1 = x - a_0
+                r_prev, r_cur = r_cur, (x - a[n - 1]) * r_cur - b2[n - 1] * r_prev
+            mag = np.abs(r_cur)
+            if mag.max() > _RESCALE_LIMIT:      # divide the big sites by |r_cur|
+                big = np.nonzero(mag > _RESCALE_LIMIT)[0]
+                sc, mag[big] = mag[big], 1.0
+                r_cur[big] /= sc
+                r_prev[big] /= sc
+                shift[big] += np.log(sc)
+            t = np.log(mag) + shift
+            # Trusted columns give a partial norm; the discarded columns' true
+            # mass is sum_B phi_x(n)^2 by duality, with all dual rows (degree
+            # x < n) already final, so h_n = (trusted sum) / (1 - that mass).
+            cols = np.nonzero(n > dual[: np.searchsorted(x, deep[n])])[0]
+            mass = 0.0
+            if cols.size:
+                dual_vals = phi[cols, n]
+                mass = dual_vals @ dual_vals
+                t[cols] = -np.inf
+            t_max = t.max()
+            u = np.exp(t - t_max)
+            log_h[n] = 2.0 * t_max + math.log(u @ u) - math.log1p(-mass)
+            half = 0.5 * log_h[n]
+            row = np.copysign(u, r_cur, out=phi[n])
+            row *= math.exp(t_max - half)
+            row[t - half <= _TINY_LOG] = 0.0
+            if cols.size:
+                row[cols] = np.where((n + cols) % 2 == 0, 1.0, -1.0) * dual_vals
     return WaveTable(family=family, lattice=lattice, phi=phi, log_h=log_h)
 
 

@@ -180,3 +180,17 @@ def test_asym_crossover_beta4_runs(tmp_path):
     for e in rep["entries"]:
         assert np.isfinite(e["err_vs_bessel_alpha"]) and np.isfinite(e["err_vs_bessel_index0"])
         assert abs(e["amp_index0"]) < 0.05
+
+
+def test_adjudication_overflow_prints_no_warning(tmp_path):
+    # the printed Charlier compositions overflow at theta = 768, N = 740:
+    # adjudication scores them inf without a numpy warning, and the contour
+    # rows then fail as a numerical failure (exit 2)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "pfkern.cli", "kernel", "--family", "charlier",
+                           "--theta", "768", "--beta", "4", "--N", "740", "--out", str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 2
+    assert "RuntimeWarning" not in proc.stderr
+    assert "numerical failure" in proc.stderr

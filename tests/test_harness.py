@@ -103,3 +103,20 @@ def test_crossover_small():
     errs = [e["err_vs_bessel_index0"] for e in rep["entries"]]
     assert errs[1] < errs[0]
     assert abs(rep["alpha_hat"] - 1.0) <= 0.2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_resample_matches_regular_grid_interpolator(seed):
+    # the numpy bilinear resample against scipy's, extrapolation included:
+    # the window nodes are floored sites, the grid reaches past both ends
+    from scipy.interpolate import RegularGridInterpolator
+    from pfkern.harness import DEFAULT_GRID, _grid_resample, _window_positions
+    rng = np.random.default_rng(seed)
+    A, u, rho = 96, rng.uniform(0.5, 2.5), rng.uniform(0.2, 0.8)
+    seff = (_window_positions(A, u, 1.0 / rho, DEFAULT_GRID) - A * u) * rho
+    R = rng.normal(size=(seff.size, seff.size))
+    for grid in (DEFAULT_GRID, np.linspace(-3.0, 3.0, 13)):
+        f = RegularGridInterpolator((seff, seff), R, bounds_error=False, fill_value=None)
+        ref = f(np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2))
+        ref = ref.reshape(grid.size, grid.size)
+        assert np.max(np.abs(_grid_resample(seff, R, grid) - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -334,3 +334,32 @@ def test_composition_winner_is_stable_under_roundoff(M):
     rep = adjudicate_composition(Krawtchouk(M=M, p=0.4))
     assert rep["candidates"]["paper printed-symbol"] == rep["candidates"]["paper inverse-symbol"]
     assert rep["winner"] == "paper printed-symbol"
+
+
+@pytest.mark.parametrize("fam", FAMS, ids=IDS)
+@pytest.mark.parametrize("beta", [1, 4])
+@pytest.mark.parametrize("route", ["oracle", "contour"])
+def test_lazy_inserted_blocks_match_eager_assembly(fam, beta, route):
+    # SD and epsS read on demand equal the eager assembly over the whole
+    # lattice: R D by the stencil, eps L^T by the prefix sums
+    from pfkern.kernels import contour_rows, oracle_lattice
+    from pfkern.lattice_ops import apply_d, apply_eps
+    from pfkern.wavefunctions import get_table
+    N = 6
+    blk = (s4_block if beta == 4 else s1_block)(fam, N, route=route)
+    xs = blk.xs
+    lat = oracle_lattice(fam, N, xs)
+    r = rank_of(fam, N)
+    phi = (get_table(fam, r + 1, None if fam.finite else lat.x_max).phi[:, :lat.size]
+           if route == "oracle" else contour_rows(fam, range(r + 1), np.arange(lat.size)))
+    if beta == 4:
+        L, E, R = phi[:r], phi[:r] @ apply_eps(fam, phi[:r].T), phi[:r]
+    else:
+        a, b = beta1_indices(fam, N)
+        E = np.eye(r + 1)
+        E[-1, -1] = 0.5
+        L, R = np.vstack([phi[:r], phi[a]]), np.vstack([phi[:r], apply_eps(fam, phi[b])])
+    SD = L[:, xs].T @ (E @ (-apply_d(fam, R.T).T)[:, xs])
+    epsS = apply_eps(fam, L.T)[xs] @ (E @ R[:, xs])
+    for got, ref in ((blk.SD, SD), (blk.epsS, epsS)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -26,3 +26,17 @@ def test_kernel_csv_matches_cell_by_cell_format(tmp_path):
     write_kernel_csv(str(path), blk)
     assert path.read_text() == _cell_by_cell(blk)
     assert path.read_text().splitlines()[1].endswith(",nan,nan")
+
+
+def test_kernel_csv_one_format_call_matches_cell_by_cell_on_special_values(tmp_path):
+    from types import SimpleNamespace
+    rng = np.random.default_rng(3)
+    S, SD, epsS = (rng.normal(size=(150, 150)) * 10.0 ** rng.integers(-320, 300, (150, 150))
+                   for _ in range(3))
+    S[0, :6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.5e-310]
+    SD[1, :3] = [np.nan, -0.0, 1e-320]
+    epsS[2, :3] = [-np.inf, 0.0, -5e-324]
+    blk = SimpleNamespace(xs=np.arange(150), ys=np.arange(7, 157), S=S, SD=SD, epsS=epsS)
+    path = tmp_path / "k.csv"
+    write_kernel_csv(str(path), blk)
+    assert path.read_text() == _cell_by_cell(blk)

@@ -124,3 +124,54 @@ def test_duality_reflection_consistency():
     # p_30(0) = (-theta)^30 = 1, so phi_30(0) = sqrt(w(0)/h_30)
     expect = math.sqrt(weight(fam, 0) / norm_hn(fam, 30))
     assert tab.phi[30, 0] == pytest.approx(expect, rel=1e-10)
+
+
+def _phi_mpmath(fam, n, x):
+    """phi_n(x) at the working precision from the hypergeometric closed form
+    of the monic polynomial and the closed-form monic norm h_n."""
+    import mpmath as mp
+    if isinstance(fam, Charlier):
+        th = mp.mpf(fam.theta)
+        p = (-th) ** n * mp.hyp2f0(-n, -x, -1 / th)
+        log_w = -th + x * mp.log(th) - mp.loggamma(x + 1)
+        log_h = mp.loggamma(n + 1) + n * mp.log(th)
+    else:   # Meixner, beta_m = 1: w(x) = xi^x
+        c = mp.mpf(fam.xi)
+        p = mp.factorial(n) / (1 - 1 / c) ** n * mp.hyp2f1(-n, -x, 1, 1 - 1 / c)
+        log_w = x * mp.log(c)
+        log_h = 2 * mp.loggamma(n + 1) + n * mp.log(c) - (2 * n + 1) * mp.log(1 - c)
+    return p * mp.exp((log_w - log_h) / 2)
+
+
+@pytest.mark.parametrize("fam", [Charlier(theta=768.0), Meixner(xi=0.25)],
+                         ids=["charlier", "meixner"])
+def test_wave_table_against_mpmath(fam):
+    # 400-digit values at n_max = 769, across the zone, its tails and, for
+    # Meixner, the duality-filled left-forbidden corner (sites 0..50 at the
+    # top degrees)
+    import mpmath as mp
+    from pfkern.wavefunctions import _bad_edges, wave_table
+    tab = wave_table(fam, 769)
+    sites = [0, 3, 50, 700, 1500, tab.lattice.x_max - 5]
+    if fam.name == "meixner":
+        deep, dual = _bad_edges(fam, 769, np.arange(tab.lattice.size, dtype=float))
+        assert all(x < deep[769] and 769 > dual[x] for x in (0, 3, 50))
+    worst = 0.0
+    with mp.workdps(400):
+        for n in (0, 1, 2, 100, 383, 384, 600, 768, 769):
+            for x in sites:
+                worst = max(worst, abs(float(_phi_mpmath(fam, n, x)) - tab.phi[n, x]))
+    assert worst < 5e-13
+
+
+def test_wave_table_peak_memory_is_one_table():
+    # one pass per degree: phi is the only table-sized array of the build
+    import tracemalloc
+    from pfkern.wavefunctions import wave_table
+    tracemalloc.start()
+    try:
+        tab = wave_table(Charlier(theta=768.0), 769)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * tab.phi.nbytes
