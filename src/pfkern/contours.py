@@ -7,6 +7,7 @@ Each circle carries a fixed node count, chosen by its caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +18,14 @@ class ContractError(ValueError):
 
 class QuadratureError(RuntimeError):
     """A quadrature result failed its consistency check."""
+
+
+@lru_cache(maxsize=32)
+def unit_roots(n: int, orientation: int = 1) -> np.ndarray:
+    """The n nodes exp(2 pi i orientation k / n), built once and read-only."""
+    roots = np.exp(1j * (2.0 * np.pi * orientation * np.arange(n) / n))
+    roots.flags.writeable = False
+    return roots
 
 
 @dataclass(frozen=True)
@@ -38,8 +47,7 @@ class ContourSpec:
             raise ContractError("orientation must be +-1")
 
     def nodes(self):
-        a = 2.0 * np.pi * self.orientation * np.arange(self.node_count) / self.node_count
-        return self.center + self.radius * np.exp(1j * a)
+        return self.center + self.radius * unit_roots(self.node_count, self.orientation)
 
     def weights(self, z):
         """Quadrature weights w_j such that sum_j w_j f(z_j) ~ (1/2pi i) oint f."""

@@ -119,7 +119,8 @@ def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right"
         V = _window_block(fam, N, beta, xs, block) * c_A
         seff = orient * (xs - A * u_star) / c_A
         order = np.argsort(seff)
-        T = airy_kernel(seff[order], seff[order])
+        s_sorted = seff[order]
+        T = airy_kernel(s_sorted, s_sorted)
         Vo = V[np.ix_(order, order)]
         c = fit_amplitude(Vo, T)
         entry = {"A": int(A), "c_A": c_A, "c_fit": c,

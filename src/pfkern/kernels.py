@@ -19,8 +19,10 @@ Three evaluation routes coexist and are cross-checked:
   * paper      -- the printed double-contour formulas, evaluated verbatim
                   in their candidate contour regimes.  On trapezoid grids
                   each is (1/n^2) sum_ij A[x, i] C[i, j] B[y, j] for integrand
-                  rows A, B and a Cauchy matrix C, taken as the two matrix
-                  products (A C) B^T, not as the O(nx ny n^2) triple sum.
+                  rows A, B and a Cauchy factor C.  The concentric circles
+                  share the unit nodes, so C is a sum of (anti-)circulant
+                  matrices with diagonal scalings, which the FFT
+                  diagonalises (`_cauchy_sums`): no n x n matrix is formed.
 
 `adjudicate_projection` / `adjudicate_composition` measure every candidate
 against the oracle and record which convention (if any) reproduces it; the
@@ -33,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .contours import QuadratureError
+from .contours import QuadratureError, unit_roots
 from .families import Charlier, Meixner, TruncatedLattice, truncate
 from .lattice_ops import apply_d, apply_eps
 from .symbols import (_generating_logs, contour_image, default_contour, eps_multiplier,
@@ -271,13 +273,15 @@ def s1_block(family, N: int, window=None, route: str = "contour") -> KernelBlock
 # printed double-contour formulas
 
 
-def _unit_nodes(nodes):
-    return np.exp(2j * np.pi * np.arange(nodes) / nodes)
-
-
-def _contract(A, C, B, nodes):
-    """(1/n^2) sum_ij A[x, i] C[i, j] B[y, j] as two matrix products."""
-    return (A @ C) @ B.T / nodes ** 2
+def _cauchy_sums(A, B, factors, m=None):
+    """(1/n^2) sum_ij A[x, i] C[i, j] B[y, j] on n unit nodes, C[i, j] the sum over
+    `factors` (g, anti, s) of s_i g[(j - i) mod n] (g[(i + j) mod n] if anti), times
+    m1_i - m2_j if m = (m1, m2).  Row FFTs diagonalise each g: fft(P) diag(fft g)
+    ifft(Q)^T (n ifft(P) diag(fft g) ifft(Q)^T if anti); no n x n matrix is formed."""
+    n = A.shape[1]
+    pairs = [(1.0, B)] if m is None else [(m[0], B), (1.0, -B * m[1])]
+    return sum(((n * np.fft.ifft(A * s * a) if anti else np.fft.fft(A * s * a)) * np.fft.fft(g))
+               @ np.fft.ifft(Q).T for g, anti, s in factors for a, Q in pairs) / n ** 2
 
 
 def _meixner_pair(family, regime: str) -> tuple[float, float]:
@@ -305,57 +309,57 @@ def projection_contour(family, N, xs, ys=None, variant: str = "adjudicated",
     if isinstance(family, Meixner):
         if family.beta_m != 1.0:
             raise ValueError("contour projection requires beta_m = 1")
-        regime = {"paper": "product<1", "paper-swapped": "product>1",
-                  "adjudicated": "product>1"}[variant if variant != "dual" else "adjudicated"]
-        r1, r2 = _meixner_pair(family, regime)
-        return _meixner_paper_kernel(family, N, xs, ys, r1, r2, nodes)
+        return _meixner_paper_kernel(family, N, xs, ys, variant != "paper", nodes)
     if variant in ("paper", "paper-swapped"):
-        swap = variant == "paper-swapped"
-        return _printed_nested_kernel(family, N, xs, ys, swap, nodes)
+        return _printed_nested_kernel(family, N, xs, ys, variant == "paper-swapped", nodes)
     return _dual_kernel(family, N, xs, ys, nodes)
 
 
-def _meixner_rows(family, N, xs, w):
-    """Rows [x, i] = G_2N(w_i) w_i^(2N - x) of the printed Meixner integrand."""
-    return meixner_G(2 * N, w, family.s) * w ** (2 * N - np.asarray(xs))[:, None]
-
-
-def _meixner_paper_kernel(family, N, xs, ys, r1, r2, nodes, dq=None):
-    """The printed Meixner double contour on |w1| = r1, |w2| = r2 with the
-    Cauchy factor 1/(w1 w2 - 1), times a composition's difference quotient
-    dq(W1, W2) if given."""
-    t = _unit_nodes(nodes)
+def _meixner_paper_kernel(family, N, xs, ys, swap, nodes, m_func=None,
+                          numerator="difference-quotient"):
+    """The printed Meixner double contour on |w1| = r1 < |w2| = r2 (radius
+    product > 1 if swapped, else < 1) over the rows G_2N(w) w^(2N - x), with the
+    Cauchy factor 1/(w1 w2 - 1) = f[(i + j) mod n], times a composition's
+    numerator if m_func is given: the difference quotient (m(w1) - m(w2))/(w1 - w2),
+    by 1/((w1 w2 - 1)(w1 - w2)) = (w1^2 - 1)^-1 [w1 f + w1^-1 h[(j - i) mod n]]
+    with h = 1/(1 - (r2/r1) t) (finite, as r1 < 1), or the printed
+    (w2 - w1)/((w1^2 - 1)(w2^2 - 1))."""
+    r1, r2 = _meixner_pair(family, "product>1" if swap else "product<1")
+    t = unit_roots(nodes)
     w1, w2 = r1 * t, r2 * t
-    W1, W2 = w1[:, None], w2[None, :]
-    C = 1.0 / (W1 * W2 - 1.0)
-    if dq is not None:
-        C = C * dq(W1, W2)
-    return _contract(_meixner_rows(family, N, xs, w1), C,
-                     _meixner_rows(family, N, ys, w2), nodes).real
+    A, B = (meixner_G(2 * N, w, family.s) * w ** (2 * N - np.asarray(sites))[:, None]
+            for sites, w in ((xs, w1), (ys, w2)))
+    f = 1.0 / (r1 * r2 * t - 1.0)
+    if m_func is None:
+        return _cauchy_sums(A, B, [(f, True, 1.0)]).real
+    a = 1.0 / (w1 ** 2 - 1.0)
+    if numerator == "printed":
+        return _cauchy_sums(A, B / (w2 ** 2 - 1.0), [(f, True, a)], (-w1, -w2)).real
+    h = 1.0 / (1.0 - (r2 / r1) * t)
+    return _cauchy_sums(A, B, [(f, True, a * w1), (h, False, a / w1)],
+                        (m_func(w1), m_func(w2))).real
 
 
-def _nested_rows(family, xs, t):
-    """Rows [x, i] = c(t_i) a(t_i)^x of the printed Charlier/Krawtchouk integrand."""
-    log_c, log_a = _generating_logs(family, t)
-    return np.exp(log_c + np.asarray(xs)[:, None] * log_a)
-
-
-def _printed_nested_kernel(family, N, xs, ys, swap, nodes, dq=None):
-    """The printed concentric-circle forms, t1 on the outer circle (inner if
-    swapped), with the Cauchy factor (t2/t1)^N/(t1 - t2), times a
-    composition's difference quotient dq(T1, T2) if given."""
-    t = _unit_nodes(nodes)
-    t1, t2 = (default_contour(family, kind).radius * t
+def _printed_nested_kernel(family, N, xs, ys, swap, nodes, m_func=None):
+    """The printed concentric-circle forms over the rows c(t) a(t)^x
+    (`_generating_logs`), t1 on the outer circle (inner if swapped), with the
+    Cauchy factor (t2/t1)^N/(t1 - t2) = t1^-1 g[(j - i) mod n], g = q^N/(1 - q)
+    with q = t2/t1 = (R2/R1) t, times a composition's difference quotient
+    (m(t1) - m(t2))/(t1 - t2) if m_func is given: then the factor is
+    t1^-2 q^N/(1 - q)^2 (m(t1) - m(t2))."""
+    t = unit_roots(nodes)
+    R1, R2 = (default_contour(family, kind).radius
               for kind in (("inner", "outer") if swap else ("outer", "inner")))
-    T1, T2 = t1[:, None], t2[None, :]
-    C = (T2 / T1) ** N / (T1 - T2)
-    if dq is not None:
-        C = C * dq(T1, T2)
+    t1, t2, q = R1 * t, R2 * t, (R2 / R1) * t
     xs, ys = np.asarray(xs), np.asarray(ys)
+    log_c, log_a = _generating_logs(family, np.stack([t1, t2]))
+    A, B = (np.exp(log_c[k] + sites[:, None] * log_a[k]) for k, sites in enumerate((xs, ys)))
     lw = family.log_weight(np.arange(int(max(np.max(xs), np.max(ys))) + 1, dtype=float))
     pref = np.exp(0.5 * (lw[xs][:, None] + lw[ys][None, :]))
-    return pref * _contract(_nested_rows(family, xs, t1), C,
-                            _nested_rows(family, ys, t2), nodes).real
+    if m_func is None:
+        return pref * _cauchy_sums(A, B, [(q ** N / (1.0 - q), False, 1.0 / t1)]).real
+    return pref * _cauchy_sums(A, B, [(q ** N / (1.0 - q) ** 2, False, t1 ** -2.0)],
+                               (m_func(t1), m_func(t2))).real
 
 
 def _dual_y_radius(family, y, N, r_inner):
@@ -391,7 +395,7 @@ def _dual_kernel(family, N, xs, ys, nodes):
     1/q for Krawtchouk), with per-column balanced radii."""
     xs, ys = np.asarray(xs), np.asarray(ys)
     lw = family.log_weight(np.arange(int(max(np.max(xs), np.max(ys))) + 1, dtype=float))
-    t = _unit_nodes(nodes)
+    t = unit_roots(nodes)
     x = xs[:, None]
     r_in = 0.45 if isinstance(family, Charlier) else 0.4 * min(1 / family.p, 1 / family.q)
     tin = r_in * t
@@ -421,7 +425,8 @@ def compose_contour(family, N, m_func, xs, ys=None, variant: str = "paper",
                     numerator: str = "difference-quotient", nodes: int = 512):
     """The printed Cauchy-multiplier composition formulas, verbatim: the
     projection's double contour with its Cauchy factor times the difference
-    quotient (m(z1) - m(z2))/(z1 - z2).
+    quotient (m(z1) - m(z2))/(z1 - z2), split into FFT-diagonalised
+    (anti-)circulant sums for any m_func.
 
     For Meixner `numerator` selects between the generic difference quotient
     of the printed eps symbol and the printed (w2 - w1) numerator of the
@@ -430,13 +435,9 @@ def compose_contour(family, N, m_func, xs, ys=None, variant: str = "paper",
     """
     ys = xs if ys is None else ys
     swapped = variant != "paper"
-    dq = lambda z1, z2: (m_func(z1) - m_func(z2)) / (z1 - z2)
     if isinstance(family, Meixner):
-        if numerator == "printed":
-            dq = lambda w1, w2: (w2 - w1) / ((w1 ** 2 - 1) * (w2 ** 2 - 1))
-        r1, r2 = _meixner_pair(family, "product>1" if swapped else "product<1")
-        return _meixner_paper_kernel(family, N, xs, ys, r1, r2, nodes, dq)
-    return _printed_nested_kernel(family, N, xs, ys, swapped, nodes, dq)
+        return _meixner_paper_kernel(family, N, xs, ys, swapped, nodes, m_func, numerator)
+    return _printed_nested_kernel(family, N, xs, ys, swapped, nodes, m_func)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +457,8 @@ def adjudicate_projection(family, N: int = 8) -> dict:
     K = projection_direct(family, N, xs)
     report = {"family": family.name, "N": N, "candidates": {}}
     if isinstance(family, Meixner):
-        for regime in ("product<1", "product>1"):
-            r1, r2 = _meixner_pair(family, regime)
-            Kc = _meixner_paper_kernel(family, N, xs, xs, r1, r2, 1024)
+        for swap, regime in ((False, "product<1"), (True, "product>1")):
+            Kc = _meixner_paper_kernel(family, N, xs, xs, swap, 1024)
             report["candidates"][f"paper {regime}"] = _max_rel(Kc, K)
     else:
         for variant in ("paper", "paper-swapped", "dual"):

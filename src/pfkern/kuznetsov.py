@@ -16,6 +16,7 @@ the need to encircle the origin genuinely conflict for circle contours).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -150,10 +151,6 @@ def branch_jump(test: SpectralTest, radius: float) -> float:
     return float(abs(a - b))
 
 
-def _mh_func(test):
-    return lambda z: m_h(test, z)
-
-
 def _spliced(family, N: int, test: SpectralTest, window, route: str) -> KernelBlockSet:
     """K (T_h eps) K on the window: L = R = the wave-function rows of the
     route ('contour': extraction, 'oracle': recurrence tables), with E from
@@ -163,7 +160,7 @@ def _spliced(family, N: int, test: SpectralTest, window, route: str) -> KernelBl
     r = rank_of(family, N)
     phi = (contour_rows(family, range(r), np.arange(lattice.size)) if route == "contour"
            else _phi_on(family, r + 1, lattice)[:r])
-    S = _assemble_blocks(phi, multiplier_gram(family, phi, _mh_func(test)), phi, window)
+    S = _assemble_blocks(phi, multiplier_gram(family, phi, partial(m_h, test)), phi, window)
     meta = ({"sigma": getattr(test, "sigma", None),
              "branch_jump": branch_jump(test, default_contour(family, degree=N).radius)}
             if route == "contour" else {"imag_max": 0.0, "lattice_x_max": lattice.x_max})
@@ -193,7 +190,7 @@ def spliced_s1(family, N: int, test: SpectralTest, window=None) -> KernelBlockSe
     phi = _phi_on(family, r + 1, lattice)[:, window]
     a, b = beta1_indices(family, N)
     col = contour_image(family, b, window, default_contour(family, "eps", b),
-                        eps_multiplier(family, _mh_func(test)))
+                        eps_multiplier(family, partial(m_h, test)))
     S = _assemble_blocks(*_rank_one_factors(phi[:a + 1], col))
     return KernelBlockSet(family=family, beta=1, N=N, xs=window, ys=window, S=S,
                           provenance="contour-columns",

@@ -1,9 +1,9 @@
 """Reference universal kernels: sine, Airy, Bessel.
 
 Each kernel is a closed form in special functions from numpy and
-scipy.special: the sine kernel is `np.sinc`, the Airy kernel takes Ai and Ai'
-from one `airy` call per argument array, and the Bessel kernel takes J from
-`jv`.  Kernel formulas (not printed in the sources this library encodes)
+scipy.special: the sine kernel is `np.sinc`, and the Airy and Bessel kernels
+take Ai, Ai' from `airy` and J from `jv`, once per distinct argument array (y is
+x in every harness call).  Kernel formulas (not printed in the sources this library encodes)
 follow the standard literature conventions:
 
     K_sine(s, t) = sin(pi (s - t)) / (pi (s - t))
@@ -34,10 +34,11 @@ def sine_kernel_deriv(s, t):
 
 
 def airy_kernel(x, y):
+    same = y is x
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = x if same else np.atleast_1d(np.asarray(y, dtype=float))
     ax, apx = airy(x)[:2]
-    ay, apy = airy(y)[:2]
+    ay, apy = (ax, apx) if same else airy(y)[:2]
     X, Y = x[:, None], y[None, :]
     num = ax[:, None] * apy[None, :] - apx[:, None] * ay[None, :]
     den = X - Y
@@ -52,13 +53,14 @@ def bessel_kernel(alpha: float, x, y):
     s J_a'(s) is taken as a J_a(s) - s J_{a+1}(s), and the diagonal
     (J_a^2 - J_{a+1} J_{a-1}) / 4 with J_{a-1} = (2a/s) J_a - J_{a+1}, so
     both stay finite at x = 0, where J_{a-1} is infinite for 0 < a < 1."""
+    same = y is x
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = x if same else np.atleast_1d(np.asarray(y, dtype=float))
     sx, sy = np.sqrt(x), np.sqrt(y)
-    jx, jy = jv(alpha, sx), jv(alpha, sy)
-    j1x = jv(alpha + 1, sx)
+    jx, j1x = jv(alpha, sx), jv(alpha + 1, sx)
     dx = alpha * jx - sx * j1x
-    dy = alpha * jy - sy * jv(alpha + 1, sy)
+    jy = jx if same else jv(alpha, sy)
+    dy = dx if same else alpha * jy - sy * jv(alpha + 1, sy)
     num = jx[:, None] * dy[None, :] - dx[:, None] * jy[None, :]
     den = 2.0 * (x[:, None] - y[None, :])
     # (2a/s) J_a J_{a+1} -> 0 as s -> 0 for every a >= 0

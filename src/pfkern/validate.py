@@ -65,14 +65,8 @@ def run_validation(family=None, wrong_nesting: bool = False) -> dict:
         K = projection_direct(fam, N, xs)
         invariants.append(_item(f"{fam!r} projection idempotence",
                                 _idempotence_defect(fam, N, lat), 1e-9))
-        variant = "paper" if (wrong_nesting and not isinstance(fam, Meixner)) \
-            else "adjudicated"
-        if wrong_nesting and isinstance(fam, Meixner):
-            from .kernels import _meixner_paper_kernel, _meixner_pair
-            r1, r2 = _meixner_pair(fam, "product<1")
-            Kc = _meixner_paper_kernel(fam, N, xs, xs, r1, r2, 1024)
-        else:
-            Kc = projection_contour(fam, N, xs, variant=variant, nodes=1024)
+        Kc = projection_contour(fam, N, xs, variant="paper" if wrong_nesting else "adjudicated",
+                                nodes=1024)
         invariants.append(_item(f"{fam!r} contour vs direct projection"
                                 + (" [injected wrong nesting]" if wrong_nesting else ""),
                                 np.max(np.abs(Kc - K)) / np.max(np.abs(K)), 1e-8))

@@ -134,18 +134,16 @@ def wave_table(family, n_max: int, lattice: TruncatedLattice | None = None) -> W
 
 
 @lru_cache(maxsize=48)
-def _cached_table(family, n_max, x_max_hint):
-    if family.finite:
-        return wave_table(family, n_max, TruncatedLattice(x_max=family.M, tail_tol=0.0))
-    x_min = max(_zone_need(family, n_max), n_max + 1, x_max_hint or 0)
-    return wave_table(family, n_max, truncate(family, x_min=x_min))
+def _cached_table(family, n_max, lattice):
+    return wave_table(family, n_max, lattice)
 
 
 def get_table(family, n_max: int, x_max: int | None = None) -> WaveTable:
-    """Memoized wave table covering degrees <= n_max and lattice >= x_max."""
+    """Memoized wave table for degrees <= n_max, keyed on the lattice truncated above x_max."""
     if family.finite:
         n_max = min(n_max, family.M)
-    return _cached_table(family, n_max, x_max)
+    x_min = max(_zone_need(family, n_max), n_max + 1, x_max or 0)
+    return _cached_table(family, n_max, truncate(family, x_min=x_min))
 
 
 def orthonormal_phi(family, n: int, x) -> float | np.ndarray:

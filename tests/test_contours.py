@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfkern.contours import ContourSpec, ContractError, QuadratureError
+from pfkern.contours import ContourSpec, ContractError, QuadratureError, unit_roots
 from pfkern.families import Charlier, Krawtchouk, Meixner, truncate
 from pfkern.lattice_ops import build_d, build_epsilon_direct
 from pfkern.kuznetsov import GaussianTest, m_h
@@ -16,6 +16,15 @@ def test_contour_spec_validation():
         ContourSpec(radius=0.5, node_count=100)
     with pytest.raises(ContractError):
         ContourSpec(radius=-1.0)
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_contour_nodes_come_from_shared_read_only_roots(orientation):
+    spec = ContourSpec(radius=0.7, center=0.5, node_count=64, orientation=orientation)
+    a = 2.0 * np.pi * orientation * np.arange(64) / 64
+    assert np.array_equal(spec.nodes(), spec.center + spec.radius * np.exp(1j * a))
+    roots = unit_roots(64, orientation)
+    assert roots is unit_roots(64, orientation) and not roots.flags.writeable
 
 
 def test_meixner_G_values():

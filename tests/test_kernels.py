@@ -199,38 +199,42 @@ def test_offdiagonal_symbol_reciprocity(fam):
 
 
 # ---------------------------------------------------------------------------
-# printed formulas against the naive triple sum on a 64-node grid.  Some of
-# the printed forms cancel to 1e-16 of their terms, so the comparison is
-# relative to the roundoff scale: the same sum over absolute values.
+# printed formulas against the naive triple sum on a 64-node grid, and
+# against the dense products (A C) B^T with the n x n Cauchy matrix C on
+# finer grids.  Some of the printed forms cancel to 1e-16 of their terms, so
+# the comparison is relative to the roundoff scale: the same sum over
+# absolute values.
 
 NAIVE_NODES = 64
 
 
-def _circle(r):
-    return r * np.exp(2j * np.pi * np.arange(NAIVE_NODES) / NAIVE_NODES)
+def _circle(r, nodes=NAIVE_NODES):
+    return r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
 
 
 def _naive(A, C, B):
-    """(value, sum of absolute terms) of the triple sum."""
-    val, mag = (np.einsum("xi,ij,yj->xy", *ops, optimize=False) / NAIVE_NODES ** 2
+    """(value, sum of absolute terms) of the triple sum: term by term on the
+    64-node grid, as the dense matrix products on finer ones."""
+    n = len(C)
+    val, mag = (np.einsum("xi,ij,yj->xy", *ops, optimize=n > NAIVE_NODES) / n ** 2
                 for ops in ((A, C, B), (abs(A), abs(C), abs(B))))
     return val.real, mag.real
 
 
-def _naive_meixner(fam, N, xs, regime, dq=lambda W1, W2: 1.0):
+def _naive_meixner(fam, N, xs, regime, dq=lambda W1, W2: 1.0, nodes=NAIVE_NODES):
     from pfkern.kernels import _meixner_pair
     s = fam.s
-    w1, w2 = (_circle(r) for r in _meixner_pair(fam, regime))
+    w1, w2 = (_circle(r, nodes) for r in _meixner_pair(fam, regime))
     rows = lambda w: np.array([((1 - s / w) / (1 - s * w)) ** (2 * N) * w ** (2 * N - x)
                                for x in xs])
     W1, W2 = w1[:, None], w2[None, :]
     return _naive(rows(w1), dq(W1, W2) / (W1 * W2 - 1), rows(w2))
 
 
-def _naive_nested(fam, N, xs, swap, m_func=None):
+def _naive_nested(fam, N, xs, swap, m_func=None, nodes=NAIVE_NODES):
     from pfkern.symbols import default_contour
-    inner, outer = (default_contour(fam, k).radius for k in ("inner", "outer"))
-    t1, t2 = (_circle(inner), _circle(outer)) if swap else (_circle(outer), _circle(inner))
+    inner, outer = (_circle(default_contour(fam, k).radius, nodes) for k in ("inner", "outer"))
+    t1, t2 = (inner, outer) if swap else (outer, inner)
     if fam.name == "charlier":
         rows = lambda t: np.array([np.exp(-fam.theta * t) * (1 + t) ** x for x in xs])
     else:
@@ -278,39 +282,39 @@ def _naive_dual(fam, N, xs):
     return out, mag
 
 
-def _printed_cases():
+def _printed_cases(n=NAIVE_NODES):
     mx, ch, kr = FAMS
     m_mx = lambda z: symbol(mx, "eps", z)
     printed = lambda W1, W2: (W2 - W1) / ((W1 ** 2 - 1) * (W2 ** 2 - 1))
     dq = lambda m: (lambda W1, W2: (m(W1) - m(W2)) / (W1 - W2))
     cases = {
-        "meixner-paper": (lambda xs: projection_contour(mx, 4, xs, variant="paper", nodes=64),
-                          lambda xs: _naive_meixner(mx, 4, xs, "product<1")),
+        "meixner-paper": (lambda xs: projection_contour(mx, 4, xs, variant="paper", nodes=n),
+                          lambda xs: _naive_meixner(mx, 4, xs, "product<1", nodes=n)),
         "meixner-swapped": (lambda xs: projection_contour(mx, 4, xs, variant="paper-swapped",
-                                                          nodes=64),
-                            lambda xs: _naive_meixner(mx, 4, xs, "product>1")),
-        "meixner-compose": (lambda xs: compose_contour(mx, 4, m_mx, xs, nodes=64),
-                            lambda xs: _naive_meixner(mx, 4, xs, "product<1", dq(m_mx))),
+                                                          nodes=n),
+                            lambda xs: _naive_meixner(mx, 4, xs, "product>1", nodes=n)),
+        "meixner-compose": (lambda xs: compose_contour(mx, 4, m_mx, xs, nodes=n),
+                            lambda xs: _naive_meixner(mx, 4, xs, "product<1", dq(m_mx), n)),
         "meixner-compose-swapped": (
-            lambda xs: compose_contour(mx, 4, m_mx, xs, variant="paper-swapped", nodes=64),
-            lambda xs: _naive_meixner(mx, 4, xs, "product>1", dq(m_mx))),
+            lambda xs: compose_contour(mx, 4, m_mx, xs, variant="paper-swapped", nodes=n),
+            lambda xs: _naive_meixner(mx, 4, xs, "product>1", dq(m_mx), n)),
         "meixner-compose-printed": (
-            lambda xs: compose_contour(mx, 4, m_mx, xs, numerator="printed", nodes=64),
-            lambda xs: _naive_meixner(mx, 4, xs, "product<1", printed)),
+            lambda xs: compose_contour(mx, 4, m_mx, xs, numerator="printed", nodes=n),
+            lambda xs: _naive_meixner(mx, 4, xs, "product<1", printed, n)),
     }
     for fam in (ch, kr):
         m = lambda z, fam=fam: inverse_eps_symbol(fam, z)
         for swap in (False, True):
             variant = "paper-swapped" if swap else "paper"
             cases[f"{fam.name}-{variant}"] = (
-                lambda xs, fam=fam, v=variant: projection_contour(fam, 4, xs, variant=v, nodes=64),
-                lambda xs, fam=fam, s=swap: _naive_nested(fam, 4, xs, s))
+                lambda xs, fam=fam, v=variant: projection_contour(fam, 4, xs, variant=v, nodes=n),
+                lambda xs, fam=fam, s=swap: _naive_nested(fam, 4, xs, s, nodes=n))
             cases[f"{fam.name}-compose-{variant}"] = (
                 lambda xs, fam=fam, v=variant, m=m: compose_contour(fam, 4, m, xs, variant=v,
-                                                                    nodes=64),
-                lambda xs, fam=fam, s=swap, m=m: _naive_nested(fam, 4, xs, s, m))
+                                                                    nodes=n),
+                lambda xs, fam=fam, s=swap, m=m: _naive_nested(fam, 4, xs, s, m, n))
         cases[f"{fam.name}-dual"] = (
-            lambda xs, fam=fam: projection_contour(fam, 4, xs, variant="dual", nodes=64),
+            lambda xs, fam=fam: projection_contour(fam, 4, xs, variant="dual", nodes=n),
             lambda xs, fam=fam: _naive_dual(fam, 4, xs))
     return cases
 
@@ -324,6 +328,96 @@ def test_printed_formula_matches_naive_triple_sum(case):
     xs = np.arange(0, 14)
     ref, mag = naive(xs)
     assert np.all(np.abs(fast(xs) - ref) <= 1e-13 * mag)
+
+
+# the dual form is not a printed formula: its circles are not concentric
+PRINTED_512 = {k: v for k, v in _printed_cases(512).items() if not k.endswith("-dual")}
+
+
+@pytest.mark.parametrize("case", sorted(PRINTED_512))
+def test_printed_formula_matches_dense_cauchy_matrix_at_512_nodes(case):
+    fast, dense = PRINTED_512[case]
+    xs = np.arange(0, 9)
+    ref, mag = dense(xs)
+    assert np.all(np.abs(fast(xs) - ref) <= 1e-13 * mag)
+
+
+@pytest.mark.parametrize("call", ["projection", "composition"])
+def test_printed_formula_builds_no_cauchy_matrix(call):
+    # a dense 1024-node Cauchy matrix alone is 16 MB, a 512-node one 4 MB
+    import tracemalloc
+    mx = Meixner(xi=0.45, beta_m=1.0)
+    run = {"projection": lambda: projection_contour(mx, 8, range(29), nodes=1024),
+           "composition": lambda: compose_contour(mx, 6, lambda z: symbol(mx, "eps", z),
+                                                  np.arange(23), nodes=512)}[call]
+    run()      # node tables and contour radii are cached on the first call
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out))
+    assert peak < 4 * 2 ** 20
+
+
+def _dense_scores(fam):
+    """Printed candidates of both adjudicators from the dense references at the
+    adjudicators' node counts, scored against the same oracle."""
+    from pfkern.kernels import _max_rel
+    out = {}
+    xs = np.arange(0, min(3 * 8 + 5, fam.M + 1 if fam.finite else 10 ** 9))
+    K = projection_direct(fam, 8, xs)
+    if fam.name == "meixner":
+        for regime in ("product<1", "product>1"):
+            out[f"paper {regime}"] = _naive_meixner(fam, 8, xs, regime, nodes=1024)[0]
+    else:
+        for swap, name in ((False, "paper"), (True, "paper-swapped")):
+            out[name] = _naive_nested(fam, 8, xs, swap, nodes=1024)[0]
+    proj = {k: _max_rel(v, K) for k, v in out.items()}
+    window = np.arange(0, min(3 * 6 + 5, fam.M + 1 if fam.finite else 10 ** 9))
+    S = oracle_block(fam, 6, 4, window).S
+    comp = {}
+    ms = {"printed-symbol": lambda z: symbol(fam, "eps", z),
+          "inverse-symbol": lambda z: inverse_eps_symbol(fam, z)}
+    for name, swap in (("paper printed-symbol", False), ("paper swapped", True),
+                       ("paper inverse-symbol", False), ("paper inverse-symbol swapped", True)):
+        m = ms["inverse-symbol" if "inverse" in name else "printed-symbol"]
+        dq = lambda W1, W2, m=m: (m(W1) - m(W2)) / (W1 - W2)
+        with np.errstate(all="ignore"):
+            Sc = (_naive_meixner(fam, 6, window, "product>1" if swap else "product<1", dq, 512)
+                  if fam.name == "meixner" else _naive_nested(fam, 6, window, swap, m, 512))[0]
+        comp[name] = _max_rel(Sc, S) if np.all(np.isfinite(Sc)) else np.inf
+    if fam.name == "meixner":
+        printed = lambda W1, W2: (W2 - W1) / ((W1 ** 2 - 1) * (W2 ** 2 - 1))
+        comp["paper printed-numerator"] = _max_rel(
+            _naive_meixner(fam, 6, window, "product<1", printed, 512)[0], S)
+    return proj, comp
+
+
+ADJUDICATED = [Meixner(xi=0.25, beta_m=1.0), Meixner(xi=0.45, beta_m=1.0),
+               Meixner(xi=0.64, beta_m=1.0), Charlier(theta=1.0), Charlier(theta=4.0),
+               *(Krawtchouk(M=M, p=0.4) for M in (58, 60, 63, 64, 65))]
+
+
+@pytest.mark.parametrize("fam", ADJUDICATED, ids=repr)
+def test_adjudication_reports_match_the_dense_printed_forms(fam):
+    # the FFT evaluation reassociates the dense trapezoid sums: every winner
+    # and outcome stays, a decisive score moves by roundoff only, and a
+    # roundoff-level winner stays at roundoff
+    proj, comp = _dense_scores(fam)
+    for rep, dense in ((adjudicate_projection(fam, 8), proj), (adjudicate_composition(fam), comp)):
+        dense = {**rep["candidates"], **dense}      # the dual form is not a printed one
+        assert set(dense) == set(rep["candidates"])
+        winner = min(dense, key=dense.get)
+        assert rep["winner"] == winner
+        for name, score in dense.items():
+            if score >= 1e-6:
+                assert abs(rep["candidates"][name] - score) <= 1e-9 * score, name
+        if dense[winner] < 1e-10:
+            assert rep["winner_error"] < 1e-10
+        if "outcome" in rep:
+            assert (rep["outcome"] == "match") == (dense[winner] < 1e-6)
 
 
 @pytest.mark.parametrize("M", [58, 63, 64, 65])

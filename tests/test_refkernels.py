@@ -138,3 +138,12 @@ def test_bessel_kernel_symmetric_and_diagonal():
     # diagonal limit via finite separation
     Kod = bessel_kernel(1.0, np.array([1.0]), np.array([1.0 + 1e-7]))
     assert Kod[0, 0] == pytest.approx(K[1, 1], rel=1e-5)
+
+
+def test_kernels_on_one_argument_array_match_two_copies():
+    # with y the same array as x the special functions are evaluated once
+    x = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
+    for a in (0.0, 0.5, 1.0, 3.0):
+        assert np.array_equal(bessel_kernel(a, x, x), bessel_kernel(a, x, x.copy()))
+    s = np.linspace(-4.0, 2.0, 9)
+    assert np.array_equal(airy_kernel(s, s), airy_kernel(s, s.copy()))

@@ -175,3 +175,12 @@ def test_wave_table_peak_memory_is_one_table():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * tab.phi.nbytes
+
+
+def test_wave_table_cache_is_keyed_on_the_lattice():
+    # a lattice hint inside the truncated lattice reuses its table
+    fam = Charlier(theta=96.0)
+    tab = get_table(fam, 40)
+    assert tab.lattice.x_max > 150
+    assert get_table(fam, 40, 150) is tab
+    assert get_table(fam, 40, tab.lattice.x_max + 1).lattice.x_max > tab.lattice.x_max
