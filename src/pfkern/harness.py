@@ -18,7 +18,7 @@ import numpy as np
 
 from .families import Charlier, DomainError, Krawtchouk, Meixner
 from .kernels import (_assemble_blocks, _rank_one_factors, beta1_indices, contour_rows,
-                      oracle_block, projection_direct, rank_of, rank_one_window)
+                      oracle_block, projection_direct, rank_of)
 from .refkernels import airy_kernel, bessel_kernel, sine_kernel, sine_kernel_deriv
 from .saddles import bulk_support, edge_data, saddle_solve, site_density
 
@@ -51,11 +51,18 @@ def _window_positions(A, u, spacing_sites, grid):
 
 
 def _window_block(fam, N, beta, xs, block):
-    """The requested block on the window: K (the projection) or the oracle
-    route's S, SD or epsS."""
-    if block == "K":
-        return projection_direct(fam, N, xs)
-    return getattr(oracle_block(fam, N, beta, xs), block)
+    """The requested block on the window, K (the projection) or the oracle
+    route's S, SD or epsS, and for beta = 1 the rank-one term
+    (1/2) phi_a (x) (eps phi_b)(y) (else None).  At beta = 1 both, and K too,
+    are read from one oracle block's factors (L, E, R): K from the rows of L
+    but its last, the rank-one term from the last rows of L and R."""
+    if beta != 1:
+        return (projection_direct(fam, N, xs) if block == "K"
+                else getattr(oracle_block(fam, N, beta, xs), block)), None
+    blk = oracle_block(fam, N, 1, xs)
+    L, E, R = blk.factors
+    V = L[:-1, xs].T @ L[:-1, xs] if block == "K" else getattr(blk, block)
+    return V, E[-1, -1] * np.outer(L[-1, xs], R[-1, xs])
 
 
 def fit_amplitude(V, T):
@@ -77,7 +84,8 @@ def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
         rho = site_density(fam, u, N)
         sp = 1.0 / rho
         xs = _window_positions(A, u, sp, grid)
-        V = _window_block(fam, N, beta, xs, block) * sp
+        V, rank_one = _window_block(fam, N, beta, xs, block)
+        V = V * sp
         seff = (xs - A * u) * rho
         T = sine_kernel(seff[:, None], seff[None, :])
         c = fit_amplitude(V, T)
@@ -88,7 +96,7 @@ def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
             "diag_err": float(np.max(np.abs(np.diag(V) - 1.0))),
         }
         if beta == 1:
-            entry["rank_one_sup"] = float(np.max(np.abs(rank_one_window(fam, N, xs))) * sp)
+            entry["rank_one_sup"] = float(np.max(np.abs(rank_one)) * sp)
         rows.append(entry)
     errs = [r["sup_err_fitted"] for r in rows]
     ok = bool(np.all(np.isfinite(errs))) and min(errs) > 0 and len(errs) > 1
@@ -116,7 +124,8 @@ def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right"
         xs = xs[xs >= 0]
         if fam.finite:
             xs = xs[xs <= fam.M]
-        V = _window_block(fam, N, beta, xs, block) * c_A
+        V, rank_one = _window_block(fam, N, beta, xs, block)
+        V = V * c_A
         seff = orient * (xs - A * u_star) / c_A
         order = np.argsort(seff)
         s_sorted = seff[order]
@@ -126,7 +135,7 @@ def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right"
         entry = {"A": int(A), "c_A": c_A, "c_fit": c,
                  "sup_err_fitted": float(np.max(np.abs(Vo / c - T))) if c else float("inf")}
         if beta == 1:
-            entry["rank_one_sup"] = float(np.max(np.abs(rank_one_window(fam, N, xs))) * c_A)
+            entry["rank_one_sup"] = float(np.max(np.abs(rank_one)) * c_A)
         rows.append(entry)
     errs = [r["sup_err_fitted"] for r in rows]
     return {"regime": regime.kind, "beta": beta, "side": side, "u_star": u_star,
@@ -205,10 +214,10 @@ def correction_extract(regime: Regime, beta: int, u: float, A_list,
         rho = site_density(fam, u, N)
         sp = 1.0 / rho
         xs = _window_positions(A, u, sp, grid)
-        blk = oracle_block(fam, N, beta, xs)
-        V = blk.S * sp
+        V, rank_one = _window_block(fam, N, beta, xs, "S")
+        V = V * sp
         if beta == 1:
-            V = V - rank_one_window(fam, N, xs) * sp
+            V = V - rank_one * sp
         seff = (xs - A * u) * rho
         T = sine_kernel(seff[:, None], seff[None, :])
         # resample onto the requested grid so fields are commensurate

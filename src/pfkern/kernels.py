@@ -1,13 +1,26 @@
 """Projection kernels and the beta = 1, 4 scalar/off-diagonal blocks.
 
 Every block on a window is one Gram sandwich S = L_x^T E R_y: row stacks
-L, R of wave functions (or their multiplier images) on the truncated lattice
-around a small Gram E.  `_assemble_blocks` evaluates it, and each route only
-chooses (L, E, R).  The inserted blocks come from the same factors,
-SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps applied as
-stencil and prefix sums, so no lattice-by-lattice matrix is formed.  A
-`KernelBlockSet` computes them on first read, so a caller that reads only S
-never pays for them.
+L, R of wave functions on the truncated lattice around a small Gram E,
+E = Phi eps(Phi)^T for beta = 4 and the rank-one stacks for beta = 1.  One
+builder, `gram_block`, forms every block; an entry point only chooses the
+rows, the eps inside E and the provenance:
+
+  entry point              rows      eps                         provenance
+  oracle_block             oracle    lattice                     oracle
+  s4_block, s1_block       contour   lattice                     contour
+  compose_columns          oracle    multiplier                  contour-columns
+  kuznetsov.spliced_s4     contour   multiplier times m_h        contour
+  kuznetsov.spliced_oracle oracle    multiplier times m_h        oracle
+  kuznetsov.spliced_s1     oracle    multiplier times m_h        contour-columns
+
+(oracle rows: recurrence tables; contour rows: coefficient extraction,
+refused where K(x, x) > 1; multiplier: the contour image under the inverse
+eps symbol.)  The inserted blocks of a lattice-eps block come from the same
+factors, SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps
+applied as stencil and prefix sums, so no lattice-by-lattice matrix is
+formed.  A `KernelBlockSet` computes them on first read, so a caller that
+reads only S never pays for them.
 
 Three evaluation routes coexist and are cross-checked:
 
@@ -64,10 +77,12 @@ def default_window(family, N: int) -> np.ndarray:
 class KernelBlockSet:
     """Scalar block S plus the symbol-inserted blocks on a lattice window.
 
-    A block built from lattice factors (L, E, R), S = L_x^T E R_y, computes
+    `gram_block` builds every block from lattice factors (L, E, R),
+    S = L_x^T E R_y.  A block whose eps is the lattice operator computes
     SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y on first read, with D
-    and eps applied to the whole lattice as stencil and prefix sums.  Without
-    factors both read None."""
+    and eps applied to the whole lattice as stencil and prefix sums.  A block
+    whose eps is a contour multiplier (composed, spliced) has no inserted
+    blocks: both read None."""
 
     family: object
     beta: int
@@ -78,10 +93,11 @@ class KernelBlockSet:
     provenance: str = "oracle"
     meta: dict = field(default_factory=dict)
     factors: tuple | None = field(default=None, repr=False, compare=False)
+    multiplier: object = field(default=None, repr=False, compare=False)
 
     @cached_property
     def SD(self) -> np.ndarray | None:
-        if self.factors is None:
+        if self.multiplier is not None:
             return None
         L, E, R = self.factors
         RD = -apply_d(self.family, R.T).T          # R D, since D^T = -D
@@ -89,7 +105,7 @@ class KernelBlockSet:
 
     @cached_property
     def epsS(self) -> np.ndarray | None:
-        if self.factors is None:
+        if self.multiplier is not None:
             return None
         L, E, R = self.factors
         return _assemble_blocks(apply_eps(self.family, L.T).T, E, R, self.xs, self.ys)
@@ -101,7 +117,7 @@ class KernelBlockSet:
 
 
 # ---------------------------------------------------------------------------
-# the block core
+# the block builder
 
 
 def _assemble_blocks(L, E, R, xs=slice(None), ys=None):
@@ -121,38 +137,46 @@ def _rank_one_factors(rows, eps_b_row):
     return rows, E, np.vstack([rows[:-1], eps_b_row])
 
 
-def _scalar_block(family, N: int, beta: int, window, route: str,
-                  lattice: TruncatedLattice | None = None, **meta) -> KernelBlockSet:
-    """The beta = 1 or 4 scalar block (SD and epsS on first read) from the rows
-    phi_0..phi_r of the route ('oracle': recurrence tables, 'contour':
-    contour extraction): L = R = Phi with E = Phi eps(Phi^T) for beta = 4,
-    the rank-one stacks for beta = 1.  The contour route raises
-    QuadratureError where its rows give K(x, x) > 1 + 1e-6 on the lattice."""
+def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
+               lattice: TruncatedLattice | None = None, provenance: str | None = None,
+               **meta) -> KernelBlockSet:
+    """The beta = 1 or 4 block on the window, with its factors.
+
+    Rows phi_0..phi_r on the lattice come from the route: 'oracle' reads the
+    recurrence tables, 'contour' the contour extraction, which raises
+    QuadratureError where its rows give K(x, x) > 1 + 1e-6.  eps is the
+    lattice operator, or the contour image under z -> multiplier(z) if one is
+    given.  beta = 4: L = R = Phi with E = Phi eps(Phi)^T; beta = 1: the
+    rank-one stacks.  Provenance defaults to the route; `meta` adds to the
+    lattice size."""
     window = default_window(family, N) if window is None else np.asarray(window)
     lattice = lattice or oracle_lattice(family, N, window)
     r = rank_of(family, N)
     if route == "oracle":
         phi = _phi_on(family, r + 1, lattice)
     else:
-        phi = contour_rows(family, range(r + 1), np.arange(lattice.size))
+        phi = _contour_phi(family, r + 1, lattice)
         diag = float(np.max(np.sum(phi[:r] ** 2, axis=0)))   # max K(x, x), at most 1
         if not diag <= 1.0 + 1e-6:
             raise QuadratureError(f"contour rows give K(x, x) = {diag:.3g} > 1 "
                                   f"on {lattice.size} sites")
+
+    def eps(lo, hi):     # rows eps phi_lo..eps phi_(hi - 1)
+        if multiplier is None:
+            return apply_eps(family, phi[lo:hi].T).T
+        return contour_rows(family, range(lo, hi), np.arange(lattice.size), multiplier, "eps")
+
     if beta == 4:
-        factors = phi[:r], phi[:r] @ apply_eps(family, phi[:r].T), phi[:r]
+        factors = phi[:r], phi[:r] @ eps(0, r).T, phi[:r]
     elif beta == 1:
         a, b = beta1_indices(family, N)
-        factors = _rank_one_factors(phi[:a + 1], apply_eps(family, phi[b]))
+        factors = _rank_one_factors(phi[:a + 1], eps(b, b + 1))
     else:
         raise ValueError("beta must be 1 or 4")
     return KernelBlockSet(family=family, beta=beta, N=N, xs=window, ys=window,
-                          S=_assemble_blocks(*factors, window), provenance=route,
-                          meta={"lattice_x_max": lattice.x_max, **meta}, factors=factors)
-
-
-# ---------------------------------------------------------------------------
-# oracle route
+                          S=_assemble_blocks(*factors, window), provenance=provenance or route,
+                          meta={"lattice_x_max": lattice.x_max, **meta}, factors=factors,
+                          multiplier=multiplier)
 
 
 def oracle_lattice(family, N: int, window) -> TruncatedLattice:
@@ -168,6 +192,27 @@ def _phi_on(family, n_top, lattice):
     return tab.phi[:, : lattice.size]
 
 
+@lru_cache(maxsize=1)
+def _contour_phi(family, n_top, lattice):
+    """Rows phi_0..phi_(n_top - 1) on the lattice by contour extraction, read-only:
+    kept for the next block, so a beta = 4 request after its beta = 1 twin (or
+    the other way round) extracts nothing."""
+    phi = contour_rows(family, range(n_top), np.arange(lattice.size))
+    phi.flags.writeable = False
+    return phi
+
+
+def contour_rows(family, degrees, xs, multiplier=None, kind: str = "single"):
+    """Rows [k, x]: the single-contour image of phi_k under `multiplier`
+    (phi_k itself without one) on the circle `default_contour(family, kind, k)`."""
+    return np.asarray([contour_image(family, int(k), xs, default_contour(family, kind, int(k)),
+                                     multiplier) for k in degrees])
+
+
+# ---------------------------------------------------------------------------
+# entry points: each one builder call
+
+
 def projection_direct(family, N: int, xs, ys=None):
     """K_N by the finite sum of wave-function products."""
     ys = xs if ys is None else ys
@@ -180,70 +225,33 @@ def projection_direct(family, N: int, xs, ys=None):
 def oracle_block(family, N: int, beta: int, window=None,
                  lattice: TruncatedLattice | None = None) -> KernelBlockSet:
     """S, SD, epsS from the recurrence tables with the parity-split eps."""
-    return _scalar_block(family, N, beta, window, "oracle", lattice)
+    return gram_block(family, N, beta, window, "oracle", lattice=lattice)
 
 
-def rank_one_window(family, N: int, xs) -> np.ndarray:
-    """The beta = 1 rank-one term (1/2) phi_a(x) (eps phi_b)(y) on the window,
-    from the same lattice and wave table as `oracle_block`."""
-    xs = np.asarray(xs)
-    phi = _phi_on(family, rank_of(family, N) + 1, oracle_lattice(family, N, xs))
-    a, b = beta1_indices(family, N)
-    return 0.5 * np.outer(phi[a, xs], apply_eps(family, phi[b])[xs])
-
-
-# ---------------------------------------------------------------------------
-# columns route (exact contour realization of composed operators)
-
-
-def contour_rows(family, degrees, xs, multiplier=None, kind: str = "single"):
-    """Rows [k, x]: the single-contour image of phi_k under `multiplier`
-    (phi_k itself without one) on the circle `default_contour(family, kind, k)`."""
-    return np.asarray([contour_image(family, int(k), xs, default_contour(family, kind, int(k)),
-                                     multiplier) for k in degrees])
-
-
-def multiplier_gram(family, phi, m_func=None):
-    """E[j, k] = <phi_j, T phi_k> where T acts by the inverse-eps symbol times
-    the optional analytic m_func; phi holds the rows phi_0..phi_{r-1} on the
-    lattice."""
-    sites = np.arange(phi.shape[1])
-    return phi @ contour_rows(family, range(len(phi)), sites, eps_multiplier(family, m_func),
-                              "eps").T
-
-
-def block_with_symbol_insertions(family, N: int, xs, m_center=None,
-                                 m_x=None, m_y=None, ys=None):
-    """Composed window with analytic symbols inserted per contour variable.
-
-    The centre symbol rides on the inverse-difference multiplier (the
-    composed operator); m_x / m_y multiply the variable-1 / variable-2
-    integrands of the single-contour factors, exactly as the off-diagonal
-    block rules prescribe.
-    """
-    ys = xs if ys is None else ys
-    lattice = oracle_lattice(family, N, np.array([int(max(np.max(xs), np.max(ys)))]))
-    r = rank_of(family, N)
-    phi = _phi_on(family, r + 1, lattice)[:r]
-    sites = np.arange(lattice.size)
-    L = phi if m_x is None else contour_rows(family, range(r), sites, m_x, "image")
-    R = phi if m_y is None else contour_rows(family, range(r), sites, m_y, "image")
-    return _assemble_blocks(L, multiplier_gram(family, phi, m_center), R, xs, ys)
-
-
-def compose_columns(family, N: int, xs, ys=None, m_func=None) -> KernelBlockSet:
-    """(K T K) block where T acts by the inverse-eps symbol times m_func.
+def compose_columns(family, N: int, xs, m_func=None) -> KernelBlockSet:
+    """(K T K) block where T acts by the inverse-eps symbol times m_func: the
+    oracle rows with eps as that contour multiplier.
 
     This is the exact resummation of the double-contour composition; the
     printed difference-quotient formulas are checked against it and against
     the lattice oracle by `adjudicate_composition`.
     """
-    ys = xs if ys is None else ys
-    lattice = oracle_lattice(family, N, np.array([int(max(np.max(xs), np.max(ys)))]))
-    S = block_with_symbol_insertions(family, N, xs, m_center=m_func, ys=ys)
-    return KernelBlockSet(family=family, beta=4, N=N, xs=np.asarray(xs),
-                          ys=np.asarray(ys), S=S, provenance="contour-columns",
-                          meta={"lattice_x_max": lattice.x_max})
+    return gram_block(family, N, 4, xs, "oracle", eps_multiplier(family, m_func),
+                      provenance="contour-columns")
+
+
+def block_with_symbol_insertions(family, N: int, xs, m_center=None, m_y=None):
+    """Composed window with analytic symbols inserted per contour variable.
+
+    The centre symbol rides on the inverse-difference multiplier (the
+    composed operator, `compose_columns`); m_y multiplies the variable-2
+    integrands of the single-contour factors, exactly as the off-diagonal
+    block rules prescribe.
+    """
+    L, E, R = compose_columns(family, N, xs, m_center).factors
+    if m_y is not None:
+        R = contour_rows(family, range(len(R)), np.arange(R.shape[1]), m_y, "image")
+    return _assemble_blocks(L, E, R, xs)
 
 
 def s4_block(family, N: int, window=None, route: str = "contour") -> KernelBlockSet:
@@ -257,16 +265,16 @@ def s4_block(family, N: int, window=None, route: str = "contour") -> KernelBlock
     """
     if route == "oracle":
         return oracle_block(family, N, 4, window)
-    return _scalar_block(family, N, 4, window, "contour",
-                         adjudication=adjudicate_composition(family)["outcome"])
+    return gram_block(family, N, 4, window, "contour",
+                      adjudication=adjudicate_composition(family)["outcome"])
 
 
 def s1_block(family, N: int, window=None, route: str = "contour") -> KernelBlockSet:
     """beta = 1 scalar block: projection plus the half rank-one term."""
     if route == "oracle":
         return oracle_block(family, N, 1, window)
-    return _scalar_block(family, N, 1, window, "contour",
-                         rank_one_indices=beta1_indices(family, N))
+    return gram_block(family, N, 1, window, "contour",
+                      rank_one_indices=beta1_indices(family, N))
 
 
 # ---------------------------------------------------------------------------

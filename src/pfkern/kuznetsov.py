@@ -2,11 +2,14 @@
 
 An even test h defines the holomorphic symbol m_h(w) = int h(t) w^(-2it) dt
 on the slit plane (principal log).  Splicing multiplies the inverse-
-difference symbol by m_h in the family's contour variable; the composed
-operator is realized through single-contour columns exactly as in the
-unspliced case, so spliced contour blocks and the spliced lattice oracle
-are two independent evaluations (quadrature vs recurrence tables) of the
-same object.
+difference symbol by m_h in the family's contour variable.  Every spliced
+block is one call of `kernels.gram_block` with eps the contour multiplier
+`eps_multiplier(family, m_h)`, exactly as the unspliced `compose_columns`:
+`spliced_s4` takes contour-extracted rows (provenance 'contour'),
+`spliced_oracle` the recurrence-table rows ('oracle'), so the two are
+independent evaluations (quadrature vs recurrence tables) of the same
+object; `spliced_s1` puts the spliced eps phi_b into the beta = 1 rank-one
+term over the table rows ('contour-columns').  None has SD or epsS.
 
 The quadrature circles necessarily cross the branch cut at negative real
 points; the principal branch is used and the measured jump magnitude is
@@ -22,11 +25,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .families import DomainError
-from .kernels import (KernelBlockSet, _assemble_blocks, _phi_on, _rank_one_factors,
-                      beta1_indices, compose_columns, contour_rows, default_window,
-                      multiplier_gram, oracle_lattice, rank_of)
-from .symbols import (contour_image, default_contour, eps_multiplier,
-                      inverse_eps_symbol)
+from .kernels import (KernelBlockSet, beta1_indices, compose_columns, default_window,
+                      gram_block)
+from .symbols import default_contour, eps_multiplier, inverse_eps_symbol
 
 
 @dataclass(frozen=True)
@@ -151,50 +152,26 @@ def branch_jump(test: SpectralTest, radius: float) -> float:
     return float(abs(a - b))
 
 
-def _spliced(family, N: int, test: SpectralTest, window, route: str) -> KernelBlockSet:
-    """K (T_h eps) K on the window: L = R = the wave-function rows of the
-    route ('contour': extraction, 'oracle': recurrence tables), with E from
-    the m_h-spliced multiplier columns."""
-    window = default_window(family, N) if window is None else np.asarray(window)
-    lattice = oracle_lattice(family, N, window)
-    r = rank_of(family, N)
-    phi = (contour_rows(family, range(r), np.arange(lattice.size)) if route == "contour"
-           else _phi_on(family, r + 1, lattice)[:r])
-    S = _assemble_blocks(phi, multiplier_gram(family, phi, partial(m_h, test)), phi, window)
-    meta = ({"sigma": getattr(test, "sigma", None),
-             "branch_jump": branch_jump(test, default_contour(family, degree=N).radius)}
-            if route == "contour" else {"imag_max": 0.0, "lattice_x_max": lattice.x_max})
-    return KernelBlockSet(family=family, beta=4, N=N, xs=window, ys=window, S=S,
-                          provenance=route, meta=meta)
-
-
 def spliced_s4(family, N: int, test: SpectralTest, window=None) -> KernelBlockSet:
     """K (T_h eps) K with every factor coming from contour quadrature:
     multiplier columns for T_h eps and contour-extracted wave functions for
     both projections (the spliced oracle below evaluates the same operator
     from the recurrence tables instead)."""
-    return _spliced(family, N, test, window, "contour")
+    return gram_block(family, N, 4, window, "contour", eps_multiplier(family, partial(m_h, test)),
+                      sigma=getattr(test, "sigma", None),
+                      branch_jump=branch_jump(test, default_contour(family, degree=N).radius))
 
 
 def spliced_oracle(family, N: int, test: SpectralTest, window=None) -> KernelBlockSet:
     """Independent evaluation: identical multiplier realization, but all
     projection sums taken from the recurrence tables on a larger lattice."""
-    return _spliced(family, N, test, window, "oracle")
+    return gram_block(family, N, 4, window, "oracle", eps_multiplier(family, partial(m_h, test)))
 
 
 def spliced_s1(family, N: int, test: SpectralTest, window=None) -> KernelBlockSet:
     """K + (1/2) phi_a (x) (T_h eps phi_b) with the spliced rank-one factor."""
-    window = default_window(family, N) if window is None else np.asarray(window)
-    lattice = oracle_lattice(family, N, window)
-    r = rank_of(family, N)
-    phi = _phi_on(family, r + 1, lattice)[:, window]
-    a, b = beta1_indices(family, N)
-    col = contour_image(family, b, window, default_contour(family, "eps", b),
-                        eps_multiplier(family, partial(m_h, test)))
-    S = _assemble_blocks(*_rank_one_factors(phi[:a + 1], col))
-    return KernelBlockSet(family=family, beta=1, N=N, xs=window, ys=window, S=S,
-                          provenance="contour-columns",
-                          meta={"rank_one_indices": (a, b)})
+    return gram_block(family, N, 1, window, "oracle", eps_multiplier(family, partial(m_h, test)),
+                      provenance="contour-columns", rank_one_indices=beta1_indices(family, N))
 
 
 def constant_limit_check(family, N: int, sigmas=(1e2, 1e4, 1e6), window=None) -> dict:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from pfkern.cli import main
 
@@ -166,6 +167,27 @@ def test_kernel_contour_route_refuses_inaccurate_rows(tmp_path, capsys):
     assert code == 2
     assert "K(x, x)" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("family", [("--family", "meixner", "--xi", "0.64", "--N", "16"),
+                                    ("--family", "charlier", "--theta", "1", "--N", "32")],
+                         ids=["meixner-0.64-N16", "charlier-1-N32"])
+def test_splice_kernel_refuses_inaccurate_rows(tmp_path, capsys, family):
+    # the spliced contour block takes its rows from the same guarded builder as
+    # the kernel command: aliased or cancelled rows are a numerical failure
+    code = main(["splice", "kernel", *family, "--out", str(tmp_path)])
+    assert code == 2
+    assert "K(x, x)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_splice_kernel_has_no_inserted_blocks(tmp_path):
+    # a spliced block's eps is a contour multiplier: SD and epsS stay NaN
+    code = main(["splice", "kernel", "--family", "charlier", "--theta", "1", "--N", "6",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    cells = np.loadtxt(next(tmp_path.glob("spliced_*.csv")), delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(cells[:, 2])) and np.all(np.isnan(cells[:, 3:]))
 
 
 def test_asym_crossover_beta4_runs(tmp_path):

@@ -26,6 +26,10 @@ def test_bulk_rank_one_shares_the_oracle_table():
     _cached_table.cache_clear()
     bulk_convergence_test(CH, 1, 2.0, [24, 48])
     assert _cached_table.cache_info().misses == 2   # one wave table per A
+    # K and the rank-one term of the edge study come from the same block
+    _cached_table.cache_clear()
+    edge_convergence_test(CH, 1, [48, 96, 192], block="K")
+    assert _cached_table.cache_info().misses == 3
 
 
 def test_bulk_diag_within_error():

@@ -1,6 +1,7 @@
 """Static guards: every name a pfkern module imports is used in that module,
-and every top-level function or class of pfkern is named somewhere outside
-its own definition, in the package, its tests or its benchmark."""
+every top-level function or class of pfkern is named somewhere outside
+its own definition, in the package, its tests or its benchmark, and one
+function builds every kernel block."""
 import ast
 import functools
 import pathlib
@@ -65,3 +66,17 @@ def test_no_orphan_definitions(path):
                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
     named = _named_elsewhere()
     assert [name for name in defined if name not in named] == []
+
+
+def test_one_block_builder():
+    # every KernelBlockSet comes from one builder, so the lattice, rows and
+    # Gram of a block are chosen in one place
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "KernelBlockSet" for node in ast.walk(fn)):
+                builders.append(f"{path.stem}.{fn.name}")
+    assert builders == ["kernels.gram_block"]

@@ -118,6 +118,29 @@ def test_compose_columns_vs_oracle_structure(fam):
         assert np.max(np.abs(R)) > 1e-3   # structurally different operator
 
 
+@pytest.mark.parametrize("fam", FAMS, ids=IDS)
+def test_compose_columns_matches_explicit_sums(fam):
+    # Phi^T <Phi, T Phi> Phi with T phi_k the multiplier image of phi_k,
+    # every Gram entry and every window entry summed term by term
+    from pfkern.kernels import oracle_lattice
+    from pfkern.symbols import contour_image, default_contour, eps_multiplier
+    from pfkern.wavefunctions import get_table
+    N = 4
+    xs = np.arange(0, 14)
+    lat = oracle_lattice(fam, N, xs)
+    r = rank_of(fam, N)
+    phi = get_table(fam, r + 1, None if fam.finite else lat.x_max).phi[:r, :lat.size]
+    sites = np.arange(lat.size)
+    T_phi = [contour_image(fam, k, sites, default_contour(fam, "eps", k), eps_multiplier(fam))
+             for k in range(r)]
+    gram = [[sum(phi[j, z] * T_phi[k][z] for z in sites) for k in range(r)] for j in range(r)]
+    ref = np.array([[sum(phi[j, x] * gram[j][k] * phi[k, y] for j in range(r) for k in range(r))
+                     for y in xs] for x in xs])
+    blk = compose_columns(fam, N, xs)
+    assert blk.SD is None and blk.epsS is None
+    assert np.max(np.abs(blk.S - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_constant_symbol_degeneracy():
     # The printed composition annihilates constant symbols; K c K = c K does
     # not: the documented zeta = 0 caveat.

@@ -91,6 +91,25 @@ def test_spliced_s1_rank_one():
     assert sv[1] < 1e-8 * sv[0]
 
 
+@pytest.mark.parametrize("fam", [Charlier(theta=1.0), Krawtchouk(M=60, p=0.4),
+                                 Meixner(xi=0.25, beta_m=1.0)], ids=lambda f: f.name)
+def test_spliced_s1_matches_window_formula(fam):
+    # K + (1/2) phi_a (x) (T_h eps phi_b), the image taken on the window only
+    from functools import partial
+    from pfkern.kernels import beta1_indices, default_window
+    from pfkern.symbols import contour_image, default_contour, eps_multiplier
+    from pfkern.wavefunctions import orthonormal_phi
+    N, test = 6, GaussianTest(sigma=2.0)
+    xs = default_window(fam, N)
+    a, b = beta1_indices(fam, N)
+    image = contour_image(fam, b, xs, default_contour(fam, "eps", b),
+                          eps_multiplier(fam, partial(m_h, test)))
+    ref = projection_direct(fam, N, xs) + 0.5 * np.outer(orthonormal_phi(fam, a, xs), image)
+    blk = spliced_s1(fam, N, test)
+    assert np.array_equal(blk.xs, xs)
+    assert np.max(np.abs(blk.S - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_spliced_s1_constant_limit():
     fam = Charlier(theta=1.0)
     sigma = 1e6
