@@ -257,11 +257,12 @@ def _grid_resample(seff, R, grid):
 
 def _bessel_fit(V, xs, index, scale, offsets=np.linspace(0.0, 1.6, 17)):
     """Best (relative L2 error, offset, amplitude) of V against the Bessel
-    kernel at u = scale (x + offset)."""
+    kernel at u = scale (x + offset), every offset from one stacked call."""
+    lam = scale * (xs + offsets[:, None])
+    kernels = bessel_kernel(index, lam, lam)
+    kernels *= scale
     best = None
-    for d in offsets:
-        lam = scale * (xs + d)
-        T = bessel_kernel(index, lam, lam) * scale
+    for d, T in zip(offsets, kernels):
         c = fit_amplitude(V, T)
         if c <= 0:
             continue
@@ -328,8 +329,8 @@ def _crossover_block(family, N, xs, beta, block):
         a, b = beta1_indices(family, N)
         factors = _rank_one_factors(Phi[:a + 1], eps_phi_via_contour(family, b, xs))
     else:
-        from scipy.linalg import toeplitz
         s = family.s
         row = np.r_[0.0, (1 - s * s) / s * (-s) ** np.arange(r - 1)]   # G_{0,d}
-        factors = Phi[:r], np.linalg.inv(toeplitz(-row, row)), Phi[:r]
+        d = np.subtract.outer(np.arange(r), np.arange(r))   # d = j - k; G_{j,k} = row[k - j] if k > j
+        factors = Phi[:r], np.linalg.inv(np.where(d < 0, 1.0, -1.0) * row[np.abs(d)]), Phi[:r]
     return _assemble_blocks(*factors)

@@ -16,7 +16,9 @@ rows, the eps inside E and the provenance:
 
 (oracle rows: recurrence tables; contour rows: coefficient extraction,
 refused where K(x, x) > 1; multiplier: the contour image under the inverse
-eps symbol.)  The inserted blocks of a lattice-eps block come from the same
+eps symbol.)  Contour rows are extracted per circle (`contour_rows`): the
+degrees whose `default_contour` circle is the same share one
+`symbols.circle_images` call, and so its nodes, multiplier values and FFTs.  The inserted blocks of a lattice-eps block come from the same
 factors, SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps
 applied as stencil and prefix sums, so no lattice-by-lattice matrix is
 formed.  A `KernelBlockSet` computes them on first read, so a caller that
@@ -51,7 +53,7 @@ import numpy as np
 from .contours import QuadratureError, unit_roots
 from .families import Charlier, Meixner, TruncatedLattice, truncate
 from .lattice_ops import apply_d, apply_eps
-from .symbols import (_generating_logs, contour_image, default_contour, eps_multiplier,
+from .symbols import (_generating_logs, circle_images, default_contour, eps_multiplier,
                       inverse_eps_symbol, meixner_G, symbol)
 from .wavefunctions import get_table, _zone_need
 
@@ -204,9 +206,16 @@ def _contour_phi(family, n_top, lattice):
 
 def contour_rows(family, degrees, xs, multiplier=None, kind: str = "single"):
     """Rows [k, x]: the single-contour image of phi_k under `multiplier`
-    (phi_k itself without one) on the circle `default_contour(family, kind, k)`."""
-    return np.asarray([contour_image(family, int(k), xs, default_contour(family, kind, int(k)),
-                                     multiplier) for k in degrees])
+    (phi_k itself without one) on the circle `default_contour(family, kind, k)`,
+    one `circle_images` call per distinct circle."""
+    degrees, xs = [int(k) for k in degrees], np.atleast_1d(xs)
+    circles = {}
+    for i, k in enumerate(degrees):
+        circles.setdefault(default_contour(family, kind, k), []).append(i)
+    out = np.empty((len(degrees), len(xs)))
+    for contour, rows in circles.items():
+        out[rows] = circle_images(family, [degrees[i] for i in rows], xs, contour, multiplier)
+    return out
 
 
 # ---------------------------------------------------------------------------

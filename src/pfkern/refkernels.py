@@ -2,9 +2,11 @@
 
 Each kernel is a closed form in special functions from numpy and
 scipy.special: the sine kernel is `np.sinc`, and the Airy and Bessel kernels
-take Ai, Ai' from `airy` and J from `jv`, once per distinct argument array (y is
-x in every harness call).  Kernel formulas (not printed in the sources this library encodes)
-follow the standard literature conventions:
+take Ai, Ai' from `airy` and J from `jv`, one call per order for all their
+arguments (y is x in every harness call).  The Bessel kernel takes a stack of
+argument rows, so a fit over many scalings is one call.  Kernel formulas (not
+printed in the sources this library encodes) follow the standard literature
+conventions:
 
     K_sine(s, t) = sin(pi (s - t)) / (pi (s - t))
     K_Airy(x, y) = (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y)
@@ -50,6 +52,8 @@ def airy_kernel(x, y):
 def bessel_kernel(alpha: float, x, y):
     """Hard-edge (Bessel) kernel in the squared variables, alpha >= 0.
 
+    x and y may be stacks of argument rows [..., m]; the kernel of each pair
+    of rows is [..., m, m'], elementwise the one of a single-row call.
     s J_a'(s) is taken as a J_a(s) - s J_{a+1}(s), and the diagonal
     (J_a^2 - J_{a+1} J_{a-1}) / 4 with J_{a-1} = (2a/s) J_a - J_{a+1}, so
     both stay finite at x = 0, where J_{a-1} is infinite for 0 < a < 1."""
@@ -61,10 +65,14 @@ def bessel_kernel(alpha: float, x, y):
     dx = alpha * jx - sx * j1x
     jy = jx if same else jv(alpha, sy)
     dy = dx if same else alpha * jy - sy * jv(alpha + 1, sy)
-    num = jx[:, None] * dy[None, :] - dx[:, None] * jy[None, :]
-    den = 2.0 * (x[:, None] - y[None, :])
+    out = jx[..., :, None] * dy[..., None, :]
+    den = dx[..., :, None] * jy[..., None, :]       # scratch until it holds 2 (x - y)
+    out -= den
+    np.subtract(x[..., :, None], y[..., None, :], out=den)
+    den *= 2.0
+    near = (den > -1e-12) & (den < 1e-12)
+    np.divide(out, den, out=out, where=~near)
     # (2a/s) J_a J_{a+1} -> 0 as s -> 0 for every a >= 0
     diag = 0.25 * (jx ** 2 + j1x ** 2 - 2.0 * alpha * jx * j1x / np.where(sx > 0, sx, 1.0))
-    out = np.where(np.abs(den) < 1e-12, diag[:, None],
-                   num / np.where(np.abs(den) < 1e-12, 1.0, den))
+    np.copyto(out, diag[..., :, None], where=near)
     return out

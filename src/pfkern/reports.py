@@ -27,14 +27,20 @@ def write_json(path: str, payload: dict, config: dict | None = None) -> None:
 
 
 def write_kernel_csv(path: str, blk) -> None:
-    """Rows (x, y, S, SD, epsS) with 17 significant digits."""
-    sd = blk.SD if blk.SD is not None else np.full_like(blk.S, np.nan)
-    es = blk.epsS if blk.epsS is not None else np.full_like(blk.S, np.nan)
-    x, y = np.meshgrid(blk.xs, blk.ys, indexing="ij")
-    cells = np.stack([x.ravel(), y.ravel(), blk.S.ravel(), sd.ravel(), es.ravel()], axis=1)
+    """Rows (x, y, S, SD, epsS) with 17 significant digits, NaN for a block that
+    is None, formatted and written about 2048 cells at a time."""
+    ys = np.asarray(blk.ys)
+    step = max(1, 2048 // max(len(ys), 1))
     with open(path, "w") as fh:
         fh.write("x,y,S,SD,epsS\n")
-        fh.write("%d,%d,%.17g,%.17g,%.17g\n" * len(cells) % tuple(cells.ravel().tolist()))
+        for lo in range(0, len(blk.xs), step):
+            xs = np.asarray(blk.xs[lo:lo + step])
+            cells = np.empty((len(xs), len(ys), 5))
+            cells[..., 0] = xs[:, None]
+            cells[..., 1] = ys
+            for col, block in enumerate((blk.S, blk.SD, blk.epsS), start=2):
+                cells[..., col] = np.nan if block is None else block[lo:lo + step]
+            fh.write("%d,%d,%.17g,%.17g,%.17g\n" * (cells.size // 5) % tuple(cells.ravel().tolist()))
 
 
 def write_table_csv(path: str, header: list[str], rows) -> None:

@@ -128,20 +128,43 @@ def _generating_logs(family, z):
 
 
 def degree_integrand(family, xs, z, v):
-    """sum_j c(z_j) a(z_j)^x v_j at the sites x >= 0 (`_generating_logs`); with
-    v_j = multiplier * weight * z_j^(-n-1) it is the z^n coefficient that
-    `degree_prefactor` scales to phi_n(x).  Blocked: x = iB + k, B = floor(sqrt(max x + 1)),
-    sums (A0 P)[i, k] with P[j, k] = a_j^k and A0[i, j] = exp(log c_j + log v_j + iB log a_j)
-    at each block start iB that holds sites; an overflowing term gives a non-finite sum."""
+    """sum_j c(z_j) a(z_j)^x v_j at the sites x >= 0 (`_generating_logs`), for one row
+    v of node values, or [row, x] for a stack of rows on one circle; with v_j =
+    multiplier * weight * z_j^(-n-1) it is the z^n coefficient that `degree_prefactor`
+    scales to phi_n(x).  Blocked: x = iB + k, B = floor(sqrt(max x + 1)), sums
+    (A0 P)[i, k] with P[j, k] = a_j^k and A0[i, j] = exp(log c_j + log v_j + iB log a_j)
+    at each block start iB that holds sites.  A0 is a real exp of its log magnitude
+    times a unit phase; the phases and P are running products, and only log v
+    differs between the rows.  An overflowing term gives a non-finite sum."""
     log_c, log_a = _generating_logs(family, z)
     xs = np.asarray(xs, dtype=np.int64)
     lo, hi = int(xs.min(initial=0)), int(xs.max(initial=0))
     block = int(np.sqrt(hi + 1))
     starts = np.arange(lo - lo % block, hi + 1, block)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A0 = np.exp(log_c + np.log(np.asarray(v, dtype=complex)) + starts[:, None] * log_a)
-        P = np.vander(np.exp(log_a), block, increasing=True)
-        return (A0 @ P).ravel()[xs - starts[0]]
+        log_v = np.log(np.asarray(v, dtype=complex))
+        P = _running_powers(np.ones(len(z), dtype=complex), np.exp(log_a), block).T
+        phase = _running_powers(np.exp(1j * (log_c.imag + starts[0] * log_a.imag)),
+                                np.exp(1j * block * log_a.imag), len(starts))
+        mag, A0 = np.empty(phase.shape), np.empty_like(phase)    # reused by every row
+        rows = log_v.reshape(-1, len(z))
+        out = np.empty((len(rows), xs.size), dtype=complex)
+        for i, lv in enumerate(rows):
+            np.multiply.outer(starts, log_a.real, out=mag)
+            mag += log_c.real + lv.real
+            np.multiply(np.exp(mag, out=mag), phase, out=A0)
+            A0 *= np.exp(1j * lv.imag)
+            out[i] = (A0 @ P).ravel()[xs.ravel() - starts[0]]
+    return out.reshape(log_v.shape[:-1] + xs.shape)
+
+
+def _running_powers(first, step, count):
+    """Rows first * step^i for i < count, each from the last by one multiplication."""
+    out = np.empty((count, len(step)), dtype=complex)
+    out[0] = first
+    for i in range(1, count):
+        np.multiply(out[i - 1], step, out=out[i])
+    return out
 
 
 def degree_prefactor(family, n, x):
@@ -154,7 +177,7 @@ def degree_prefactor(family, n, x):
     log_h = np.concatenate([[0.0], np.cumsum(np.log(b2))])
     lw = family.log_weight(np.asarray(x, dtype=float))
     logmag = 0.5 * lw + gammaln(n + 1.0) - 0.5 * log_h[n]
-    sign = np.where(n % 2 == 0, 1.0, -1.0) if isinstance(family, Krawtchouk) else np.ones_like(logmag)
+    sign = np.where(n % 2 == 0, 1.0, -1.0) if isinstance(family, Krawtchouk) else np.ones(np.shape(n))
     return sign, logmag
 
 
@@ -229,46 +252,66 @@ def contour_image(family, n: int, x, contour: ContourSpec | None = None,
     """(M phi_n)(x) by contour coefficient extraction (adjudicated
     normalization), where M multiplies the generating representation of
     phi_n by multiplier(z) in the contour variable; phi_n itself without one.
+    The one-degree case of `circle_images`, on `default_contour(family,
+    degree=n)` unless a contour is given."""
+    vals = circle_images(family, [n], np.atleast_1d(x), contour or default_contour(family, degree=n),
+                         multiplier)[0]
+    return float(vals[0]) if np.ndim(x) == 0 else vals
 
-    The contour defaults to `default_contour(family, degree=n)`.  Meixner
-    requires beta_m = 1; the recurrence tables are the authority for other
-    beta_m.  A Charlier/Krawtchouk node sum (`degree_integrand`) that is not
-    finite raises QuadratureError: e^(-theta z) overflows once theta r > 709.
+
+def circle_images(family, degrees, xs, contour: ContourSpec, multiplier=None):
+    """Rows [k, x] of (M phi_k)(x) (`contour_image`) for degrees that share one
+    circle, and so its nodes, weights and multiplier values.  The degrees are
+    taken in increasing order, in chunks of at most 2^14 node values or sites
+    per row block, so no (degrees x nodes) array is held.
+
+    Meixner (beta_m = 1 only; the recurrence tables are the authority for other
+    beta_m): the rows core_j w_j are a running product of (z - s)/(1 - s z)
+    over the degrees, and the [w^x] coefficient on z_j = r exp(o 2 pi i j / n)
+    is r^-(x+1) FFT(core w)[o (x+1) mod n], one FFT per chunk; sites x >= n
+    alias onto x mod n, as the trapezoid sum does.  Charlier/Krawtchouk: one
+    `degree_integrand` and one `degree_prefactor` call per chunk; a row that
+    is not finite raises QuadratureError: e^(-theta z) overflows once
+    theta r > 709.
     """
-    if family.finite and n > family.M:
-        raise DomainError(f"degree {n} exceeds Krawtchouk M={family.M}")
-    contour = contour or default_contour(family, degree=n)
+    degrees, k = np.asarray(degrees, dtype=np.int64), np.asarray(xs, dtype=np.int64) + 1
+    if family.finite and np.any(degrees > family.M):
+        raise DomainError(f"degree {degrees.max()} exceeds Krawtchouk M={family.M}")
     check_admissible(family, contour)
     z = contour.nodes()
-    w = contour.weights(z)
-    mult = 1.0 if multiplier is None else multiplier(z)
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(x)
+    mult_w = (1.0 if multiplier is None else multiplier(z)) * contour.weights(z)
     if isinstance(family, Meixner):
         if family.beta_m != 1.0:
             raise ContractError("contour evaluation requires beta_m = 1; "
                                 "the recurrence table is authoritative otherwise")
         s = family.s
-        szego = np.sqrt(1.0 - s * s) / (1.0 - s * z)
-        core = szego * ((z - s) / (1.0 - s * z)) ** n * mult
-        vals = _meixner_extract(core * w, contour, xs)
-    else:
-        raw = degree_integrand(family, xs, z, mult * w * z ** (-n - 1)).real
-        if not np.all(np.isfinite(raw)):
-            raise QuadratureError(f"degree {n} extraction on radius {contour.radius:.6g} is not finite")
-        sign, logmag = degree_prefactor(family, n, xs)
-        vals = sign * raw * np.exp(logmag)
-    return float(vals[0]) if scalar else vals
-
-
-def _meixner_extract(core_w, contour: ContourSpec, xs):
-    """[w^x]-coefficients sum_j core_j w_j z_j^-(x+1) for a batch of sites x,
-    from one FFT of core_j w_j on the origin-centred circle z_j =
-    r exp(o 2 pi i j / n):  r^-(x+1) FFT(core w)[o (x+1) mod n].  Sites
-    x >= n alias (they read the bin of x mod n), as the trapezoid sum does."""
-    k = np.asarray(xs, dtype=np.int64) + 1
-    coef = np.fft.fft(core_w)[(contour.orientation * k) % len(core_w)]
-    return (coef * contour.radius ** -k).real
+        ratio = (z - s) / (1.0 - s * z)
+        n = int(degrees.min(initial=0))
+        row = np.sqrt(1.0 - s * s) / (1.0 - s * z) * ratio ** n * mult_w
+        bins, scale = (contour.orientation * k) % len(z), contour.radius ** -k
+    order = np.argsort(degrees, kind="stable")
+    out = np.empty((len(degrees), len(xs)))
+    step = max(1, 2 ** 14 // max(len(z), len(xs)))
+    for lo in range(0, len(order), step):
+        part = order[lo:lo + step]
+        if isinstance(family, Meixner):
+            chunk = np.empty((len(part), len(z)), dtype=complex)
+            for i, j in enumerate(part):
+                while n < degrees[j]:
+                    row *= ratio
+                    n += 1
+                chunk[i] = row
+            out[part] = (np.fft.fft(chunk, out=chunk)[:, bins] * scale).real
+            continue
+        ns = degrees[part, None]
+        raw = degree_integrand(family, xs, z, mult_w * z ** (-ns - 1)).real
+        bad = ~np.all(np.isfinite(raw), axis=1)
+        if np.any(bad):
+            raise QuadratureError(f"degree {ns[bad][0, 0]} extraction on radius "
+                                  f"{contour.radius:.6g} is not finite")
+        sign, logmag = degree_prefactor(family, ns, xs)
+        out[part] = np.exp(logmag, out=logmag) * (sign * raw)
+    return out
 
 
 def meixner_parity_sums(family: Meixner, n: int) -> tuple[float, float]:

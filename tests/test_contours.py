@@ -3,10 +3,11 @@ import pytest
 
 from pfkern.contours import ContourSpec, ContractError, QuadratureError, unit_roots
 from pfkern.families import Charlier, Krawtchouk, Meixner, truncate
+from pfkern.kernels import contour_rows
 from pfkern.lattice_ops import build_d, build_epsilon_direct
 from pfkern.kuznetsov import GaussianTest, m_h
 from pfkern.symbols import (charlier_w_map, contour_image, degree_integrand,
-                            default_contour, eps_multiplier, eps_phi_via_contour,
+                            degree_prefactor, default_contour, eps_multiplier, eps_phi_via_contour,
                             inverse_eps_symbol, meixner_G, ratio_map, symbol)
 from pfkern.wavefunctions import get_table
 
@@ -140,25 +141,60 @@ def test_eps_phi_contour_vs_lattice(fam):
         assert np.max(np.abs(rec[:half] - tab.phi[n, :half])) < 1e-8
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
-def test_meixner_extraction_matches_defining_sum(orientation):
-    # contour_image's FFT against sum_j core_j w_j z_j^-(x+1), sites beyond
-    # the node count included (they alias onto x mod n in both)
-    fam = Meixner(xi=0.36, beta_m=1.0)
-    spec = ContourSpec(radius=0.8, node_count=64, orientation=orientation)
-    z = spec.nodes()
-    w = spec.weights(z)
-    s, n = fam.s, 5
-    core = np.sqrt(1 - s * s) / (1 - s * z) * ((z - s) / (1 - s * z)) ** n
-    xs = np.array([0, 1, 7, 62, 63, 64, 65, 130, 200])
-    terms = np.array([core * w * z ** (-(x + 1.0)) for x in xs])
-    ref = terms.sum(axis=1).real
-    got = contour_image(fam, n, xs, spec)
-    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(terms).sum(axis=1))
-    if orientation == 1:
+def _meixner_defining_sums(fam, spec, degrees, xs):
+    """[n, x] sums sum_j core_j w_j z_j^-(x+1), core = sqrt(1 - s^2)/(1 - s z)
+    ((z - s)/(1 - s z))^n, over the circle's nodes, and sum_j |term_j|, in
+    extended precision."""
+    z = spec.nodes().astype(np.clongdouble)
+    w = spec.weights(spec.nodes()).astype(np.clongdouble)
+    s = np.longdouble(fam.s)
+    Z = z ** -(np.asarray(xs)[:, None] + 1)
+    ref, mag = [], []
+    for n in degrees:
+        core_w = np.sqrt(1 - s * s) / (1 - s * z) * ((z - s) / (1 - s * z)) ** n * w
+        ref.append(Z @ core_w)
+        mag.append(np.abs(Z) @ np.abs(core_w))
+    return np.array(ref).real, np.array(mag)
+
+
+@pytest.mark.parametrize("orientation, case", [(1, "one"), (-1, "one"), (1, "crossover")],
+                         ids=["1", "-1", "crossover"])
+def test_meixner_extraction_matches_defining_sum(orientation, case):
+    # 'one': contour_image of one degree on a 64-node circle, sites beyond the
+    # node count included (they alias onto x mod n in both).  'crossover':
+    # contour_rows of the degrees 0..64 that share the 16384-node circle of
+    # the hard-edge crossover, a running product FFT'd in chunks
+    if case == "one":
+        fam = Meixner(xi=0.36, beta_m=1.0)
+        spec = ContourSpec(radius=0.8, node_count=64, orientation=orientation)
+        degrees, xs = [5], np.array([0, 1, 7, 62, 63, 64, 65, 130, 200])
+        got = contour_image(fam, 5, xs, spec)[None]
+    else:
+        fam = Meixner(xi=1 - 1.05 / 64)
+        spec = default_contour(fam)
+        degrees, xs = range(65), np.arange(41)
+        assert spec.node_count == 16384 and {default_contour(fam, degree=n) for n in degrees} == {spec}
+        got = contour_rows(fam, degrees, xs)
+    ref, mag = _meixner_defining_sums(fam, spec, degrees, xs)
+    assert np.all(np.abs(got - ref) <= 1e-13 * mag)
+    if case == "one" and orientation == 1:
         # below the node count the sum is the wave function itself
-        tab = get_table(fam, n + 1, x_max=40)
-        assert np.max(np.abs(got[:3] - tab.phi[n, xs[:3]])) < 1e-12
+        tab = get_table(fam, 6, x_max=40)
+        assert np.max(np.abs(got[0, :3] - tab.phi[5, xs[:3]])) < 1e-12
+
+
+def test_meixner_rows_memory_is_chunked():
+    # 65 rows of 16384 nodes stacked would take 17 MB
+    import tracemalloc
+    fam = Meixner(xi=1 - 1.05 / 64)
+    tracemalloc.start()
+    try:
+        rows = contour_rows(fam, range(65), range(41))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (65, 41) and np.all(np.isfinite(rows))
+    assert peak < 4 * 2 ** 20
 
 
 def test_meixner_extraction_memory_is_linear():
@@ -194,39 +230,65 @@ def _defining_sums(fam, xs, z, v):
     return terms.sum(axis=1), np.abs(terms).sum(axis=1)
 
 
-@pytest.mark.parametrize("fam", [Charlier(theta=1.0), Charlier(theta=96.0),
-                                 Krawtchouk(M=64, p=0.4), Krawtchouk(M=200, p=0.4),
-                                 Krawtchouk(M=200, p=0.6), Krawtchouk(M=600, p=0.4)],
-                         ids=lambda f: f"{f.name}-{getattr(f, 'theta', getattr(f, 'M', 0))}"
-                                       + (f"-p{f.p}" if f.finite and f.p != 0.4 else ""))
+_INTEGRAND_FAMILIES = [Charlier(theta=1.0), Charlier(theta=96.0), Krawtchouk(M=64, p=0.4),
+                       Krawtchouk(M=200, p=0.4), Krawtchouk(M=200, p=0.6), Krawtchouk(M=600, p=0.4)]
+
+
+@pytest.mark.parametrize("fam, rows", [(f, False) for f in _INTEGRAND_FAMILIES]
+                         + [(Charlier(theta=1.0), True)],
+                         ids=[f"{f.name}-{getattr(f, 'theta', getattr(f, 'M', 0))}"
+                              + (f"-p{f.p}" if f.finite and f.p != 0.4 else "")
+                              for f in _INTEGRAND_FAMILIES] + ["charlier-1.0-rows"])
 @pytest.mark.parametrize("spliced", [False, True], ids=["plain", "spliced"])
-def test_degree_integrand_matches_defining_sum(fam, spliced):
+def test_degree_integrand_matches_defining_sum(fam, rows, spliced):
     # the blocked product against the node sum it replaces, on each degree's
     # own circle: every degree up to 96, then every 8th.  The reference is
     # taken on every 8th site, offset by the degree, plus B - 1, B, B + 1 for
     # the internal block length B = floor(sqrt(L)).  A window far from 0 and
     # scalar sites are checked every 16th degree.  The last two families put
     # (1 + p z)^M below the double range at z = -r on the high-degree circles
-    # while the terms at x near M there are the largest of the sum.
+    # while the terms at x near M there are the largest of the sum.  The
+    # degrees of one circle are also summed as one stacked call.  'rows'
+    # checks contour_rows, whose degrees >= 1 all share the clipped 0.97
+    # circle at theta = 1, against the prefactor times the same references,
+    # up to degree 96 (the prefactor sqrt(n!/x!) overflows past a few hundred).
     L = fam.M + 1 if fam.finite else 785
     xs, B = np.arange(L), int(np.sqrt(L))
-    for n in np.r_[0:min(L - 1, 96) + 1, 97:L:8]:
-        spec = default_contour(fam, "eps" if spliced else "single", n)
+    kind = "eps" if spliced else "single"
+    degrees = np.r_[0:97] if rows else np.r_[0:min(L - 1, 96) + 1, 97:L:8]
+    circles = {}
+    for n in degrees:
+        circles.setdefault(default_contour(fam, kind, n), []).append(n)
+    if rows:
+        got = dict(zip(degrees, contour_rows(fam, degrees, xs, _spliced(fam) if spliced else None,
+                                             kind)))
+    for spec, ns in circles.items():
         z = spec.nodes()
         mult = _spliced(fam)(z) if spliced else 1.0
-        v = mult * spec.weights(z) * z ** (-n - 1)
-        sites = np.unique(np.r_[np.arange(n % 8, L, 8), B - 1, B, B + 1, L - 1])
-        checks = [(sites, degree_integrand(fam, xs, z, v)[sites])]
-        if n % 16 == 0:
-            part = np.arange(max(L - 85, 1), L)[::3]
-            checks.append((part, degree_integrand(fam, part, z, v)))
-            for x in (0, B + 1, L - 1):
-                one = degree_integrand(fam, x, z, v)
-                assert np.ndim(one) == 0
-                checks.append(([x], np.atleast_1d(one)))
-        for sites, vals in checks:
-            ref, mag = _defining_sums(fam, sites, z, v)
-            assert np.all(np.abs(vals - ref) <= 1e-13 * mag), (n, sites)
+        V = mult * spec.weights(z) * z ** (-np.array(ns)[:, None] - 1)
+        stacked = degree_integrand(fam, xs, z, V)
+        for n, v, row in zip(ns, V, stacked):
+            sites = np.unique(np.r_[np.arange(n % 8, L, 8), B - 1, B, B + 1, L - 1])
+            if rows:    # where the prefactor is a normal double, not a subnormal one
+                sign, logmag = degree_prefactor(fam, n, sites)
+                normal = logmag > np.log(np.finfo(float).tiny)
+                sites, scale = sites[normal], np.exp(logmag[normal])
+                ref, mag = _defining_sums(fam, sites, z, v)
+                assert np.all(np.abs(got[n][sites] - sign * scale * ref.real)
+                              <= 1e-13 * scale * mag), (n, sites)
+                continue
+            checks = [(sites, degree_integrand(fam, xs, z, v)[sites], row[sites])]
+            if n % 16 == 0:
+                part = np.arange(max(L - 85, 1), L)[::3]
+                checks.append((part, degree_integrand(fam, part, z, v)))
+                for x in (0, B + 1, L - 1):
+                    one = degree_integrand(fam, x, z, v)
+                    assert np.ndim(one) == 0
+                    checks.append(([x], np.atleast_1d(one)))
+            for sites, *vals in checks:
+                ref, mag = _defining_sums(fam, sites, z, v)
+                for val in vals:
+                    assert np.all(np.abs(val - ref) <= 1e-13 * mag), (n, sites)
 
 
 def test_charlier_extraction_memory_is_linear():

@@ -109,6 +109,27 @@ def test_crossover_small():
     assert abs(rep["alpha_hat"] - 1.0) <= 0.2
 
 
+@pytest.mark.parametrize("alpha, alpha_hat, entries", [
+    (0.5, 0.5125, [(16, 1.076981851908662, 1.0049700714718373, 0.23065935339386126,
+                    0.008349172373613746),
+                   (32, 1.076574436216593, 1.0041450597432704, 0.2285619717421641,
+                    0.006370875882995338)]),
+    (1.05, 1.05, [(16, 1.056187794606566, 1.012620337460132, 0.3467074098467111,
+                   0.026431877603338084),
+                  (32, 1.0560740423118127, 1.0113026249832133, 0.3425110676471516,
+                   0.022409936111600772)])])
+def test_crossover_fits_keep_their_recorded_values(alpha, alpha_hat, entries):
+    # block K of the hard-edge crossover, recorded from per-degree contour
+    # extraction and one Bessel kernel call per offset: the recovered rate and
+    # the offsets stay, amplitudes and errors move by roundoff only
+    rep = crossover_test(alpha, [16, 32], block="K")
+    assert rep["alpha_hat"] == alpha_hat
+    for e, (N, amp, amp0, err, err0) in zip(rep["entries"], entries):
+        assert e["N"] == N and e["offset_index0"] == 0.5
+        assert (e["amp"], e["amp_index0"], e["err_vs_bessel_alpha"], e["err_vs_bessel_index0"]) \
+            == pytest.approx((amp, amp0, err, err0), rel=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_grid_resample_matches_regular_grid_interpolator(seed):
     # the numpy bilinear resample against scipy's, extrapolation included:

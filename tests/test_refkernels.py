@@ -147,3 +147,18 @@ def test_kernels_on_one_argument_array_match_two_copies():
         assert np.array_equal(bessel_kernel(a, x, x), bessel_kernel(a, x, x.copy()))
     s = np.linspace(-4.0, 2.0, 9)
     assert np.array_equal(airy_kernel(s, s), airy_kernel(s, s.copy()))
+
+
+def test_bessel_kernel_stacked_rows_match_single_rows():
+    # a stack of argument rows gives each row's kernel bit for bit: the 17
+    # offsets of a crossover fit, with x = 0 and a repeated argument included
+    lam = 4.2 * (np.arange(41) + np.linspace(0.0, 1.6, 17)[:, None])
+    lam[0, 0] = 0.0
+    lam[5, 7] = lam[5, 8]
+    other = lam[::-1] + 0.5
+    for a in (0.0, 0.5, 1.05):
+        K, K2 = bessel_kernel(a, lam, lam), bessel_kernel(a, lam, other)
+        assert K.shape == K2.shape == (17, 41, 41)
+        for x, y, k, k2 in zip(lam, other, K, K2):
+            assert np.array_equal(k, bessel_kernel(a, x, x))
+            assert np.array_equal(k2, bessel_kernel(a, x, y))

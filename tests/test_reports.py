@@ -1,6 +1,6 @@
 import numpy as np
 
-from pfkern.families import Charlier
+from pfkern.families import Charlier, Meixner
 from pfkern.kernels import oracle_block
 from pfkern.reports import write_kernel_csv
 
@@ -26,6 +26,23 @@ def test_kernel_csv_matches_cell_by_cell_format(tmp_path):
     write_kernel_csv(str(path), blk)
     assert path.read_text() == _cell_by_cell(blk)
     assert path.read_text().splitlines()[1].endswith(",nan,nan")
+
+
+def test_kernel_csv_streams_a_large_window(tmp_path):
+    # the Meixner xi = 0.446, N = 32, beta = 1 oracle window: 129 x 129 cells,
+    # a 1.13 MB file.  Formatting every cell at once peaked at 5 MB
+    import tracemalloc
+    blk = oracle_block(Meixner(xi=0.446), 32, 1)
+    blk.SD, blk.epsS    # the lazy blocks are computed before the measurement
+    path = tmp_path / "k.csv"
+    tracemalloc.start()
+    try:
+        write_kernel_csv(str(path), blk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == _cell_by_cell(blk)
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_kernel_csv_one_format_call_matches_cell_by_cell_on_special_values(tmp_path):
