@@ -49,14 +49,23 @@ def _family(args):
     return Krawtchouk(M=args.M, p=args.p)
 
 
+_REGIME_PARAMS = {"meixner": ("xi",), "charlier": ("tau",), "krawtchouk": ("gamma", "p")}
+
+
 def _regime(args):
     from .harness import Regime
-    if args.family == "meixner":
-        return Regime(kind="meixner", xi=args.xi if args.xi is not None
-                      else (args.s ** 2 if args.s else None))
-    if args.family == "charlier":
-        return Regime(kind="charlier", tau=args.tau)
-    return Regime(kind="krawtchouk", gamma=args.gamma, p=args.p)
+    names = _REGIME_PARAMS[args.family]
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise DomainError(f"{' and '.join(missing)} required for asym {args.study} "
+                          f"--family {args.family}")
+    return Regime(kind=args.family, **{name: getattr(args, name) for name in names})
+
+
+def _position(args):
+    if args.u is None:
+        raise DomainError(f"--u required for asym {args.study}")
+    return args.u
 
 
 def _parse_window(text, family, N):
@@ -137,11 +146,12 @@ def cmd_validate(args, config) -> int:
 
 
 def cmd_asym(args, config) -> int:
-    from .harness import (Regime, bulk_convergence_test, correction_extract,
-                          crossover_test, edge_convergence_test)
+    from .harness import (bulk_convergence_test, correction_extract, crossover_test,
+                          edge_convergence_test)
     out = reports.output_dir(args.out)
     if args.study == "density":
-        from .saddles import bulk_support, cos_theta, density_and_spacing, site_density
+        from .saddles import (bulk_support, cos_theta, density_and_spacing,
+                              density_total_mass, site_density)
         reg = _regime(args)
         fam, N = reg.family_and_N(args.A or 64)
         lo, hi = bulk_support(fam, N)
@@ -153,10 +163,11 @@ def cmd_asym(args, config) -> int:
                          float(delta), float(site_density(fam, u, N))))
         path = os.path.join(out, f"density_{args.family}.csv")
         reports.write_table_csv(path, ["u", "cos_theta", "rho", "delta", "rho_site"], rows)
-        print(f"wrote {path} ({len(rows)} rows over ({lo:.6g}, {hi:.6g}))")
+        print(f"wrote {path} ({len(rows)} rows over ({lo:.6g}, {hi:.6g}); "
+              f"density_total_mass {density_total_mass(fam, N):.12g})")
         return 0
     if args.study == "bulk":
-        rep = bulk_convergence_test(_regime(args), args.beta, args.u,
+        rep = bulk_convergence_test(_regime(args), args.beta, _position(args),
                                     _parse_list(args.A_list), block=args.block)
         path = os.path.join(out, f"bulk_{args.family}_b{args.beta}.json")
         reports.write_json(path, rep, config=config)
@@ -170,7 +181,8 @@ def cmd_asym(args, config) -> int:
         print(f"monotone decreasing: {rep['monotone_decreasing']}; wrote {path}")
         return 0
     if args.study == "correction":
-        rep = correction_extract(_regime(args), args.beta, args.u, _parse_list(args.A_list))
+        rep = correction_extract(_regime(args), args.beta, _position(args),
+                                 _parse_list(args.A_list))
         path = os.path.join(out, f"correction_{args.family}_b{args.beta}.json")
         reports.write_json(path, rep, config=config)
         print(f"alpha_hat {rep['alpha_hat']:.4f} beta_hat {rep['beta_hat']:.4f} "
@@ -186,9 +198,9 @@ def cmd_asym(args, config) -> int:
         return 0
     if args.study == "gap":
         from .fredholm import bulk_scaled_gap_comparison
-        reg = _regime(args)
+        reg, u = _regime(args), _position(args)
         fam, N = reg.family_and_N(args.A or 256)
-        rep = bulk_scaled_gap_comparison(fam, N, args.u,
+        rep = bulk_scaled_gap_comparison(fam, N, u,
                                          [float(v) for v in args.lengths.split(",")])
         path = os.path.join(out, "gap.json")
         reports.write_json(path, rep, config=config)
@@ -270,7 +282,6 @@ def build_parser() -> _Parser:
     a.add_argument("study", choices=["density", "bulk", "edge", "correction",
                                      "crossover", "gap"])
     _add_family_args(a)
-    a.add_argument("--s", type=float, help="Meixner sqrt(xi) regime parameter")
     a.add_argument("--tau", type=float, help="Charlier theta/N limit")
     a.add_argument("--gamma", type=float, help="Krawtchouk N/M limit")
     a.add_argument("--beta", type=int, choices=[1, 4], default=1)

@@ -1,8 +1,7 @@
 """Classical discrete weight families: Meixner, Charlier, Krawtchouk.
 
-Each family carries its weight w(x) on the integer lattice (Z>=0, or
-{0..M} for Krawtchouk), the square-root-paired weight W used by the
-orthogonal (beta=1) ensembles, and the Jacobi (three-term recurrence)
+Each family carries its log weight log w(x) on the integer lattice (Z>=0,
+or {0..M} for Krawtchouk) and the Jacobi (three-term recurrence)
 coefficients of the monic orthogonal polynomials.
 """
 from __future__ import annotations
@@ -102,42 +101,6 @@ class Krawtchouk:
         a = self.p * (self.M - n) + n * self.q
         b2 = n * self.p * self.q * (self.M - n + 1)
         return a, b2
-
-
-WeightFamily = Meixner | Charlier | Krawtchouk
-
-
-def check_support(family, x) -> None:
-    x = np.asarray(x)
-    if np.any(x < 0) or np.any(x != np.floor(x)):
-        raise DomainError(f"lattice point {x} outside support of {family.name}")
-    if family.finite and np.any(x > family.M):
-        raise DomainError(f"lattice point {x} exceeds M={family.M}")
-
-
-def weight(family, x):
-    """w(x); strictly positive on the support."""
-    check_support(family, x)
-    return np.exp(family.log_weight(x))
-
-
-def beta1_weight(family, x):
-    """W(x) with W(x-1) W(x) = w(x) and W(0) = w(0).
-
-    Computed in log space: log W(x) = sum_{k<=x} (-1)^(x-k) log w(k).
-    """
-    check_support(family, x)
-    xa = int(np.max(np.asarray(x)))
-    lw = family.log_weight(np.arange(xa + 1))
-    lW = np.empty(xa + 1)
-    lW[0] = lw[0]
-    for k in range(1, xa + 1):
-        lW[k] = lw[k] - lW[k - 1]
-    if np.any(lW < np.log(np.finfo(float).tiny)):
-        bad = int(np.argmax(lW < np.log(np.finfo(float).tiny)))
-        raise DomainError(f"beta1 weight underflows at x={bad}")
-    W = np.exp(lW)
-    return W[np.asarray(x)] if np.ndim(x) else float(W[int(x)])
 
 
 @dataclass(frozen=True)

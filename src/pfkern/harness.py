@@ -108,7 +108,8 @@ def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
 
 def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right",
                           s_grid=None, block: str = "S") -> dict:
-    """Airy-kernel comparison at a soft edge under the A^(1/3) scaling."""
+    """Airy-kernel comparison at a soft edge under the A^(1/3) scaling, with
+    the `coalescence_exponent` (1/2) that makes A^(1/3) the Airy scale."""
     s_grid = np.linspace(-3.5, 1.5, 13) if s_grid is None else np.asarray(s_grid)
     fam0, N0 = regime.family_and_N(int(A_list[0]))
     ed = edge_data(fam0, side, N0)
@@ -140,12 +141,13 @@ def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right"
     errs = [r["sup_err_fitted"] for r in rows]
     return {"regime": regime.kind, "beta": beta, "side": side, "u_star": u_star,
             "kappa": abs(ed["kappa"]), "lam": ed["lam"], "entries": rows,
-            "monotone_decreasing": bool(np.all(np.diff(errs) < 0))}
+            "monotone_decreasing": bool(np.all(np.diff(errs) < 0)),
+            "coalescence_exponent": coalescence_exponent(regime, side)}
 
 
 def coalescence_exponent(regime: Regime, side: str = "right",
                          A_ref: int = 64) -> float:
-    """Fit |z_+ - z_-| ~ C |u - u*|^p approaching a soft edge."""
+    """Fit |z_+ - z_-| ~ C |u - u*|^p approaching a soft edge (p = 1/2)."""
     fam, N = regime.family_and_N(A_ref)
     lo, hi = bulk_support(fam, N)
     u_star = hi if side == "right" else lo
@@ -160,26 +162,6 @@ def coalescence_exponent(regime: Regime, side: str = "right",
 
 # ---------------------------------------------------------------------------
 # first-correction machinery
-
-
-def correction_dictionary(bulk, M_func, M_prime) -> dict:
-    """Q0, Qa, Qb of the difference-quotient linearization at the saddles."""
-    wp, wm = bulk.z_plus, bulk.z_minus
-    gap = wp - wm
-    Mp, Mm = M_func(wp), M_func(wm)
-    Q0 = (Mp - Mm) / gap
-    Qa = (M_prime(wp) * gap - (Mp - Mm)) / gap ** 2
-    Qb = ((Mp - Mm) - M_prime(wm) * gap) / gap ** 2
-    return {"Q0": complex(Q0), "Qa": complex(Qa), "Qb": complex(Qb)}
-
-
-def eps_dictionary_closed_form(theta: float) -> dict:
-    """Closed forms of Q0, Qa, Qb for the universal inverse symbol at angle
-    theta (saddles on the unit circle)."""
-    s, c = np.sin(theta), np.cos(theta)
-    return {"Q0": complex(-c / (2 * s * s)),
-            "Qa": complex(-1 / (4 * s * s) - 1j * c / (2 * s ** 3)),
-            "Qb": complex(-1 / (4 * s * s) + 1j * c / (2 * s ** 3))}
 
 
 def correction_extract(regime: Regime, beta: int, u: float, A_list,

@@ -12,17 +12,17 @@ rows, the eps inside E and the provenance:
   compose_columns          oracle    multiplier                  contour-columns
   kuznetsov.spliced_s4     contour   multiplier times m_h        contour
   kuznetsov.spliced_oracle oracle    multiplier times m_h        oracle
-  kuznetsov.spliced_s1     oracle    multiplier times m_h        contour-columns
 
 (oracle rows: recurrence tables; contour rows: coefficient extraction,
 refused where K(x, x) > 1; multiplier: the contour image under the inverse
 eps symbol.)  Contour rows are extracted per circle (`contour_rows`): the
 degrees whose `default_contour` circle is the same share one
-`symbols.circle_images` call, and so its nodes, multiplier values and FFTs.  The inserted blocks of a lattice-eps block come from the same
-factors, SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps
-applied as stencil and prefix sums, so no lattice-by-lattice matrix is
-formed.  A `KernelBlockSet` computes them on first read, so a caller that
-reads only S never pays for them.
+`symbols.circle_images` call, and so its nodes, multiplier values and FFTs.
+The inserted blocks of a lattice-eps block come from the same factors,
+SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps applied as
+stencil and prefix sums, so no lattice-by-lattice matrix is formed.  A
+`KernelBlockSet` computes them on first read, so a caller that reads only S
+never pays for them.
 
 Three evaluation routes coexist and are cross-checked:
 
@@ -247,20 +247,6 @@ def compose_columns(family, N: int, xs, m_func=None) -> KernelBlockSet:
     """
     return gram_block(family, N, 4, xs, "oracle", eps_multiplier(family, m_func),
                       provenance="contour-columns")
-
-
-def block_with_symbol_insertions(family, N: int, xs, m_center=None, m_y=None):
-    """Composed window with analytic symbols inserted per contour variable.
-
-    The centre symbol rides on the inverse-difference multiplier (the
-    composed operator, `compose_columns`); m_y multiplies the variable-2
-    integrands of the single-contour factors, exactly as the off-diagonal
-    block rules prescribe.
-    """
-    L, E, R = compose_columns(family, N, xs, m_center).factors
-    if m_y is not None:
-        R = contour_rows(family, range(len(R)), np.arange(R.shape[1]), m_y, "image")
-    return _assemble_blocks(L, E, R, xs)
 
 
 def s4_block(family, N: int, window=None, route: str = "contour") -> KernelBlockSet:

@@ -216,12 +216,8 @@ def site_density(family, u: float, N: int | None = None) -> float:
 
 def density_and_spacing(family, u: float, N: int | None = None,
                         A: int | None = None) -> tuple[float, float]:
-    """(rho, Delta) with the closed-form rho and 2 pi Delta rho = 1.
-
-    The lattice-units quantity 1/(A rho) is exposed separately as
-    `lattice_spacing`; the harnesses use `site_density` instead (see module
-    docstring).
-    """
+    """(rho, Delta) with the closed-form rho and 2 pi Delta rho = 1; the
+    harnesses use `site_density` instead (see module docstring)."""
     rho = rho_closed_form(family, u, N)
     return rho, 1.0 / (2.0 * np.pi * rho)
 
@@ -241,12 +237,6 @@ def density_total_mass(family, N: int | None = None, nodes: int = 64) -> float:
     u = mid - half * np.cos(phi)
     vals = np.array([rho_closed_form(family, float(uu), N) for uu in u])
     return float(0.5 * np.pi * np.sum(wt * vals * half * np.sin(phi)))
-
-
-def lattice_spacing(family, u: float, N: int | None = None) -> float:
-    """1/(A rho(u)) in lattice units, with A the family's large parameter."""
-    rho = rho_closed_form(family, u, N)
-    return 1.0 / (large_parameter(family, N) * rho)
 
 
 # -- soft edges --------------------------------------------------------------

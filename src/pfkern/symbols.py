@@ -1,11 +1,11 @@
 """Generating representations and multiplier symbols in the contour variable.
 
-Per family this module provides the single-contour wave-function formulas,
-the classical rational multipliers of D and eps, and the Charlier w-plane
-map.  Multipliers come in two flavours: ``symbol`` returns the printed
-classical forms (tested through their stated identities), while
-``inverse_eps_symbol`` returns the exact reciprocal of the shift-difference
-symbol, which is what actually inverts D on wave functions.
+Per family this module provides the single-contour wave-function formulas
+and the classical rational multipliers of D and eps.  Multipliers come in
+two flavours: ``symbol`` returns the printed classical forms (tested through
+their stated identities), while ``inverse_eps_symbol`` returns the exact
+reciprocal of the shift-difference symbol, which is what actually inverts D
+on wave functions.
 
 Adjudicated evaluation conventions (verified against the recurrence tables,
 see the kernels module for the full adjudication machinery):
@@ -22,8 +22,6 @@ from scipy.special import gammaln
 
 from .contours import ContourSpec, ContractError, QuadratureError
 from .families import Charlier, Krawtchouk, Meixner, DomainError
-from .lattice_ops import apply_eps
-from .wavefunctions import get_table
 
 # ---------------------------------------------------------------------------
 # rational multipliers
@@ -67,12 +65,6 @@ def inverse_eps_symbol(family, z):
     return r / (r * r - 1.0)
 
 
-def universal_symbol(kind: str, w):
-    """Multipliers after the Charlier w-map (identical to Meixner's)."""
-    w = np.asarray(w, dtype=complex)
-    return w - 1.0 / w if kind == "D" else 1.0 / (w * w - 1.0)
-
-
 def symbol_poles(family, kind: str):
     if isinstance(family, Meixner):
         return (0.0,) if kind == "D" else (1.0, -1.0)
@@ -90,15 +82,6 @@ def _check_poles(family, kind, z):
     for pole in symbol_poles(family, kind):
         if np.any(np.abs(z - pole) < 1e-13):
             raise DomainError(f"{family.name} {kind}-symbol pole at {pole}")
-
-
-def charlier_w_map(theta: float, w):
-    """t = (sqrt(theta)/2)(w - 1/w) and dt/dw."""
-    w = np.asarray(w, dtype=complex)
-    if np.any(w == 0):
-        raise DomainError("w-map undefined at w = 0")
-    root = np.sqrt(theta)
-    return 0.5 * root * (w - 1.0 / w), 0.5 * root * (1.0 + 1.0 / (w * w))
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +170,21 @@ def default_contour(family, kind: str = "single", degree: int = 0) -> ContourSpe
     Single-contour extraction radii balance the integrand maximum against
     r^(-degree) (roundoff conditioning), clamped inside the admissible disc;
     pair radii follow the fixed defaults used by the kernel formulas.
-    'eps' and 'image' are the extraction circles of the images of phi_n
-    under the inverse-difference multiplier and under an analytic symbol.
-    They equal 'single' except for Meixner, whose circle lies near 1 for
-    conditioning in x and so needs more nodes to resolve the +-1 poles of
-    the inverse multiplier.
+    'eps' is the extraction circle of the image of phi_n under the
+    inverse-difference multiplier.  It equals 'single' except for Meixner,
+    whose circle lies near 1 for conditioning in x and so needs more nodes
+    to resolve the +-1 poles of the inverse multiplier.
     """
     if isinstance(family, Meixner):
         s = family.s
-        if kind in ("single", "eps", "image"):
+        if kind in ("single", "eps"):
             radius = max(0.95, (1.0 + s) / 2.0)
             nodes = {"single": 256 if s <= 0.8 else (2048 if s <= 0.95 else 16384),
-                     "eps": 2048 if s <= 0.9 else 16384,
-                     "image": 2048}[kind]
+                     "eps": 2048 if s <= 0.9 else 16384}[kind]
             return ContourSpec(radius=radius, node_count=nodes)
         radius = {"inner": (2 * s + 1) / 3.0, "outer": (s + 2) / 3.0}[kind]
     elif isinstance(family, Charlier):
-        if kind in ("single", "eps", "image"):
+        if kind in ("single", "eps"):
             th, n = family.theta, max(degree, 1)
             b = th - n
             radius = (-b + np.sqrt(b * b + 4.0 * th * n)) / (2.0 * th)
@@ -212,7 +193,7 @@ def default_contour(family, kind: str = "single", degree: int = 0) -> ContourSpe
             radius = {"inner": 0.35, "outer": 0.7}[kind]
     else:
         rstar = min(1.0 / family.p, 1.0 / family.q)
-        if kind in ("single", "eps", "image"):
+        if kind in ("single", "eps"):
             n = max(degree, 1)
             radius = n / (family.p * max(family.M - n, 1))
             radius = float(np.clip(radius, 0.25, 0.97 * rstar))
@@ -271,8 +252,8 @@ def circle_images(family, degrees, xs, contour: ContourSpec, multiplier=None):
     is r^-(x+1) FFT(core w)[o (x+1) mod n], one FFT per chunk; sites x >= n
     alias onto x mod n, as the trapezoid sum does.  Charlier/Krawtchouk: one
     `degree_integrand` and one `degree_prefactor` call per chunk; a row that
-    is not finite raises QuadratureError: e^(-theta z) overflows once
-    theta r > 709.
+    is not finite after the prefactor raises QuadratureError: e^(-theta z)
+    overflows once theta r > 709, and the prefactor n! once n > 170.
     """
     degrees, k = np.asarray(degrees, dtype=np.int64), np.asarray(xs, dtype=np.int64) + 1
     if family.finite and np.any(degrees > family.M):
@@ -305,12 +286,14 @@ def circle_images(family, degrees, xs, contour: ContourSpec, multiplier=None):
             continue
         ns = degrees[part, None]
         raw = degree_integrand(family, xs, z, mult_w * z ** (-ns - 1)).real
-        bad = ~np.all(np.isfinite(raw), axis=1)
+        sign, logmag = degree_prefactor(family, ns, xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.exp(logmag, out=logmag) * (sign * raw)
+        bad = ~np.all(np.isfinite(rows), axis=1)
         if np.any(bad):
             raise QuadratureError(f"degree {ns[bad][0, 0]} extraction on radius "
                                   f"{contour.radius:.6g} is not finite")
-        sign, logmag = degree_prefactor(family, ns, xs)
-        out[part] = np.exp(logmag, out=logmag) * (sign * raw)
+        out[part] = rows
     return out
 
 
@@ -334,31 +317,17 @@ def meixner_eps_correction(family: Meixner, n: int):
     return target - raw0
 
 
-def eps_phi_via_contour(family, n: int, y):
-    """(eps phi_n)(y) through the contour representation.
+def eps_phi_via_contour(family: Meixner, n: int, y):
+    """(eps phi_n)(y) through the contour representation, for Meixner at
+    beta_m = 1: the weight ratios are constant, the inverse multiplier
+    s w/(1 - w^2) reproduces eps phi_n exactly up to the even-parity constant
+    chain spanning ker D; that single coefficient is anchored at y = 0.
 
-    Meixner (beta_m = 1): the weight ratios are constant, the inverse
-    multiplier s w/(1 - w^2) reproduces eps phi_n exactly up to the
-    even-parity constant chain spanning ker D; that single coefficient is
-    anchored at y = 0.
-
-    Charlier/Krawtchouk: the weighted shifts are not multipliers in the
-    printed planes (the weight ratios depend on x), so the rational
-    insertion cannot reproduce the lattice eps; the parity-split sums are
-    applied to the contour-evaluated wave function instead.  The adjudicator
-    in the kernels module records the measured failure of the printed route.
+    The other families have no such multiplier (their weight ratios depend
+    on x); the adjudicator in the kernels module records the measured
+    failure of the printed route there.
     """
-    if isinstance(family, Meixner):
-        c = meixner_eps_correction(family, n)
-        raw = contour_image(family, n, y, default_contour(family, "eps", n), eps_multiplier(family))
-        ys = np.atleast_1d(y)
-        out = raw + np.where(ys % 2 == 0, c, 0.0)
-        return float(out[0]) if np.ndim(y) == 0 else out
-    if family.finite:
-        xs = np.arange(family.M + 1)
-    else:
-        x_top = max(get_table(family, max(n, 8)).lattice.x_max,
-                    int(np.max(np.atleast_1d(y))) + 40)
-        xs = np.arange(x_top + 1)
-    out = apply_eps(family, contour_image(family, n, xs))[np.atleast_1d(y)]
+    c = meixner_eps_correction(family, n)
+    raw = contour_image(family, n, y, default_contour(family, "eps", n), eps_multiplier(family))
+    out = raw + np.where(np.atleast_1d(y) % 2 == 0, c, 0.0)
     return float(out[0]) if np.ndim(y) == 0 else out

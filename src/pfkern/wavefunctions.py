@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .families import TruncatedLattice, truncate, check_support, DomainError
+from .families import TruncatedLattice, truncate, DomainError
 
 _RESCALE_LIMIT = 1e120
 _TINY_LOG = -745.0  # exp underflows to 0 below this
@@ -145,24 +145,3 @@ def get_table(family, n_max: int, x_max: int | None = None) -> WaveTable:
     x_min = max(_zone_need(family, n_max), n_max + 1, x_max or 0)
     return _cached_table(family, n_max, truncate(family, x_min=x_min))
 
-
-def orthonormal_phi(family, n: int, x) -> float | np.ndarray:
-    """phi_n(x) with sign fixed by a positive leading coefficient."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    if family.finite and n > family.M:
-        raise DomainError(f"degree {n} exceeds Krawtchouk M={family.M}")
-    check_support(family, x)
-    tab = get_table(family, max(n, 8), int(np.max(np.asarray(x))) if not family.finite else None)
-    out = tab.phi[n, np.asarray(x, dtype=int)]
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def norm_hn(family, n: int) -> float:
-    """Squared norm of the monic P_n, by direct lattice summation."""
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
-    if family.finite and n > family.M:
-        raise DomainError(f"degree {n} exceeds Krawtchouk M={family.M}")
-    tab = get_table(family, max(n, 8))
-    return float(np.exp(tab.log_h[n]))

@@ -216,3 +216,55 @@ def test_adjudication_overflow_prints_no_warning(tmp_path):
     assert proc.returncode == 2
     assert "RuntimeWarning" not in proc.stderr
     assert "numerical failure" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["asym", "density", "--family", "meixner"], "--xi"),
+    (["asym", "edge", "--family", "charlier"], "--tau"),
+    (["asym", "edge", "--family", "krawtchouk", "--M", "64", "--gamma", "0.25"], "--p"),
+    (["asym", "bulk", "--family", "krawtchouk", "--p", "0.4", "--u", "0.3"], "--gamma"),
+    (["asym", "bulk", "--family", "charlier", "--u", "2"], "--tau"),
+    (["asym", "bulk", "--family", "charlier", "--tau", "1"], "--u"),
+    (["asym", "correction", "--family", "charlier", "--tau", "1"], "--u"),
+    (["asym", "gap", "--family", "charlier", "--tau", "1"], "--u"),
+    (["asym", "density", "--family", "meixner", "--s", "0.5"], "--s"),
+], ids=["density-xi", "edge-tau", "edge-p", "bulk-gamma", "bulk-tau", "bulk-u",
+        "correction-u", "gap-u", "no-s-option"])
+def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing):
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert missing in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_density_summary_reports_total_mass(tmp_path, capsys):
+    assert main(["asym", "density", "--family", "charlier", "--tau", "1", "--grid", "10",
+                 "--out", str(tmp_path)]) == 0
+    mass = float(capsys.readouterr().out.rsplit("density_total_mass ", 1)[1].rstrip(")\n"))
+    assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def test_gate_accepts_library_outputs(tmp_path):
+    # the benchmark's correctness gate evaluates its references with library
+    # code (dense_oracle, spliced_oracle); an oracle-route kernel and a
+    # spliced kernel request must pass it
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        import gate
+        from workloads import Request
+    finally:
+        sys.path.remove(bench)
+    requests = [
+        Request("kernel", ("kernel", "--family", "krawtchouk", "--M", "20", "--p", "0.4",
+                           "--beta", "1", "--N", "4", "--oracle"),
+                {"family": {"family": "krawtchouk", "M": 20, "p": 0.4}, "beta": 1, "N": 4,
+                 "route": "oracle"}),
+        Request("splice kernel", ("splice", "kernel", "--family", "charlier", "--theta", "1",
+                                  "--sigma", "2", "--N", "6"),
+                {"family": {"family": "charlier", "theta": 1.0}, "sigma": 2.0, "N": 6}),
+    ]
+    for i, req in enumerate(requests):
+        outdir = str(tmp_path / f"r{i}")
+        code = main([*req.argv, "--out", outdir])
+        assert gate.check_all([req], [outdir], [code]) == [None]

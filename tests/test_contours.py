@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from pfkern.contours import ContourSpec, ContractError, QuadratureError, unit_roots
-from pfkern.families import Charlier, Krawtchouk, Meixner, truncate
+from pfkern.families import Charlier, Krawtchouk, Meixner, TruncatedLattice, truncate
 from pfkern.kernels import contour_rows
-from pfkern.lattice_ops import build_d, build_epsilon_direct
+from pfkern.lattice_ops import apply_eps, build_d, build_epsilon_direct
 from pfkern.kuznetsov import GaussianTest, m_h
-from pfkern.symbols import (charlier_w_map, contour_image, degree_integrand,
+from pfkern.symbols import (contour_image, degree_integrand,
                             degree_prefactor, default_contour, eps_multiplier, eps_phi_via_contour,
                             inverse_eps_symbol, meixner_G, ratio_map, symbol)
 from pfkern.wavefunctions import get_table
@@ -70,16 +70,6 @@ def test_inverse_eps_symbol_is_reciprocal_of_shift_difference():
     assert np.max(np.abs(d * inverse_eps_symbol(mx, z) - 1)) < 1e-14
 
 
-def test_charlier_w_map():
-    t, jac = charlier_w_map(1.0, 1.0 + 0j)
-    assert t == pytest.approx(0.0)
-    assert jac == pytest.approx(1.0)
-    t, _ = charlier_w_map(1.0, 1j)
-    assert t == pytest.approx(1j)
-    t, jac = charlier_w_map(4.0, 1.0 + 0j)
-    assert jac == pytest.approx(2.0)
-
-
 @pytest.mark.parametrize("fam", [Charlier(theta=1.0), Krawtchouk(M=60, p=0.4)],
                          ids=lambda f: f.name)
 def test_phi_contour_matches_recurrence(fam):
@@ -114,30 +104,33 @@ def test_radius_independence():
 def test_charlier_phi0_contour_residue():
     # integrand e^{-theta t}/t has residue 1, so phi_0(x) = sqrt(w(x)/h_0)
     fam = Charlier(theta=1.0)
-    from pfkern.families import weight
     for x in (0, 3, 9):
         assert contour_image(fam, 0, x) == pytest.approx(
-            np.sqrt(weight(fam, x)), rel=1e-10)
+            np.exp(0.5 * fam.log_weight(x)), rel=1e-10)
 
 
 @pytest.mark.parametrize("fam", [Charlier(theta=1.0), Meixner(xi=0.25, beta_m=1.0),
                                  Krawtchouk(M=60, p=0.4)], ids=lambda f: f.name)
 def test_eps_phi_contour_vs_lattice(fam):
-    lat = truncate(fam) if fam.finite else None
-    if lat is None:
-        from pfkern.families import TruncatedLattice
-        lat = TruncatedLattice(x_max=160)
-    tab = get_table(fam, 12, x_max=lat.x_max if not fam.finite else None)
+    # Meixner's eps is the contour multiplier; the other families apply the
+    # lattice eps to their contour rows, as the contour route of gram_block does
+    lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=160)
+    tab = get_table(fam, 12, x_max=None if fam.finite else lat.x_max)
     eps = build_epsilon_direct(fam, lat).mat
     d = build_d(fam, lat).mat
     half = lat.x_max // 2
+
+    def eps_phi(n, ys):
+        if fam.name == "meixner":
+            return eps_phi_via_contour(fam, n, ys)
+        return apply_eps(fam, contour_rows(fam, [n], np.arange(lat.size))[0])[ys]
+
     for n in (0, 3, 8):
         truth = eps @ tab.phi[n, : lat.size]
-        vals = eps_phi_via_contour(fam, n, np.arange(half + 1))
+        vals = eps_phi(n, np.arange(half + 1))
         assert np.max(np.abs(vals - truth[: half + 1])) < 1e-8
         # D applied to the contour image reproduces phi_n
-        full = eps_phi_via_contour(fam, n, np.arange(lat.size))
-        rec = d @ full
+        rec = d @ eps_phi(n, np.arange(lat.size))
         assert np.max(np.abs(rec[:half] - tab.phi[n, :half])) < 1e-8
 
 
@@ -304,6 +297,12 @@ def test_charlier_extraction_memory_is_linear():
         tracemalloc.stop()
     assert vals.shape == (785,) and np.all(np.isfinite(vals))
     assert peak < 2 ** 20
+
+
+def test_overflowing_prefactor_is_refused():
+    # the node sums of degree 400 are finite, but its prefactor 400! overflows
+    with pytest.raises(QuadratureError, match="degree 400"):
+        contour_rows(Charlier(theta=1.0), [400], range(5))
 
 
 def test_nonfinite_extraction_is_refused():

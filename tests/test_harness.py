@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from pfkern.families import Charlier, Meixner, truncate
+from pfkern.families import Meixner, truncate
 from pfkern.harness import (Regime, _crossover_block, bulk_convergence_test,
-                            coalescence_exponent, correction_dictionary,
-                            correction_extract, crossover_test, edge_convergence_test,
-                            eps_dictionary_closed_form)
+                            coalescence_exponent, correction_extract, crossover_test,
+                            edge_convergence_test)
 from pfkern.kernels import oracle_block, oracle_lattice
-from pfkern.saddles import saddle_solve
-from pfkern.symbols import universal_symbol
 
 CH = Regime(kind="charlier", tau=1.0)
 KR = Regime(kind="krawtchouk", gamma=0.25, p=0.4)
@@ -59,26 +56,10 @@ def test_edge_monotone_on_projection():
 def test_coalescence_square_root():
     assert coalescence_exponent(CH) == pytest.approx(0.5, abs=0.05)
     assert coalescence_exponent(KR) == pytest.approx(0.5, abs=0.05)
-
-
-def test_correction_dictionary_closed_forms():
-    bp = saddle_solve(Charlier(theta=48.0), 2.0, 48)
-    # universal symbols on the unit circle (Charlier tau=1 saddles are e^+-i theta)
-    M = lambda w: universal_symbol("eps", w)
-    h = 1e-7
-    Mp = lambda w: (M(w + h) - M(w - h)) / (2 * h)
-    d = correction_dictionary(bp, M, Mp)
-    cf = eps_dictionary_closed_form(bp.theta)
-    assert d["Q0"] == pytest.approx(cf["Q0"], abs=1e-6)
-    assert d["Qa"] == pytest.approx(cf["Qa"], abs=1e-5)
-    assert d["Qb"] == pytest.approx(np.conj(d["Qa"]), abs=1e-12)
-
-
-def test_dictionary_at_right_angle():
-    cf = eps_dictionary_closed_form(np.pi / 2)
-    assert cf["Q0"] == pytest.approx(0.0, abs=1e-12)
-    assert cf["Qa"] == pytest.approx(-0.25)
-    assert cf["Qb"] == pytest.approx(-0.25)
+    assert coalescence_exponent(Regime(kind="meixner", xi=0.25)) == pytest.approx(0.5, abs=0.05)
+    # the edge report carries it
+    rep = edge_convergence_test(CH, 1, [48, 96], block="K")
+    assert rep["coalescence_exponent"] == coalescence_exponent(CH)
 
 
 def test_correction_extract_beta1_two_basis():

@@ -3,8 +3,7 @@ import pytest
 
 from pfkern.families import Charlier, Krawtchouk, Meixner
 from pfkern.kernels import (adjudicate_composition, adjudicate_projection,
-                            beta1_indices, block_with_symbol_insertions,
-                            compose_columns, compose_contour, default_window,
+                            beta1_indices, compose_columns, compose_contour, default_window,
                             oracle_block, projection_contour, projection_direct,
                             rank_of, residual_rank, s1_block, s4_block)
 from pfkern.symbols import inverse_eps_symbol, symbol
@@ -197,28 +196,6 @@ def test_beta1_family_indices_differ():
     mx1 = s1_block(Meixner(xi=0.25, beta_m=1.0), 4, np.arange(10))
     ch1 = s1_block(Charlier(theta=1.0), 4, np.arange(10))
     assert not np.allclose(mx1.S, ch1.S)
-
-
-@pytest.mark.parametrize("fam", FAMS, ids=IDS)
-def test_offdiagonal_symbol_reciprocity(fam):
-    # inserting D-hat then eps-hat on the same variable: exact reciprocals
-    # give back the block for Charlier/Krawtchouk; the Meixner printed pair
-    # composes to the 1/w insertion
-    N = 4
-    xs = np.arange(0, 12)
-    m_eps = lambda z: inverse_eps_symbol(fam, z)
-    base = block_with_symbol_insertions(fam, N, xs, m_center=None)
-    if fam.name == "meixner":
-        dd = lambda z: symbol(fam, "D", z)
-        ee = lambda z: symbol(fam, "eps", z)
-        both = block_with_symbol_insertions(fam, N, xs, m_y=lambda z: dd(z) * ee(z))
-        invw = block_with_symbol_insertions(fam, N, xs, m_y=lambda z: 1.0 / z)
-        assert np.max(np.abs(both - invw)) < 1e-9
-    else:
-        dd = lambda z: symbol(fam, "D", z)
-        both = block_with_symbol_insertions(fam, N, xs,
-                                            m_y=lambda z: dd(z) * m_eps(z))
-        assert np.max(np.abs(both - base)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

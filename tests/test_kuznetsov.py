@@ -1,13 +1,21 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from pfkern.families import Charlier, DomainError, Krawtchouk, Meixner
-from pfkern.kernels import projection_direct
-from pfkern.kuznetsov import (GaussianTest, TabulatedTest, branch_jump,
-                              constant_limit_check, edge_ratio_report, m_h,
+from pfkern.kernels import compose_columns, default_window, gram_block, projection_direct
+from pfkern.kuznetsov import (GaussianTest, branch_jump, edge_ratio_report, m_h,
                               m_h_numeric, reality_symmetry_check, spliced_oracle,
-                              spliced_s1, spliced_s4)
+                              spliced_s4)
 from pfkern.harness import Regime
+from pfkern.symbols import contour_image, default_contour, eps_multiplier
+
+
+def spliced_s1(fam, N, test):
+    """K + (1/2) phi_a (x) (T_h eps phi_b): the beta = 1 block over the table
+    rows with the spliced multiplier as its eps."""
+    return gram_block(fam, N, 1, None, "oracle", eps_multiplier(fam, partial(m_h, test)))
 
 
 def test_gaussian_closed_form_values():
@@ -42,22 +50,6 @@ def test_branch_cut_rejected():
         m_h(GaussianTest(sigma=1.0), -0.5 + 0j)
 
 
-def test_tabulated_test_certificate():
-    t = np.linspace(-6, 6, 241)
-    tab = TabulatedTest(grid=tuple(t), values=tuple(np.exp(-t * t)), delta=0.2)
-    assert np.isfinite(tab.exponential_moment())
-    g = GaussianTest(sigma=1.0)
-    w = 1.2 * np.exp(0.4j)
-    assert m_h_numeric(tab, w) == pytest.approx(m_h(g, w), rel=1e-4)
-
-
-def test_tabulated_must_be_even():
-    t = np.linspace(-2, 2, 41)
-    vals = np.exp(-t * t) + 0.01 * t
-    with pytest.raises(DomainError):
-        TabulatedTest(grid=tuple(t), values=tuple(vals))
-
-
 @pytest.mark.parametrize("fam", [Charlier(theta=1.0), Krawtchouk(M=60, p=0.4),
                                  Meixner(xi=0.25, beta_m=1.0)], ids=lambda f: f.name)
 def test_spliced_contour_vs_oracle(fam):
@@ -77,9 +69,17 @@ def test_spliced_block_antisymmetry():
 
 
 def test_constant_limit():
-    rep = constant_limit_check(Charlier(theta=1.0), 6)
-    rels = [r["rel_err"] for r in rep["entries"]]
-    assert rep["decreasing"]
+    # sigma -> infinity: m_h -> sqrt(pi/sigma), so the spliced block deforms
+    # continuously to sqrt(pi/sigma) times the unspliced realization
+    fam, N = Charlier(theta=1.0), 6
+    window = default_window(fam, N)
+    base = compose_columns(fam, N, window).S
+    rels = []
+    for sigma in (1e2, 1e4, 1e6):
+        scale = np.sqrt(np.pi / sigma)
+        spl = spliced_s4(fam, N, GaussianTest(sigma=sigma), window).S
+        rels.append(np.max(np.abs(spl - scale * base)) / (scale * np.max(np.abs(base))))
+    assert np.all(np.diff(rels) < 0)
     assert rels[-1] < 1e-4
 
 
@@ -95,16 +95,15 @@ def test_spliced_s1_rank_one():
                                  Meixner(xi=0.25, beta_m=1.0)], ids=lambda f: f.name)
 def test_spliced_s1_matches_window_formula(fam):
     # K + (1/2) phi_a (x) (T_h eps phi_b), the image taken on the window only
-    from functools import partial
-    from pfkern.kernels import beta1_indices, default_window
-    from pfkern.symbols import contour_image, default_contour, eps_multiplier
-    from pfkern.wavefunctions import orthonormal_phi
+    from pfkern.kernels import beta1_indices
+    from pfkern.wavefunctions import get_table
     N, test = 6, GaussianTest(sigma=2.0)
     xs = default_window(fam, N)
     a, b = beta1_indices(fam, N)
     image = contour_image(fam, b, xs, default_contour(fam, "eps", b),
                           eps_multiplier(fam, partial(m_h, test)))
-    ref = projection_direct(fam, N, xs) + 0.5 * np.outer(orthonormal_phi(fam, a, xs), image)
+    phi_a = get_table(fam, a + 1, None if fam.finite else int(xs[-1])).phi[a, xs]
+    ref = projection_direct(fam, N, xs) + 0.5 * np.outer(phi_a, image)
     blk = spliced_s1(fam, N, test)
     assert np.array_equal(blk.xs, xs)
     assert np.max(np.abs(blk.S - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -116,7 +115,6 @@ def test_spliced_s1_constant_limit():
     blk = spliced_s1(fam, 6, GaussianTest(sigma=sigma))
     K = projection_direct(fam, 6, blk.xs)
     spliced_r1 = blk.S - K
-    from pfkern.symbols import contour_image, default_contour, eps_multiplier
     from pfkern.wavefunctions import get_table
     tab = get_table(fam, 8, x_max=int(blk.xs[-1]))
     base = 0.5 * np.outer(tab.phi[6, blk.xs],

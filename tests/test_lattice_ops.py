@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfkern.families import Charlier, Krawtchouk, Meixner, TruncatedLattice, truncate, weight
+from pfkern.families import Charlier, Krawtchouk, Meixner, TruncatedLattice, truncate
 from pfkern.lattice_ops import (apply_d, apply_eps, build_d, build_epsilon_direct,
                                 check_mutual_inverse, dump_csv, interior_window)
 from pfkern.wavefunctions import get_table

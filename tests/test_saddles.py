@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from pfkern.families import Charlier, Krawtchouk, Meixner
 from pfkern.saddles import (BulkPoint, EdgeClassification, bulk_support,
                             cos_theta, density_and_spacing, edge_data,
-                            lattice_spacing, large_parameter, phase_d1,
+                            large_parameter, phase_d1,
                             rho_closed_form, saddle_solve, site_density)
 
 MX = Meixner(xi=0.25, beta_m=1.0)     # s = 1/2
@@ -23,6 +23,8 @@ def test_bulk_supports():
     assert bulk_support(MX) == pytest.approx((1 / 3, 3.0), rel=1e-14)
     assert bulk_support(CH, 32) == pytest.approx((0.0, 4.0), abs=1e-14)
     assert bulk_support(KR, 32) == pytest.approx((0.0, 1.0), abs=1e-14)
+    assert large_parameter(MX, 16) == 32
+    assert large_parameter(KR, 32) == 64
 
 
 def test_saddle_residual_and_conjugacy():
@@ -56,12 +58,6 @@ def test_density_spot_values():
     assert 2 * np.pi * delta * rho == pytest.approx(1.0, abs=1e-15)
     rho_m, _ = density_and_spacing(MX, 1.0)
     assert rho_m == pytest.approx(np.sqrt(0.75) / np.pi, rel=1e-12)
-
-
-def test_lattice_spacing_uses_family_parameter():
-    assert lattice_spacing(CH, 2.0, 32) == pytest.approx(2 * np.pi / 32, rel=1e-12)
-    assert large_parameter(MX, 16) == 32
-    assert large_parameter(KR, 32) == 64
 
 
 @pytest.mark.parametrize("fam,N", [(MX, 16), (CH, 32), (KR, 32)], ids=["mx", "ch", "kr"])

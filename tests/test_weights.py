@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pfkern.families import (Charlier, DomainError, Krawtchouk, Meixner,
-                             beta1_weight, truncate, weight)
-from pfkern.wavefunctions import get_table, norm_hn, orthonormal_phi
+from pfkern.families import Charlier, DomainError, Krawtchouk, Meixner, truncate
+from pfkern.wavefunctions import get_table
 
 DESK = [
     Meixner(xi=0.5, beta_m=1.0),
@@ -14,6 +13,10 @@ DESK = [
     Charlier(theta=4.0),
     Krawtchouk(M=60, p=0.4),
 ]
+
+
+def weight(fam, x):
+    return np.exp(fam.log_weight(x))
 
 
 def test_weight_spot_values():
@@ -29,33 +32,11 @@ def test_weight_positive_and_domain():
         x = np.arange(0, 20 if not fam.finite else fam.M + 1)
         assert np.all(weight(fam, x) > 0)
     with pytest.raises(DomainError):
-        weight(Krawtchouk(M=4, p=0.5), 5)
-    with pytest.raises(DomainError):
-        weight(Charlier(theta=1.0), -1)
-    with pytest.raises(DomainError):
         Meixner(xi=1.5)
     with pytest.raises(DomainError):
         Charlier(theta=-1.0)
     with pytest.raises(DomainError):
         Krawtchouk(M=5, p=1.2)
-
-
-def test_beta1_weight_pairing():
-    for fam in (Charlier(theta=1.0), Meixner(xi=0.5, beta_m=1.0)):
-        W = beta1_weight(fam, np.arange(21))
-        w = weight(fam, np.arange(21))
-        assert W[0] == pytest.approx(w[0], rel=1e-14)
-        for x in range(1, 21):
-            assert W[x - 1] * W[x] == pytest.approx(w[x], rel=1e-12)
-
-
-def test_beta1_weight_constant_alternates():
-    # w == c gives W = c, 1, c, 1, ...  (checked through the defining recursion)
-    c = 0.7
-    W = [c]
-    for x in range(1, 10):
-        W.append(c / W[-1])
-    assert W[:4] == pytest.approx([c, 1.0, c, 1.0])
 
 
 def test_truncation_certificate():
@@ -90,7 +71,12 @@ def test_phi_normalization_and_orthogonality():
 def test_charlier_phi0_is_sqrt_weight():
     fam = Charlier(theta=1.0)
     x = np.arange(30)
-    assert orthonormal_phi(fam, 0, x) == pytest.approx(np.sqrt(weight(fam, x)), abs=1e-13)
+    assert get_table(fam, 8).phi[0, x] == pytest.approx(np.sqrt(weight(fam, x)), abs=1e-13)
+
+
+def norm_hn(fam, n):
+    """Squared norm of the monic P_n, by the table's lattice summation."""
+    return np.exp(get_table(fam, max(n, 8)).log_h[n])
 
 
 def test_norm_hn_closed_forms():
