@@ -150,17 +150,17 @@ def cmd_asym(args, config) -> int:
                           edge_convergence_test)
     out = reports.output_dir(args.out)
     if args.study == "density":
-        from .saddles import (bulk_support, cos_theta, density_and_spacing,
-                              density_total_mass, site_density)
+        from .saddles import (bulk_support, cos_theta, density_total_mass,
+                              rho_closed_form, site_density)
         reg = _regime(args)
         fam, N = reg.family_and_N(args.A or 64)
         lo, hi = bulk_support(fam, N)
         us = np.linspace(lo, hi, args.grid + 2)[1:-1]
         rows = []
         for u in us:
-            rho, delta = density_and_spacing(fam, u, N)
-            rows.append((float(u), float(cos_theta(fam, u, N)), float(rho),
-                         float(delta), float(site_density(fam, u, N))))
+            rho = rho_closed_form(fam, u, N)
+            rows.append((float(u), cos_theta(fam, u, N), rho, 1.0 / (2.0 * np.pi * rho),
+                         site_density(fam, u, N)))
         path = os.path.join(out, f"density_{args.family}.csv")
         reports.write_table_csv(path, ["u", "cos_theta", "rho", "delta", "rho_site"], rows)
         print(f"wrote {path} ({len(rows)} rows over ({lo:.6g}, {hi:.6g}); "
@@ -213,6 +213,9 @@ def cmd_splice(args, config) -> int:
     from .kuznetsov import (GaussianTest, edge_ratio_report, m_h, m_h_numeric,
                             reality_symmetry_check, spliced_oracle, spliced_s4)
     from .harness import Regime
+    if args.study == "edge-ratio" and args.family != "charlier":
+        raise DomainError(f"splice edge-ratio is implemented for --family charlier only, "
+                          f"not {args.family}")
     out = reports.output_dir(args.out)
     test = GaussianTest(sigma=args.sigma)
     if args.study == "kernel":

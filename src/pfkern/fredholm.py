@@ -9,7 +9,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .kernels import projection_direct
 from .refkernels import sine_kernel
-from .saddles import site_density
+from .saddles import large_parameter, saddle_pair, site_density
 
 
 def nystrom_det(kernel, a: float, b: float, nodes: int = 40) -> float:
@@ -59,10 +59,11 @@ def bulk_scaled_gap_comparison(family, N: int, u: float, lengths) -> dict:
 
     The lattice interval starting at A u with microscopic length L contains
     the points x in [A u, A u + L / rho_site); both determinants are
-    reported per length.
+    reported per length; a u not strictly inside the bulk support raises
+    EdgeClassification.
     """
-    from .saddles import large_parameter
     A = large_parameter(family, N)
+    saddle_pair(family, u, N)
     rho = site_density(family, u, N)
     rows = []
     for L in lengths:

@@ -20,7 +20,7 @@ from .families import Charlier, DomainError, Krawtchouk, Meixner
 from .kernels import (_assemble_blocks, _rank_one_factors, beta1_indices, contour_rows,
                       oracle_block, projection_direct, rank_of)
 from .refkernels import airy_kernel, bessel_kernel, sine_kernel, sine_kernel_deriv
-from .saddles import bulk_support, edge_data, saddle_solve, site_density
+from .saddles import airy_window, bulk_support, edge_data, saddle_pair, site_density
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,12 @@ class Regime:
     tau: float | None = None
     gamma: float | None = None
     p: float | None = None
+
+    def __post_init__(self):
+        if self.kind == "charlier" and not self.tau > 0:
+            raise DomainError(f"Charlier tau must be > 0, got {self.tau}")
+        if self.kind == "krawtchouk" and not 0 < self.gamma < 1:
+            raise DomainError(f"Krawtchouk gamma must be in (0,1), got {self.gamma}")
 
     def family_and_N(self, A: int):
         if self.kind == "meixner":
@@ -48,6 +54,15 @@ DEFAULT_GRID = np.linspace(-2.0, 2.0, 17)
 def _window_positions(A, u, spacing_sites, grid):
     xs = np.unique(np.floor(A * u + np.asarray(grid) * spacing_sites).astype(int))
     return xs[xs >= 0]
+
+
+def _bulk_window(regime, A, u, grid):
+    """(family, N, site density, window sites) at bulk position u; a u not
+    strictly inside the bulk support raises EdgeClassification."""
+    fam, N = regime.family_and_N(int(A))
+    saddle_pair(fam, u, N)
+    rho = site_density(fam, u, N)
+    return fam, N, rho, _window_positions(A, u, 1.0 / rho, grid)
 
 
 def _window_block(fam, N, beta, xs, block):
@@ -80,10 +95,8 @@ def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
     """
     rows = []
     for A in A_list:
-        fam, N = regime.family_and_N(int(A))
-        rho = site_density(fam, u, N)
+        fam, N, rho, xs = _bulk_window(regime, A, u, grid)
         sp = 1.0 / rho
-        xs = _window_positions(A, u, sp, grid)
         V, rank_one = _window_block(fam, N, beta, xs, block)
         V = V * sp
         seff = (xs - A * u) * rho
@@ -118,13 +131,7 @@ def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right"
     rows = []
     for A in A_list:
         fam, N = regime.family_and_N(int(A))
-        # cubic normal form: A Phi ~ (kappa/6) zeta^3 + (x - A u*) lam zeta,
-        # matching exp(tau^3/3 - s tau) gives the Airy length below
-        c_A = (A * abs(ed["kappa"]) / 2.0) ** (1.0 / 3.0) / abs(ed["lam"])
-        xs = np.unique(np.floor(A * u_star + orient * s_grid * c_A).astype(int))
-        xs = xs[xs >= 0]
-        if fam.finite:
-            xs = xs[xs <= fam.M]
+        xs, c_A = airy_window(ed, A, s_grid, fam)
         V, rank_one = _window_block(fam, N, beta, xs, block)
         V = V * c_A
         seff = orient * (xs - A * u_star) / c_A
@@ -155,8 +162,8 @@ def coalescence_exponent(regime: Regime, side: str = "right",
     ds = np.geomspace(1e-4, 1e-2, 9) * (hi - lo)
     gaps = []
     for d in ds:
-        bp = saddle_solve(fam, u_star + inward * d, N)
-        gaps.append(abs(bp.z_plus - bp.z_minus))
+        z_plus, z_minus = saddle_pair(fam, u_star + inward * d, N)
+        gaps.append(abs(z_plus - z_minus))
     return float(np.polyfit(np.log(ds), np.log(gaps), 1)[0])
 
 
@@ -192,10 +199,8 @@ def correction_extract(regime: Regime, beta: int, u: float, A_list,
     """
     fields = []
     for A in A_list:
-        fam, N = regime.family_and_N(int(A))
-        rho = site_density(fam, u, N)
+        fam, N, rho, xs = _bulk_window(regime, A, u, grid)
         sp = 1.0 / rho
-        xs = _window_positions(A, u, sp, grid)
         V, rank_one = _window_block(fam, N, beta, xs, "S")
         V = V * sp
         if beta == 1:

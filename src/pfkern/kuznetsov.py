@@ -122,13 +122,11 @@ def edge_ratio_report(regime, test: GaussianTest, A: int = 96,
     one, compared with M'(z*)/eps-hat'(z*) for M = eps-hat * m_h in the
     family's contour variable.
     """
-    from .saddles import edge_data
-    s_grid = np.linspace(-3.0, 1.0, 11) if s_grid is None else np.asarray(s_grid)
+    from .saddles import airy_window, edge_data
+    s_grid = np.linspace(-3.0, 1.0, 11) if s_grid is None else s_grid
     fam, N = regime.family_and_N(A)
     ed = edge_data(fam, "right", N)
-    c_A = (A * abs(ed["kappa"]) / 2.0) ** (1.0 / 3.0) / abs(ed["lam"])
-    xs = np.unique(np.floor(A * ed["u_star"] + s_grid * c_A).astype(int))
-    xs = xs[(xs >= 0) & (xs <= fam.M if fam.finite else True)]
+    xs, _ = airy_window(ed, A, s_grid, fam)
     spl = spliced_oracle(fam, N, test, xs).S
     base = compose_columns(fam, N, xs).S
     measured = float(np.sum(spl * base) / np.sum(base * base))

@@ -1,41 +1,34 @@
-"""Saddle points, bulk supports, densities and spacings per family.
+"""Saddles, bulk supports, densities and soft edges from one phase per family.
 
-The one-variable phase of each projection kernel has two conjugate saddles
-z+-(u) for macroscopic positions u inside the bulk support; their angle
-theta(u) drives two densities:
+At u = x / A each family's projection kernel has the one-variable phase
 
-  * rho(u): the closed-form angular density 1/pi |dtheta/du| (normalized to
-    unit total mass), paired with the spacing Delta = 1/(2 pi rho);
-  * site_density(u): the particle density per lattice site,
-    Im d(phase)/du / pi evaluated at the upper saddle, which is what the
-    microscopic scaling of the convergence harnesses must use.
+    Phi(z; u) = e z + sum_i (k_i + l_i u) log(1 - z / r_i)   (log z where r_i = 0),
 
-The large parameter A is 2N (Meixner), N (Charlier), M (Krawtchouk).
+tabled once in `_phase`, with A = N, M, 2N in the order below:
+
+  * Charlier    -tau z + u log(1 + z) - log z,                  tau = theta / N;
+  * Krawtchouk  (1 - u) log(1 + p z) + u log(1 - q z) - gamma log z,  gamma = N / M;
+  * Meixner     log(1 - z / s) - log(1 - s z) - u log z,         s = sqrt(xi).
+
+The rest follows with no family branch.  Phi^(n) = e [n = 1] + sum_i (k_i + l_i u)
+(-1)^(n-1) (n-1)! / (z - r_i)^n.  Clearing Phi''s denominators gives the saddle quadratic
+a z^2 + b z + c (a > 0), linear in u; in the bulk support, where b^2 < 4ac, its roots
+are z+- (Im z+ > 0) with cos theta = -b / (2 sqrt(ac)), and they coalesce at its ends.
+rho = |d cos theta / du| / (pi sin theta) is the closed-form density (unit mass;
+spacing Delta = 1 / (2 pi rho)), and site_density = |Im dPhi/du (z+)| / pi the particles
+per lattice site, which fixes the harnesses' microscopic scaling.  At a soft edge u*
+with double root z*, A Phi has the cubic normal form with kappa = (z d/dz)^3 Phi and
+lambda = -z d^2 Phi / dz du: the Airy length is (A |kappa| / 2)^(1/3) / |lambda| sites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .families import Charlier, Meixner, DomainError
-
-
-@dataclass(frozen=True)
-class BulkPoint:
-    """Saddle data at one macroscopic position u inside the bulk."""
-
-    family_name: str
-    u: float
-    z_plus: complex
-    z_minus: complex
-    theta: float          # angle of the saddle pair, in (0, pi)
-    phi2_plus: complex    # second derivative of the phase at z_plus
-    rho: float            # angular density (closed form)
-    spacing: float        # Delta with 2 pi Delta rho = 1
-    site_density: float   # particles per lattice site
-    A: float              # large parameter
+from .families import Charlier, DomainError, Meixner
 
 
 def large_parameter(family, N: int) -> int:
@@ -46,190 +39,106 @@ def large_parameter(family, N: int) -> int:
     return family.M
 
 
-class EdgeClassification(Exception):
-    """u is not strictly inside the bulk; carries which side."""
-
-    def __init__(self, side: str, u: float):
-        super().__init__(f"u={u} is at/outside the {side} edge")
-        self.side = side
-
-
-# -- asymptotic parameter bundles -------------------------------------------
-
-
-def asymptotic_params(family, N: int | None = None) -> dict:
-    """Dimensionless parameters of the N -> infinity regime."""
+def _phase(family, N):
+    """(e, ((r_i, k_i, l_i), ...)) of the family's phase (module docstring)."""
     if isinstance(family, Meixner):
-        return {"s": family.s}
+        s = family.s
+        return 0.0, ((s, 1.0, 0.0), (1.0 / s, -1.0, 0.0), (0.0, 0.0, -1.0))
     if isinstance(family, Charlier):
         if N is None:
             raise DomainError("Charlier bulk regime requires N (tau = theta/N)")
-        return {"tau": family.theta / N}
-    return {"gamma": (N or 0) / family.M, "p": family.p}
+        return -family.theta / N, ((-1.0, 0.0, 1.0), (0.0, -1.0, 0.0))
+    return 0.0, ((-1.0 / family.p, 1.0, -1.0), (1.0 / family.q, 0.0, 1.0),
+                 (0.0, -(N or 0) / family.M, 0.0))
+
+
+class EdgeClassification(DomainError):
+    """u is not strictly inside the bulk support."""
+
+    def __init__(self, family, u: float, N: int | None = None):
+        lo, hi = bulk_support(family, N)
+        super().__init__(f"u={u} is not strictly inside the {family.name} bulk "
+                         f"support ({lo:.6g}, {hi:.6g})")
+
+
+def phase_derivative(family, z, u: float, N: int | None = None, order: int = 1):
+    """d^order Phi / dz^order at z, for order >= 1."""
+    e, terms = _phase(family, N)
+    z = np.asarray(z, dtype=complex)
+    scale = (-1) ** (order - 1) * factorial(order - 1)
+    return (e if order == 1 else 0.0) + sum((k + l * u) * scale / (z - r) ** order
+                                            for r, k, l in terms)
+
+
+@lru_cache(maxsize=64)
+def _saddle_rows(family, N):
+    """(a, b, c) at u = 0 and per unit u of a z^2 + b z + c = Phi'(z; u) prod_i (z - r_i),
+    of degree 2 in every family (e = 0 where there are three r_i)."""
+    e, terms = _phase(family, N)
+    roots = [r for r, _, _ in terms]
+    rest = [np.r_[0.0, np.poly(roots[:i] + roots[i + 1:])][-3:] for i in range(len(roots))]
+    return (e * np.poly(roots)[-3:] + sum(k * p for (_, k, _), p in zip(terms, rest)),
+            sum(l * p for (_, _, l), p in zip(terms, rest)))
+
+
+def _quadratic(family, u: float, N: int | None):
+    """The saddle quadratic's (a, b, c) at u, signed so that a > 0, and d/du of it."""
+    const, slope = _saddle_rows(family, N)
+    sign = np.copysign(1.0, const[0] + u * slope[0])
+    return sign * (const + u * slope), sign * slope
 
 
 def bulk_support(family, N: int | None = None) -> tuple[float, float]:
-    pars = asymptotic_params(family, N)
-    if isinstance(family, Meixner):
-        s = pars["s"]
-        return (1 - s) / (1 + s), (1 + s) / (1 - s)
-    if isinstance(family, Charlier):
-        tau = pars["tau"]
-        return 1 + tau - 2 * np.sqrt(tau), 1 + tau + 2 * np.sqrt(tau)
-    g, p = pars["gamma"], pars["p"]
-    q = 1 - p
-    c = p - g * (p - q)
-    h = 2 * np.sqrt(g * (1 - g) * p * q)
-    return c - h, c + h
+    """The roots in u of b(u)^2 - 4 a(u) c(u), a quadratic in u."""
+    (a, b, c), (a1, b1, c1) = _saddle_rows(family, N)
+    q2, q1, q0 = b1 * b1 - 4 * a1 * c1, 2 * b * b1 - 4 * (a * c1 + a1 * c), b * b - 4 * a * c
+    q = -0.5 * (q1 + np.copysign(np.sqrt(q1 * q1 - 4 * q2 * q0), q1))
+    lo, hi = sorted((q / q2, q0 / q))
+    return float(lo), float(hi)
 
 
 def cos_theta(family, u: float, N: int | None = None) -> float:
-    pars = asymptotic_params(family, N)
-    if isinstance(family, Meixner):
-        s = pars["s"]
-        return (u * (1 + s * s) + (s * s - 1)) / (2 * s * u)
-    if isinstance(family, Charlier):
-        tau = pars["tau"]
-        return (u - (1 + tau)) / (2 * np.sqrt(tau))
-    g, p = pars["gamma"], pars["p"]
-    q = 1 - p
-    return ((p - u) - g * (p - q)) / (2 * np.sqrt(g * (1 - g) * p * q))
-
-
-def saddle_quadratic(family, u: float, N: int | None = None):
-    """(a, b, c) with a z^2 + b z + c = 0 the saddle equation."""
-    pars = asymptotic_params(family, N)
-    if isinstance(family, Meixner):
-        s = pars["s"]
-        return u * s, (1 - u) - (1 + u) * s * s, u * s
-    if isinstance(family, Charlier):
-        tau = pars["tau"]
-        return tau, tau + 1 - u, 1.0
-    g, p = pars["gamma"], pars["p"]
-    q = 1 - p
-    return p * q * (1 - g), -((p - u) - g * (p - q)), g
-
-
-def phase_d1(family, z, u, N=None):
-    """First derivative of the one-variable phase."""
-    pars = asymptotic_params(family, N)
-    z = np.asarray(z, dtype=complex)
-    if isinstance(family, Meixner):
-        s = pars["s"]
-        return s / (z * (z - s)) + s / (1 - s * z) - (u - 1) / z
-    if isinstance(family, Charlier):
-        tau = pars["tau"]
-        return u / (1 + z) - tau - 1 / z
-    g, p = pars["gamma"], pars["p"]
-    q = 1 - p
-    return (1 - u) * p / (1 + p * z) - u * q / (1 - q * z) - g / z
-
-
-def phase_d2(family, z, u, N=None):
-    pars = asymptotic_params(family, N)
-    z = np.asarray(z, dtype=complex)
-    if isinstance(family, Meixner):
-        s = pars["s"]
-        return (-s * (2 * z - s) / (z * (z - s)) ** 2
-                + s * s / (1 - s * z) ** 2 + (u - 1) / z ** 2)
-    if isinstance(family, Charlier):
-        return -u / (1 + z) ** 2 + 1 / z ** 2
-    g, p = pars["gamma"], pars["p"]
-    q = 1 - p
-    return -(1 - u) * p * p / (1 + p * z) ** 2 - u * q * q / (1 - q * z) ** 2 + g / z ** 2
-
-
-def phase_d3(family, z, u, N=None):
-    pars = asymptotic_params(family, N)
-    z = np.asarray(z, dtype=complex)
-    if isinstance(family, Meixner):
-        s = pars["s"]
-        w2 = z * z - s * z
-        return (-2 * s * (w2 - (2 * z - s) ** 2) / w2 ** 3
-                + 2 * s ** 3 / (1 - s * z) ** 3 - 2 * (u - 1) / z ** 3)
-    if isinstance(family, Charlier):
-        return 2 * u / (1 + z) ** 3 - 2 / z ** 3
-    g, p = pars["gamma"], pars["p"]
-    q = 1 - p
-    return (2 * (1 - u) * p ** 3 / (1 + p * z) ** 3
-            - 2 * u * q ** 3 / (1 - q * z) ** 3 + 2 * g / z ** 3)
+    (a, b, c), _ = _quadratic(family, u, N)
+    return float(-b / (2 * np.sqrt(a * c)))
 
 
 def rho_closed_form(family, u: float, N: int | None = None) -> float:
     """The printed angular density (arcsine type; integrates to one)."""
-    pars = asymptotic_params(family, N)
-    c = cos_theta(family, u, N)
-    if not -1.0 < c < 1.0:
-        raise EdgeClassification("right" if c >= 1 else "left", u)
-    root = np.sqrt(1.0 - c * c)
-    if isinstance(family, Meixner):
-        s = pars["s"]
-        return (1 - s * s) / (2 * np.pi * s * u * u) / root
-    if isinstance(family, Charlier):
-        return 1.0 / (2 * np.pi * np.sqrt(pars["tau"])) / root
-    g, p = pars["gamma"], pars["p"]
-    q = 1 - p
-    return 1.0 / (2 * np.pi * np.sqrt(g * (1 - g) * p * q)) / root
+    (a, b, c), (a1, b1, c1) = _quadratic(family, u, N)
+    root_ac = np.sqrt(a * c)
+    cth = -b / (2 * root_ac)
+    if not -1.0 < cth < 1.0:
+        raise EdgeClassification(family, u, N)
+    dcos = -b1 / (2 * root_ac) + b * (a1 * c + a * c1) / (4 * root_ac ** 3)
+    return float(abs(dcos) / (np.pi * np.sqrt(1.0 - cth * cth)))
 
 
-def saddle_solve(family, u: float, N: int | None = None) -> BulkPoint:
-    """Conjugate saddles, phase curvature and both densities at bulk u."""
-    a, b, c = saddle_quadratic(family, u, N)
+def saddle_pair(family, u: float, N: int | None = None) -> tuple[complex, complex]:
+    """The conjugate saddles (z+, z-), Im z+ > 0, at u strictly inside the bulk."""
+    (a, b, c), _ = _quadratic(family, u, N)
     disc = b * b - 4 * a * c
     if disc >= 0:
-        side = "left" if u <= sum(bulk_support(family, N)) / 2 else "right"
-        raise EdgeClassification(side, u)
+        raise EdgeClassification(family, u, N)
     zp = (-b + 1j * np.sqrt(-disc)) / (2 * a)
-    zm = np.conj(zp)
-    th = float(np.arccos(np.clip(cos_theta(family, u, N), -1.0, 1.0)))
-    rho = rho_closed_form(family, u, N)
-    site = site_density(family, u, N)
-    A = large_parameter(family, N) if N is not None else np.nan
-    return BulkPoint(family_name=family.name, u=u, z_plus=complex(zp),
-                     z_minus=complex(zm), theta=th,
-                     phi2_plus=complex(phase_d2(family, zp, u, N)),
-                     rho=rho, spacing=1.0 / (2 * np.pi * rho),
-                     site_density=site, A=float(A))
+    return complex(zp), complex(np.conj(zp))
 
 
 def site_density(family, u: float, N: int | None = None) -> float:
-    """Particles per lattice site at x ~ A u: |Im d(phase)/du| / pi at z_+.
-
-    This is the density that fixes the microscopic sine-kernel scaling; it
-    vanishes like a square root at soft edges and saturates at 1 at packed
-    edges, unlike the closed-form angular density.
-    """
-    a, b, c = saddle_quadratic(family, u, N)
-    disc = b * b - 4 * a * c
-    if disc >= 0:
-        cth = cos_theta(family, u, N)
-        return 1.0 if cth <= -1 else 0.0
-    zp = (-b + 1j * np.sqrt(-disc)) / (2 * a)
-    if isinstance(family, Meixner):
-        val = -np.log(zp)
-    elif isinstance(family, Charlier):
-        val = np.log(1 + zp)
-    else:
-        val = np.log((1 - family.q * zp) / (1 + family.p * zp))
-    return float(abs(val.imag) / np.pi)
-
-
-def density_and_spacing(family, u: float, N: int | None = None,
-                        A: int | None = None) -> tuple[float, float]:
-    """(rho, Delta) with the closed-form rho and 2 pi Delta rho = 1; the
-    harnesses use `site_density` instead (see module docstring)."""
-    rho = rho_closed_form(family, u, N)
-    return rho, 1.0 / (2.0 * np.pi * rho)
+    """Particles per lattice site at x ~ A u, |Im dPhi/du (z+)| / pi: it vanishes like
+    a square root at a soft edge and saturates at a packed one.  Outside the bulk
+    it is 1 past a packed edge (cos theta <= -1) and 0 past a soft one."""
+    try:
+        zp, _ = saddle_pair(family, u, N)
+    except EdgeClassification:
+        return 1.0 if cos_theta(family, u, N) <= -1 else 0.0
+    dphi_du = sum(l * np.log(zp if r == 0 else 1 - zp / r) for r, _, l in _phase(family, N)[1])
+    return float(abs(dphi_du.imag) / np.pi)
 
 
 def density_total_mass(family, N: int | None = None, nodes: int = 64) -> float:
-    """Total mass of the closed-form density over the bulk support.
-
-    The substitution u = mid - half cos(phi), phi in (0, pi), cancels the
-    inverse-square-root endpoint singularities: rho du becomes a smooth
-    function of phi (a constant for Charlier and Krawtchouk).  `nodes` is
-    the number of Gauss-Legendre nodes in phi.
-    """
+    """Total mass of the closed-form density over the bulk support, by `nodes`
+    Gauss-Legendre nodes in phi, u = mid - half cos(phi): rho du is smooth in phi
+    (constant for Charlier and Krawtchouk), free of the endpoint singularities."""
     lo, hi = bulk_support(family, N)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     x, wt = leggauss(nodes)
@@ -239,31 +148,23 @@ def density_total_mass(family, N: int | None = None, nodes: int = 64) -> float:
     return float(0.5 * np.pi * np.sum(wt * vals * half * np.sin(phi)))
 
 
-# -- soft edges --------------------------------------------------------------
-
-
 def edge_data(family, side: str = "right", N: int | None = None) -> dict:
-    """Coalesced saddle and cubic normal-form coefficients at a soft edge.
-
-    kappa is the third phase derivative in the logarithmic chart z d/dz,
-    lambda the mixed u-derivative; the Airy length in lattice sites is
-    (A |kappa|)^(1/3) / |lambda|.
-    """
+    """Double root z* and the normal-form kappa and lambda at the soft edge on `side`."""
     lo, hi = bulk_support(family, N)
     u_star = hi if side == "right" else lo
-    a, b, c = saddle_quadratic(family, u_star, N)
-    z_star = -b / (2 * a)
-    kappa = (z_star ** 3 * phase_d3(family, z_star, u_star, N)
-             + 3 * z_star ** 2 * phase_d2(family, z_star, u_star, N)
-             + z_star * phase_d1(family, z_star, u_star, N))
-    # lambda = -z d/dz du(phase): family-wise d/du d/dz of the phase
-    if isinstance(family, Meixner):
-        lam = -z_star * (-1.0 / z_star)
-    elif isinstance(family, Charlier):
-        lam = -z_star / (1 + z_star)
-    else:
-        lam = -z_star * (-family.p / (1 + family.p * z_star)
-                         - family.q / (1 - family.q * z_star))
-    return {"u_star": float(u_star), "z_star": float(np.real(z_star)),
-            "kappa": complex(kappa), "lam": float(np.real(lam)),
-            "side": side}
+    (a, b, _), _ = _quadratic(family, u_star, N)
+    z = -b / (2 * a)
+    d1, d2, d3 = (phase_derivative(family, z, u_star, N, n) for n in (1, 2, 3))
+    lam = -z * sum(l / (z - r) for r, _, l in _phase(family, N)[1])
+    return {"u_star": u_star, "z_star": float(z),
+            "kappa": complex(z ** 3 * d3 + 3 * z ** 2 * d2 + z * d1),
+            "lam": float(lam), "side": side}
+
+
+def airy_window(ed: dict, A: int, s_grid, family):
+    """(sites, c_A) at the edge `ed` of `edge_data`: c_A = (A |kappa| / 2)^(1/3) / |lambda|
+    and the sites of `family` at floor(A u* + s c_A), s mirrored at a left edge."""
+    c_A = (A * abs(ed["kappa"]) / 2.0) ** (1.0 / 3.0) / abs(ed["lam"])
+    orient = 1.0 if ed["side"] == "right" else -1.0
+    xs = np.unique(np.floor(A * ed["u_star"] + orient * np.asarray(s_grid) * c_A).astype(int))
+    return xs[(xs >= 0) & (xs <= (family.M if family.finite else np.inf))], c_A

@@ -78,6 +78,8 @@ def test_density_csv(tmp_path):
     assert rows[0] == "u,cos_theta,rho,delta,rho_site"
     us = np.array([float(r.split(",")[0]) for r in rows[1:]])
     assert us[0] > 1 / 3 and us[-1] < 3.0
+    rho, delta = np.array([[float(v) for v in r.split(",")[2:4]] for r in rows[1:]]).T
+    assert np.max(np.abs(2 * np.pi * delta * rho - 1.0)) <= 1e-15
 
 
 def test_config_file_round_trip(tmp_path):
@@ -235,6 +237,36 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
     err = capsys.readouterr().err
     assert missing in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["asym", "density", "--family", "krawtchouk", "--gamma", "1.5", "--p", "0.4"], "gamma"),
+    (["asym", "edge", "--family", "charlier", "--tau", "0"], "tau"),
+    (["asym", "bulk", "--family", "charlier", "--tau", "1", "--u", "5", "--A-list", "24,48"],
+     "bulk support (0, 4)"),
+    (["asym", "correction", "--family", "meixner", "--xi", "0.25", "--u", "0.2"],
+     "bulk support (0.333333, 3)"),
+    (["asym", "gap", "--family", "charlier", "--tau", "1", "--u", "4"], "bulk support (0, 4)"),
+    (["splice", "edge-ratio", "--family", "meixner", "--xi", "0.25"], "charlier only"),
+], ids=["density-gamma-1.5", "edge-tau-0", "bulk-u-outside", "correction-u-packed",
+        "gap-u-at-edge", "edge-ratio-meixner"])
+def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named):
+    # one error line that names the domain, no warning or traceback, no output
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and named in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_krawtchouk_edge_converges_to_airy(tmp_path):
+    # the Airy length of a Krawtchouk soft edge, from kappa = -0.554 at
+    # gamma = 0.25, p = 0.4
+    code = main(["asym", "edge", "--family", "krawtchouk", "--gamma", "0.25", "--p", "0.4",
+                 "--block", "K", "--A-list", "64,128,256,512", "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "edge_krawtchouk_b1.json").read_text())
+    assert rep["monotone_decreasing"]
+    assert abs(rep["entries"][-1]["c_fit"] - 1) < 0.05
 
 
 def test_density_summary_reports_total_mass(tmp_path, capsys):
