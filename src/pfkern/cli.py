@@ -68,12 +68,22 @@ def _position(args):
     return args.u
 
 
-def _parse_window(text, family, N):
+def _window(args, family):
+    """The lo:hi `--window` (the default window if unset) for a positive `--N`."""
     from .kernels import default_window
-    if not text:
-        return default_window(family, N)
-    lo, hi = (int(v) for v in text.split(":"))
+    if args.N < 1:
+        raise DomainError(f"--N must be positive, got {args.N}")
+    if not args.window:
+        return default_window(family, args.N)
+    lo, hi = (int(v) for v in args.window.split(":"))
+    if not 0 <= lo <= hi <= (family.M if family.finite else hi):
+        raise DomainError(f"--window {args.window} is not a nonempty lo:hi range on the lattice")
     return np.arange(lo, hi + 1)
+
+
+def _out(args, name):
+    """`name` in the output directory, made on first use: a refused request makes none."""
+    return os.path.join(reports.output_dir(args.out), name)
 
 
 def _parse_list(text):
@@ -109,11 +119,10 @@ def _apply_config(args, defaults, parser):
 def cmd_kernel(args, config) -> int:
     from .kernels import adjudicate_composition, s1_block, s4_block
     fam = _family(args)
-    window = _parse_window(args.window, fam, args.N)
+    window = _window(args, fam)
     route = "oracle" if args.oracle else "contour"
     blk = (s4_block if args.beta == 4 else s1_block)(fam, args.N, window, route=route)
-    out = reports.output_dir(args.out)
-    stem = os.path.join(out, f"kernel_{fam.name}_b{args.beta}_N{args.N}")
+    stem = _out(args, f"kernel_{fam.name}_b{args.beta}_N{args.N}")
     reports.write_kernel_csv(stem + ".csv", blk)
     adj = adjudicate_composition(fam)
     reports.write_json(stem + ".json",
@@ -134,8 +143,7 @@ def cmd_validate(args, config) -> int:
     from .validate import run_validation
     fam = _family(args) if args.family else None
     report = run_validation(fam, wrong_nesting=args.wrong_nesting)
-    out = reports.output_dir(args.out)
-    path = os.path.join(out, "validate.json")
+    path = _out(args, "validate.json")
     reports.write_json(path, report, config=config)
     for item in report["invariants"]:
         status = "pass" if item["passes"] else "FINDING"
@@ -148,7 +156,6 @@ def cmd_validate(args, config) -> int:
 def cmd_asym(args, config) -> int:
     from .harness import (bulk_convergence_test, correction_extract, crossover_test,
                           edge_convergence_test)
-    out = reports.output_dir(args.out)
     if args.study == "density":
         from .saddles import (bulk_support, cos_theta, density_total_mass,
                               rho_closed_form, site_density)
@@ -161,7 +168,7 @@ def cmd_asym(args, config) -> int:
             rho = rho_closed_form(fam, u, N)
             rows.append((float(u), cos_theta(fam, u, N), rho, 1.0 / (2.0 * np.pi * rho),
                          site_density(fam, u, N)))
-        path = os.path.join(out, f"density_{args.family}.csv")
+        path = _out(args, f"density_{args.family}.csv")
         reports.write_table_csv(path, ["u", "cos_theta", "rho", "delta", "rho_site"], rows)
         print(f"wrote {path} ({len(rows)} rows over ({lo:.6g}, {hi:.6g}); "
               f"density_total_mass {density_total_mass(fam, N):.12g})")
@@ -169,21 +176,21 @@ def cmd_asym(args, config) -> int:
     if args.study == "bulk":
         rep = bulk_convergence_test(_regime(args), args.beta, _position(args),
                                     _parse_list(args.A_list), block=args.block)
-        path = os.path.join(out, f"bulk_{args.family}_b{args.beta}.json")
+        path = _out(args, f"bulk_{args.family}_b{args.beta}.json")
         reports.write_json(path, rep, config=config)
         print(f"slope {rep['slope']:.3f}; wrote {path}")
         return 0
     if args.study == "edge":
         rep = edge_convergence_test(_regime(args), args.beta,
                                     _parse_list(args.A_list), block=args.block)
-        path = os.path.join(out, f"edge_{args.family}_b{args.beta}.json")
+        path = _out(args, f"edge_{args.family}_b{args.beta}.json")
         reports.write_json(path, rep, config=config)
         print(f"monotone decreasing: {rep['monotone_decreasing']}; wrote {path}")
         return 0
     if args.study == "correction":
         rep = correction_extract(_regime(args), args.beta, _position(args),
                                  _parse_list(args.A_list))
-        path = os.path.join(out, f"correction_{args.family}_b{args.beta}.json")
+        path = _out(args, f"correction_{args.family}_b{args.beta}.json")
         reports.write_json(path, rep, config=config)
         print(f"alpha_hat {rep['alpha_hat']:.4f} beta_hat {rep['beta_hat']:.4f} "
               f"residual {rep['relative_residual']:.3f}; wrote {path}")
@@ -191,7 +198,7 @@ def cmd_asym(args, config) -> int:
     if args.study == "crossover":
         rep = crossover_test(args.alpha, _parse_list(args.N_list), beta=args.beta,
                              block=args.block)
-        path = os.path.join(out, "crossover.json")
+        path = _out(args, "crossover.json")
         reports.write_json(path, rep, config=config)
         print(f"alpha_hat {rep['alpha_hat']:.3f} monotone {rep['monotone_decreasing']}; "
               f"wrote {path}")
@@ -202,7 +209,7 @@ def cmd_asym(args, config) -> int:
         fam, N = reg.family_and_N(args.A or 256)
         rep = bulk_scaled_gap_comparison(fam, N, u,
                                          [float(v) for v in args.lengths.split(",")])
-        path = os.path.join(out, "gap.json")
+        path = _out(args, "gap.json")
         reports.write_json(path, rep, config=config)
         print(f"wrote {path}")
         return 0
@@ -216,15 +223,14 @@ def cmd_splice(args, config) -> int:
     if args.study == "edge-ratio" and args.family != "charlier":
         raise DomainError(f"splice edge-ratio is implemented for --family charlier only, "
                           f"not {args.family}")
-    out = reports.output_dir(args.out)
     test = GaussianTest(sigma=args.sigma)
     if args.study == "kernel":
         fam = _family(args)
-        window = _parse_window(args.window, fam, args.N)
+        window = _window(args, fam)
         blk = spliced_s4(fam, args.N, test, window)
         orc = spliced_oracle(fam, args.N, test, window)
         rel = float(np.max(np.abs(blk.S - orc.S)) / np.max(np.abs(orc.S)))
-        stem = os.path.join(out, f"spliced_{fam.name}_N{args.N}_sigma{args.sigma:g}")
+        stem = _out(args, f"spliced_{fam.name}_N{args.N}_sigma{args.sigma:g}")
         reports.write_kernel_csv(stem + ".csv", blk)
         reports.write_json(stem + ".json",
                            {"metadata": reports.block_metadata(blk),
@@ -238,15 +244,14 @@ def cmd_splice(args, config) -> int:
         w = np.exp(1j * phis)
         rows = [(float(ph), float(v.real), float(v.imag), float(v_num.real))
                 for ph, v, v_num in zip(phis, m_h(test, w), m_h_numeric(test, w))]
-        path = os.path.join(out, "reality.csv")
+        path = _out(args, "reality.csv")
         reports.write_table_csv(path, ["phi", "re_mh", "im_mh", "re_numeric"], rows)
-        reports.write_json(os.path.join(out, "reality.json"), rep,
-                           config=config)
+        reports.write_json(_out(args, "reality.json"), rep, config=config)
         print(f"max |Im m_h| on circle: {rep['max_imag_unit_circle']:.3e}; wrote {path}")
         return 0
     if args.study == "edge-ratio":
         rep = edge_ratio_report(Regime(kind="charlier", tau=args.tau), test, A=args.A or 96)
-        path = os.path.join(out, "edge_ratio.json")
+        path = _out(args, "edge_ratio.json")
         reports.write_json(path, rep, config=config)
         print(f"measured {rep['measured_ratio']:.4f} vs predicted "
               f"{rep['predicted_ratio']:.4f} (rel diff {rep['rel_diff']:.3f}); wrote {path}")

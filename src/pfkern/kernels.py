@@ -32,21 +32,22 @@ Three evaluation routes coexist and are cross-checked:
                   multiplier images of the wave functions (exact for any
                   analytic symbol; this is the production contour route);
   * paper      -- the printed double-contour formulas, evaluated verbatim
-                  in their candidate contour regimes.  On trapezoid grids
-                  each is (1/n^2) sum_ij A[x, i] C[i, j] B[y, j] for integrand
+                  as candidates.  `adjudicate_projection` and
+                  `adjudicate_composition` each declare theirs once, as a
+                  table from report name to a `_meixner_paper_kernel`,
+                  `_printed_nested_kernel` or `_dual_kernel` call, and
+                  `_score` ranks them against the oracle, keeping the
+                  losers' scores.  On trapezoid grids each
+                  is (1/n^2) sum_ij A[x, i] C[i, j] B[y, j] for integrand
                   rows A, B and a Cauchy factor C.  The concentric circles
                   share the unit nodes, so C is a sum of (anti-)circulant
                   matrices with diagonal scalings, which the FFT
                   diagonalises (`_cauchy_sums`): no n x n matrix is formed.
-
-`adjudicate_projection` / `adjudicate_composition` measure every candidate
-against the oracle and record which convention (if any) reproduces it; the
-losing candidates stay available for the diagnostics reports.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -287,47 +288,20 @@ def _cauchy_sums(A, B, factors, m=None):
                @ np.fft.ifft(Q).T for g, anti, s in factors for a, Q in pairs) / n ** 2
 
 
-def _meixner_pair(family, regime: str) -> tuple[float, float]:
-    s = family.s
-    if regime == "product<1":
-        return (2 * s + 1) / 3.0, (s + 2) / 3.0
-    # product > 1: r1 just inside the unit circle, r2 between the Cauchy
-    # pole at 1/r1 and the admissibility bound 1/s
-    r1 = max(0.95, (1.0 + s) / 2.0)
-    r2 = 0.5 * (1.0 / r1 + 0.5 * (1.0 + 1.0 / s))
-    return r1, r2
-
-
-def projection_contour(family, N, xs, ys=None, variant: str = "adjudicated",
-                       nodes: int = 512):
-    """Double-contour projection kernel.
-
-    Variants: 'paper' / 'paper-swapped' are the printed formulas in their two
-    contour regimes; 'dual' is the corrected two-centre form for Charlier and
-    Krawtchouk; 'adjudicated' dispatches to the regime that reproduces the
-    lattice oracle (Meixner: printed formula with radius product > 1;
-    Charlier/Krawtchouk: dual form).
-    """
-    ys = xs if ys is None else ys
-    if isinstance(family, Meixner):
-        if family.beta_m != 1.0:
-            raise ValueError("contour projection requires beta_m = 1")
-        return _meixner_paper_kernel(family, N, xs, ys, variant != "paper", nodes)
-    if variant in ("paper", "paper-swapped"):
-        return _printed_nested_kernel(family, N, xs, ys, variant == "paper-swapped", nodes)
-    return _dual_kernel(family, N, xs, ys, nodes)
-
-
 def _meixner_paper_kernel(family, N, xs, ys, swap, nodes, m_func=None,
                           numerator="difference-quotient"):
-    """The printed Meixner double contour on |w1| = r1 < |w2| = r2 (radius
-    product > 1 if swapped, else < 1) over the rows G_2N(w) w^(2N - x), with the
-    Cauchy factor 1/(w1 w2 - 1) = f[(i + j) mod n], times a composition's
-    numerator if m_func is given: the difference quotient (m(w1) - m(w2))/(w1 - w2),
-    by 1/((w1 w2 - 1)(w1 - w2)) = (w1^2 - 1)^-1 [w1 f + w1^-1 h[(j - i) mod n]]
-    with h = 1/(1 - (r2/r1) t) (finite, as r1 < 1), or the printed
-    (w2 - w1)/((w1^2 - 1)(w2^2 - 1))."""
-    r1, r2 = _meixner_pair(family, "product>1" if swap else "product<1")
+    """The printed Meixner double contour on |w1| = r1 < |w2| = r2 over the rows
+    G_2N(w) w^(2N - x), with the Cauchy factor 1/(w1 w2 - 1) = f[(i + j) mod n],
+    times a composition's numerator if m_func is given: the difference quotient
+    (m(w1) - m(w2))/(w1 - w2), by 1/((w1 w2 - 1)(w1 - w2)) =
+    (w1^2 - 1)^-1 [w1 f + w1^-1 h[(j - i) mod n]] with h = 1/(1 - (r2/r1) t)
+    (finite, as r1 < 1), or the printed (w2 - w1)/((w1^2 - 1)(w2^2 - 1)).
+    Radius product < 1: r1, r2 = (2s + 1)/3, (s + 2)/3.  Swapped, product > 1:
+    r1 just inside the unit circle, r2 between the Cauchy pole at 1/r1 and the
+    admissibility bound 1/s."""
+    s = family.s
+    r1 = max(0.95, (1.0 + s) / 2.0) if swap else (2 * s + 1) / 3.0
+    r2 = 0.5 * (1.0 / r1 + 0.5 * (1.0 + 1.0 / s)) if swap else (s + 2) / 3.0
     t = unit_roots(nodes)
     w1, w2 = r1 * t, r2 * t
     A, B = (meixner_G(2 * N, w, family.s) * w ** (2 * N - np.asarray(sites))[:, None]
@@ -343,6 +317,14 @@ def _meixner_paper_kernel(family, N, xs, ys, swap, nodes, m_func=None,
                         (m_func(w1), m_func(w2))).real
 
 
+def _nested_radii(family) -> tuple[float, float]:
+    """(inner, outer) radii of the printed Charlier/Krawtchouk circles."""
+    if isinstance(family, Charlier):
+        return 0.35, 0.7
+    rstar = min(1.0 / family.p, 1.0 / family.q)     # the admissible radius
+    return 0.4 * rstar, 0.8 * rstar
+
+
 def _printed_nested_kernel(family, N, xs, ys, swap, nodes, m_func=None):
     """The printed concentric-circle forms over the rows c(t) a(t)^x
     (`_generating_logs`), t1 on the outer circle (inner if swapped), with the
@@ -351,8 +333,8 @@ def _printed_nested_kernel(family, N, xs, ys, swap, nodes, m_func=None):
     (m(t1) - m(t2))/(t1 - t2) if m_func is given: then the factor is
     t1^-2 q^N/(1 - q)^2 (m(t1) - m(t2))."""
     t = unit_roots(nodes)
-    R1, R2 = (default_contour(family, kind).radius
-              for kind in (("inner", "outer") if swap else ("outer", "inner")))
+    inner, outer = _nested_radii(family)
+    R1, R2 = (inner, outer) if swap else (outer, inner)
     t1, t2, q = R1 * t, R2 * t, (R2 / R1) * t
     xs, ys = np.asarray(xs), np.asarray(ys)
     log_c, log_a = _generating_logs(family, np.stack([t1, t2]))
@@ -424,25 +406,6 @@ def _dual_kernel(family, N, xs, ys, nodes):
     return out
 
 
-def compose_contour(family, N, m_func, xs, ys=None, variant: str = "paper",
-                    numerator: str = "difference-quotient", nodes: int = 512):
-    """The printed Cauchy-multiplier composition formulas, verbatim: the
-    projection's double contour with its Cauchy factor times the difference
-    quotient (m(z1) - m(z2))/(z1 - z2), split into FFT-diagonalised
-    (anti-)circulant sums for any m_func.
-
-    For Meixner `numerator` selects between the generic difference quotient
-    of the printed eps symbol and the printed (w2 - w1) numerator of the
-    beta = 4 corollary; the adjudicator decides which (if either) matches
-    the lattice oracle.
-    """
-    ys = xs if ys is None else ys
-    swapped = variant != "paper"
-    if isinstance(family, Meixner):
-        return _meixner_paper_kernel(family, N, xs, ys, swapped, nodes, m_func, numerator)
-    return _printed_nested_kernel(family, N, xs, ys, swapped, nodes, m_func)
-
-
 # ---------------------------------------------------------------------------
 # adjudication
 
@@ -453,22 +416,49 @@ def _max_rel(a, b):
     return float(f"{np.max(np.abs(a - b)) / scale:.12g}")
 
 
+def _adjudication_window(family, N: int) -> np.ndarray:
+    """Sites 0..3N + 4, or the whole lattice if smaller: where candidates are scored."""
+    return np.arange(min(3 * N + 5, family.M + 1) if family.finite else 3 * N + 5)
+
+
+def _score(report: dict, candidates: dict, reference) -> dict:
+    """report['candidates'][name] = `_max_rel` of each candidate thunk against the
+    reference; inf if it overflows (without a warning) or raises a ValueError (a
+    pole on a contour, recorded under 'errors').  The first-declared best wins."""
+    scores = report["candidates"] = {}
+    for name, kernel in candidates.items():
+        try:
+            with np.errstate(all="ignore"):
+                K = kernel()
+        except ValueError as exc:
+            report.setdefault("errors", {})[name] = repr(exc)
+            K = np.inf
+        scores[name] = _max_rel(K, reference) if np.all(np.isfinite(K)) else np.inf
+    report["winner"] = min(scores, key=scores.get)
+    report["winner_error"] = scores[report["winner"]]
+    return report
+
+
 @lru_cache(maxsize=16)
 def adjudicate_projection(family, N: int = 8) -> dict:
-    """Which contour convention reproduces the direct projection kernel."""
-    xs = np.arange(0, min(3 * N + 5, family.M + 1 if family.finite else 10 ** 9))
-    K = projection_direct(family, N, xs)
-    report = {"family": family.name, "N": N, "candidates": {}}
+    """Which contour convention reproduces the direct projection kernel.
+
+    Candidates at 1024 nodes, from the printed nesting (first) to the adjudicated
+    convention (last), the two that `validate` reads: Meixner radius product < 1,
+    then > 1; Charlier/Krawtchouk circles nested as printed, swapped, dual form."""
+    if isinstance(family, Meixner) and family.beta_m != 1.0:
+        raise ValueError("contour projection requires beta_m = 1")
+    xs = _adjudication_window(family, N)
     if isinstance(family, Meixner):
-        for swap, regime in ((False, "product<1"), (True, "product>1")):
-            Kc = _meixner_paper_kernel(family, N, xs, xs, swap, 1024)
-            report["candidates"][f"paper {regime}"] = _max_rel(Kc, K)
+        paper = partial(_meixner_paper_kernel, family, N, xs, xs, nodes=1024)
+        candidates = {"paper product<1": lambda: paper(swap=False),
+                      "paper product>1": lambda: paper(swap=True)}
     else:
-        for variant in ("paper", "paper-swapped", "dual"):
-            Kc = projection_contour(family, N, xs, variant=variant, nodes=1024)
-            report["candidates"][variant] = _max_rel(Kc, K)
-    report["winner"] = min(report["candidates"], key=report["candidates"].get)
-    report["winner_error"] = report["candidates"][report["winner"]]
+        paper = partial(_printed_nested_kernel, family, N, xs, xs, nodes=1024)
+        candidates = {"paper": lambda: paper(swap=False),
+                      "paper-swapped": lambda: paper(swap=True),
+                      "dual": lambda: _dual_kernel(family, N, xs, xs, 1024)}
+    report = _score({"family": family.name, "N": N}, candidates, projection_direct(family, N, xs))
     report["passes"] = report["winner_error"] < 1e-8
     return report
 
@@ -484,39 +474,36 @@ def residual_rank(R, tol_ratio=1e-6):
 def adjudicate_composition(family, N: int = 6) -> dict:
     """Printed composition vs the exact columns route vs the lattice oracle.
 
+    Candidates at 512 nodes: the difference quotient of the printed eps symbol,
+    then of the exact `inverse_eps_symbol`, each nested as printed and swapped;
+    for Meixner also the printed (w2 - w1) numerator of the beta = 4 corollary.
+
     Outcome classes:
       * 'match'      -- a printed variant reproduces K eps K within 1e-6;
       * 'structured' -- no printed variant matches, but the residual between
         the multiplier realization and the lattice eps is low-rank (the
         boundary kernel of D), which is reported rather than hidden.
     """
-    window = np.arange(0, min(3 * N + 5, family.M + 1 if family.finite else 10 ** 9))
+    window = _adjudication_window(family, N)
     oracle = oracle_block(family, N, 4, window)
     cols = compose_columns(family, N, window)
-    report = {"family": family.name, "N": N, "candidates": {}, "scale": float(np.max(np.abs(oracle.S)))}
     m = lambda z: symbol(family, "eps", z)
     m_inv = lambda z: inverse_eps_symbol(family, z)
-    quot = "difference-quotient"
-    candidates = [("paper printed-symbol", "paper", m, quot),
-                  ("paper swapped", "paper-swapped", m, quot),
-                  ("paper inverse-symbol", "paper", m_inv, quot),
-                  ("paper inverse-symbol swapped", "paper-swapped", m_inv, quot)]
+    paper = partial(_meixner_paper_kernel if isinstance(family, Meixner) else _printed_nested_kernel,
+                    family, N, window, window, nodes=512)
+    candidates = {"paper printed-symbol": lambda: paper(swap=False, m_func=m),
+                  "paper swapped": lambda: paper(swap=True, m_func=m),
+                  "paper inverse-symbol": lambda: paper(swap=False, m_func=m_inv),
+                  "paper inverse-symbol swapped": lambda: paper(swap=True, m_func=m_inv)}
     if isinstance(family, Meixner):
-        candidates.append(("paper printed-numerator", "paper", m, "printed"))
-    for name, variant, mm, numerator in candidates:
-        try:    # a candidate that overflows is scored inf below, without a warning
-            with np.errstate(all="ignore"):
-                Sc = compose_contour(family, N, mm, window, variant=variant, numerator=numerator)
-        except ValueError as exc:   # pole on contour etc.
-            Sc = np.full_like(oracle.S, np.inf)
-            report.setdefault("errors", {})[name] = repr(exc)
-        report["candidates"][name] = _max_rel(Sc, oracle.S) if np.all(np.isfinite(Sc)) else np.inf
+        candidates["paper printed-numerator"] = lambda: paper(swap=False, m_func=m,
+                                                              numerator="printed")
+    report = _score({"family": family.name, "N": N, "scale": float(np.max(np.abs(oracle.S)))},
+                    candidates, oracle.S)
     report["columns_vs_oracle"] = _max_rel(cols.S, oracle.S)
     R = cols.S - oracle.S
     report["columns_residual_rank"] = residual_rank(R)
     report["columns_residual_max"] = float(np.max(np.abs(R)))
-    report["winner"] = min(report["candidates"], key=report["candidates"].get)
-    report["winner_error"] = report["candidates"][report["winner"]]
     if report["winner_error"] < 1e-6:
         report["outcome"] = "match"
     elif report["columns_residual_rank"] <= 2:

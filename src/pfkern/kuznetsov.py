@@ -19,7 +19,7 @@ the need to encircle the origin genuinely conflict for circle contours).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -27,6 +27,9 @@ from numpy.polynomial.legendre import leggauss
 from .families import DomainError
 from .kernels import KernelBlockSet, compose_columns, gram_block
 from .symbols import default_contour, eps_multiplier, inverse_eps_symbol
+
+
+_legendre_nodes = cache(leggauss)     # one eigenproblem per node count and process
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class GaussianTest:
     def quadrature(self):
         """(t, weighted h) for even integrands: 400-node Gauss-Legendre on
         [0, T], doubled for the mirror half."""
-        x, wt = leggauss(400)
+        x, wt = _legendre_nodes(400)
         T = self.tail_T()
         t = 0.5 * T * (x + 1.0)
         return t, T * wt * self.h(t)

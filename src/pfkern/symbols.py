@@ -1,11 +1,10 @@
 """Generating representations and multiplier symbols in the contour variable.
 
 Per family this module provides the single-contour wave-function formulas
-and the classical rational multipliers of D and eps.  Multipliers come in
-two flavours: ``symbol`` returns the printed classical forms (tested through
-their stated identities), while ``inverse_eps_symbol`` returns the exact
-reciprocal of the shift-difference symbol, which is what actually inverts D
-on wave functions.
+and the rational multipliers of eps.  They come in two flavours: ``symbol``
+returns the printed classical form, while ``inverse_eps_symbol`` returns the
+exact reciprocal of the shift-difference symbol, which is what actually
+inverts D on wave functions.
 
 Adjudicated evaluation conventions (verified against the recurrence tables,
 see the kernels module for the full adjudication machinery):
@@ -34,22 +33,20 @@ def ratio_map(family: Krawtchouk, v):
 
 
 def symbol(family, kind: str, z):
-    """Printed multiplier of D or eps in the family's contour variable.
-
-    Note the printed Meixner/Krawtchouk pairs are not mutual reciprocals:
-    D*eps = 1/w (Meixner) and 1/R(v) (Krawtchouk); only Charlier's t-plane
-    pair satisfies D*eps = 1 exactly.  Tests pin these identities.
-    """
+    """Printed eps multiplier (kind 'eps') in the family's contour variable:
+    1/(w^2 - 1) (Meixner), (1 + t)/(t (2 + t)) (Charlier) and 1/(R^2 - 1) with
+    R = `ratio_map` (Krawtchouk).  Only Charlier's is the exact inverse of the
+    shift difference; `inverse_eps_symbol` is that inverse for every family."""
+    if kind != "eps":
+        raise ValueError(f"symbol kind must be 'eps', not {kind!r}")
     z = np.asarray(z, dtype=complex)
-    _check_poles(family, kind, z)
+    _check_poles(family, z)
     if isinstance(family, Meixner):
-        return z - 1.0 / z if kind == "D" else 1.0 / (z * z - 1.0)
+        return 1.0 / (z * z - 1.0)
     if isinstance(family, Charlier):
-        if kind == "D":
-            return (1.0 + z) - 1.0 / (1.0 + z)
         return (1.0 + z) / (z * (2.0 + z))
     r = ratio_map(family, z)
-    return r - 1.0 / r if kind == "D" else 1.0 / (r * r - 1.0)
+    return 1.0 / (r * r - 1.0)
 
 
 def inverse_eps_symbol(family, z):
@@ -65,23 +62,18 @@ def inverse_eps_symbol(family, z):
     return r / (r * r - 1.0)
 
 
-def symbol_poles(family, kind: str):
+def _check_poles(family, z):
     if isinstance(family, Meixner):
-        return (0.0,) if kind == "D" else (1.0, -1.0)
-    if isinstance(family, Charlier):
-        return (-1.0,) if kind == "D" else (0.0, -2.0)
-    poles = [-1.0 / family.p, 1.0 / family.q]
-    if kind == "eps":
-        poles.append(0.0)
+        poles = (1.0, -1.0)
+    elif isinstance(family, Charlier):
+        poles = (0.0, -2.0)
+    else:
+        poles = (-1.0 / family.p, 1.0 / family.q, 0.0)
         if family.p != family.q:
-            poles.append(2.0 / (family.q - family.p))
-    return tuple(poles)
-
-
-def _check_poles(family, kind, z):
-    for pole in symbol_poles(family, kind):
+            poles += (2.0 / (family.q - family.p),)
+    for pole in poles:
         if np.any(np.abs(z - pole) < 1e-13):
-            raise DomainError(f"{family.name} {kind}-symbol pole at {pole}")
+            raise DomainError(f"{family.name} eps-symbol pole at {pole}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,41 +157,30 @@ def degree_prefactor(family, n, x):
 
 
 def default_contour(family, kind: str = "single", degree: int = 0) -> ContourSpec:
-    """Admissible circles, centred at the origin.
+    """Admissible extraction circles, centred at the origin.
 
-    Single-contour extraction radii balance the integrand maximum against
-    r^(-degree) (roundoff conditioning), clamped inside the admissible disc;
-    pair radii follow the fixed defaults used by the kernel formulas.
-    'eps' is the extraction circle of the image of phi_n under the
-    inverse-difference multiplier.  It equals 'single' except for Meixner,
-    whose circle lies near 1 for conditioning in x and so needs more nodes
-    to resolve the +-1 poles of the inverse multiplier.
+    'single' radii balance the integrand maximum against r^(-degree)
+    (roundoff conditioning), clamped inside the admissible disc.  'eps' is
+    the extraction circle of the image of phi_n under the inverse-difference
+    multiplier.  It equals 'single' except for Meixner, whose circle lies
+    near 1 for conditioning in x and so needs more nodes to resolve the +-1
+    poles of the inverse multiplier.
     """
+    if kind not in ("single", "eps"):
+        raise ValueError(f"contour kind must be 'single' or 'eps', not {kind!r}")
     if isinstance(family, Meixner):
         s = family.s
-        if kind in ("single", "eps"):
-            radius = max(0.95, (1.0 + s) / 2.0)
-            nodes = {"single": 256 if s <= 0.8 else (2048 if s <= 0.95 else 16384),
-                     "eps": 2048 if s <= 0.9 else 16384}[kind]
-            return ContourSpec(radius=radius, node_count=nodes)
-        radius = {"inner": (2 * s + 1) / 3.0, "outer": (s + 2) / 3.0}[kind]
-    elif isinstance(family, Charlier):
-        if kind in ("single", "eps"):
-            th, n = family.theta, max(degree, 1)
-            b = th - n
-            radius = (-b + np.sqrt(b * b + 4.0 * th * n)) / (2.0 * th)
-            radius = float(np.clip(radius, 0.3, 0.97))
-        else:
-            radius = {"inner": 0.35, "outer": 0.7}[kind]
-    else:
-        rstar = min(1.0 / family.p, 1.0 / family.q)
-        if kind in ("single", "eps"):
-            n = max(degree, 1)
-            radius = n / (family.p * max(family.M - n, 1))
-            radius = float(np.clip(radius, 0.25, 0.97 * rstar))
-        else:
-            radius = {"inner": 0.4, "outer": 0.8}[kind] * rstar
-    return ContourSpec(radius=radius)
+        nodes = {"single": 256 if s <= 0.8 else (2048 if s <= 0.95 else 16384),
+                 "eps": 2048 if s <= 0.9 else 16384}[kind]
+        return ContourSpec(radius=max(0.95, (1.0 + s) / 2.0), node_count=nodes)
+    n = max(degree, 1)
+    if isinstance(family, Charlier):
+        th, b = family.theta, family.theta - n
+        radius = (-b + np.sqrt(b * b + 4.0 * th * n)) / (2.0 * th)
+        return ContourSpec(radius=float(np.clip(radius, 0.3, 0.97)))
+    radius = n / (family.p * max(family.M - n, 1))
+    return ContourSpec(radius=float(np.clip(radius, 0.25,
+                                            0.97 * min(1.0 / family.p, 1.0 / family.q))))
 
 
 def check_admissible(family, spec: ContourSpec) -> None:

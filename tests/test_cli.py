@@ -230,10 +230,13 @@ def test_adjudication_overflow_prints_no_warning(tmp_path):
     (["asym", "correction", "--family", "charlier", "--tau", "1"], "--u"),
     (["asym", "gap", "--family", "charlier", "--tau", "1"], "--u"),
     (["asym", "density", "--family", "meixner", "--s", "0.5"], "--s"),
+    (["asym", "edge", "--family", "meixner"], "--xi"),
+    (["splice", "kernel", "--family", "charlier"], "--theta"),
 ], ids=["density-xi", "edge-tau", "edge-p", "bulk-gamma", "bulk-tau", "bulk-u",
-        "correction-u", "gap-u", "no-s-option"])
+        "correction-u", "gap-u", "no-s-option", "edge-xi", "splice-kernel-theta"])
 def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing):
-    assert main([*argv, "--out", str(tmp_path)]) == 1
+    # --out names a new directory, which a refused request must not create
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert missing in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
@@ -248,14 +251,38 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
      "bulk support (0.333333, 3)"),
     (["asym", "gap", "--family", "charlier", "--tau", "1", "--u", "4"], "bulk support (0, 4)"),
     (["splice", "edge-ratio", "--family", "meixner", "--xi", "0.25"], "charlier only"),
+    (["kernel", "--family", "charlier", "--theta", "1", "--beta", "1", "--N", "0"], "--N"),
+    (["splice", "kernel", "--family", "charlier", "--theta", "1", "--N", "0"], "--N"),
+    (["kernel", "--family", "charlier", "--theta", "1", "--beta", "4", "--N", "4",
+      "--window", "5:2"], "--window"),
+    (["kernel", "--family", "charlier", "--theta", "1", "--beta", "4", "--N", "4",
+      "--window=-3:5"], "--window"),
+    (["kernel", "--family", "krawtchouk", "--M", "20", "--p", "0.4", "--beta", "4", "--N", "4",
+      "--window", "0:40"], "--window"),
 ], ids=["density-gamma-1.5", "edge-tau-0", "bulk-u-outside", "correction-u-packed",
-        "gap-u-at-edge", "edge-ratio-meixner"])
+        "gap-u-at-edge", "edge-ratio-meixner", "kernel-N-0", "splice-kernel-N-0",
+        "kernel-window-empty", "kernel-window-negative", "kernel-window-past-M"])
 def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named):
-    # one error line that names the domain, no warning or traceback, no output
-    assert main([*argv, "--out", str(tmp_path)]) == 1
+    # one error line that names the domain, no warning or traceback, and no
+    # output: not even the new --out directory
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and named in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("M, p", [(29, 0.3), (20, 0.4), (64, 0.3), (65, 0.3)])
+def test_validate_on_small_and_even_krawtchouk_lattices(tmp_path, M, p):
+    # the Gram check covers the degrees the lattice holds (M + 1 < 31 here for
+    # M = 20, 29); the D-eps check runs on the requested p with M made odd,
+    # where the antisymmetric D on M + 1 sites is invertible
+    code = main(["validate", "--family", "krawtchouk", "--M", str(M), "--p", str(p),
+                 "--out", str(tmp_path)])
+    assert code == 3
+    rep = json.loads((tmp_path / "validate.json").read_text())
+    assert all(i["passes"] for i in rep["invariants"])
+    assert any(i["name"].startswith(f"Krawtchouk(M={M | 1}, p={p}) D eps mutual inverse")
+               for i in rep["invariants"])
 
 
 def test_krawtchouk_edge_converges_to_airy(tmp_path):

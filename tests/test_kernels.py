@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from pfkern.families import Charlier, Krawtchouk, Meixner
-from pfkern.kernels import (adjudicate_composition, adjudicate_projection,
-                            beta1_indices, compose_columns, compose_contour, default_window,
-                            oracle_block, projection_contour, projection_direct,
+from pfkern.kernels import (_dual_kernel, _meixner_paper_kernel, _printed_nested_kernel,
+                            adjudicate_composition, adjudicate_projection,
+                            beta1_indices, compose_columns, default_window,
+                            oracle_block, projection_direct,
                             rank_of, residual_rank, s1_block, s4_block)
 from pfkern.symbols import inverse_eps_symbol, symbol
 
@@ -40,7 +41,9 @@ def test_projection_idempotent(fam):
 def test_projection_contour_vs_direct(fam, N):
     xs = np.arange(0, min(4 * N, fam.M) + 1 if fam.finite else 4 * N + 1)
     K = projection_direct(fam, N, xs)
-    Kc = projection_contour(fam, N, xs, variant="adjudicated", nodes=1024)
+    # the adjudicated convention: Meixner's radius product > 1, else the dual form
+    Kc = (_meixner_paper_kernel(fam, N, xs, xs, True, 1024) if fam.name == "meixner"
+          else _dual_kernel(fam, N, xs, xs, 1024))
     scale = np.max(np.abs(K))
     assert np.max(np.abs(Kc - K)) / scale < 1e-8
 
@@ -145,7 +148,7 @@ def test_constant_symbol_degeneracy():
     # not: the documented zeta = 0 caveat.
     fam = Charlier(theta=1.0)
     xs = np.arange(0, 12)
-    S = compose_contour(fam, 4, lambda z: np.ones_like(z), xs)
+    S = _printed_nested_kernel(fam, 4, xs, xs, False, 512, lambda z: np.ones_like(z))
     assert np.max(np.abs(S)) < 1e-10
     K = projection_direct(fam, 4, xs)
     assert np.max(np.abs(K)) > 0.1
@@ -222,9 +225,11 @@ def _naive(A, C, B):
 
 
 def _naive_meixner(fam, N, xs, regime, dq=lambda W1, W2: 1.0, nodes=NAIVE_NODES):
-    from pfkern.kernels import _meixner_pair
+    # the circles `_meixner_paper_kernel` states for each radius-product regime
     s = fam.s
-    w1, w2 = (_circle(r, nodes) for r in _meixner_pair(fam, regime))
+    r1 = (2 * s + 1) / 3.0 if regime == "product<1" else max(0.95, (1.0 + s) / 2.0)
+    r2 = (s + 2) / 3.0 if regime == "product<1" else 0.5 * (1.0 / r1 + 0.5 * (1.0 + 1.0 / s))
+    w1, w2 = _circle(r1, nodes), _circle(r2, nodes)
     rows = lambda w: np.array([((1 - s / w) / (1 - s * w)) ** (2 * N) * w ** (2 * N - x)
                                for x in xs])
     W1, W2 = w1[:, None], w2[None, :]
@@ -232,8 +237,8 @@ def _naive_meixner(fam, N, xs, regime, dq=lambda W1, W2: 1.0, nodes=NAIVE_NODES)
 
 
 def _naive_nested(fam, N, xs, swap, m_func=None, nodes=NAIVE_NODES):
-    from pfkern.symbols import default_contour
-    inner, outer = (_circle(default_contour(fam, k).radius, nodes) for k in ("inner", "outer"))
+    from pfkern.kernels import _nested_radii
+    inner, outer = (_circle(r, nodes) for r in _nested_radii(fam))
     t1, t2 = (inner, outer) if swap else (outer, inner)
     if fam.name == "charlier":
         rows = lambda t: np.array([np.exp(-fam.theta * t) * (1 + t) ** x for x in xs])
@@ -287,19 +292,20 @@ def _printed_cases(n=NAIVE_NODES):
     m_mx = lambda z: symbol(mx, "eps", z)
     printed = lambda W1, W2: (W2 - W1) / ((W1 ** 2 - 1) * (W2 ** 2 - 1))
     dq = lambda m: (lambda W1, W2: (m(W1) - m(W2)) / (W1 - W2))
+    meixner = lambda xs, swap, m=None, numerator="difference-quotient": _meixner_paper_kernel(
+        mx, 4, xs, xs, swap, n, m, numerator)
     cases = {
-        "meixner-paper": (lambda xs: projection_contour(mx, 4, xs, variant="paper", nodes=n),
+        "meixner-paper": (lambda xs: meixner(xs, False),
                           lambda xs: _naive_meixner(mx, 4, xs, "product<1", nodes=n)),
-        "meixner-swapped": (lambda xs: projection_contour(mx, 4, xs, variant="paper-swapped",
-                                                          nodes=n),
+        "meixner-swapped": (lambda xs: meixner(xs, True),
                             lambda xs: _naive_meixner(mx, 4, xs, "product>1", nodes=n)),
-        "meixner-compose": (lambda xs: compose_contour(mx, 4, m_mx, xs, nodes=n),
+        "meixner-compose": (lambda xs: meixner(xs, False, m_mx),
                             lambda xs: _naive_meixner(mx, 4, xs, "product<1", dq(m_mx), n)),
         "meixner-compose-swapped": (
-            lambda xs: compose_contour(mx, 4, m_mx, xs, variant="paper-swapped", nodes=n),
+            lambda xs: meixner(xs, True, m_mx),
             lambda xs: _naive_meixner(mx, 4, xs, "product>1", dq(m_mx), n)),
         "meixner-compose-printed": (
-            lambda xs: compose_contour(mx, 4, m_mx, xs, numerator="printed", nodes=n),
+            lambda xs: meixner(xs, False, m_mx, "printed"),
             lambda xs: _naive_meixner(mx, 4, xs, "product<1", printed, n)),
     }
     for fam in (ch, kr):
@@ -307,14 +313,13 @@ def _printed_cases(n=NAIVE_NODES):
         for swap in (False, True):
             variant = "paper-swapped" if swap else "paper"
             cases[f"{fam.name}-{variant}"] = (
-                lambda xs, fam=fam, v=variant: projection_contour(fam, 4, xs, variant=v, nodes=n),
+                lambda xs, fam=fam, s=swap: _printed_nested_kernel(fam, 4, xs, xs, s, n),
                 lambda xs, fam=fam, s=swap: _naive_nested(fam, 4, xs, s, nodes=n))
             cases[f"{fam.name}-compose-{variant}"] = (
-                lambda xs, fam=fam, v=variant, m=m: compose_contour(fam, 4, m, xs, variant=v,
-                                                                    nodes=n),
+                lambda xs, fam=fam, s=swap, m=m: _printed_nested_kernel(fam, 4, xs, xs, s, n, m),
                 lambda xs, fam=fam, s=swap, m=m: _naive_nested(fam, 4, xs, s, m, n))
         cases[f"{fam.name}-dual"] = (
-            lambda xs, fam=fam: projection_contour(fam, 4, xs, variant="dual", nodes=n),
+            lambda xs, fam=fam: _dual_kernel(fam, 4, xs, xs, n),
             lambda xs, fam=fam: _naive_dual(fam, 4, xs))
     return cases
 
@@ -347,9 +352,10 @@ def test_printed_formula_builds_no_cauchy_matrix(call):
     # a dense 1024-node Cauchy matrix alone is 16 MB, a 512-node one 4 MB
     import tracemalloc
     mx = Meixner(xi=0.45, beta_m=1.0)
-    run = {"projection": lambda: projection_contour(mx, 8, range(29), nodes=1024),
-           "composition": lambda: compose_contour(mx, 6, lambda z: symbol(mx, "eps", z),
-                                                  np.arange(23), nodes=512)}[call]
+    run = {"projection": lambda: _meixner_paper_kernel(mx, 8, range(29), range(29), True, 1024),
+           "composition": lambda: _meixner_paper_kernel(mx, 6, np.arange(23), np.arange(23),
+                                                        False, 512,
+                                                        lambda z: symbol(mx, "eps", z))}[call]
     run()      # node tables and contour radii are cached on the first call
     tracemalloc.start()
     try:
@@ -428,6 +434,31 @@ def test_composition_winner_is_stable_under_roundoff(M):
     rep = adjudicate_composition(Krawtchouk(M=M, p=0.4))
     assert rep["candidates"]["paper printed-symbol"] == rep["candidates"]["paper inverse-symbol"]
     assert rep["winner"] == "paper printed-symbol"
+
+
+@pytest.mark.parametrize("fam", FAMS, ids=IDS)
+def test_validation_reads_the_projection_adjudication(monkeypatch, fam):
+    # each printed candidate is evaluated once, by its adjudicator; validate's
+    # contour-vs-direct invariant is the adjudicated (or, injected, the printed)
+    # nesting's score and evaluates no kernel of its own
+    import pfkern.kernels as kernels
+    from pfkern.validate import run_validation
+    calls = []
+    for name in ("_meixner_paper_kernel", "_printed_nested_kernel", "_dual_kernel"):
+        def counted(*args, _kernel=getattr(kernels, name), _name=name, **kw):
+            calls.append(_name)
+            return _kernel(*args, **kw)
+        monkeypatch.setattr(kernels, name, counted)
+    kernels.adjudicate_projection.cache_clear()
+    kernels.adjudicate_composition.cache_clear()
+    reports = run_validation(fam), run_validation(fam, wrong_nesting=True)
+    proj, comp = adjudicate_projection(fam, 8), adjudicate_composition(fam)
+    assert len(calls) == len(proj["candidates"]) + len(comp["candidates"])
+    adjudicated, printed = (("paper product>1", "paper product<1") if fam.name == "meixner"
+                            else ("dual", "paper"))
+    for rep, name in zip(reports, (adjudicated, printed)):
+        item, = (i for i in rep["invariants"] if "contour vs direct" in i["name"])
+        assert item["residual"] == proj["candidates"][name]
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=IDS)
