@@ -75,7 +75,8 @@ def _window(args, family):
         raise DomainError(f"--N must be positive, got {args.N}")
     if not args.window:
         return default_window(family, args.N)
-    lo, hi = (int(v) for v in args.window.split(":"))
+    # a bound that is not a decimal integer reads as -1, outside every lattice
+    lo, hi = (int(v) if v.isdecimal() else -1 for v in args.window.partition(":")[::2])
     if not 0 <= lo <= hi <= (family.M if family.finite else hi):
         raise DomainError(f"--window {args.window} is not a nonempty lo:hi range on the lattice")
     return np.arange(lo, hi + 1)

@@ -449,6 +449,7 @@ def adjudicate_projection(family, N: int = 8) -> dict:
     if isinstance(family, Meixner) and family.beta_m != 1.0:
         raise ValueError("contour projection requires beta_m = 1")
     xs = _adjudication_window(family, N)
+    # `validate` reads the first entry (printed nesting) and the last (adjudicated)
     if isinstance(family, Meixner):
         paper = partial(_meixner_paper_kernel, family, N, xs, xs, nodes=1024)
         candidates = {"paper product<1": lambda: paper(swap=False),
@@ -487,7 +488,7 @@ def adjudicate_composition(family, N: int = 6) -> dict:
     window = _adjudication_window(family, N)
     oracle = oracle_block(family, N, 4, window)
     cols = compose_columns(family, N, window)
-    m = lambda z: symbol(family, "eps", z)
+    m = lambda z: symbol(family, z)
     m_inv = lambda z: inverse_eps_symbol(family, z)
     paper = partial(_meixner_paper_kernel if isinstance(family, Meixner) else _printed_nested_kernel,
                     family, N, window, window, nodes=512)

@@ -32,13 +32,11 @@ def ratio_map(family: Krawtchouk, v):
     return (1.0 - family.q * v) / (1.0 + family.p * v)
 
 
-def symbol(family, kind: str, z):
-    """Printed eps multiplier (kind 'eps') in the family's contour variable:
+def symbol(family, z):
+    """Printed eps multiplier in the family's contour variable:
     1/(w^2 - 1) (Meixner), (1 + t)/(t (2 + t)) (Charlier) and 1/(R^2 - 1) with
     R = `ratio_map` (Krawtchouk).  Only Charlier's is the exact inverse of the
     shift difference; `inverse_eps_symbol` is that inverse for every family."""
-    if kind != "eps":
-        raise ValueError(f"symbol kind must be 'eps', not {kind!r}")
     z = np.asarray(z, dtype=complex)
     _check_poles(family, z)
     if isinstance(family, Meixner):
@@ -166,8 +164,6 @@ def default_contour(family, kind: str = "single", degree: int = 0) -> ContourSpe
     near 1 for conditioning in x and so needs more nodes to resolve the +-1
     poles of the inverse multiplier.
     """
-    if kind not in ("single", "eps"):
-        raise ValueError(f"contour kind must be 'single' or 'eps', not {kind!r}")
     if isinstance(family, Meixner):
         s = family.s
         nodes = {"single": 256 if s <= 0.8 else (2048 if s <= 0.95 else 16384),

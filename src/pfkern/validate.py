@@ -71,7 +71,8 @@ def run_validation(family=None, wrong_nesting: bool = False) -> dict:
                                 + (" [injected wrong nesting]" if wrong_nesting else ""),
                                 scores[0] if wrong_nesting else scores[-1], 1e-8))
         findings.append({"type": "nesting", "family": fam.name,
-                         "winner": proj["winner"], "candidates": proj["candidates"]})
+                         "winner": proj["winner"], "candidates": proj["candidates"],
+                         **({"errors": proj["errors"]} if "errors" in proj else {})})
         comp = adjudicate_composition(fam)
         findings.append({"type": "composition", "family": fam.name,
                          "outcome": comp["outcome"], "winner": comp["winner"],

@@ -259,9 +259,15 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
       "--window=-3:5"], "--window"),
     (["kernel", "--family", "krawtchouk", "--M", "20", "--p", "0.4", "--beta", "4", "--N", "4",
       "--window", "0:40"], "--window"),
+    (["kernel", "--family", "charlier", "--theta", "1", "--beta", "4", "--N", "4",
+      "--window", "7"], "--window"),
+    (["kernel", "--family", "charlier", "--theta", "1", "--beta", "4", "--N", "4",
+      "--window", "a:b"], "--window"),
+    (["validate", "--family", "meixner", "--xi", "0.3", "--beta-m", "2"], "beta_m = 1"),
 ], ids=["density-gamma-1.5", "edge-tau-0", "bulk-u-outside", "correction-u-packed",
         "gap-u-at-edge", "edge-ratio-meixner", "kernel-N-0", "splice-kernel-N-0",
-        "kernel-window-empty", "kernel-window-negative", "kernel-window-past-M"])
+        "kernel-window-empty", "kernel-window-negative", "kernel-window-past-M",
+        "kernel-window-no-colon", "kernel-window-not-integer", "validate-meixner-beta-m-2"])
 def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named):
     # one error line that names the domain, no warning or traceback, and no
     # output: not even the new --out directory

@@ -42,12 +42,12 @@ def test_symbol_identities_on_grid():
     z = 0.3 + 0.5 * rng.random(100) * np.exp(2j * np.pi * rng.random(100))
     kr = Krawtchouk(M=60, p=0.4)
     r = ratio_map(kr, z)
-    assert np.max(np.abs(symbol(kr, "eps", z) * (r * r - 1.0) - 1.0)) < 1e-14
+    assert np.max(np.abs(symbol(kr, z) * (r * r - 1.0) - 1.0)) < 1e-14
 
 
 def test_meixner_eps_symbol_at_zero():
     mx = Meixner(xi=0.5, beta_m=1.0)
-    assert symbol(mx, "eps", np.array([1e-9 + 0j])) == pytest.approx(-1.0, abs=1e-8)
+    assert symbol(mx, np.array([1e-9 + 0j])) == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_inverse_eps_symbol_is_reciprocal_of_shift_difference():

@@ -289,7 +289,7 @@ def _naive_dual(fam, N, xs):
 
 def _printed_cases(n=NAIVE_NODES):
     mx, ch, kr = FAMS
-    m_mx = lambda z: symbol(mx, "eps", z)
+    m_mx = lambda z: symbol(mx, z)
     printed = lambda W1, W2: (W2 - W1) / ((W1 ** 2 - 1) * (W2 ** 2 - 1))
     dq = lambda m: (lambda W1, W2: (m(W1) - m(W2)) / (W1 - W2))
     meixner = lambda xs, swap, m=None, numerator="difference-quotient": _meixner_paper_kernel(
@@ -355,7 +355,7 @@ def test_printed_formula_builds_no_cauchy_matrix(call):
     run = {"projection": lambda: _meixner_paper_kernel(mx, 8, range(29), range(29), True, 1024),
            "composition": lambda: _meixner_paper_kernel(mx, 6, np.arange(23), np.arange(23),
                                                         False, 512,
-                                                        lambda z: symbol(mx, "eps", z))}[call]
+                                                        lambda z: symbol(mx, z))}[call]
     run()      # node tables and contour radii are cached on the first call
     tracemalloc.start()
     try:
@@ -384,7 +384,7 @@ def _dense_scores(fam):
     window = np.arange(0, min(3 * 6 + 5, fam.M + 1 if fam.finite else 10 ** 9))
     S = oracle_block(fam, 6, 4, window).S
     comp = {}
-    ms = {"printed-symbol": lambda z: symbol(fam, "eps", z),
+    ms = {"printed-symbol": lambda z: symbol(fam, z),
           "inverse-symbol": lambda z: inverse_eps_symbol(fam, z)}
     for name, swap in (("paper printed-symbol", False), ("paper swapped", True),
                        ("paper inverse-symbol", False), ("paper inverse-symbol swapped", True)):
