@@ -25,21 +25,24 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_family_args(p):
-    p.add_argument("--family", required=True,
-                   choices=["meixner", "charlier", "krawtchouk"])
-    p.add_argument("--xi", type=float, help="Meixner ratio in (0,1)")
-    p.add_argument("--beta-m", type=float, default=1.0, help="Meixner Pochhammer exponent")
-    p.add_argument("--theta", type=float, help="Charlier rate")
-    p.add_argument("--M", type=int, help="Krawtchouk lattice size")
-    p.add_argument("--p", type=float, help="Krawtchouk success probability")
+_FAMILY_OPTIONS = {"xi": (float, "Meixner ratio in (0,1)"), "theta": (float, "Charlier rate"),
+                   "M": (int, "Krawtchouk lattice size"),
+                   "p": (float, "Krawtchouk success probability")}
+
+
+def _add_family_args(p, names=tuple(_FAMILY_OPTIONS), required=True):
+    """--family and the family options in `names`."""
+    p.add_argument("--family", required=required, choices=["meixner", "charlier", "krawtchouk"])
+    for name in names:
+        cast, text = _FAMILY_OPTIONS[name]
+        p.add_argument(f"--{name}", type=cast, help=text)
 
 
 def _family(args):
     if args.family == "meixner":
         if args.xi is None:
             raise DomainError("--xi required for meixner")
-        return Meixner(xi=args.xi, beta_m=args.beta_m)
+        return Meixner(xi=args.xi)
     if args.family == "charlier":
         if args.theta is None:
             raise DomainError("--theta required for charlier")
@@ -87,8 +90,12 @@ def _out(args, name):
     return os.path.join(reports.output_dir(args.out), name)
 
 
-def _parse_list(text):
-    return [int(v) for v in text.split(",")]
+def _parse_list(text, option):
+    """The positive integers of the comma-separated `text` given to `option`."""
+    values = [int(v) if v.strip().isdecimal() else 0 for v in text.split(",")]
+    if min(values) < 1:
+        raise DomainError(f"{option} {text} is not a list of positive integers")
+    return values
 
 
 def _load_config(path):
@@ -176,28 +183,28 @@ def cmd_asym(args, config) -> int:
         return 0
     if args.study == "bulk":
         rep = bulk_convergence_test(_regime(args), args.beta, _position(args),
-                                    _parse_list(args.A_list), block=args.block)
+                                    _parse_list(args.A_list, "--A-list"), block=args.block)
         path = _out(args, f"bulk_{args.family}_b{args.beta}.json")
         reports.write_json(path, rep, config=config)
         print(f"slope {rep['slope']:.3f}; wrote {path}")
         return 0
     if args.study == "edge":
         rep = edge_convergence_test(_regime(args), args.beta,
-                                    _parse_list(args.A_list), block=args.block)
+                                    _parse_list(args.A_list, "--A-list"), block=args.block)
         path = _out(args, f"edge_{args.family}_b{args.beta}.json")
         reports.write_json(path, rep, config=config)
         print(f"monotone decreasing: {rep['monotone_decreasing']}; wrote {path}")
         return 0
     if args.study == "correction":
         rep = correction_extract(_regime(args), args.beta, _position(args),
-                                 _parse_list(args.A_list))
+                                 _parse_list(args.A_list, "--A-list"))
         path = _out(args, f"correction_{args.family}_b{args.beta}.json")
         reports.write_json(path, rep, config=config)
         print(f"alpha_hat {rep['alpha_hat']:.4f} beta_hat {rep['beta_hat']:.4f} "
               f"residual {rep['relative_residual']:.3f}; wrote {path}")
         return 0
     if args.study == "crossover":
-        rep = crossover_test(args.alpha, _parse_list(args.N_list), beta=args.beta,
+        rep = crossover_test(args.alpha, _parse_list(args.N_list, "--N-list"), beta=args.beta,
                              block=args.block)
         path = _out(args, "crossover.json")
         reports.write_json(path, rep, config=config)
@@ -276,12 +283,7 @@ def build_parser() -> _Parser:
     k.set_defaults(fn=cmd_kernel)
 
     v = sub.add_parser("validate", help="run the full invariant suite")
-    v.add_argument("--family", choices=["meixner", "charlier", "krawtchouk"])
-    v.add_argument("--xi", type=float)
-    v.add_argument("--beta-m", type=float, default=1.0)
-    v.add_argument("--theta", type=float)
-    v.add_argument("--M", type=int)
-    v.add_argument("--p", type=float)
+    _add_family_args(v, required=False)
     v.add_argument("--wrong-nesting", action="store_true",
                    help="inject the rejected contour convention (diagnostic)")
     v.add_argument("--out")
@@ -290,7 +292,7 @@ def build_parser() -> _Parser:
     a = sub.add_parser("asym", help="asymptotic studies")
     a.add_argument("study", choices=["density", "bulk", "edge", "correction",
                                      "crossover", "gap"])
-    _add_family_args(a)
+    _add_family_args(a, ("xi", "p"))
     a.add_argument("--tau", type=float, help="Charlier theta/N limit")
     a.add_argument("--gamma", type=float, help="Krawtchouk N/M limit")
     a.add_argument("--beta", type=int, choices=[1, 4], default=1)

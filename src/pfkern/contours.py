@@ -1,8 +1,9 @@
-"""Circle contours for the trapezoidal rule on analytic integrands.
+"""Origin-centred circles for the trapezoidal rule on analytic integrands.
 
 Quadrature convention: values approximate (1/(2 pi i)) * oint f(z) dz, which
-for a circle z = c + r e^(i a) equals the mean over nodes of f(z) (z - c).
-Each circle carries a fixed node count, chosen by its caller.
+for the circle z = r e^(i a), traversed counter-clockwise, equals the mean
+over nodes of f(z) z.  Each circle carries a fixed node count, chosen by its
+caller.
 """
 from __future__ import annotations
 
@@ -21,21 +22,19 @@ class QuadratureError(RuntimeError):
 
 
 @lru_cache(maxsize=32)
-def unit_roots(n: int, orientation: int = 1) -> np.ndarray:
-    """The n nodes exp(2 pi i orientation k / n), built once and read-only."""
-    roots = np.exp(1j * (2.0 * np.pi * orientation * np.arange(n) / n))
+def unit_roots(n: int) -> np.ndarray:
+    """The n nodes exp(2 pi i k / n), built once and read-only."""
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
     roots.flags.writeable = False
     return roots
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Circle of given orientation with its trapezoid node count."""
+    """Origin-centred circle with its trapezoid node count."""
 
     radius: float
-    center: complex = 0.0 + 0.0j
     node_count: int = 256
-    orientation: int = 1
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -43,12 +42,10 @@ class ContourSpec:
         n = self.node_count
         if n < 16 or (n & (n - 1)) != 0:
             raise ContractError(f"node_count must be a power of two >= 16, got {n}")
-        if self.orientation not in (1, -1):
-            raise ContractError("orientation must be +-1")
 
     def nodes(self):
-        return self.center + self.radius * unit_roots(self.node_count, self.orientation)
+        return self.radius * unit_roots(self.node_count)
 
     def weights(self, z):
         """Quadrature weights w_j such that sum_j w_j f(z_j) ~ (1/2pi i) oint f."""
-        return self.orientation * (z - self.center) / len(z)
+        return z / len(z)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Charlier, DomainError, Krawtchouk, Meixner
-from .kernels import (_assemble_blocks, _rank_one_factors, beta1_indices, contour_rows,
-                      oracle_block, projection_direct, rank_of)
+from .kernels import (_assemble_blocks, _rank_one_factors, beta1_indices, oracle_block,
+                      projection_direct, rank_of)
 from .refkernels import airy_kernel, bessel_kernel, sine_kernel, sine_kernel_deriv
 from .saddles import airy_window, bulk_support, edge_data, saddle_pair, site_density
+from .symbols import contour_rows, eps_phi_via_contour
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,6 @@ def _crossover_block(family, N, xs, beta, block):
     functions from the contour representation and, for beta = 4, the eps
     Gram E = G^-1 (eps = D^-1 in matrix form).  G = <phi_j, D phi_k> is the
     antisymmetric Toeplitz matrix G_{j,j+d} = ((1 - s^2)/s)(-s)^(d-1), d >= 1."""
-    from .symbols import eps_phi_via_contour
     r = rank_of(family, N)
     Phi = contour_rows(family, range(r + 1), xs)
     if block == "K":

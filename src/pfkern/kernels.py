@@ -15,9 +15,9 @@ rows, the eps inside E and the provenance:
 
 (oracle rows: recurrence tables; contour rows: coefficient extraction,
 refused where K(x, x) > 1; multiplier: the contour image under the inverse
-eps symbol.)  Contour rows are extracted per circle (`contour_rows`): the
-degrees whose `default_contour` circle is the same share one
-`symbols.circle_images` call, and so its nodes, multiplier values and FFTs.
+eps symbol.)  Contour rows come from `symbols.contour_rows`, which extracts
+the degrees that share a `default_contour` circle together, and so shares
+that circle's nodes, multiplier values and FFTs.
 The inserted blocks of a lattice-eps block come from the same factors,
 SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps applied as
 stencil and prefix sums, so no lattice-by-lattice matrix is formed.  A
@@ -54,8 +54,8 @@ import numpy as np
 from .contours import QuadratureError, unit_roots
 from .families import Charlier, Meixner, TruncatedLattice, truncate
 from .lattice_ops import apply_d, apply_eps
-from .symbols import (_generating_logs, circle_images, default_contour, eps_multiplier,
-                      inverse_eps_symbol, meixner_G, symbol)
+from .symbols import (_generating_logs, contour_rows, eps_multiplier, inverse_eps_symbol,
+                      meixner_G, symbol)
 from .wavefunctions import get_table, _zone_need
 
 
@@ -167,7 +167,7 @@ def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
     def eps(lo, hi):     # rows eps phi_lo..eps phi_(hi - 1)
         if multiplier is None:
             return apply_eps(family, phi[lo:hi].T).T
-        return contour_rows(family, range(lo, hi), np.arange(lattice.size), multiplier, "eps")
+        return contour_rows(family, range(lo, hi), np.arange(lattice.size), multiplier)
 
     if beta == 4:
         factors = phi[:r], phi[:r] @ eps(0, r).T, phi[:r]
@@ -203,20 +203,6 @@ def _contour_phi(family, n_top, lattice):
     phi = contour_rows(family, range(n_top), np.arange(lattice.size))
     phi.flags.writeable = False
     return phi
-
-
-def contour_rows(family, degrees, xs, multiplier=None, kind: str = "single"):
-    """Rows [k, x]: the single-contour image of phi_k under `multiplier`
-    (phi_k itself without one) on the circle `default_contour(family, kind, k)`,
-    one `circle_images` call per distinct circle."""
-    degrees, xs = [int(k) for k in degrees], np.atleast_1d(xs)
-    circles = {}
-    for i, k in enumerate(degrees):
-        circles.setdefault(default_contour(family, kind, k), []).append(i)
-    out = np.empty((len(degrees), len(xs)))
-    for contour, rows in circles.items():
-        out[rows] = circle_images(family, [degrees[i] for i in rows], xs, contour, multiplier)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -149,13 +149,18 @@ def density_total_mass(family, N: int | None = None, nodes: int = 64) -> float:
 
 
 def edge_data(family, side: str = "right", N: int | None = None) -> dict:
-    """Double root z* and the normal-form kappa and lambda at the soft edge on `side`."""
+    """Double root z* and the normal-form kappa and lambda at the soft edge on `side`.
+    A z* on a singularity r_i of the phase is no soft edge: DomainError."""
     lo, hi = bulk_support(family, N)
     u_star = hi if side == "right" else lo
     (a, b, _), _ = _quadratic(family, u_star, N)
     z = -b / (2 * a)
+    terms = _phase(family, N)[1]
+    if any(abs(z - r) <= 1e-12 * max(abs(r), 1.0) for r, _, _ in terms):
+        raise DomainError(f"the {side} edge u*={u_star:.6g} is no soft edge: its double root "
+                          f"z*={z:.6g} is a singularity of the {family.name} phase")
     d1, d2, d3 = (phase_derivative(family, z, u_star, N, n) for n in (1, 2, 3))
-    lam = -z * sum(l / (z - r) for r, _, l in _phase(family, N)[1])
+    lam = -z * sum(l / (z - r) for r, _, l in terms)
     return {"u_star": u_star, "z_star": float(z),
             "kappa": complex(z ** 3 * d3 + 3 * z ** 2 * d2 + z * d1),
             "lam": float(lam), "side": side}

@@ -180,8 +180,6 @@ def default_contour(family, kind: str = "single", degree: int = 0) -> ContourSpe
 
 
 def check_admissible(family, spec: ContourSpec) -> None:
-    if spec.center != 0:
-        raise ContractError("single-contour formulas use origin-centred circles")
     r = spec.radius
     if isinstance(family, Meixner):
         if not family.s < r < 1.0:
@@ -205,28 +203,33 @@ def eps_multiplier(family, m_extra=None):
     return lambda z: inverse_eps_symbol(family, z) * m_extra(z)
 
 
-def contour_image(family, n: int, x, contour: ContourSpec | None = None,
-                  multiplier=None):
-    """(M phi_n)(x) by contour coefficient extraction (adjudicated
-    normalization), where M multiplies the generating representation of
-    phi_n by multiplier(z) in the contour variable; phi_n itself without one.
-    The one-degree case of `circle_images`, on `default_contour(family,
-    degree=n)` unless a contour is given."""
-    vals = circle_images(family, [n], np.atleast_1d(x), contour or default_contour(family, degree=n),
-                         multiplier)[0]
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+def contour_rows(family, degrees, xs, multiplier=None):
+    """Rows [k, x] of (M phi_k)(x) by contour coefficient extraction (adjudicated
+    normalization), where M multiplies the generating representation of phi_k by
+    multiplier(z) in the contour variable; phi_k itself without one.  Degree k
+    is extracted on `default_contour(family, kind, k)`, kind 'eps' with a
+    multiplier and 'single' without, one `_circle_rows` call per distinct circle."""
+    kind = "single" if multiplier is None else "eps"
+    degrees, xs = [int(k) for k in degrees], np.atleast_1d(xs)
+    circles = {}
+    for i, k in enumerate(degrees):
+        circles.setdefault(default_contour(family, kind, k), []).append(i)
+    out = np.empty((len(degrees), len(xs)))
+    for contour, rows in circles.items():
+        out[rows] = _circle_rows(family, [degrees[i] for i in rows], xs, contour, multiplier)
+    return out
 
 
-def circle_images(family, degrees, xs, contour: ContourSpec, multiplier=None):
-    """Rows [k, x] of (M phi_k)(x) (`contour_image`) for degrees that share one
-    circle, and so its nodes, weights and multiplier values.  The degrees are
-    taken in increasing order, in chunks of at most 2^14 node values or sites
-    per row block, so no (degrees x nodes) array is held.
+def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier=None):
+    """The rows of `contour_rows` for degrees that share one circle, and so its
+    nodes, weights and multiplier values.  The degrees are taken in increasing
+    order, in chunks of at most 2^14 node values or sites per row block, so no
+    (degrees x nodes) array is held.
 
     Meixner (beta_m = 1 only; the recurrence tables are the authority for other
     beta_m): the rows core_j w_j are a running product of (z - s)/(1 - s z)
-    over the degrees, and the [w^x] coefficient on z_j = r exp(o 2 pi i j / n)
-    is r^-(x+1) FFT(core w)[o (x+1) mod n], one FFT per chunk; sites x >= n
+    over the degrees, and the [w^x] coefficient on z_j = r exp(2 pi i j / n)
+    is r^-(x+1) FFT(core w)[(x+1) mod n], one FFT per chunk; sites x >= n
     alias onto x mod n, as the trapezoid sum does.  Charlier/Krawtchouk: one
     `degree_integrand` and one `degree_prefactor` call per chunk; a row that
     is not finite after the prefactor raises QuadratureError: e^(-theta z)
@@ -246,7 +249,7 @@ def circle_images(family, degrees, xs, contour: ContourSpec, multiplier=None):
         ratio = (z - s) / (1.0 - s * z)
         n = int(degrees.min(initial=0))
         row = np.sqrt(1.0 - s * s) / (1.0 - s * z) * ratio ** n * mult_w
-        bins, scale = (contour.orientation * k) % len(z), contour.radius ** -k
+        bins, scale = k % len(z), contour.radius ** -k
     order = np.argsort(degrees, kind="stable")
     out = np.empty((len(degrees), len(xs)))
     step = max(1, 2 ** 14 // max(len(z), len(xs)))
@@ -274,37 +277,22 @@ def circle_images(family, degrees, xs, contour: ContourSpec, multiplier=None):
     return out
 
 
-def meixner_parity_sums(family: Meixner, n: int) -> tuple[float, float]:
-    """(sum over even x, sum over odd x) of phi_n for the geometric weight,
-    from the boundary values of the generating representation:
-    phi-hat_n(1) = sqrt((1+s)/(1-s)), phi-hat_n(-1) = (-1)^n sqrt((1-s)/(1+s))."""
-    s = family.s
-    plus = np.sqrt((1 + s) / (1 - s))
-    minus = (-1.0) ** n * np.sqrt((1 - s) / (1 + s))
-    return 0.5 * (plus + minus), 0.5 * (plus - minus)
-
-
-def meixner_eps_correction(family: Meixner, n: int):
-    """Coefficient of the even-parity constant chain (the kernel of D at
-    beta_m = 1) separating the multiplier image from the lattice eps image,
-    pinned by the defining sum (eps phi_n)(0) = -s * sum_odd phi_n."""
-    _, odd_total = meixner_parity_sums(family, n)
-    target = -family.s * odd_total
-    raw0 = contour_image(family, n, 0, default_contour(family, "eps", n), eps_multiplier(family))
-    return target - raw0
-
-
 def eps_phi_via_contour(family: Meixner, n: int, y):
     """(eps phi_n)(y) through the contour representation, for Meixner at
     beta_m = 1: the weight ratios are constant, the inverse multiplier
     s w/(1 - w^2) reproduces eps phi_n exactly up to the even-parity constant
-    chain spanning ker D; that single coefficient is anchored at y = 0.
+    chain spanning ker D.  Its coefficient is pinned at y = 0, extracted with
+    the sites, by (eps phi_n)(0) = -s sum_odd phi_n = -s (plus - minus) / 2, where
+    plus = phi-hat_n(1) = sqrt((1+s)/(1-s)), minus = phi-hat_n(-1) = (-1)^n sqrt((1-s)/(1+s)).
 
     The other families have no such multiplier (their weight ratios depend
     on x); the adjudicator in the kernels module records the measured
     failure of the printed route there.
     """
-    c = meixner_eps_correction(family, n)
-    raw = contour_image(family, n, y, default_contour(family, "eps", n), eps_multiplier(family))
-    out = raw + np.where(np.atleast_1d(y) % 2 == 0, c, 0.0)
+    s = family.s
+    plus = np.sqrt((1 + s) / (1 - s))
+    minus = (-1.0) ** n * np.sqrt((1 - s) / (1 + s))
+    raw = contour_rows(family, [n], np.r_[0, y], eps_multiplier(family))[0]
+    c = -s * (0.5 * (plus - minus)) - raw[0]
+    out = raw[1:] + np.where(np.atleast_1d(y) % 2 == 0, c, 0.0)
     return float(out[0]) if np.ndim(y) == 0 else out

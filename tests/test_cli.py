@@ -223,7 +223,7 @@ def test_adjudication_overflow_prints_no_warning(tmp_path):
 @pytest.mark.parametrize("argv, missing", [
     (["asym", "density", "--family", "meixner"], "--xi"),
     (["asym", "edge", "--family", "charlier"], "--tau"),
-    (["asym", "edge", "--family", "krawtchouk", "--M", "64", "--gamma", "0.25"], "--p"),
+    (["asym", "edge", "--family", "krawtchouk", "--gamma", "0.25"], "--p"),
     (["asym", "bulk", "--family", "krawtchouk", "--p", "0.4", "--u", "0.3"], "--gamma"),
     (["asym", "bulk", "--family", "charlier", "--u", "2"], "--tau"),
     (["asym", "bulk", "--family", "charlier", "--tau", "1"], "--u"),
@@ -232,8 +232,14 @@ def test_adjudication_overflow_prints_no_warning(tmp_path):
     (["asym", "density", "--family", "meixner", "--s", "0.5"], "--s"),
     (["asym", "edge", "--family", "meixner"], "--xi"),
     (["splice", "kernel", "--family", "charlier"], "--theta"),
+    (["validate", "--family", "meixner", "--xi", "0.3", "--beta-m", "2"], "--beta-m"),
+    (["asym", "bulk", "--family", "meixner", "--xi", "0.25", "--beta-m", "2", "--u", "1",
+      "--A-list", "32,64"], "--beta-m"),
+    (["asym", "bulk", "--family", "charlier", "--tau", "1", "--theta", "9", "--u", "2",
+      "--A-list", "24,48"], "--theta"),
 ], ids=["density-xi", "edge-tau", "edge-p", "bulk-gamma", "bulk-tau", "bulk-u",
-        "correction-u", "gap-u", "no-s-option", "edge-xi", "splice-kernel-theta"])
+        "correction-u", "gap-u", "no-s-option", "edge-xi", "splice-kernel-theta",
+        "validate-no-beta-m-option", "asym-no-beta-m-option", "asym-no-theta-option"])
 def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing):
     # --out names a new directory, which a refused request must not create
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
@@ -263,11 +269,23 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
       "--window", "7"], "--window"),
     (["kernel", "--family", "charlier", "--theta", "1", "--beta", "4", "--N", "4",
       "--window", "a:b"], "--window"),
-    (["validate", "--family", "meixner", "--xi", "0.3", "--beta-m", "2"], "beta_m = 1"),
+    (["asym", "crossover", "--family", "meixner", "--N-list", "0,8"], "--N-list"),
+    (["asym", "bulk", "--family", "krawtchouk", "--gamma", "0.25", "--p", "0.4", "--u", "0.3",
+      "--A-list", "0,32"], "--A-list"),
+    (["asym", "bulk", "--family", "meixner", "--xi", "0.25", "--u", "1", "--A-list", "0,32"],
+     "--A-list"),
+    (["asym", "correction", "--family", "meixner", "--xi", "0.25", "--u", "1",
+      "--A-list", "0,32"], "--A-list"),
+    (["asym", "bulk", "--family", "charlier", "--tau", "1", "--u", "2", "--A-list", ","],
+     "--A-list"),
+    (["asym", "edge", "--family", "krawtchouk", "--gamma", "0.5", "--p", "0.5",
+      "--A-list", "16,32"], "right edge u*=1"),
 ], ids=["density-gamma-1.5", "edge-tau-0", "bulk-u-outside", "correction-u-packed",
         "gap-u-at-edge", "edge-ratio-meixner", "kernel-N-0", "splice-kernel-N-0",
         "kernel-window-empty", "kernel-window-negative", "kernel-window-past-M",
-        "kernel-window-no-colon", "kernel-window-not-integer", "validate-meixner-beta-m-2"])
+        "kernel-window-no-colon", "kernel-window-not-integer", "crossover-N-list-0",
+        "krawtchouk-bulk-A-list-0", "meixner-bulk-A-list-0", "meixner-correction-A-list-0",
+        "bulk-A-list-empty", "krawtchouk-edge-not-soft"])
 def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named):
     # one error line that names the domain, no warning or traceback, and no
     # output: not even the new --out directory

@@ -3,11 +3,10 @@ import pytest
 
 from pfkern.contours import ContourSpec, ContractError, QuadratureError, unit_roots
 from pfkern.families import Charlier, Krawtchouk, Meixner, TruncatedLattice, truncate
-from pfkern.kernels import contour_rows
 from pfkern.lattice_ops import apply_eps, build_d, build_epsilon_direct
 from pfkern.kuznetsov import GaussianTest, m_h
-from pfkern.symbols import (contour_image, degree_integrand,
-                            degree_prefactor, default_contour, eps_multiplier, eps_phi_via_contour,
+from pfkern.symbols import (_circle_rows, contour_rows, degree_integrand, degree_prefactor,
+                            default_contour, eps_multiplier, eps_phi_via_contour,
                             inverse_eps_symbol, meixner_G, ratio_map, symbol)
 from pfkern.wavefunctions import get_table
 
@@ -19,13 +18,12 @@ def test_contour_spec_validation():
         ContourSpec(radius=-1.0)
 
 
-@pytest.mark.parametrize("orientation", [1, -1])
-def test_contour_nodes_come_from_shared_read_only_roots(orientation):
-    spec = ContourSpec(radius=0.7, center=0.5, node_count=64, orientation=orientation)
-    a = 2.0 * np.pi * orientation * np.arange(64) / 64
-    assert np.array_equal(spec.nodes(), spec.center + spec.radius * np.exp(1j * a))
-    roots = unit_roots(64, orientation)
-    assert roots is unit_roots(64, orientation) and not roots.flags.writeable
+def test_contour_nodes_come_from_shared_read_only_roots():
+    spec = ContourSpec(radius=0.7, node_count=64)
+    a = 2.0 * np.pi * np.arange(64) / 64
+    assert np.array_equal(spec.nodes(), spec.radius * np.exp(1j * a))
+    roots = unit_roots(64)
+    assert roots is unit_roots(64) and not roots.flags.writeable
 
 
 def test_meixner_G_values():
@@ -70,7 +68,7 @@ def test_phi_contour_matches_recurrence(fam):
     tab = get_table(fam, 16, x_max=40 if not fam.finite else None)
     for n in (0, 1, 5, 15):
         xs = np.arange(0, 41)
-        vals = contour_image(fam, n, xs)
+        vals = contour_rows(fam, [n], xs)[0]
         assert np.max(np.abs(vals - tab.phi[n, :41])) < 1e-9
 
 
@@ -79,19 +77,19 @@ def test_phi_contour_matches_recurrence_meixner():
     tab = get_table(fam, 16, x_max=40)
     for n in (0, 1, 7, 15):
         xs = np.arange(0, 41)
-        vals = contour_image(fam, n, xs)
+        vals = contour_rows(fam, [n], xs)[0]
         assert np.max(np.abs(vals - tab.phi[n, :41])) < 1e-9
 
 
 def test_meixner_beta2_contour_rejected():
     with pytest.raises(ContractError):
-        contour_image(Meixner(xi=0.5, beta_m=2.0), 1, 3)
+        contour_rows(Meixner(xi=0.5, beta_m=2.0), [1], 3)
 
 
 def test_radius_independence():
     fam = Charlier(theta=1.0)
-    a = contour_image(fam, 6, 11, ContourSpec(radius=0.3))
-    b = contour_image(fam, 6, 11, ContourSpec(radius=0.8))
+    a = _circle_rows(fam, [6], [11], ContourSpec(radius=0.3))[0, 0]
+    b = _circle_rows(fam, [6], [11], ContourSpec(radius=0.8))[0, 0]
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -99,7 +97,7 @@ def test_charlier_phi0_contour_residue():
     # integrand e^{-theta t}/t has residue 1, so phi_0(x) = sqrt(w(x)/h_0)
     fam = Charlier(theta=1.0)
     for x in (0, 3, 9):
-        assert contour_image(fam, 0, x) == pytest.approx(
+        assert contour_rows(fam, [0], x)[0, 0] == pytest.approx(
             np.exp(0.5 * fam.log_weight(x)), rel=1e-10)
 
 
@@ -128,6 +126,22 @@ def test_eps_phi_contour_vs_lattice(fam):
         assert np.max(np.abs(rec[:half] - tab.phi[n, :half])) < 1e-8
 
 
+def test_contour_rows_pick_the_eps_circle_exactly_with_a_multiplier():
+    # Meixner xi = 0.25 extracts on 256 nodes, and its eps images on 2048
+    fam = Meixner(xi=0.25, beta_m=1.0)
+    xs, mult = np.arange(30), eps_multiplier(fam)
+    single, eps = default_contour(fam, "single", 3), default_contour(fam, "eps", 3)
+    assert (single.node_count, eps.node_count) == (256, 2048)
+    for n in (0, 3, 7):
+        assert {default_contour(fam, "single", n), default_contour(fam, "eps", n)} == {single, eps}
+        assert np.array_equal(contour_rows(fam, [n], xs), _circle_rows(fam, [n], xs, single))
+        assert np.array_equal(contour_rows(fam, [n], xs, mult),
+                              _circle_rows(fam, [n], xs, eps, mult))
+        # a scalar site gives the float of the array call's entry
+        one = eps_phi_via_contour(fam, n, 4)
+        assert type(one) is float and one == eps_phi_via_contour(fam, n, xs)[4]
+
+
 def _meixner_defining_sums(fam, spec, degrees, xs):
     """[n, x] sums sum_j core_j w_j z_j^-(x+1), core = sqrt(1 - s^2)/(1 - s z)
     ((z - s)/(1 - s z))^n, over the circle's nodes, and sum_j |term_j|, in
@@ -144,18 +158,17 @@ def _meixner_defining_sums(fam, spec, degrees, xs):
     return np.array(ref).real, np.array(mag)
 
 
-@pytest.mark.parametrize("orientation, case", [(1, "one"), (-1, "one"), (1, "crossover")],
-                         ids=["1", "-1", "crossover"])
-def test_meixner_extraction_matches_defining_sum(orientation, case):
-    # 'one': contour_image of one degree on a 64-node circle, sites beyond the
+@pytest.mark.parametrize("case", ["one", "crossover"])
+def test_meixner_extraction_matches_defining_sum(case):
+    # 'one': _circle_rows of one degree on a 64-node circle, sites beyond the
     # node count included (they alias onto x mod n in both).  'crossover':
     # contour_rows of the degrees 0..64 that share the 16384-node circle of
     # the hard-edge crossover, a running product FFT'd in chunks
     if case == "one":
         fam = Meixner(xi=0.36, beta_m=1.0)
-        spec = ContourSpec(radius=0.8, node_count=64, orientation=orientation)
+        spec = ContourSpec(radius=0.8, node_count=64)
         degrees, xs = [5], np.array([0, 1, 7, 62, 63, 64, 65, 130, 200])
-        got = contour_image(fam, 5, xs, spec)[None]
+        got = _circle_rows(fam, degrees, xs, spec)
     else:
         fam = Meixner(xi=1 - 1.05 / 64)
         spec = default_contour(fam)
@@ -164,7 +177,7 @@ def test_meixner_extraction_matches_defining_sum(orientation, case):
         got = contour_rows(fam, degrees, xs)
     ref, mag = _meixner_defining_sums(fam, spec, degrees, xs)
     assert np.all(np.abs(got - ref) <= 1e-13 * mag)
-    if case == "one" and orientation == 1:
+    if case == "one":
         # below the node count the sum is the wave function itself
         tab = get_table(fam, 6, x_max=40)
         assert np.max(np.abs(got[0, :3] - tab.phi[5, xs[:3]])) < 1e-12
@@ -190,7 +203,7 @@ def test_meixner_extraction_memory_is_linear():
     fam = Meixner(xi=0.99, beta_m=1.0)
     tracemalloc.start()
     try:
-        vals = contour_image(fam, 3, np.arange(36368))
+        vals = contour_rows(fam, [3], np.arange(36368))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,8 +260,7 @@ def test_degree_integrand_matches_defining_sum(fam, rows, spliced):
     for n in degrees:
         circles.setdefault(default_contour(fam, kind, n), []).append(n)
     if rows:
-        got = dict(zip(degrees, contour_rows(fam, degrees, xs, _spliced(fam) if spliced else None,
-                                             kind)))
+        got = dict(zip(degrees, contour_rows(fam, degrees, xs, _spliced(fam) if spliced else None)))
     for spec, ns in circles.items():
         z = spec.nodes()
         mult = _spliced(fam)(z) if spliced else 1.0
@@ -285,7 +297,7 @@ def test_charlier_extraction_memory_is_linear():
     spec, mult = default_contour(fam, "eps", 60), _spliced(fam)
     tracemalloc.start()
     try:
-        vals = contour_image(fam, 60, np.arange(785), spec, mult)
+        vals = _circle_rows(fam, [60], np.arange(785), spec, mult)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -304,12 +316,12 @@ def test_nonfinite_extraction_is_refused():
     # Tier-1 turns any RuntimeWarning on the way into a failure
     fam = Charlier(theta=768.0)
     with pytest.raises(QuadratureError, match="degree 760 .* radius 0.97"):
-        contour_image(fam, 760, np.arange(5))
+        contour_rows(fam, [760], np.arange(5))
     # sites far from 0, where every term is in range, are still extracted.
     # The exponents reach theta r = 745 here, and rounding them alone puts
     # a per-site evaluation 7e-14 off the reference; the blocked sum is 1.0e-13
     window = np.arange(700, 761)
-    assert np.all(np.isfinite(contour_image(fam, 760, window)))
+    assert np.all(np.isfinite(contour_rows(fam, [760], window)))
     spec = default_contour(fam, degree=760)
     z = spec.nodes()
     v = spec.weights(z) * z ** (-761)

@@ -125,7 +125,7 @@ def test_compose_columns_matches_explicit_sums(fam):
     # Phi^T <Phi, T Phi> Phi with T phi_k the multiplier image of phi_k,
     # every Gram entry and every window entry summed term by term
     from pfkern.kernels import oracle_lattice
-    from pfkern.symbols import contour_image, default_contour, eps_multiplier
+    from pfkern.symbols import contour_rows, eps_multiplier
     from pfkern.wavefunctions import get_table
     N = 4
     xs = np.arange(0, 14)
@@ -133,8 +133,7 @@ def test_compose_columns_matches_explicit_sums(fam):
     r = rank_of(fam, N)
     phi = get_table(fam, r + 1, None if fam.finite else lat.x_max).phi[:r, :lat.size]
     sites = np.arange(lat.size)
-    T_phi = [contour_image(fam, k, sites, default_contour(fam, "eps", k), eps_multiplier(fam))
-             for k in range(r)]
+    T_phi = contour_rows(fam, range(r), sites, eps_multiplier(fam))
     gram = [[sum(phi[j, z] * T_phi[k][z] for z in sites) for k in range(r)] for j in range(r)]
     ref = np.array([[sum(phi[j, x] * gram[j][k] * phi[k, y] for j in range(r) for k in range(r))
                      for y in xs] for x in xs])
@@ -467,8 +466,9 @@ def test_validation_reads_the_projection_adjudication(monkeypatch, fam):
 def test_lazy_inserted_blocks_match_eager_assembly(fam, beta, route):
     # SD and epsS read on demand equal the eager assembly over the whole
     # lattice: R D by the stencil, eps L^T by the prefix sums
-    from pfkern.kernels import contour_rows, oracle_lattice
+    from pfkern.kernels import oracle_lattice
     from pfkern.lattice_ops import apply_d, apply_eps
+    from pfkern.symbols import contour_rows
     from pfkern.wavefunctions import get_table
     N = 6
     blk = (s4_block if beta == 4 else s1_block)(fam, N, route=route)

@@ -9,7 +9,7 @@ from pfkern.kuznetsov import (GaussianTest, branch_jump, edge_ratio_report, m_h,
                               m_h_numeric, reality_symmetry_check, spliced_oracle,
                               spliced_s4)
 from pfkern.harness import Regime
-from pfkern.symbols import contour_image, default_contour, eps_multiplier
+from pfkern.symbols import contour_rows, eps_multiplier
 
 
 def spliced_s1(fam, N, test):
@@ -100,8 +100,7 @@ def test_spliced_s1_matches_window_formula(fam):
     N, test = 6, GaussianTest(sigma=2.0)
     xs = default_window(fam, N)
     a, b = beta1_indices(fam, N)
-    image = contour_image(fam, b, xs, default_contour(fam, "eps", b),
-                          eps_multiplier(fam, partial(m_h, test)))
+    image = contour_rows(fam, [b], xs, eps_multiplier(fam, partial(m_h, test)))[0]
     phi_a = get_table(fam, a + 1, None if fam.finite else int(xs[-1])).phi[a, xs]
     ref = projection_direct(fam, N, xs) + 0.5 * np.outer(phi_a, image)
     blk = spliced_s1(fam, N, test)
@@ -118,8 +117,7 @@ def test_spliced_s1_constant_limit():
     from pfkern.wavefunctions import get_table
     tab = get_table(fam, 8, x_max=int(blk.xs[-1]))
     base = 0.5 * np.outer(tab.phi[6, blk.xs],
-                          contour_image(fam, 5, blk.xs, default_contour(fam, "eps", 5),
-                                        eps_multiplier(fam)))
+                          contour_rows(fam, [5], blk.xs, eps_multiplier(fam))[0])
     rel = np.max(np.abs(spliced_r1 - np.sqrt(np.pi / sigma) * base))
     assert rel < 1e-4 * np.sqrt(np.pi / sigma) * np.max(np.abs(base)) + 1e-12
 
