@@ -13,8 +13,7 @@ import sys
 
 import numpy as np
 
-from .contours import QuadratureError
-from .families import Charlier, Krawtchouk, Meixner, DomainError
+from .families import Charlier, Krawtchouk, Meixner, DomainError, QuadratureError
 from . import reports
 
 
@@ -90,38 +89,36 @@ def _out(args, name):
     return os.path.join(reports.output_dir(args.out), name)
 
 
-def _parse_list(text, option):
-    """The positive integers of the comma-separated `text` given to `option`."""
-    values = [int(v) if v.strip().isdecimal() else 0 for v in text.split(",")]
-    if min(values) < 1:
-        raise DomainError(f"{option} {text} is not a list of positive integers")
+def _parse_list(text, option, cast=int):
+    """The positive finite values (int or float) of the comma-separated `text`
+    given to `option`."""
+    try:
+        values = [cast(v) for v in text.split(",")]
+    except ValueError:
+        values = [0]
+    if not all(0 < v < np.inf for v in values):
+        raise DomainError(f"{option} {text} is not a list of positive "
+                          f"{'integers' if cast is int else 'numbers'}")
     return values
 
 
-def _load_config(path):
-    out = {}
+def _size(args, default):
+    """`--A`, or `default` if it is unset; refused unless positive."""
+    if args.A is not None and args.A < 1:
+        raise DomainError(f"--A {args.A} is not a positive integer")
+    return args.A or default
+
+
+def _config_tokens(path):
+    """One `--key=value` token per `key = value` line of the file, `--key` for
+    `true` and none for `false`; blank lines and `#` comments are skipped."""
+    tokens = []
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
-
-
-def _apply_config(args, defaults, parser):
-    """Fill options left unset on the command line from `defaults`, each
-    value cast through the type its option declares."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
-    for key, text in defaults.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) in (None, False):
-            action = actions.get(attr)
-            cast = getattr(action, "type", None) or str
-            setattr(args, attr, text == "true" if isinstance(action, argparse._StoreTrueAction)
-                    else cast(text))
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key and not key.startswith("#") and val != "false":
+                tokens.append(f"--{key}" if val == "true" else f"--{key}={val}")
+    return tokens
 
 
 def cmd_kernel(args, config) -> int:
@@ -168,7 +165,7 @@ def cmd_asym(args, config) -> int:
         from .saddles import (bulk_support, cos_theta, density_total_mass,
                               rho_closed_form, site_density)
         reg = _regime(args)
-        fam, N = reg.family_and_N(args.A or 64)
+        fam, N = reg.family_and_N(_size(args, 64))
         lo, hi = bulk_support(fam, N)
         us = np.linspace(lo, hi, args.grid + 2)[1:-1]
         rows = []
@@ -214,9 +211,8 @@ def cmd_asym(args, config) -> int:
     if args.study == "gap":
         from .fredholm import bulk_scaled_gap_comparison
         reg, u = _regime(args), _position(args)
-        fam, N = reg.family_and_N(args.A or 256)
-        rep = bulk_scaled_gap_comparison(fam, N, u,
-                                         [float(v) for v in args.lengths.split(",")])
+        fam, N = reg.family_and_N(_size(args, 256))
+        rep = bulk_scaled_gap_comparison(fam, N, u, _parse_list(args.lengths, "--lengths", float))
         path = _out(args, "gap.json")
         reports.write_json(path, rep, config=config)
         print(f"wrote {path}")
@@ -228,9 +224,6 @@ def cmd_splice(args, config) -> int:
     from .kuznetsov import (GaussianTest, edge_ratio_report, m_h, m_h_numeric,
                             reality_symmetry_check, spliced_oracle, spliced_s4)
     from .harness import Regime
-    if args.study == "edge-ratio" and args.family != "charlier":
-        raise DomainError(f"splice edge-ratio is implemented for --family charlier only, "
-                          f"not {args.family}")
     test = GaussianTest(sigma=args.sigma)
     if args.study == "kernel":
         fam = _family(args)
@@ -258,7 +251,7 @@ def cmd_splice(args, config) -> int:
         print(f"max |Im m_h| on circle: {rep['max_imag_unit_circle']:.3e}; wrote {path}")
         return 0
     if args.study == "edge-ratio":
-        rep = edge_ratio_report(Regime(kind="charlier", tau=args.tau), test, A=args.A or 96)
+        rep = edge_ratio_report(Regime(kind="charlier", tau=args.tau), test, A=_size(args, 96))
         path = _out(args, "edge_ratio.json")
         reports.write_json(path, rep, config=config)
         print(f"measured {rep['measured_ratio']:.4f} vs predicted "
@@ -269,7 +262,8 @@ def cmd_splice(args, config) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="pfkern", description=__doc__)
-    parser.add_argument("--config", help="key=value file providing defaults")
+    parser.add_argument("--config", help="file of key = value lines read before the command's "
+                        "options; keys are option names as typed: A-list = 32,64, oracle = true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     k = sub.add_parser("kernel", help="evaluate a kernel block window")
@@ -320,23 +314,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+_ONE_FAMILY = {"asym crossover": "meixner", "splice edge-ratio": "charlier"}  # the family each runs
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = parser.parse_args(argv)
+        if args.config:     # argv is --config[=]path, the command, its options; those win
+            at = 2 if "=" in argv[0] else 3
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.config:
-        try:
-            _apply_config(args, _load_config(args.config), parser)
-        except (OSError, ValueError) as exc:
-            print(f"error: --config {args.config}: {exc}", file=sys.stderr)
-            return 1
+    except (OSError, ValueError) as exc:
+        print(f"error: --config {args.config}: {exc}", file=sys.stderr)
+        return 1
     fn = vars(args).pop("fn")
     command = " ".join(filter(None, (args.command, getattr(args, "study", None))))
     try:
+        if args.family != _ONE_FAMILY.get(command, args.family):
+            raise DomainError(f"{command} is implemented for --family {_ONE_FAMILY[command]} "
+                              f"only, not {args.family}")
         return fn(args, vars(args) | {"command": command})
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,10 @@ class DomainError(ValueError):
     """Argument outside the lattice/parameter domain of a family."""
 
 
+class QuadratureError(RuntimeError):
+    """A quadrature result failed its consistency check."""
+
+
 @dataclass(frozen=True)
 class Meixner:
     """Meixner weight w(x) = (beta_m)_x / x! * xi^x on Z>=0."""

@@ -138,7 +138,7 @@ def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right"
         seff = orient * (xs - A * u_star) / c_A
         order = np.argsort(seff)
         s_sorted = seff[order]
-        T = airy_kernel(s_sorted, s_sorted)
+        T = airy_kernel(s_sorted)
         Vo = V[np.ix_(order, order)]
         c = fit_amplitude(Vo, T)
         entry = {"A": int(A), "c_A": c_A, "c_fit": c,
@@ -247,7 +247,7 @@ def _bessel_fit(V, xs, index, scale, offsets=np.linspace(0.0, 1.6, 17)):
     """Best (relative L2 error, offset, amplitude) of V against the Bessel
     kernel at u = scale (x + offset), every offset from one stacked call."""
     lam = scale * (xs + offsets[:, None])
-    kernels = bessel_kernel(index, lam, lam)
+    kernels = bessel_kernel(index, lam)
     kernels *= scale
     best = None
     for d, T in zip(offsets, kernels):

@@ -51,11 +51,10 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .contours import QuadratureError, unit_roots
-from .families import Charlier, Meixner, TruncatedLattice, truncate
+from .families import Charlier, Meixner, QuadratureError, TruncatedLattice, truncate
 from .lattice_ops import apply_d, apply_eps
 from .symbols import (_generating_logs, contour_rows, eps_multiplier, inverse_eps_symbol,
-                      meixner_G, symbol)
+                      meixner_G, symbol, unit_roots)
 from .wavefunctions import get_table, _zone_need
 
 
@@ -80,6 +79,7 @@ def default_window(family, N: int) -> np.ndarray:
 class KernelBlockSet:
     """Scalar block S plus the symbol-inserted blocks on a lattice window.
 
+    Every block is square on its window: x and y both run over xs.
     `gram_block` builds every block from lattice factors (L, E, R),
     S = L_x^T E R_y.  A block whose eps is the lattice operator computes
     SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y on first read, with D
@@ -91,7 +91,6 @@ class KernelBlockSet:
     beta: int
     N: int
     xs: np.ndarray
-    ys: np.ndarray
     S: np.ndarray
     provenance: str = "oracle"
     meta: dict = field(default_factory=dict)
@@ -104,18 +103,16 @@ class KernelBlockSet:
             return None
         L, E, R = self.factors
         RD = -apply_d(self.family, R.T).T          # R D, since D^T = -D
-        return _assemble_blocks(L, E, RD, self.xs, self.ys)
+        return _assemble_blocks(L, E, RD, self.xs)
 
     @cached_property
     def epsS(self) -> np.ndarray | None:
         if self.multiplier is not None:
             return None
         L, E, R = self.factors
-        return _assemble_blocks(apply_eps(self.family, L.T).T, E, R, self.xs, self.ys)
+        return _assemble_blocks(apply_eps(self.family, L.T).T, E, R, self.xs)
 
     def antisymmetry_defect(self) -> float:
-        if self.S.shape[0] != self.S.shape[1]:
-            return float("nan")
         return float(np.max(np.abs(self.S + self.S.T)))
 
 
@@ -123,11 +120,10 @@ class KernelBlockSet:
 # the block builder
 
 
-def _assemble_blocks(L, E, R, xs=slice(None), ys=None):
-    """S = L_x^T E R_y for row stacks L, R (k x sites) and a k x k Gram E;
-    ys defaults to xs."""
-    ys = xs if ys is None else ys
-    return L[:, xs].T @ (E @ R[:, ys])
+def _assemble_blocks(L, E, R, xs=slice(None)):
+    """S = L_x^T E R_y, x and y in xs (every site by default), for row stacks
+    L, R (k x sites) and a k x k Gram E."""
+    return L[:, xs].T @ (E @ R[:, xs])
 
 
 def _rank_one_factors(rows, eps_b_row):
@@ -176,7 +172,7 @@ def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
         factors = _rank_one_factors(phi[:a + 1], eps(b, b + 1))
     else:
         raise ValueError("beta must be 1 or 4")
-    return KernelBlockSet(family=family, beta=beta, N=N, xs=window, ys=window,
+    return KernelBlockSet(family=family, beta=beta, N=N, xs=window,
                           S=_assemble_blocks(*factors, window), provenance=provenance or route,
                           meta={"lattice_x_max": lattice.x_max, **meta}, factors=factors,
                           multiplier=multiplier)
@@ -209,13 +205,11 @@ def _contour_phi(family, n_top, lattice):
 # entry points: each one builder call
 
 
-def projection_direct(family, N: int, xs, ys=None):
-    """K_N by the finite sum of wave-function products."""
-    ys = xs if ys is None else ys
+def projection_direct(family, N: int, xs):
+    """K_N on the sites xs by the finite sum of wave-function products."""
     r = rank_of(family, N)
-    tab = get_table(family, r + 1,
-                    None if family.finite else int(max(np.max(xs), np.max(ys))) + 1)
-    return tab.phi[:r, xs].T @ tab.phi[:r, ys]
+    tab = get_table(family, r + 1, None if family.finite else int(np.max(xs)) + 1)
+    return tab.phi[:r, xs].T @ tab.phi[:r, xs]
 
 
 def oracle_block(family, N: int, beta: int, window=None,
@@ -224,15 +218,16 @@ def oracle_block(family, N: int, beta: int, window=None,
     return gram_block(family, N, beta, window, "oracle", lattice=lattice)
 
 
-def compose_columns(family, N: int, xs, m_func=None) -> KernelBlockSet:
-    """(K T K) block where T acts by the inverse-eps symbol times m_func: the
-    oracle rows with eps as that contour multiplier.
+def compose_columns(family, N: int, xs) -> KernelBlockSet:
+    """(K T K) block where T acts by the inverse-eps symbol: the oracle rows
+    with eps as that contour multiplier (the splices of `kuznetsov` call
+    `gram_block` with m_h times it).
 
     This is the exact resummation of the double-contour composition; the
     printed difference-quotient formulas are checked against it and against
     the lattice oracle by `adjudicate_composition`.
     """
-    return gram_block(family, N, 4, xs, "oracle", eps_multiplier(family, m_func),
+    return gram_block(family, N, 4, xs, "oracle", eps_multiplier(family),
                       provenance="contour-columns")
 
 

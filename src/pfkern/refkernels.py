@@ -3,8 +3,9 @@
 Each kernel is a closed form in special functions from numpy and
 scipy.special: the sine kernel is `np.sinc`, and the Airy and Bessel kernels
 take Ai, Ai' from `airy` and J from `jv`, one call per order for all their
-arguments (y is x in every harness call).  The Bessel kernel takes a stack of
-argument rows, so a fit over many scalings is one call.  Kernel formulas (not
+arguments.  Both are square: K(x_i, x_j) on one argument array x.  The
+Bessel kernel takes a stack of argument rows, so a fit over many scalings is
+one call.  Kernel formulas (not
 printed in the sources this library encodes) follow the standard literature
 conventions:
 
@@ -35,40 +36,35 @@ def sine_kernel_deriv(s, t):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def airy_kernel(x, y):
-    same = y is x
+def airy_kernel(x):
+    """[i, j] = K_Airy(x_i, x_j)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = x if same else np.atleast_1d(np.asarray(y, dtype=float))
     ax, apx = airy(x)[:2]
-    ay, apy = (ax, apx) if same else airy(y)[:2]
-    X, Y = x[:, None], y[None, :]
-    num = ax[:, None] * apy[None, :] - apx[:, None] * ay[None, :]
+    X, Y = x[:, None], x[None, :]
+    num = ax[:, None] * apx[None, :] - apx[:, None] * ax[None, :]
     den = X - Y
     diag = apx[:, None] ** 2 - X * ax[:, None] ** 2
     out = np.where(np.abs(den) < 1e-10, diag, num / np.where(np.abs(den) < 1e-10, 1.0, den))
     return out
 
 
-def bessel_kernel(alpha: float, x, y):
-    """Hard-edge (Bessel) kernel in the squared variables, alpha >= 0.
+def bessel_kernel(alpha: float, x):
+    """Hard-edge (Bessel) kernel [..., i, j] = K_Bessel[alpha](x_i, x_j) in the
+    squared variables, alpha >= 0.
 
-    x and y may be stacks of argument rows [..., m]; the kernel of each pair
-    of rows is [..., m, m'], elementwise the one of a single-row call.
+    x may be a stack of argument rows [..., m]; the kernel of each row is
+    [..., m, m], elementwise the one of a single-row call.
     s J_a'(s) is taken as a J_a(s) - s J_{a+1}(s), and the diagonal
     (J_a^2 - J_{a+1} J_{a-1}) / 4 with J_{a-1} = (2a/s) J_a - J_{a+1}, so
     both stay finite at x = 0, where J_{a-1} is infinite for 0 < a < 1."""
-    same = y is x
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = x if same else np.atleast_1d(np.asarray(y, dtype=float))
-    sx, sy = np.sqrt(x), np.sqrt(y)
+    sx = np.sqrt(x)
     jx, j1x = jv(alpha, sx), jv(alpha + 1, sx)
     dx = alpha * jx - sx * j1x
-    jy = jx if same else jv(alpha, sy)
-    dy = dx if same else alpha * jy - sy * jv(alpha + 1, sy)
-    out = jx[..., :, None] * dy[..., None, :]
-    den = dx[..., :, None] * jy[..., None, :]       # scratch until it holds 2 (x - y)
+    out = jx[..., :, None] * dx[..., None, :]
+    den = dx[..., :, None] * jx[..., None, :]       # scratch until it holds 2 (x - y)
     out -= den
-    np.subtract(x[..., :, None], y[..., None, :], out=den)
+    np.subtract(x[..., :, None], x[..., None, :], out=den)
     den *= 2.0
     near = (den > -1e-12) & (den < 1e-12)
     np.divide(out, den, out=out, where=~near)

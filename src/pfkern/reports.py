@@ -27,9 +27,10 @@ def write_json(path: str, payload: dict, config: dict | None = None) -> None:
 
 
 def write_kernel_csv(path: str, blk) -> None:
-    """Rows (x, y, S, SD, epsS) with 17 significant digits, NaN for a block that
-    is None, formatted and written about 2048 cells at a time."""
-    ys = np.asarray(blk.ys)
+    """Rows (x, y, S, SD, epsS), x and y both over the window `blk.xs`, with 17
+    significant digits, NaN for a block that is None, formatted and written
+    about 2048 cells at a time."""
+    ys = np.asarray(blk.xs)
     step = max(1, 2048 // max(len(ys), 1))
     with open(path, "w") as fh:
         fh.write("x,y,S,SD,epsS\n")

@@ -6,6 +6,10 @@ returns the printed classical form, while ``inverse_eps_symbol`` returns the
 exact reciprocal of the shift-difference symbol, which is what actually
 inverts D on wave functions.
 
+Every wave function and multiplier image is one trapezoid sum on a circle
+about the origin, of a radius and a node count (`default_contour`), with the
+quadrature convention of `_circle_rows`.
+
 Adjudicated evaluation conventions (verified against the recurrence tables,
 see the kernels module for the full adjudication machinery):
   * Meixner (beta_m = 1): the coefficient extraction needs an extra factor
@@ -16,11 +20,13 @@ see the kernels module for the full adjudication machinery):
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import gammaln
 
-from .contours import ContourSpec, ContractError, QuadratureError
-from .families import Charlier, Krawtchouk, Meixner, DomainError
+from .families import Charlier, Krawtchouk, Meixner, DomainError, QuadratureError
 
 # ---------------------------------------------------------------------------
 # rational multipliers
@@ -52,7 +58,7 @@ def inverse_eps_symbol(family, z):
     z = np.asarray(z, dtype=complex)
     if isinstance(family, Meixner):
         if family.beta_m != 1.0:
-            raise ContractError("Meixner contour symbols require beta_m = 1")
+            raise DomainError("Meixner contour symbols require beta_m = 1")
         return family.s * z / (1.0 - z * z)
     if isinstance(family, Charlier):
         return (1.0 + z) / (z * (2.0 + z))
@@ -154,42 +160,42 @@ def degree_prefactor(family, n, x):
     return sign, logmag
 
 
+ContourSpec = namedtuple("ContourSpec", "radius node_count")   # origin-centred circle
+
+
+@lru_cache(maxsize=32)
+def unit_roots(n: int) -> np.ndarray:
+    """The n nodes exp(2 pi i k / n), built once and read-only."""
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    roots.flags.writeable = False
+    return roots
+
+
 def default_contour(family, kind: str = "single", degree: int = 0) -> ContourSpec:
-    """Admissible extraction circles, centred at the origin.
+    """Extraction circles, centred at the origin, with a power-of-two node count.
 
     'single' radii balance the integrand maximum against r^(-degree)
-    (roundoff conditioning), clamped inside the admissible disc.  'eps' is
-    the extraction circle of the image of phi_n under the inverse-difference
-    multiplier.  It equals 'single' except for Meixner, whose circle lies
-    near 1 for conditioning in x and so needs more nodes to resolve the +-1
-    poles of the inverse multiplier.
+    (roundoff conditioning), clamped inside the admissible disc: Meixner's
+    max(0.95, (1 + s)/2) lies in (s, 1), Charlier's is at most 0.97 (< 1) and
+    Krawtchouk's at most 0.97 min(1/p, 1/q).  'eps' is the extraction circle
+    of the image of phi_n under the inverse-difference multiplier.  It equals
+    'single' except for Meixner, whose circle lies near 1 for conditioning in
+    x and so needs more nodes to resolve the +-1 poles of the inverse
+    multiplier.  Charlier and Krawtchouk take 256 nodes.
     """
     if isinstance(family, Meixner):
         s = family.s
         nodes = {"single": 256 if s <= 0.8 else (2048 if s <= 0.95 else 16384),
                  "eps": 2048 if s <= 0.9 else 16384}[kind]
-        return ContourSpec(radius=max(0.95, (1.0 + s) / 2.0), node_count=nodes)
+        return ContourSpec(max(0.95, (1.0 + s) / 2.0), nodes)
     n = max(degree, 1)
     if isinstance(family, Charlier):
         th, b = family.theta, family.theta - n
         radius = (-b + np.sqrt(b * b + 4.0 * th * n)) / (2.0 * th)
-        return ContourSpec(radius=float(np.clip(radius, 0.3, 0.97)))
+        return ContourSpec(float(np.clip(radius, 0.3, 0.97)), 256)
     radius = n / (family.p * max(family.M - n, 1))
-    return ContourSpec(radius=float(np.clip(radius, 0.25,
-                                            0.97 * min(1.0 / family.p, 1.0 / family.q))))
-
-
-def check_admissible(family, spec: ContourSpec) -> None:
-    r = spec.radius
-    if isinstance(family, Meixner):
-        if not family.s < r < 1.0:
-            raise ContractError(f"Meixner radius must lie in (s, 1), got {r}")
-    elif isinstance(family, Charlier):
-        if not r < 1.0:
-            raise ContractError(f"Charlier radius must be < 1, got {r}")
-    else:
-        if not r < min(1.0 / family.p, 1.0 / family.q):
-            raise ContractError("Krawtchouk radius must be < min(1/p, 1/q)")
+    return ContourSpec(float(np.clip(radius, 0.25, 0.97 * min(1.0 / family.p, 1.0 / family.q))),
+                       256)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +228,10 @@ def contour_rows(family, degrees, xs, multiplier=None):
 
 def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier=None):
     """The rows of `contour_rows` for degrees that share one circle, and so its
-    nodes, weights and multiplier values.  The degrees are taken in increasing
-    order, in chunks of at most 2^14 node values or sites per row block, so no
-    (degrees x nodes) array is held.
+    nodes z_j, weights z_j / n and multiplier values (the trapezoid sum of
+    (1/(2 pi i)) oint f(z) dz is the mean over the n nodes of f(z) z).  The
+    degrees are taken in increasing order, in chunks of at most 2^14 node
+    values or sites per row block, so no (degrees x nodes) array is held.
 
     Meixner (beta_m = 1 only; the recurrence tables are the authority for other
     beta_m): the rows core_j w_j are a running product of (z - s)/(1 - s z)
@@ -238,13 +245,12 @@ def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier=None):
     degrees, k = np.asarray(degrees, dtype=np.int64), np.asarray(xs, dtype=np.int64) + 1
     if family.finite and np.any(degrees > family.M):
         raise DomainError(f"degree {degrees.max()} exceeds Krawtchouk M={family.M}")
-    check_admissible(family, contour)
-    z = contour.nodes()
-    mult_w = (1.0 if multiplier is None else multiplier(z)) * contour.weights(z)
+    z = contour.radius * unit_roots(contour.node_count)
+    mult_w = (1.0 if multiplier is None else multiplier(z)) * (z / contour.node_count)
     if isinstance(family, Meixner):
         if family.beta_m != 1.0:
-            raise ContractError("contour evaluation requires beta_m = 1; "
-                                "the recurrence table is authoritative otherwise")
+            raise DomainError("contour evaluation requires beta_m = 1; "
+                              "the recurrence table is authoritative otherwise")
         s = family.s
         ratio = (z - s) / (1.0 - s * z)
         n = int(degrees.min(initial=0))

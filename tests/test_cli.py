@@ -106,8 +106,33 @@ def test_config_values_take_the_declared_type(tmp_path, capsys):
     code = main(["--config", str(cfg), "kernel", "--family", "meixner", "--beta", "4",
                  "--N", "2", "--out", str(tmp_path / "bad")])
     assert code == 1
-    assert "could not convert string to float: 'abc'" in capsys.readouterr().err
+    assert "argument --xi: invalid float value: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+def test_config_keys_the_command_lacks_are_refused(tmp_path, capsys):
+    # keys are the command's option names: asym has no --beta-m and no --bogus
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# asym bulk\nbeta-m = 2\n\nbogus = 7\n")
+    code = main(["--config", str(cfg), "asym", "bulk", "--family", "meixner", "--xi", "0.25",
+                 "--u", "1", "--A-list", "32,64", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: --beta-m=2 --bogus=7" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_config_flags_and_command_line_precedence(tmp_path):
+    # `true` sets a flag; the command line wins over the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"oracle = true\ndump-ops = false\nN = 6\nwindow = 0:3\nout = {tmp_path}\n")
+    code = main(["--config", str(cfg), "kernel", "--family", "charlier", "--theta", "1",
+                 "--beta", "4", "--N", "4"])
+    assert code in (0, 3)
+    config = json.loads((tmp_path / "kernel_charlier_b4_N4.json").read_text())["config"]
+    assert (config["oracle"], config["dump_ops"], config["N"]) == (True, False, 4)
+    assert config["window"] == "0:3"
+    assert not list(tmp_path.glob("*_d.csv"))
 
 
 def test_json_report_identical_across_processes(tmp_path):
@@ -280,12 +305,26 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
      "--A-list"),
     (["asym", "edge", "--family", "krawtchouk", "--gamma", "0.5", "--p", "0.5",
       "--A-list", "16,32"], "right edge u*=1"),
+    (["asym", "gap", "--family", "charlier", "--tau", "1", "--u", "2", "--A", "0"], "--A 0"),
+    (["asym", "gap", "--family", "charlier", "--tau", "1", "--u", "2", "--A", "-5"], "--A -5"),
+    (["asym", "density", "--family", "meixner", "--xi", "0.25", "--A", "0"], "--A 0"),
+    (["splice", "edge-ratio", "--family", "charlier", "--theta", "1", "--A", "0"], "--A 0"),
+    (["asym", "gap", "--family", "charlier", "--tau", "1", "--u", "2", "--lengths", "0,-1"],
+     "--lengths 0,-1"),
+    (["asym", "gap", "--family", "charlier", "--tau", "1", "--u", "2", "--lengths", "abc"],
+     "--lengths abc"),
+    (["asym", "gap", "--family", "charlier", "--tau", "1", "--u", "2", "--lengths", "1,inf"],
+     "--lengths 1,inf"),
+    (["asym", "crossover", "--family", "krawtchouk", "--p", "0.4", "--alpha", "1",
+      "--N-list", "8", "--block", "K"], "--family meixner only"),
 ], ids=["density-gamma-1.5", "edge-tau-0", "bulk-u-outside", "correction-u-packed",
         "gap-u-at-edge", "edge-ratio-meixner", "kernel-N-0", "splice-kernel-N-0",
         "kernel-window-empty", "kernel-window-negative", "kernel-window-past-M",
         "kernel-window-no-colon", "kernel-window-not-integer", "crossover-N-list-0",
         "krawtchouk-bulk-A-list-0", "meixner-bulk-A-list-0", "meixner-correction-A-list-0",
-        "bulk-A-list-empty", "krawtchouk-edge-not-soft"])
+        "bulk-A-list-empty", "krawtchouk-edge-not-soft", "gap-A-0", "gap-A-negative",
+        "density-A-0", "edge-ratio-A-0", "gap-lengths-not-positive", "gap-lengths-not-numbers",
+        "gap-lengths-infinite", "crossover-krawtchouk"])
 def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named):
     # one error line that names the domain, no warning or traceback, and no
     # output: not even the new --out directory

@@ -1,27 +1,57 @@
 import numpy as np
 import pytest
 
-from pfkern.contours import ContourSpec, ContractError, QuadratureError, unit_roots
-from pfkern.families import Charlier, Krawtchouk, Meixner, TruncatedLattice, truncate
+from pfkern.families import (Charlier, DomainError, Krawtchouk, Meixner, QuadratureError,
+                             TruncatedLattice, truncate)
+from pfkern.kernels import rank_of
 from pfkern.lattice_ops import apply_eps, build_d, build_epsilon_direct
 from pfkern.kuznetsov import GaussianTest, m_h
-from pfkern.symbols import (_circle_rows, contour_rows, degree_integrand, degree_prefactor,
-                            default_contour, eps_multiplier, eps_phi_via_contour,
-                            inverse_eps_symbol, meixner_G, ratio_map, symbol)
+from pfkern.symbols import (ContourSpec, _circle_rows, contour_rows, degree_integrand,
+                            degree_prefactor, default_contour, eps_multiplier,
+                            eps_phi_via_contour, inverse_eps_symbol, meixner_G, ratio_map,
+                            symbol, unit_roots)
 from pfkern.wavefunctions import get_table
 
 
-def test_contour_spec_validation():
-    with pytest.raises(ContractError):
-        ContourSpec(radius=0.5, node_count=100)
-    with pytest.raises(ContractError):
-        ContourSpec(radius=-1.0)
+def _nodes_and_weights(spec):
+    """The circle's trapezoid nodes z and weights z / n, as `_circle_rows` takes them."""
+    z = spec.radius * unit_roots(spec.node_count)
+    return z, z / spec.node_count
+
+
+# xi -> 1, small and large theta, p near 0 and 1, and N up to M
+_CONTOUR_GRID = ([(Meixner(xi=xi), N) for xi in (0.01, 0.25, 0.64, 0.81, 0.9, 1 - 1.05 / 64,
+                                                  0.99, 1 - 1e-6) for N in (1, 32)]
+                 + [(Charlier(theta=th), N) for th in (1e-3, 0.05, 1.0, 96.0, 768.0)
+                    for N in (1, 64, 800)]
+                 + [(Krawtchouk(M=M, p=p), N) for M, p in ((20, 0.5), (64, 1e-3), (64, 0.4),
+                                                          (64, 0.999), (600, 0.02), (600, 0.98))
+                    for N in (1, M // 2, M - 1, M)])
+
+
+@pytest.mark.parametrize("fam, N", _CONTOUR_GRID,
+                         ids=[f"{f.name}-" + "-".join(f"{v:g}" for v in vars(f).values())
+                              + f"-N{N}" for f, N in _CONTOUR_GRID])
+def test_default_contours_lie_in_the_admissible_disc(fam, N):
+    # every circle a block of rank r can extract on (degrees 0..r + 1, with and
+    # without a multiplier) lies where the generating integrand is analytic
+    # and has a power-of-two node count of at least 16
+    if isinstance(fam, Meixner):
+        lo, hi = fam.s, 1.0
+    elif isinstance(fam, Charlier):
+        lo, hi = 0.0, 1.0
+    else:
+        lo, hi = 0.0, min(1.0 / fam.p, 1.0 / fam.q)
+    for kind in ("single", "eps"):
+        for n in range(rank_of(fam, N) + 2):
+            radius, nodes = default_contour(fam, kind, n)
+            assert lo < radius < hi, (kind, n, radius)
+            assert nodes >= 16 and nodes & (nodes - 1) == 0, (kind, n, nodes)
 
 
 def test_contour_nodes_come_from_shared_read_only_roots():
-    spec = ContourSpec(radius=0.7, node_count=64)
     a = 2.0 * np.pi * np.arange(64) / 64
-    assert np.array_equal(spec.nodes(), spec.radius * np.exp(1j * a))
+    assert np.array_equal(unit_roots(64), np.exp(1j * a))
     roots = unit_roots(64)
     assert roots is unit_roots(64) and not roots.flags.writeable
 
@@ -82,14 +112,14 @@ def test_phi_contour_matches_recurrence_meixner():
 
 
 def test_meixner_beta2_contour_rejected():
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError, match="beta_m = 1"):
         contour_rows(Meixner(xi=0.5, beta_m=2.0), [1], 3)
 
 
 def test_radius_independence():
     fam = Charlier(theta=1.0)
-    a = _circle_rows(fam, [6], [11], ContourSpec(radius=0.3))[0, 0]
-    b = _circle_rows(fam, [6], [11], ContourSpec(radius=0.8))[0, 0]
+    a = _circle_rows(fam, [6], [11], ContourSpec(radius=0.3, node_count=256))[0, 0]
+    b = _circle_rows(fam, [6], [11], ContourSpec(radius=0.8, node_count=256))[0, 0]
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -146,8 +176,7 @@ def _meixner_defining_sums(fam, spec, degrees, xs):
     """[n, x] sums sum_j core_j w_j z_j^-(x+1), core = sqrt(1 - s^2)/(1 - s z)
     ((z - s)/(1 - s z))^n, over the circle's nodes, and sum_j |term_j|, in
     extended precision."""
-    z = spec.nodes().astype(np.clongdouble)
-    w = spec.weights(spec.nodes()).astype(np.clongdouble)
+    z, w = (a.astype(np.clongdouble) for a in _nodes_and_weights(spec))
     s = np.longdouble(fam.s)
     Z = z ** -(np.asarray(xs)[:, None] + 1)
     ref, mag = [], []
@@ -262,9 +291,9 @@ def test_degree_integrand_matches_defining_sum(fam, rows, spliced):
     if rows:
         got = dict(zip(degrees, contour_rows(fam, degrees, xs, _spliced(fam) if spliced else None)))
     for spec, ns in circles.items():
-        z = spec.nodes()
+        z, w = _nodes_and_weights(spec)
         mult = _spliced(fam)(z) if spliced else 1.0
-        V = mult * spec.weights(z) * z ** (-np.array(ns)[:, None] - 1)
+        V = mult * w * z ** (-np.array(ns)[:, None] - 1)
         stacked = degree_integrand(fam, xs, z, V)
         for n, v, row in zip(ns, V, stacked):
             sites = np.unique(np.r_[np.arange(n % 8, L, 8), B - 1, B, B + 1, L - 1])
@@ -322,8 +351,7 @@ def test_nonfinite_extraction_is_refused():
     # a per-site evaluation 7e-14 off the reference; the blocked sum is 1.0e-13
     window = np.arange(700, 761)
     assert np.all(np.isfinite(contour_rows(fam, [760], window)))
-    spec = default_contour(fam, degree=760)
-    z = spec.nodes()
-    v = spec.weights(z) * z ** (-761)
+    z, w = _nodes_and_weights(default_contour(fam, degree=760))
+    v = w * z ** (-761)
     ref, mag = _defining_sums(fam, window, z, v)
     assert np.all(np.abs(degree_integrand(fam, window, z, v) - ref) <= 2e-13 * mag)
