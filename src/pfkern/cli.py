@@ -201,6 +201,9 @@ def cmd_asym(args, config) -> int:
               f"residual {rep['relative_residual']:.3f}; wrote {path}")
         return 0
     if args.study == "crossover":
+        unread = [f"--{n}" for n in ("xi", "tau", "gamma", "p") if getattr(args, n) is not None]
+        if unread:
+            raise DomainError(f"asym crossover reads no {unread[0]}: it sets xi = 1 - alpha/(2N)")
         rep = crossover_test(args.alpha, _parse_list(args.N_list, "--N-list"), beta=args.beta,
                              block=args.block)
         path = _out(args, "crossover.json")

@@ -111,12 +111,11 @@ class Krawtchouk:
 class TruncatedLattice:
     """Window {0..x_max} carrying enough l2 mass of sqrt(w) for the tests.
 
-    Invariant: discarded tail mass of w is below tail_tol relative to the
+    Invariant: discarded tail mass of w is below 1e-14 relative to the
     retained mass (exact lattice for Krawtchouk).
     """
 
     x_max: int
-    tail_tol: float = 1e-14
 
     @property
     def size(self) -> int:
@@ -126,10 +125,10 @@ class TruncatedLattice:
         return np.arange(self.x_max + 1)
 
 
-def truncate(family, tail_tol: float = 1e-14, x_min: int = 0) -> TruncatedLattice:
-    """Smallest window with w below 1e-16 of its peak and tail mass < tail_tol."""
+def truncate(family, x_min: int = 0) -> TruncatedLattice:
+    """Smallest window from x_min on with w below 1e-16 of its peak and tail mass < 1e-14."""
     if family.finite:
-        return TruncatedLattice(x_max=family.M, tail_tol=0.0)
+        return TruncatedLattice(x_max=family.M)
     block = 256
     x_hi = max(x_min, block)
     while True:
@@ -143,10 +142,10 @@ def truncate(family, tail_tol: float = 1e-14, x_min: int = 0) -> TruncatedLattic
         ratio = np.exp(lw[-1] - lw[-2])
         if ratio < 1.0:
             tail = w[-1] * ratio / (1 - ratio)
-            small = np.nonzero((w < 1e-16) & ((total - csum + tail) < tail_tol * csum))[0]
+            small = np.nonzero((w < 1e-16) & ((total - csum + tail) < 1e-14 * csum))[0]
             small = small[small >= x_min]
             if small.size:
-                return TruncatedLattice(x_max=int(small[0]), tail_tol=tail_tol)
+                return TruncatedLattice(x_max=int(small[0]))
         if x_hi > 10_000_000:
             raise DomainError("truncation search failed; weight decays too slowly")
         x_hi *= 2

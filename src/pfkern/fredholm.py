@@ -1,15 +1,17 @@
 """Gap probabilities: Fredholm determinants det(I - K) by the Nystrom
 method for continuum reference kernels, and finite determinants for the
-discrete kernels restricted to lattice intervals.
+discrete kernels restricted to lattice intervals.  The bulk gap study reads
+one wave table for all its interval lengths.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kernels import projection_direct
+from .kernels import rank_of
 from .refkernels import sine_kernel
 from .saddles import large_parameter, saddle_pair, site_density
+from .wavefunctions import get_table
 
 
 def nystrom_det(kernel, a: float, b: float, nodes: int = 40) -> float:
@@ -45,12 +47,12 @@ def sine_gap(length: float, **kw):
     return gap_probability(sine_kernel, 0.0, length, **kw)
 
 
-def discrete_gap(family, N: int, points) -> float:
-    """det(I - K_N restricted to the lattice points of an interval)."""
-    points = np.asarray(points, dtype=int)
+def discrete_gap(rows, points) -> float:
+    """det(I - K) for the projection kernel K = rows^T rows restricted to the
+    lattice points of an interval (rows phi_0..phi_(r-1)); 1 if it is empty."""
     if points.size == 0:
         return 1.0
-    K = projection_direct(family, N, points)
+    K = rows[:, points].T @ rows[:, points]
     return float(np.linalg.det(np.eye(len(points)) - K))
 
 
@@ -65,12 +67,14 @@ def bulk_scaled_gap_comparison(family, N: int, u: float, lengths) -> dict:
     A = large_parameter(family, N)
     saddle_pair(family, u, N)
     rho = site_density(family, u, N)
+    lo = int(np.ceil(A * u))
+    intervals = [np.arange(lo, int(np.floor(A * u + L / rho)) + 1) for L in lengths]
+    # one table for every length, on the lattice that the longest interval needs
+    r = rank_of(family, N)
+    phi = get_table(family, r + 1, None if family.finite else lo + max(map(len, intervals))).phi[:r]
     rows = []
-    for L in lengths:
-        lo = int(np.ceil(A * u))
-        hi = int(np.floor(A * u + L / rho))
-        pts = np.arange(lo, hi + 1)
-        d = discrete_gap(family, N, pts)
+    for L, pts in zip(lengths, intervals):
+        d = discrete_gap(phi, pts)
         s, cert = sine_gap((len(pts)) * rho)
         rows.append({"length": float(L), "points": int(len(pts)),
                      "effective_length": float(len(pts) * rho),

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import TruncatedLattice
+from .families import QuadratureError, TruncatedLattice
 from .wavefunctions import WaveTable
 
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    family: object
-    lattice: TruncatedLattice
+    """A dense L x L reference operator; the benchmark's gate, `validate`,
+    `dump_csv` and the tests read its matrix `mat`."""
+
     mat: np.ndarray
-    tail_bound: float = 0.0   # size of the first truncated term (eps rows)
 
 
 def _log_w(family, lattice):
@@ -38,7 +38,7 @@ def build_d(family, lattice: TruncatedLattice) -> LatticeOperator:
     ratio = np.exp(0.5 * (lw[:-1] - lw[1:]))
     mat[np.arange(n - 1), np.arange(1, n)] = ratio
     mat[np.arange(1, n), np.arange(n - 1)] = -ratio
-    return LatticeOperator(family, lattice, mat)
+    return LatticeOperator(mat)
 
 
 def build_epsilon_direct(family, lattice: TruncatedLattice) -> LatticeOperator:
@@ -52,15 +52,10 @@ def build_epsilon_direct(family, lattice: TruncatedLattice) -> LatticeOperator:
     # cumulative log products of the odd/even ratio chain
     npairs = (n - 1) // 2 + 1
     ratio = np.full(npairs, -np.inf)
-    for j in range(npairs):
-        if 2 * j + 1 < n:
-            ratio[j] = lw[2 * j + 1] - lw[2 * j]
+    ratio[: n // 2] = lw[1::2] - lw[0::2][: n // 2]
     cum = np.concatenate([[0.0], np.cumsum(ratio)])  # cum[k+1]-cum[m] = sum_{j=m..k}
     mat = np.zeros((n, n))
-    tail = 0.0
-    for m in range(npairs):
-        if 2 * m >= n:
-            break
+    for m in range(npairs):     # even rows 2m < n
         ks = np.arange(m, npairs)
         cols = 2 * ks + 1
         keep = cols < n
@@ -69,46 +64,37 @@ def build_epsilon_direct(family, lattice: TruncatedLattice) -> LatticeOperator:
         vals = np.exp(lv)
         mat[2 * m, cols] = -vals
         mat[cols, 2 * m] = vals
-        if cols.size and not family.finite:
-            # next discarded term estimates the truncation tail
-            k_next = ks[-1] + 1
-            if 2 * k_next + 1 >= n and np.isfinite(ratio[-1] if k_next >= npairs else ratio[k_next - 1]):
-                tail = max(tail, vals[-1] * np.exp(ratio[-1]))
-    return LatticeOperator(family, lattice, mat, tail_bound=tail)
+    return LatticeOperator(mat)
 
 
 def eps_separable_exponents(family, size: int):
     """alpha, beta with eps(2m, 2k+1) = -exp(alpha_m + beta_k) for k >= m
-    and the antisymmetric partners; both exponent chains stay O(poly log).
-    They are the diagonal of eps = F Y F up to one constant:
-    log f(2m) = alpha_m - log w(0), log f(2k+1) = beta_k + log w(0)."""
+    and the antisymmetric partners, m, k < size // 2 (for odd size the last
+    even row of eps is zero).  They are the diagonal of eps = F Y F up to one
+    constant: log f(2m) = alpha_m - log w(0), log f(2k+1) = beta_k + log w(0).
+    Both chains reach about +-theta/2 for Charlier."""
     lw = family.log_weight(np.arange(size, dtype=float))
-    odd = lw[1::2]
-    even = lw[0::2][: len(odd)]
-    csum = np.concatenate([[0.0], np.cumsum(odd - even)])
-    n_even = (size + 1) // 2
-    n_odd = size // 2
-    alpha = 0.5 * lw[0::2][:n_even] - csum[:n_even]
-    beta = csum[1:n_odd + 1] - 0.5 * lw[1::2][:n_odd]
-    return alpha, beta
+    odd, even = lw[1::2], lw[0::2][: size // 2]
+    csum = np.cumsum(odd - even)
+    return 0.5 * even - np.concatenate([[0.0], csum])[: size // 2], csum - 0.5 * odd
 
 
 def apply_eps(family, vecs: np.ndarray) -> np.ndarray:
     """eps @ vecs for one vector or a stack of columns, via the separable
-    parity-split form with suffix/prefix sums; O(size) per vector."""
+    parity-split form with suffix/prefix sums; O(size) per vector.  Raises
+    QuadratureError where a factor exp(alpha) or exp(beta) overflows."""
     v = np.atleast_2d(vecs.T).T  # (size, ncols)
     size = v.shape[0]
     alpha, beta = eps_separable_exponents(family, size)
+    with np.errstate(over="ignore"):
+        f_even, f_odd = np.exp(alpha)[:, None], np.exp(beta)[:, None]
+    if np.isinf(f_even).any() or np.isinf(f_odd).any():
+        raise QuadratureError(f"eps factors exp(alpha), exp(beta) overflow on {size} lattice sites")
     out = np.zeros_like(v, dtype=float)
-    vo = v[1::2]     # odd sites, length n_odd
-    ve = v[0::2]     # even sites
-    n_odd, n_even = vo.shape[0], ve.shape[0]
     # even rows 2m: -exp(alpha_m) * sum_{k>=m} exp(beta_k) v(2k+1)
-    suffix = np.cumsum((np.exp(beta)[:, None] * vo)[::-1], axis=0)[::-1]
-    out[0::2][:n_odd] = -np.exp(alpha[:n_odd])[:, None] * suffix
+    out[0::2][: size // 2] = -f_even * np.cumsum((f_odd * v[1::2])[::-1], axis=0)[::-1]
     # odd rows 2m+1: +exp(beta_m) * sum_{k<=m} exp(alpha_k) v(2k)
-    prefix = np.cumsum(np.exp(alpha[:n_odd])[:, None] * ve[:n_odd], axis=0)
-    out[1::2] = np.exp(beta)[:, None] * prefix
+    out[1::2] = f_odd * np.cumsum(f_even * v[0::2][: size // 2], axis=0)
     return out if np.ndim(vecs) > 1 else out[:, 0]
 
 

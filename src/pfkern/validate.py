@@ -9,7 +9,8 @@ table (the full lattice for Krawtchouk), so the lattice grows with the
 family instead of being fixed.  The eps checks measure the operators the
 blocks run: `apply_eps` (the factorization eps = F Y F as prefix sums)
 against the defining sums of `build_epsilon_direct`, and `apply_d` /
-`apply_eps` as mutual inverses on the wave functions (Krawtchouk: M made odd).
+`apply_eps` as mutual inverses on the wave functions of the same table
+(Krawtchouk with even M: of a second table, with M made odd).
 The contour-vs-direct invariant is the `adjudicate_projection` score of the
 adjudicated convention, or of the printed nesting when that is injected.
 """
@@ -58,7 +59,7 @@ def run_validation(family=None, wrong_nesting: bool = False) -> dict:
                                 1e-10))
         # the antisymmetric D on M + 1 sites is singular for even M: check an odd M
         inv_fam = Krawtchouk(M=fam.M | 1, p=fam.p) if fam.finite else fam
-        res = check_mutual_inverse(inv_fam, get_table(inv_fam, 30), 20)
+        res = check_mutual_inverse(inv_fam, tab if inv_fam == fam else get_table(inv_fam, 30), 20)
         invariants.append(_item(f"{inv_fam!r} D eps mutual inverse (interior)",
                                 res["interior_residual"], 1e-8))
 

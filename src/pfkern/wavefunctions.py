@@ -13,16 +13,17 @@ the only table-sized array and the recurrence itself keeps two rows.
 
 Norms h_n are always obtained by direct lattice summation (in log space),
 never from closed forms; closed forms appear only in tests.
+No table is kept between calls: it lives as long as the block or study
+that reads it, so a sweep holds one table at a time, not all it has built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .families import TruncatedLattice, truncate, DomainError
+from .families import TruncatedLattice, truncate
 
 _RESCALE_LIMIT = 1e120
 _TINY_LOG = -745.0  # exp underflows to 0 below this
@@ -32,7 +33,6 @@ _TINY_LOG = -745.0  # exp underflows to 0 below this
 class WaveTable:
     """phi[n, x] for n <= n_max, x on the truncated lattice, plus log h_n."""
 
-    family: object
     lattice: TruncatedLattice
     phi: np.ndarray      # (n_max+1, x_max+1)
     log_h: np.ndarray    # (n_max+1,)
@@ -68,13 +68,8 @@ def _zone_need(family, n_max):
     return int(np.ceil(a + 2 * b + 10 * max(1.0, b ** (2.0 / 3.0)))) + 10
 
 
-def wave_table(family, n_max: int, lattice: TruncatedLattice | None = None) -> WaveTable:
-    """Build the full orthonormal table on the (truncated) lattice."""
-    if lattice is None:
-        # the table must cover the oscillatory zone of the top degree
-        lattice = truncate(family, x_min=max(_zone_need(family, n_max), n_max + 1))
-    if family.finite and n_max > family.M:
-        raise DomainError(f"degree {n_max} exceeds Krawtchouk M={family.M}")
+def wave_table(family, n_max: int, lattice: TruncatedLattice) -> WaveTable:
+    """Build the full orthonormal table on the truncated lattice."""
     if family.finite and n_max > family.M // 2:
         # forward recurrence degrades for degrees near M; build the lower
         # half and complete with phi_n(x) = (-1)^(M-n+x) phi_{M-n}(M-x)
@@ -91,7 +86,7 @@ def wave_table(family, n_max: int, lattice: TruncatedLattice | None = None) -> W
             phi[n] = sign * low.phi[M - n, ::-1]
             _, b2 = family.jacobi(float(n))
             log_h[n] = log_h[n - 1] + np.log(b2)
-        return WaveTable(family=family, lattice=lattice, phi=phi, log_h=log_h)
+        return WaveTable(lattice=lattice, phi=phi, log_h=log_h)
     x = lattice.grid().astype(float)
     deep, dual = _bad_edges(family, n_max, x)
     a, b2 = (c.tolist() for c in family.jacobi(np.arange(n_max, dtype=float)))
@@ -130,18 +125,14 @@ def wave_table(family, n_max: int, lattice: TruncatedLattice | None = None) -> W
             row[t - half <= _TINY_LOG] = 0.0
             if cols.size:
                 row[cols] = np.where((n + cols) % 2 == 0, 1.0, -1.0) * dual_vals
-    return WaveTable(family=family, lattice=lattice, phi=phi, log_h=log_h)
-
-
-@lru_cache(maxsize=48)
-def _cached_table(family, n_max, lattice):
-    return wave_table(family, n_max, lattice)
+    return WaveTable(lattice=lattice, phi=phi, log_h=log_h)
 
 
 def get_table(family, n_max: int, x_max: int | None = None) -> WaveTable:
-    """Memoized wave table for degrees <= n_max, keyed on the lattice truncated above x_max."""
+    """Wave table for degrees <= n_max on the truncated lattice that covers
+    the top degree's oscillatory zone and reaches x_max; built on every call."""
     if family.finite:
         n_max = min(n_max, family.M)
     x_min = max(_zone_need(family, n_max), n_max + 1, x_max or 0)
-    return _cached_table(family, n_max, truncate(family, x_min=x_min))
+    return wave_table(family, n_max, truncate(family, x_min=x_min))
 

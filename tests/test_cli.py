@@ -159,7 +159,7 @@ def test_asym_bulk_block_k(tmp_path):
 
 
 def test_asym_crossover_refuses_sd(tmp_path, capsys):
-    code = main(["asym", "crossover", "--family", "meixner", "--xi", "0.5", "--block", "SD",
+    code = main(["asym", "crossover", "--family", "meixner", "--block", "SD",
                  "--N-list", "12", "--out", str(tmp_path)])
     assert code == 1
     assert "SD" in capsys.readouterr().err
@@ -317,6 +317,11 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
      "--lengths 1,inf"),
     (["asym", "crossover", "--family", "krawtchouk", "--p", "0.4", "--alpha", "1",
       "--N-list", "8", "--block", "K"], "--family meixner only"),
+    (["asym", "crossover", "--family", "meixner", "--xi", "0.5", "--N-list", "8",
+      "--block", "K"], "--xi"),
+    (["asym", "crossover", "--family", "meixner", "--tau", "1", "--N-list", "8"], "--tau"),
+    (["asym", "crossover", "--family", "meixner", "--gamma", "0.3", "--N-list", "8"], "--gamma"),
+    (["asym", "crossover", "--family", "meixner", "--p", "0.3", "--N-list", "8"], "--p"),
 ], ids=["density-gamma-1.5", "edge-tau-0", "bulk-u-outside", "correction-u-packed",
         "gap-u-at-edge", "edge-ratio-meixner", "kernel-N-0", "splice-kernel-N-0",
         "kernel-window-empty", "kernel-window-negative", "kernel-window-past-M",
@@ -324,7 +329,8 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
         "krawtchouk-bulk-A-list-0", "meixner-bulk-A-list-0", "meixner-correction-A-list-0",
         "bulk-A-list-empty", "krawtchouk-edge-not-soft", "gap-A-0", "gap-A-negative",
         "density-A-0", "edge-ratio-A-0", "gap-lengths-not-positive", "gap-lengths-not-numbers",
-        "gap-lengths-infinite", "crossover-krawtchouk"])
+        "gap-lengths-infinite", "crossover-krawtchouk", "crossover-xi", "crossover-tau",
+        "crossover-gamma", "crossover-p"])
 def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named):
     # one error line that names the domain, no warning or traceback, and no
     # output: not even the new --out directory

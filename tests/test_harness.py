@@ -18,15 +18,18 @@ def test_bulk_beta1_charlier_small():
     assert rep["entries"][1]["sup_err_fitted"] < rep["entries"][0]["sup_err_fitted"]
 
 
-def test_bulk_rank_one_shares_the_oracle_table():
-    from pfkern.wavefunctions import _cached_table
-    _cached_table.cache_clear()
+def test_bulk_rank_one_shares_the_oracle_table(monkeypatch):
+    from pfkern import wavefunctions
+    builds = []
+    build = wavefunctions.wave_table
+    monkeypatch.setattr(wavefunctions, "wave_table",
+                        lambda *args: builds.append(args[1]) or build(*args))
     bulk_convergence_test(CH, 1, 2.0, [24, 48])
-    assert _cached_table.cache_info().misses == 2   # one wave table per A
+    assert len(builds) == 2   # one wave table per A
     # K and the rank-one term of the edge study come from the same block
-    _cached_table.cache_clear()
+    builds.clear()
     edge_convergence_test(CH, 1, [48, 96, 192], block="K")
-    assert _cached_table.cache_info().misses == 3
+    assert len(builds) == 3
 
 
 def test_bulk_diag_within_error():

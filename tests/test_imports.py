@@ -1,6 +1,7 @@
 """Static guards: every name a pfkern module imports is used in that module,
 every top-level definition of pfkern is reachable from `cli.main` or from a
-name the benchmark imports, and one function builds every kernel block."""
+name the benchmark imports, one function builds every kernel block, and the
+process-wide caches are the listed ones."""
 import ast
 import functools
 import pathlib
@@ -152,3 +153,23 @@ def test_one_block_builder():
                     and node.func.id == "KernelBlockSet" for node in ast.walk(fn)):
                 builders.append(f"{path.stem}.{fn.name}")
     assert builders == ["kernels.gram_block"]
+
+
+def test_process_wide_caches_are_the_listed_ones():
+    # a process-wide cache holds memory across requests (a sweep's wave tables
+    # once summed to tens of MB), so a new one needs a deliberate edit here
+    def is_cache(node):
+        func = node.func if isinstance(node, ast.Call) else node
+        return getattr(func, "id", getattr(func, "attr", None)) in ("lru_cache", "cache")
+
+    cached = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if any(map(is_cache, getattr(stmt, "decorator_list", []))):
+                cached.append(f"{path.stem}.{stmt.name}")
+            elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call) \
+                    and is_cache(stmt.value):          # name = cache(fn)
+                cached.append(f"{path.stem}.{stmt.targets[0].id}")
+    assert cached == ["kernels._contour_phi", "kernels.adjudicate_projection",
+                      "kernels.adjudicate_composition", "kuznetsov._legendre_nodes",
+                      "saddles._saddle_rows", "symbols.unit_roots"]

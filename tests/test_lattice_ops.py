@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pfkern.families import Charlier, Krawtchouk, Meixner, TruncatedLattice, truncate
+from pfkern.families import (Charlier, Krawtchouk, Meixner, QuadratureError, TruncatedLattice,
+                             truncate)
 from pfkern.lattice_ops import (apply_d, apply_eps, build_d, build_epsilon_direct,
                                 check_mutual_inverse, dump_csv, interior_window)
 from pfkern.wavefunctions import get_table
@@ -119,6 +120,15 @@ def test_epsilon_antisymmetric(fam):
     e = build_epsilon_direct(fam, lat)
     win = interior_window(lat)
     assert np.max(np.abs(e.mat[win, win] + e.mat.T[win, win])) < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_apply_eps_refuses_overflowing_factors():
+    # the exponents alpha, beta reach about +-theta/2: at theta = 1536 exp
+    # overflows, which is a numerical failure rather than a warning and NaN entries
+    lat = truncate(Charlier(theta=1536.0))
+    with pytest.raises(QuadratureError, match=f"{lat.size} lattice"):
+        apply_eps(Charlier(theta=1536.0), np.ones(lat.size))
 
 
 def test_mutual_inverse_charlier():

@@ -50,7 +50,7 @@ def test_truncation_certificate():
         # crude tail bound by geometric extension
         r = w[-1] / w[-2]
         assert r < 1.0
-        assert w[-1] * r / (1 - r) < lat.tail_tol * w.sum()
+        assert w[-1] * r / (1 - r) < 1e-14 * w.sum()
 
 
 @pytest.mark.parametrize("fam", DESK, ids=lambda f: repr(f))
@@ -136,8 +136,8 @@ def test_wave_table_against_mpmath(fam):
     # Meixner, the duality-filled left-forbidden corner (sites 0..50 at the
     # top degrees)
     import mpmath as mp
-    from pfkern.wavefunctions import _bad_edges, wave_table
-    tab = wave_table(fam, 769)
+    from pfkern.wavefunctions import _bad_edges
+    tab = get_table(fam, 769)
     sites = [0, 3, 50, 700, 1500, tab.lattice.x_max - 5]
     if fam.name == "meixner":
         deep, dual = _bad_edges(fam, 769, np.arange(tab.lattice.size, dtype=float))
@@ -153,10 +153,9 @@ def test_wave_table_against_mpmath(fam):
 def test_wave_table_peak_memory_is_one_table():
     # one pass per degree: phi is the only table-sized array of the build
     import tracemalloc
-    from pfkern.wavefunctions import wave_table
     tracemalloc.start()
     try:
-        tab = wave_table(Charlier(theta=768.0), 769)
+        tab = get_table(Charlier(theta=768.0), 769)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -164,9 +163,22 @@ def test_wave_table_peak_memory_is_one_table():
 
 
 def test_wave_table_cache_is_keyed_on_the_lattice():
-    # a lattice hint inside the truncated lattice reuses its table
+    # a lattice hint inside the truncated lattice keeps that lattice, and a
+    # hint past it grows the lattice
     fam = Charlier(theta=96.0)
-    tab = get_table(fam, 40)
-    assert tab.lattice.x_max > 150
-    assert get_table(fam, 40, 150) is tab
-    assert get_table(fam, 40, tab.lattice.x_max + 1).lattice.x_max > tab.lattice.x_max
+    lattice = get_table(fam, 40).lattice
+    assert lattice.x_max > 150
+    assert get_table(fam, 40, 150).lattice == lattice
+    assert get_table(fam, 40, lattice.x_max + 1).lattice.x_max > lattice.x_max
+
+
+def test_a_table_is_freed_with_its_last_reader():
+    # no process-wide cache holds a table: once its reader drops it, the
+    # table and its phi array are gone
+    import gc
+    import weakref
+    tab = get_table(Charlier(theta=96.0), 40)
+    refs = weakref.ref(tab), weakref.ref(tab.phi)
+    del tab
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
