@@ -67,14 +67,19 @@ def _regime(args):
 def _position(args):
     if args.u is None:
         raise DomainError(f"--u required for asym {args.study}")
+    if not np.isfinite(args.u):
+        raise DomainError(f"--u {args.u} is not a finite number")
     return args.u
 
 
 def _window(args, family):
-    """The lo:hi `--window` (the default window if unset) for a positive `--N`."""
+    """The lo:hi `--window` (the default window if unset) for a positive `--N`,
+    at most M for Krawtchouk."""
     from .kernels import default_window
     if args.N < 1:
         raise DomainError(f"--N must be positive, got {args.N}")
+    if family.finite and args.N > family.M:
+        raise DomainError(f"--N {args.N} exceeds the Krawtchouk lattice size M={family.M}")
     if not args.window:
         return default_window(family, args.N)
     # a bound that is not a decimal integer reads as -1, outside every lattice

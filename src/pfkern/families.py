@@ -60,8 +60,8 @@ class Charlier:
     theta: float
 
     def __post_init__(self):
-        if self.theta <= 0.0:
-            raise DomainError(f"Charlier theta must be > 0, got {self.theta}")
+        if not 0.0 < self.theta < np.inf:
+            raise DomainError(f"Charlier theta must be finite and > 0, got {self.theta}")
 
     name = "charlier"
     finite = False

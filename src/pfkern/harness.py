@@ -5,10 +5,16 @@ A `Regime` fixes the dimensionless shape of the ensemble while the large
 parameter A sweeps: Meixner keeps xi with A = 2N; Charlier keeps tau =
 theta/N with A = N; Krawtchouk keeps (gamma, p) with A = M, N = gamma M.
 
-Microscopic scaling uses the per-site density: x = floor(A u + s / rho_site)
-and kernels are multiplied by the mean spacing 1/rho_site; comparisons are
-made at the realized (post-floor) microscopic coordinates.  One overall
-amplitude c is always fitted and reported rather than assumed.
+The bulk and edge studies are a frame per A and one sweep.  A frame
+(`_bulk_frame`, `_edge_frame`) is (family, N, window sites, microscopic
+coordinates s, sites per unit s, the entry's own fields): in the bulk
+x = floor(A u + s / rho_site) for s on `DEFAULT_GRID`, at a soft edge
+x = floor(A u* +- c_A s).  `_sweep` multiplies each frame's block by its
+sites per unit s and compares it, at the realized (post-floor) s, with the
+limit kernel.  Per entry it reports `c_fit` (one overall amplitude, always
+fitted and reported rather than assumed), `sup_err_fitted`, `sup_err_raw`,
+`diag_err` and, for beta = 1, `rank_one_sup`; over the entries the log-log
+`slope` of the fitted errors and `monotone_decreasing`.
 """
 from __future__ import annotations
 
@@ -33,8 +39,8 @@ class Regime:
     p: float | None = None
 
     def __post_init__(self):
-        if self.kind == "charlier" and not self.tau > 0:
-            raise DomainError(f"Charlier tau must be > 0, got {self.tau}")
+        if self.kind == "charlier" and not 0 < self.tau < np.inf:
+            raise DomainError(f"Charlier tau must be finite and > 0, got {self.tau}")
         if self.kind == "krawtchouk" and not 0 < self.gamma < 1:
             raise DomainError(f"Krawtchouk gamma must be in (0,1), got {self.gamma}")
 
@@ -57,13 +63,23 @@ def _window_positions(A, u, spacing_sites, grid):
     return xs[xs >= 0]
 
 
-def _bulk_window(regime, A, u, grid):
-    """(family, N, site density, window sites) at bulk position u; a u not
-    strictly inside the bulk support raises EdgeClassification."""
+def _bulk_frame(regime, A, u):
+    """The frame at bulk position u: s = (x - A u) rho_site over `DEFAULT_GRID`;
+    a u not strictly inside the bulk support raises EdgeClassification."""
     fam, N = regime.family_and_N(int(A))
     saddle_pair(fam, u, N)
     rho = site_density(fam, u, N)
-    return fam, N, rho, _window_positions(A, u, 1.0 / rho, grid)
+    xs = _window_positions(A, u, 1.0 / rho, DEFAULT_GRID)
+    return fam, N, xs, (xs - A * u) * rho, 1.0 / rho, {"A": int(A), "N": N, "rho_site": rho}
+
+
+def _edge_frame(regime, A, ed):
+    """The frame at the soft edge `ed` of `edge_data`: s = +-(x - A u*) / c_A,
+    mirrored at a left edge, over s in [-3.5, 1.5]."""
+    fam, N = regime.family_and_N(int(A))
+    xs, c_A = airy_window(ed, A, np.linspace(-3.5, 1.5, 13), fam)
+    orient = 1.0 if ed["side"] == "right" else -1.0
+    return fam, N, xs, orient * (xs - A * ed["u_star"]) / c_A, c_A, {"A": int(A), "c_A": c_A}
 
 
 def _window_block(fam, N, beta, xs, block):
@@ -86,85 +102,58 @@ def fit_amplitude(V, T):
     return float(np.sum(V * T) / denom) if denom > 0 else 0.0
 
 
-def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
-                          grid=DEFAULT_GRID, block: str = "S") -> dict:
-    """sup-norm distance of the rescaled block from the sine kernel per A.
-
-    Returns per-A sup errors (with and without the fitted constant), the
-    fitted constants, the rank-one contribution for beta = 1, and the
-    log-log slope of the errors.
-    """
+def _sweep(frames, beta, block, limit):
+    """The entries of `frames` against `limit(s)` and their summary (module docstring)."""
     rows = []
-    for A in A_list:
-        fam, N, rho, xs = _bulk_window(regime, A, u, grid)
-        sp = 1.0 / rho
+    for fam, N, xs, s, scale, fields in frames:
         V, rank_one = _window_block(fam, N, beta, xs, block)
-        V = V * sp
-        seff = (xs - A * u) * rho
-        T = sine_kernel(seff[:, None], seff[None, :])
+        order = np.argsort(s)
+        V, T = (V * scale)[np.ix_(order, order)], limit(s[order])
         c = fit_amplitude(V, T)
-        entry = {
-            "A": int(A), "N": N, "rho_site": rho, "c_fit": c,
-            "sup_err_fitted": float(np.max(np.abs(V / c - T))) if c != 0 else float("inf"),
-            "sup_err_raw": float(np.max(np.abs(V - T))),
-            "diag_err": float(np.max(np.abs(np.diag(V) - 1.0))),
-        }
+        entry = {**fields, "c_fit": c,
+                 "sup_err_fitted": float(np.max(np.abs(V / c - T))) if c else float("inf"),
+                 "sup_err_raw": float(np.max(np.abs(V - T))),
+                 "diag_err": float(np.max(np.abs(np.diag(V - T))))}
         if beta == 1:
-            entry["rank_one_sup"] = float(np.max(np.abs(rank_one)) * sp)
+            entry["rank_one_sup"] = float(np.max(np.abs(rank_one)) * scale)
         rows.append(entry)
     errs = [r["sup_err_fitted"] for r in rows]
     ok = bool(np.all(np.isfinite(errs))) and min(errs) > 0 and len(errs) > 1
     slope = float(np.polyfit(np.log([r["A"] for r in rows]), np.log(errs), 1)[0]) \
         if ok else float("nan")
-    return {"regime": regime.kind, "beta": beta, "u": u, "block": block,
-            "entries": rows, "slope": slope}
+    return {"beta": beta, "block": block, "entries": rows, "slope": slope,
+            "monotone_decreasing": bool(np.all(np.diff(errs) < 0))}
+
+
+def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
+                          block: str = "S") -> dict:
+    """The rescaled block against the sine kernel per A (`_sweep`)."""
+    frames = (_bulk_frame(regime, A, u) for A in A_list)
+    sine = lambda s: sine_kernel(s[:, None], s[None, :])
+    return {"regime": regime.kind, "u": u, **_sweep(frames, beta, block, sine)}
 
 
 def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right",
-                          s_grid=None, block: str = "S") -> dict:
-    """Airy-kernel comparison at a soft edge under the A^(1/3) scaling, with
-    the `coalescence_exponent` (1/2) that makes A^(1/3) the Airy scale."""
-    s_grid = np.linspace(-3.5, 1.5, 13) if s_grid is None else np.asarray(s_grid)
-    fam0, N0 = regime.family_and_N(int(A_list[0]))
-    ed = edge_data(fam0, side, N0)
-    u_star = ed["u_star"]
-    orient = 1.0 if side == "right" else -1.0
-    rows = []
-    for A in A_list:
-        fam, N = regime.family_and_N(int(A))
-        xs, c_A = airy_window(ed, A, s_grid, fam)
-        V, rank_one = _window_block(fam, N, beta, xs, block)
-        V = V * c_A
-        seff = orient * (xs - A * u_star) / c_A
-        order = np.argsort(seff)
-        s_sorted = seff[order]
-        T = airy_kernel(s_sorted)
-        Vo = V[np.ix_(order, order)]
-        c = fit_amplitude(Vo, T)
-        entry = {"A": int(A), "c_A": c_A, "c_fit": c,
-                 "sup_err_fitted": float(np.max(np.abs(Vo / c - T))) if c else float("inf")}
-        if beta == 1:
-            entry["rank_one_sup"] = float(np.max(np.abs(rank_one)) * c_A)
-        rows.append(entry)
-    errs = [r["sup_err_fitted"] for r in rows]
-    return {"regime": regime.kind, "beta": beta, "side": side, "u_star": u_star,
-            "kappa": abs(ed["kappa"]), "lam": ed["lam"], "entries": rows,
-            "monotone_decreasing": bool(np.all(np.diff(errs) < 0)),
+                          block: str = "S") -> dict:
+    """The block against the Airy kernel per A (`_sweep`), with the edge data of
+    the first A and the `coalescence_exponent` (1/2) that makes A^(1/3) the Airy scale."""
+    fam, N = regime.family_and_N(int(A_list[0]))
+    ed = edge_data(fam, side, N)
+    frames = (_edge_frame(regime, A, ed) for A in A_list)
+    return {"regime": regime.kind, "side": side, "u_star": ed["u_star"],
+            "kappa": abs(ed["kappa"]), "lam": ed["lam"],
+            **_sweep(frames, beta, block, airy_kernel),
             "coalescence_exponent": coalescence_exponent(regime, side)}
 
 
-def coalescence_exponent(regime: Regime, side: str = "right",
-                         A_ref: int = 64) -> float:
-    """Fit |z_+ - z_-| ~ C |u - u*|^p approaching a soft edge (p = 1/2)."""
-    fam, N = regime.family_and_N(A_ref)
+def coalescence_exponent(regime: Regime, side: str = "right") -> float:
+    """Fit |z_+ - z_-| ~ C |u - u*|^p approaching a soft edge (p = 1/2), at A = 64."""
+    fam, N = regime.family_and_N(64)
     lo, hi = bulk_support(fam, N)
     u_star = hi if side == "right" else lo
     inward = -1.0 if side == "right" else 1.0
     ds = np.geomspace(1e-4, 1e-2, 9) * (hi - lo)
-    gaps = []
-    for d in ds:
-        z_plus, z_minus = saddle_pair(fam, u_star + inward * d, N)
-        gaps.append(abs(z_plus - z_minus))
+    gaps = [abs(np.subtract(*saddle_pair(fam, u_star + inward * d, N))) for d in ds]
     return float(np.polyfit(np.log(ds), np.log(gaps), 1)[0])
 
 
@@ -172,11 +161,10 @@ def coalescence_exponent(regime: Regime, side: str = "right",
 # first-correction machinery
 
 
-def correction_extract(regime: Regime, beta: int, u: float, A_list,
-                       grid=DEFAULT_GRID) -> dict:
+def correction_extract(regime: Regime, beta: int, u: float, A_list) -> dict:
     """Fit R = A (Delta S - sine) by least squares on the saddle-expansion basis.
 
-    The five columns, in the microscopic coordinates (s, t) of `grid`:
+    The five columns, in the microscopic coordinates (s, t) of `DEFAULT_GRID`:
 
       * sine(s - t): the amplitude shift (`alpha_hat`);
       * (d_s - d_t) sine: the odd-derivative term (`beta_hat`).  It is
@@ -200,18 +188,16 @@ def correction_extract(regime: Regime, beta: int, u: float, A_list,
     """
     fields = []
     for A in A_list:
-        fam, N, rho, xs = _bulk_window(regime, A, u, grid)
-        sp = 1.0 / rho
+        fam, N, xs, seff, sp, entry = _bulk_frame(regime, A, u)
         V, rank_one = _window_block(fam, N, beta, xs, "S")
         V = V * sp
         if beta == 1:
             V = V - rank_one * sp
-        seff = (xs - A * u) * rho
         T = sine_kernel(seff[:, None], seff[None, :])
-        # resample onto the requested grid so fields are commensurate
-        fields.append(_grid_resample(seff, A * (V - T), grid))
+        # resample onto the grid so fields are commensurate
+        fields.append(_grid_resample(seff, A * (V - T), DEFAULT_GRID))
     R = 2.0 * fields[-1] - fields[-2] if len(fields) >= 2 else fields[-1]
-    s, t = grid[:, None], grid[None, :]
+    s, t = DEFAULT_GRID[:, None], DEFAULT_GRID[None, :]
     basis = [sine_kernel(s, t), sine_kernel_deriv(s, t),
              (s + t) * np.cos(np.pi * (s - t)),
              np.cos(np.pi * (s + t)), np.sin(np.pi * (s + t))]
@@ -223,7 +209,7 @@ def correction_extract(regime: Regime, beta: int, u: float, A_list,
     rho_prime = (site_density(fam, u + du, N) - site_density(fam, u - du, N)) / (2 * du)
     return {"alpha_hat": float(coef[0]), "beta_hat": float(coef[1]),
             "gradient_hat": float(coef[2]),
-            "gradient_predicted": float(rho_prime / (2 * rho ** 2)),
+            "gradient_predicted": float(rho_prime / (2 * entry["rho_site"] ** 2)),
             "sum_cos_hat": float(coef[3]), "sum_sin_hat": float(coef[4]),
             "relative_residual": rel,
             "residual_norm": float(np.linalg.norm(R)),
@@ -260,8 +246,7 @@ def _bessel_fit(V, xs, index, scale, offsets=np.linspace(0.0, 1.6, 17)):
     return best or (float("inf"), 0.0, 0.0)
 
 
-def crossover_test(alpha: float, N_list, x_top: int = 40, block: str = "S",
-                   beta: int = 4) -> dict:
+def crossover_test(alpha: float, N_list, block: str = "S", beta: int = 4) -> dict:
     """Meixner hard edge with xi = 1 - alpha/(2N) against the Bessel kernel.
 
     The lattice maps to the Bessel variable through u = c_h A (x + d) with
@@ -280,7 +265,7 @@ def crossover_test(alpha: float, N_list, x_top: int = 40, block: str = "S",
     """
     if block not in ("S", "K"):
         raise DomainError(f"crossover computes the S and K blocks, not {block}")
-    xs = np.arange(0, x_top + 1)
+    xs = np.arange(41)
     rows = []
     for N in N_list:
         V = _crossover_block(Meixner(xi=1.0 - alpha / (2.0 * N)), N, xs, beta, block)

@@ -445,16 +445,17 @@ def adjudicate_projection(family, N: int = 8) -> dict:
     return report
 
 
-def residual_rank(R, tol_ratio=1e-6):
+def residual_rank(R):
     sv = np.linalg.svd(R, compute_uv=False)
     if sv[0] == 0:
         return 0
-    return int(np.sum(sv > tol_ratio * sv[0]))
+    return int(np.sum(sv > 1e-6 * sv[0]))
 
 
 @lru_cache(maxsize=16)
 def adjudicate_composition(family, N: int = 6) -> dict:
-    """Printed composition vs the exact columns route vs the lattice oracle.
+    """Printed composition vs the exact columns route vs the lattice oracle, at
+    N capped at the Krawtchouk M.
 
     Candidates at 512 nodes: the difference quotient of the printed eps symbol,
     then of the exact `inverse_eps_symbol`, each nested as printed and swapped;
@@ -466,6 +467,7 @@ def adjudicate_composition(family, N: int = 6) -> dict:
         the multiplier realization and the lattice eps is low-rank (the
         boundary kernel of D), which is reported rather than hidden.
     """
+    N = min(N, family.M) if family.finite else N
     window = _adjudication_window(family, N)
     oracle = oracle_block(family, N, 4, window)
     cols = compose_columns(family, N, window)

@@ -39,8 +39,8 @@ class GaussianTest:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
 
     def h(self, t):
         return np.exp(-self.sigma * np.asarray(t, dtype=float) ** 2)
@@ -80,11 +80,10 @@ def m_h_numeric(test: GaussianTest, w):
     return vals if np.ndim(w) else complex(vals)
 
 
-def reality_symmetry_check(test: GaussianTest, phis=None) -> dict:
-    """Reality on the unit circle inside the sector and the reflection
-    symmetry conj(m_h(w)) = m_h(1/conj(w))."""
-    phis = np.linspace(-3 * np.pi / 4, 3 * np.pi / 4, 61) if phis is None else phis
-    on_circle = m_h(test, np.exp(1j * phis))
+def reality_symmetry_check(test: GaussianTest) -> dict:
+    """Reality on the unit circle inside the sector |arg w| <= 3 pi/4 (61 points)
+    and the reflection symmetry conj(m_h(w)) = m_h(1/conj(w))."""
+    on_circle = m_h(test, np.exp(1j * np.linspace(-3 * np.pi / 4, 3 * np.pi / 4, 61)))
     w0 = 1.3 * np.exp(1j * np.pi / 5)
     sym = abs(np.conj(m_h(test, w0)) - m_h(test, 1.0 / np.conj(w0)))
     return {"max_imag_unit_circle": float(np.max(np.abs(on_circle.imag))),
@@ -115,21 +114,19 @@ def spliced_oracle(family, N: int, test: GaussianTest, window=None) -> KernelBlo
     return gram_block(family, N, 4, window, "oracle", eps_multiplier(family, partial(m_h, test)))
 
 
-def edge_ratio_report(regime, test: GaussianTest, A: int = 96,
-                      s_grid=None) -> dict:
+def edge_ratio_report(regime, test: GaussianTest, A: int) -> dict:
     """Spliced/unspliced amplitude ratio at the soft edge against the
     diagonal-derivative prediction.
 
     Both windows are computed with the same realization; the measured ratio
     is the least-squares amplitude of the spliced window on the unspliced
     one, compared with M'(z*)/eps-hat'(z*) for M = eps-hat * m_h in the
-    family's contour variable.
+    family's contour variable.  The window is the right edge's s in [-3, 1].
     """
     from .saddles import airy_window, edge_data
-    s_grid = np.linspace(-3.0, 1.0, 11) if s_grid is None else s_grid
     fam, N = regime.family_and_N(A)
     ed = edge_data(fam, "right", N)
-    xs, _ = airy_window(ed, A, s_grid, fam)
+    xs, _ = airy_window(ed, A, np.linspace(-3.0, 1.0, 11), fam)
     spl = spliced_oracle(fam, N, test, xs).S
     base = compose_columns(fam, N, xs).S
     measured = float(np.sum(spl * base) / np.sum(base * base))

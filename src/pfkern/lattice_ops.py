@@ -115,11 +115,11 @@ def interior_window(lattice: TruncatedLattice) -> slice:
     return slice(0, lattice.x_max // 2 + 1)
 
 
-def check_mutual_inverse(family, table: WaveTable, n_test: int = 20) -> dict:
-    """max over phi_0..phi_n_test of |D(eps phi) - phi| and |eps(D phi) - phi|,
+def check_mutual_inverse(family, table: WaveTable) -> dict:
+    """max over phi_0..phi_20 of |D(eps phi) - phi| and |eps(D phi) - phi|,
     with `apply_d`/`apply_eps` on the table's own lattice: on the interior
     window and over the whole lattice."""
-    phi = table.phi[: min(n_test, table.n_max) + 1].T
+    phi = table.phi[: min(20, table.n_max) + 1].T
     res = np.abs(np.hstack([apply_d(family, apply_eps(family, phi)) - phi,
                             apply_eps(family, apply_d(family, phi)) - phi]))
     return {"interior_residual": float(np.max(res[interior_window(table.lattice)])),

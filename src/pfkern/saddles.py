@@ -135,13 +135,13 @@ def site_density(family, u: float, N: int | None = None) -> float:
     return float(abs(dphi_du.imag) / np.pi)
 
 
-def density_total_mass(family, N: int | None = None, nodes: int = 64) -> float:
-    """Total mass of the closed-form density over the bulk support, by `nodes`
+def density_total_mass(family, N: int | None = None) -> float:
+    """Total mass of the closed-form density over the bulk support, by 64
     Gauss-Legendre nodes in phi, u = mid - half cos(phi): rho du is smooth in phi
     (constant for Charlier and Krawtchouk), free of the endpoint singularities."""
     lo, hi = bulk_support(family, N)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x, wt = leggauss(nodes)
+    x, wt = leggauss(64)
     phi = 0.5 * np.pi * (x + 1.0)
     u = mid - half * np.cos(phi)
     vals = np.array([rho_closed_form(family, float(uu), N) for uu in u])

@@ -322,6 +322,23 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
     (["asym", "crossover", "--family", "meixner", "--tau", "1", "--N-list", "8"], "--tau"),
     (["asym", "crossover", "--family", "meixner", "--gamma", "0.3", "--N-list", "8"], "--gamma"),
     (["asym", "crossover", "--family", "meixner", "--p", "0.3", "--N-list", "8"], "--p"),
+    (["kernel", "--family", "krawtchouk", "--M", "10", "--p", "0.4", "--beta", "1", "--N", "11",
+      "--oracle"], "--N 11"),
+    (["kernel", "--family", "krawtchouk", "--M", "10", "--p", "0.4", "--beta", "1", "--N", "12"],
+     "--N 12"),
+    (["splice", "kernel", "--family", "krawtchouk", "--M", "4", "--p", "0.4", "--N", "5"],
+     "M=4"),
+    (["kernel", "--family", "charlier", "--theta", "inf", "--beta", "4", "--N", "4"], "theta"),
+    (["kernel", "--family", "charlier", "--theta", "nan", "--beta", "4", "--N", "4"], "theta"),
+    (["asym", "bulk", "--family", "charlier", "--tau", "inf", "--u", "2", "--A-list", "24"],
+     "tau"),
+    (["asym", "edge", "--family", "charlier", "--tau", "inf", "--A-list", "24"], "tau"),
+    (["splice", "edge-ratio", "--family", "charlier", "--theta", "1", "--tau", "nan"], "tau"),
+    (["asym", "bulk", "--family", "charlier", "--tau", "1", "--u", "nan", "--A-list", "24"],
+     "--u nan"),
+    (["asym", "gap", "--family", "charlier", "--tau", "1", "--u", "inf"], "--u inf"),
+    (["splice", "reality", "--family", "charlier", "--theta", "1", "--sigma", "nan"], "sigma"),
+    (["splice", "kernel", "--family", "charlier", "--theta", "1", "--sigma", "inf"], "sigma"),
 ], ids=["density-gamma-1.5", "edge-tau-0", "bulk-u-outside", "correction-u-packed",
         "gap-u-at-edge", "edge-ratio-meixner", "kernel-N-0", "splice-kernel-N-0",
         "kernel-window-empty", "kernel-window-negative", "kernel-window-past-M",
@@ -330,7 +347,10 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
         "bulk-A-list-empty", "krawtchouk-edge-not-soft", "gap-A-0", "gap-A-negative",
         "density-A-0", "edge-ratio-A-0", "gap-lengths-not-positive", "gap-lengths-not-numbers",
         "gap-lengths-infinite", "crossover-krawtchouk", "crossover-xi", "crossover-tau",
-        "crossover-gamma", "crossover-p"])
+        "crossover-gamma", "crossover-p", "krawtchouk-oracle-N-past-M",
+        "krawtchouk-contour-N-past-M", "splice-krawtchouk-N-past-M", "theta-inf", "theta-nan",
+        "bulk-tau-inf", "edge-tau-inf", "edge-ratio-tau-nan", "bulk-u-nan", "gap-u-inf",
+        "reality-sigma-nan", "splice-kernel-sigma-inf"])
 def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named):
     # one error line that names the domain, no warning or traceback, and no
     # output: not even the new --out directory
@@ -338,6 +358,17 @@ def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and named in err
     assert not list(tmp_path.iterdir())
+
+
+def test_kernel_on_a_krawtchouk_lattice_shorter_than_the_adjudication(tmp_path):
+    # the composition adjudication runs at N = 6 capped at M, so M = 4 is
+    # adjudicated at N = 4 and the request ends in its finding
+    code = main(["kernel", "--family", "krawtchouk", "--M", "4", "--p", "0.4", "--beta", "4",
+                 "--N", "2", "--out", str(tmp_path)])
+    assert code == 3
+    assert len((tmp_path / "kernel_krawtchouk_b4_N2.csv").read_text().splitlines()) == 1 + 5 ** 2
+    rep = json.loads((tmp_path / "kernel_krawtchouk_b4_N2.json").read_text())
+    assert rep["composition_adjudication"]["N"] == 4
 
 
 @pytest.mark.parametrize("M, p", [(29, 0.3), (20, 0.4), (64, 0.3), (65, 0.3)])
@@ -374,16 +405,18 @@ def test_density_summary_reports_total_mass(tmp_path, capsys):
 
 def test_gate_accepts_library_outputs(tmp_path):
     # the benchmark's correctness gate evaluates its references with library
-    # code (dense_oracle, spliced_oracle); an oracle-route kernel and a
-    # spliced kernel request must pass it
+    # code (dense_oracle, spliced_oracle) and reads the study reports' fields;
+    # an oracle-route kernel, a spliced kernel and every seed-1 request of the
+    # oracle-asym and contour-splice workloads must pass it
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
     sys.path.insert(0, bench)
     try:
         import gate
+        import workloads
         from workloads import Request
     finally:
         sys.path.remove(bench)
-    requests = [
+    requests = [*workloads.requests("oracle-asym", 1), *workloads.requests("contour-splice", 1),
         Request("kernel", ("kernel", "--family", "krawtchouk", "--M", "20", "--p", "0.4",
                            "--beta", "1", "--N", "4", "--oracle"),
                 {"family": {"family": "krawtchouk", "M": 20, "p": 0.4}, "beta": 1, "N": 4,

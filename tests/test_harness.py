@@ -56,6 +56,52 @@ def test_edge_monotone_on_projection():
     assert abs(rep["entries"][-1]["c_fit"] - 1) < 0.05
 
 
+SWEEP_FIELDS = {"c_fit", "sup_err_fitted", "sup_err_raw", "diag_err", "rank_one_sup"}
+
+
+def test_bulk_entries_keep_their_recorded_values():
+    # recorded before the bulk and edge studies shared one sweep
+    rep = bulk_convergence_test(CH, 1, 2.0, [24, 48])
+    recorded = [(24, 0.9966296524720533, 0.17559763057444, 0.17837615306226684,
+                 0.11309517670747564),
+                (48, 0.9967046497098376, 0.11601415759129896, 0.11233650001325524,
+                 0.07534968729510715)]
+    for e, (A, c, err, raw, rank_one) in zip(rep["entries"], recorded):
+        assert (e["A"], e["N"], e["rho_site"]) == (A, A, 0.25)
+        assert (e["c_fit"], e["sup_err_fitted"], e["sup_err_raw"], e["diag_err"],
+                e["rank_one_sup"]) == pytest.approx((c, err, raw, raw, rank_one), rel=1e-12)
+    assert rep["slope"] == pytest.approx(-0.5979725050650304, rel=1e-12)
+    assert set(rep["entries"][0]) == SWEEP_FIELDS | {"A", "N", "rho_site"}
+
+
+def test_edge_entries_keep_their_recorded_values():
+    rep = edge_convergence_test(CH, 1, [48, 96], block="K")
+    recorded = [(48, 5.768998281229633, 0.9863701542676606, 0.02008938835710669,
+                 0.1749020982262676),
+                (96, 7.268482371328558, 0.9874651416272551, 0.01549896512640922,
+                 0.1706716415088278)]
+    for e, (A, c_A, c, err, rank_one) in zip(rep["entries"], recorded):
+        assert e["A"] == A
+        assert (e["c_A"], e["c_fit"], e["sup_err_fitted"], e["rank_one_sup"]) \
+            == pytest.approx((c_A, c, err, rank_one), rel=1e-12)
+    assert rep["monotone_decreasing"] and rep["u_star"] == 4.0
+    assert set(rep["entries"][0]) == SWEEP_FIELDS | {"A", "c_A"}
+
+
+def test_bulk_and_edge_reports_carry_the_sweep_summary():
+    bulk = bulk_convergence_test(CH, 4, 2.0, [24, 48], block="K")
+    edge = edge_convergence_test(CH, 4, [48, 96], block="K")
+    for rep in (bulk, edge):
+        assert {"beta", "block", "entries", "slope", "monotone_decreasing"} <= set(rep)
+        assert rep["block"] == "K" and np.isfinite(rep["slope"])
+        for e in rep["entries"]:
+            assert "rank_one_sup" not in e and SWEEP_FIELDS - {"rank_one_sup"} <= set(e)
+            assert e["diag_err"] <= e["sup_err_raw"]
+    # the sweep's slope is that of the fitted errors in A
+    errs = [e["sup_err_fitted"] for e in edge["entries"]]
+    assert edge["slope"] == pytest.approx(np.log(errs[1] / errs[0]) / np.log(2), rel=1e-9)
+
+
 def test_coalescence_square_root():
     assert coalescence_exponent(CH) == pytest.approx(0.5, abs=0.05)
     assert coalescence_exponent(KR) == pytest.approx(0.5, abs=0.05)
@@ -87,7 +133,7 @@ def test_crossover_beta4_block_matches_doubled_lattice():
 
 
 def test_crossover_small():
-    rep = crossover_test(1.0, [12, 24], beta=1, block="K", x_top=30)
+    rep = crossover_test(1.0, [12, 24], beta=1, block="K")
     errs = [e["err_vs_bessel_index0"] for e in rep["entries"]]
     assert errs[1] < errs[0]
     assert abs(rep["alpha_hat"] - 1.0) <= 0.2
