@@ -127,11 +127,14 @@ def _config_tokens(path):
 
 
 def cmd_kernel(args, config) -> int:
-    from .kernels import adjudicate_composition, s1_block, s4_block
+    from .kernels import adjudicate_composition, beta1_indices, gram_block
     fam = _family(args)
     window = _window(args, fam)
-    route = "oracle" if args.oracle else "contour"
-    blk = (s4_block if args.beta == 4 else s1_block)(fam, args.N, window, route=route)
+    route, meta = "oracle" if args.oracle else "contour", {}
+    if route == "contour":      # the contour block records what it was checked by
+        meta = ({"adjudication": adjudicate_composition(fam)["outcome"]} if args.beta == 4
+                else {"rank_one_indices": beta1_indices(fam, args.N)})
+    blk = gram_block(fam, args.N, args.beta, window, route, **meta)
     stem = _out(args, f"kernel_{fam.name}_b{args.beta}_N{args.N}")
     reports.write_kernel_csv(stem + ".csv", blk)
     adj = adjudicate_composition(fam)
@@ -170,6 +173,8 @@ def cmd_asym(args, config) -> int:
         from .saddles import (bulk_support, cos_theta, density_total_mass,
                               rho_closed_form, site_density)
         reg = _regime(args)
+        if args.grid < 1:
+            raise DomainError(f"--grid {args.grid} is not a positive integer")
         fam, N = reg.family_and_N(_size(args, 64))
         lo, hi = bulk_support(fam, N)
         us = np.linspace(lo, hi, args.grid + 2)[1:-1]
@@ -209,8 +214,10 @@ def cmd_asym(args, config) -> int:
         unread = [f"--{n}" for n in ("xi", "tau", "gamma", "p") if getattr(args, n) is not None]
         if unread:
             raise DomainError(f"asym crossover reads no {unread[0]}: it sets xi = 1 - alpha/(2N)")
-        rep = crossover_test(args.alpha, _parse_list(args.N_list, "--N-list"), beta=args.beta,
-                             block=args.block)
+        N_list = _parse_list(args.N_list, "--N-list")
+        if not 0 < args.alpha < 2 * min(N_list):     # so that xi = 1 - alpha/(2N) is in (0, 1)
+            raise DomainError(f"--alpha {args.alpha} is not in (0, 2 min(--N-list))")
+        rep = crossover_test(args.alpha, N_list, beta=args.beta, block=args.block)
         path = _out(args, "crossover.json")
         reports.write_json(path, rep, config=config)
         print(f"alpha_hat {rep['alpha_hat']:.3f} monotone {rep['monotone_decreasing']}; "
@@ -219,8 +226,8 @@ def cmd_asym(args, config) -> int:
     if args.study == "gap":
         from .fredholm import bulk_scaled_gap_comparison
         reg, u = _regime(args), _position(args)
-        fam, N = reg.family_and_N(_size(args, 256))
-        rep = bulk_scaled_gap_comparison(fam, N, u, _parse_list(args.lengths, "--lengths", float))
+        rep = bulk_scaled_gap_comparison(reg, _size(args, 256), u,
+                                         _parse_list(args.lengths, "--lengths", float))
         path = _out(args, "gap.json")
         reports.write_json(path, rep, config=config)
         print(f"wrote {path}")

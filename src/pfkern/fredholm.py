@@ -1,16 +1,18 @@
 """Gap probabilities: Fredholm determinants det(I - K) by the Nystrom
 method for continuum reference kernels, and finite determinants for the
-discrete kernels restricted to lattice intervals.  The bulk gap study reads
-one wave table for all its interval lengths.
+discrete kernels restricted to lattice intervals.  The bulk gap study takes
+(regime, A, u, lengths) like every study of `harness`: it reads rho_site and
+(family, N) from the bulk frame at (A, u), cuts its intervals to the lattice
+by the frames' rule, and reads one wave table for all its interval lengths.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .harness import _bulk_frame, _on_lattice
 from .kernels import rank_of
 from .refkernels import sine_kernel
-from .saddles import large_parameter, saddle_pair, site_density
 from .wavefunctions import get_table
 
 
@@ -56,19 +58,19 @@ def discrete_gap(rows, points) -> float:
     return float(np.linalg.det(np.eye(len(points)) - K))
 
 
-def bulk_scaled_gap_comparison(family, N: int, u: float, lengths) -> dict:
+def bulk_scaled_gap_comparison(regime, A: int, u: float, lengths) -> dict:
     """Finite-N discrete gaps on bulk intervals against the sine-kernel gap.
 
     The lattice interval starting at A u with microscopic length L contains
-    the points x in [A u, A u + L / rho_site); both determinants are
+    the lattice points x in [A u, A u + L / rho_site); both determinants are
     reported per length; a u not strictly inside the bulk support raises
     EdgeClassification.
     """
-    A = large_parameter(family, N)
-    saddle_pair(family, u, N)
-    rho = site_density(family, u, N)
+    family, N, _, _, _, fields = _bulk_frame(regime, A, u)
+    rho = fields["rho_site"]
     lo = int(np.ceil(A * u))
-    intervals = [np.arange(lo, int(np.floor(A * u + L / rho)) + 1) for L in lengths]
+    intervals = [_on_lattice(family, np.arange(lo, int(np.floor(A * u + L / rho)) + 1))
+                 for L in lengths]
     # one table for every length, on the lattice that the longest interval needs
     r = rank_of(family, N)
     phi = get_table(family, r + 1, None if family.finite else lo + max(map(len, intervals))).phi[:r]

@@ -5,16 +5,21 @@ A `Regime` fixes the dimensionless shape of the ensemble while the large
 parameter A sweeps: Meixner keeps xi with A = 2N; Charlier keeps tau =
 theta/N with A = N; Krawtchouk keeps (gamma, p) with A = M, N = gamma M.
 
-The bulk and edge studies are a frame per A and one sweep.  A frame
-(`_bulk_frame`, `_edge_frame`) is (family, N, window sites, microscopic
-coordinates s, sites per unit s, the entry's own fields): in the bulk
-x = floor(A u + s / rho_site) for s on `DEFAULT_GRID`, at a soft edge
-x = floor(A u* +- c_A s).  `_sweep` multiplies each frame's block by its
-sites per unit s and compares it, at the realized (post-floor) s, with the
-limit kernel.  Per entry it reports `c_fit` (one overall amplitude, always
+Every study but the crossover reads a frame per A.  A frame (`_bulk_frame`,
+`_edge_frame`) is (family, N, window sites, microscopic coordinates s, sites
+per unit s, the entry's own fields): in the bulk x = floor(A u + s / rho_site)
+for s on `DEFAULT_GRID`, at a soft edge x = floor(A u* +- c_A s), cut to the
+lattice (`_on_lattice`).  `_compare` gives per frame (fields, s, block,
+limit(s), rank-one term): the oracle route's block and its beta = 1 rank-one
+term times the sites per unit s, at the realized (post-floor) s.  The bulk and
+edge studies `_sweep` it: per entry `c_fit` (one overall amplitude, always
 fitted and reported rather than assumed), `sup_err_fitted`, `sup_err_raw`,
 `diag_err` and, for beta = 1, `rank_one_sup`; over the entries the log-log
-`slope` of the fitted errors and `monotone_decreasing`.
+`slope` of the fitted errors and `monotone_decreasing`.  `correction_extract`
+fits the first correction to it on the bulk frames.  The gap study
+(`fredholm.bulk_scaled_gap_comparison`) reads rho_site and (family, N) from
+the bulk frame, and the splice edge ratio (`kuznetsov.edge_ratio_report`) its
+window from the edge frame.
 """
 from __future__ import annotations
 
@@ -23,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Charlier, DomainError, Krawtchouk, Meixner
-from .kernels import (_assemble_blocks, _rank_one_factors, beta1_indices, oracle_block,
-                      projection_direct, rank_of)
+from .kernels import _assemble_blocks, _rank_one_factors, beta1_indices, oracle_block, rank_of
 from .refkernels import airy_kernel, bessel_kernel, sine_kernel, sine_kernel_deriv
-from .saddles import airy_window, bulk_support, edge_data, saddle_pair, site_density
+from .saddles import bulk_support, edge_data, saddle_pair, site_density
 from .symbols import contour_rows, eps_phi_via_contour
 
 
@@ -56,11 +60,13 @@ class Regime:
 
 
 DEFAULT_GRID = np.linspace(-2.0, 2.0, 17)
+_sine_kernel = lambda s: sine_kernel(s[:, None], s[None, :])
 
 
-def _window_positions(A, u, spacing_sites, grid):
-    xs = np.unique(np.floor(A * u + np.asarray(grid) * spacing_sites).astype(int))
-    return xs[xs >= 0]
+def _on_lattice(fam, xs):
+    """The distinct sites of xs on the family's lattice: x >= 0, and x <= M for Krawtchouk."""
+    xs = np.unique(xs)
+    return xs[(xs >= 0) & (xs <= (fam.M if fam.finite else np.inf))]
 
 
 def _bulk_frame(regime, A, u):
@@ -69,32 +75,32 @@ def _bulk_frame(regime, A, u):
     fam, N = regime.family_and_N(int(A))
     saddle_pair(fam, u, N)
     rho = site_density(fam, u, N)
-    xs = _window_positions(A, u, 1.0 / rho, DEFAULT_GRID)
+    xs = _on_lattice(fam, np.floor(A * u + DEFAULT_GRID * (1.0 / rho)).astype(int))
     return fam, N, xs, (xs - A * u) * rho, 1.0 / rho, {"A": int(A), "N": N, "rho_site": rho}
 
 
-def _edge_frame(regime, A, ed):
-    """The frame at the soft edge `ed` of `edge_data`: s = +-(x - A u*) / c_A,
-    mirrored at a left edge, over s in [-3.5, 1.5]."""
+def _edge_frame(regime, A, ed, s_grid):
+    """The frame at the soft edge `ed` of `edge_data` over s in `s_grid`: s = +-(x - A u*) / c_A,
+    mirrored at a left edge, with the Airy length c_A = (A |kappa| / 2)^(1/3) / |lambda| sites."""
     fam, N = regime.family_and_N(int(A))
-    xs, c_A = airy_window(ed, A, np.linspace(-3.5, 1.5, 13), fam)
+    c_A = (A * abs(ed["kappa"]) / 2.0) ** (1.0 / 3.0) / abs(ed["lam"])
     orient = 1.0 if ed["side"] == "right" else -1.0
+    xs = _on_lattice(fam, np.floor(A * ed["u_star"] + orient * s_grid * c_A).astype(int))
     return fam, N, xs, orient * (xs - A * ed["u_star"]) / c_A, c_A, {"A": int(A), "c_A": c_A}
 
 
-def _window_block(fam, N, beta, xs, block):
-    """The requested block on the window, K (the projection) or the oracle
-    route's S, SD or epsS, and for beta = 1 the rank-one term
-    (1/2) phi_a (x) (eps phi_b)(y) (else None).  At beta = 1 both, and K too,
-    are read from one oracle block's factors (L, E, R): K from the rows of L
-    but its last, the rank-one term from the last rows of L and R."""
-    if beta != 1:
-        return (projection_direct(fam, N, xs) if block == "K"
-                else getattr(oracle_block(fam, N, beta, xs), block)), None
-    blk = oracle_block(fam, N, 1, xs)
-    L, E, R = blk.factors
-    V = L[:-1, xs].T @ L[:-1, xs] if block == "K" else getattr(blk, block)
-    return V, E[-1, -1] * np.outer(L[-1, xs], R[-1, xs])
+def _compare(frames, beta, block, limit):
+    """Per frame: its fields, s in increasing order, and on the window in that order
+    the oracle route's block (S, SD, epsS, or K, at any beta from the beta = 1 block)
+    and beta = 1 rank-one term (else None), each times the sites per unit s, and limit(s)."""
+    for fam, N, xs, s, scale, fields in frames:
+        blk = oracle_block(fam, N, 1 if block == "K" else beta, xs)   # eps of 1 row, not r
+        V, rank_one = getattr(blk, block), blk.rank_one if beta == 1 else None
+        del blk     # and its lattice rows: a sweep holds one lattice's rows at a time
+        order = np.argsort(s)
+        pick = np.ix_(order, order)
+        rank_one = None if rank_one is None else (rank_one * scale)[pick]
+        yield fields, s[order], (V * scale)[pick], limit(s[order]), rank_one
 
 
 def fit_amplitude(V, T):
@@ -105,17 +111,14 @@ def fit_amplitude(V, T):
 def _sweep(frames, beta, block, limit):
     """The entries of `frames` against `limit(s)` and their summary (module docstring)."""
     rows = []
-    for fam, N, xs, s, scale, fields in frames:
-        V, rank_one = _window_block(fam, N, beta, xs, block)
-        order = np.argsort(s)
-        V, T = (V * scale)[np.ix_(order, order)], limit(s[order])
+    for fields, _, V, T, rank_one in _compare(frames, beta, block, limit):
         c = fit_amplitude(V, T)
         entry = {**fields, "c_fit": c,
                  "sup_err_fitted": float(np.max(np.abs(V / c - T))) if c else float("inf"),
                  "sup_err_raw": float(np.max(np.abs(V - T))),
                  "diag_err": float(np.max(np.abs(np.diag(V - T))))}
         if beta == 1:
-            entry["rank_one_sup"] = float(np.max(np.abs(rank_one)) * scale)
+            entry["rank_one_sup"] = float(np.max(np.abs(rank_one)))
         rows.append(entry)
     errs = [r["sup_err_fitted"] for r in rows]
     ok = bool(np.all(np.isfinite(errs))) and min(errs) > 0 and len(errs) > 1
@@ -129,8 +132,7 @@ def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
                           block: str = "S") -> dict:
     """The rescaled block against the sine kernel per A (`_sweep`)."""
     frames = (_bulk_frame(regime, A, u) for A in A_list)
-    sine = lambda s: sine_kernel(s[:, None], s[None, :])
-    return {"regime": regime.kind, "u": u, **_sweep(frames, beta, block, sine)}
+    return {"regime": regime.kind, "u": u, **_sweep(frames, beta, block, _sine_kernel)}
 
 
 def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right",
@@ -139,7 +141,7 @@ def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right"
     the first A and the `coalescence_exponent` (1/2) that makes A^(1/3) the Airy scale."""
     fam, N = regime.family_and_N(int(A_list[0]))
     ed = edge_data(fam, side, N)
-    frames = (_edge_frame(regime, A, ed) for A in A_list)
+    frames = (_edge_frame(regime, A, ed, np.linspace(-3.5, 1.5, 13)) for A in A_list)
     return {"regime": regime.kind, "side": side, "u_star": ed["u_star"],
             "kappa": abs(ed["kappa"]), "lam": ed["lam"],
             **_sweep(frames, beta, block, airy_kernel),
@@ -187,15 +189,12 @@ def correction_extract(regime: Regime, beta: int, u: float, A_list) -> dict:
     first: it is separable, and the basis cannot represent it.
     """
     fields = []
-    for A in A_list:
-        fam, N, xs, seff, sp, entry = _bulk_frame(regime, A, u)
-        V, rank_one = _window_block(fam, N, beta, xs, "S")
-        V = V * sp
+    frames = (_bulk_frame(regime, A, u) for A in A_list)
+    for entry, seff, V, T, rank_one in _compare(frames, beta, "S", _sine_kernel):
         if beta == 1:
-            V = V - rank_one * sp
-        T = sine_kernel(seff[:, None], seff[None, :])
+            V = V - rank_one
         # resample onto the grid so fields are commensurate
-        fields.append(_grid_resample(seff, A * (V - T), DEFAULT_GRID))
+        fields.append(_grid_resample(seff, entry["A"] * (V - T), DEFAULT_GRID))
     R = 2.0 * fields[-1] - fields[-2] if len(fields) >= 2 else fields[-1]
     s, t = DEFAULT_GRID[:, None], DEFAULT_GRID[None, :]
     basis = [sine_kernel(s, t), sine_kernel_deriv(s, t),
@@ -204,6 +203,7 @@ def correction_extract(regime: Regime, beta: int, u: float, A_list) -> dict:
     B = np.stack([c.ravel() for c in basis], axis=1)
     coef = np.linalg.lstsq(B, R.ravel(), rcond=None)[0]
     rel = float(np.linalg.norm(R.ravel() - B @ coef) / max(np.linalg.norm(R), 1e-300))
+    fam, N = regime.family_and_N(entry["A"])
     lo, hi = bulk_support(fam, N)
     du = 1e-5 * (hi - lo)
     rho_prime = (site_density(fam, u + du, N) - site_density(fam, u - du, N)) / (2 * du)

@@ -3,13 +3,13 @@
 Every block on a window is one Gram sandwich S = L_x^T E R_y: row stacks
 L, R of wave functions on the truncated lattice around a small Gram E,
 E = Phi eps(Phi)^T for beta = 4 and the rank-one stacks for beta = 1.  One
-builder, `gram_block`, forms every block; an entry point only chooses the
-rows, the eps inside E and the provenance:
+builder, `gram_block`, forms every block; a caller only chooses the rows
+and the eps inside E, and the rows are the provenance:
 
-  entry point              rows      eps                         provenance
+  caller                   rows      eps                         provenance
   oracle_block             oracle    lattice                     oracle
-  s4_block, s1_block       contour   lattice                     contour
-  compose_columns          oracle    multiplier                  contour-columns
+  cli.cmd_kernel           contour   lattice                     contour
+  compose_columns          oracle    multiplier                  oracle
   kuznetsov.spliced_s4     contour   multiplier times m_h        contour
   kuznetsov.spliced_oracle oracle    multiplier times m_h        oracle
 
@@ -22,7 +22,8 @@ The inserted blocks of a lattice-eps block come from the same factors,
 SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps applied as
 stencil and prefix sums, so no lattice-by-lattice matrix is formed.  A
 `KernelBlockSet` computes them on first read, so a caller that reads only S
-never pays for them.
+never pays for them.  It also names K (from the first `rank_of` rows of L) and
+the beta = 1 rank-one term `rank_one`, so no other module reads the factors.
 
 Three evaluation routes coexist and are cross-checked:
 
@@ -85,7 +86,8 @@ class KernelBlockSet:
     SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y on first read, with D
     and eps applied to the whole lattice as stencil and prefix sums.  A block
     whose eps is a contour multiplier (composed, spliced) has no inserted
-    blocks: both read None."""
+    blocks: both read None.  K and rank_one (None at beta = 4) are the window
+    projection and the beta = 1 term (1/2) phi_a (x) (eps phi_b)(y)."""
 
     family: object
     beta: int
@@ -112,6 +114,18 @@ class KernelBlockSet:
         L, E, R = self.factors
         return _assemble_blocks(apply_eps(self.family, L.T).T, E, R, self.xs)
 
+    @cached_property
+    def K(self) -> np.ndarray:
+        L = self.factors[0][:rank_of(self.family, self.N)]
+        return L[:, self.xs].T @ L[:, self.xs]      # two copies: a GEMM, as the S blocks
+
+    @cached_property
+    def rank_one(self) -> np.ndarray | None:
+        if self.beta != 1:
+            return None
+        L, E, R = self.factors
+        return E[-1, -1] * np.outer(L[-1, self.xs], R[-1, self.xs])
+
     def antisymmetry_defect(self) -> float:
         return float(np.max(np.abs(self.S + self.S.T)))
 
@@ -137,8 +151,7 @@ def _rank_one_factors(rows, eps_b_row):
 
 
 def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
-               lattice: TruncatedLattice | None = None, provenance: str | None = None,
-               **meta) -> KernelBlockSet:
+               lattice: TruncatedLattice | None = None, **meta) -> KernelBlockSet:
     """The beta = 1 or 4 block on the window, with its factors.
 
     Rows phi_0..phi_r on the lattice come from the route: 'oracle' reads the
@@ -146,7 +159,7 @@ def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
     QuadratureError where its rows give K(x, x) > 1 + 1e-6.  eps is the
     lattice operator, or the contour image under z -> multiplier(z) if one is
     given.  beta = 4: L = R = Phi with E = Phi eps(Phi)^T; beta = 1: the
-    rank-one stacks.  Provenance defaults to the route; `meta` adds to the
+    rank-one stacks.  The provenance is the route; `meta` adds to the
     lattice size."""
     window = default_window(family, N) if window is None else np.asarray(window)
     lattice = lattice or oracle_lattice(family, N, window)
@@ -173,7 +186,7 @@ def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
     else:
         raise ValueError("beta must be 1 or 4")
     return KernelBlockSet(family=family, beta=beta, N=N, xs=window,
-                          S=_assemble_blocks(*factors, window), provenance=provenance or route,
+                          S=_assemble_blocks(*factors, window), provenance=route,
                           meta={"lattice_x_max": lattice.x_max, **meta}, factors=factors,
                           multiplier=multiplier)
 
@@ -205,13 +218,6 @@ def _contour_phi(family, n_top, lattice):
 # entry points: each one builder call
 
 
-def projection_direct(family, N: int, xs):
-    """K_N on the sites xs by the finite sum of wave-function products."""
-    r = rank_of(family, N)
-    tab = get_table(family, r + 1, None if family.finite else int(np.max(xs)) + 1)
-    return tab.phi[:r, xs].T @ tab.phi[:r, xs]
-
-
 def oracle_block(family, N: int, beta: int, window=None,
                  lattice: TruncatedLattice | None = None) -> KernelBlockSet:
     """S, SD, epsS from the recurrence tables with the parity-split eps."""
@@ -227,31 +233,7 @@ def compose_columns(family, N: int, xs) -> KernelBlockSet:
     printed difference-quotient formulas are checked against it and against
     the lattice oracle by `adjudicate_composition`.
     """
-    return gram_block(family, N, 4, xs, "oracle", eps_multiplier(family),
-                      provenance="contour-columns")
-
-
-def s4_block(family, N: int, window=None, route: str = "contour") -> KernelBlockSet:
-    """beta = 4 scalar block K eps K, plus SD = S D and epsS = eps S.
-
-    route='contour' evaluates the wave functions by contour extraction and
-    applies the defining inverse-difference sums (the adjudicated production
-    path: the printed double-contour composition does not reproduce the
-    lattice operator; see `adjudicate_composition`).  route='oracle' uses
-    the recurrence tables.
-    """
-    if route == "oracle":
-        return oracle_block(family, N, 4, window)
-    return gram_block(family, N, 4, window, "contour",
-                      adjudication=adjudicate_composition(family)["outcome"])
-
-
-def s1_block(family, N: int, window=None, route: str = "contour") -> KernelBlockSet:
-    """beta = 1 scalar block: projection plus the half rank-one term."""
-    if route == "oracle":
-        return oracle_block(family, N, 1, window)
-    return gram_block(family, N, 1, window, "contour",
-                      rank_one_indices=beta1_indices(family, N))
+    return gram_block(family, N, 4, xs, "oracle", eps_multiplier(family))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +251,7 @@ def _cauchy_sums(A, B, factors, m=None):
                @ np.fft.ifft(Q).T for g, anti, s in factors for a, Q in pairs) / n ** 2
 
 
-def _meixner_paper_kernel(family, N, xs, ys, swap, nodes, m_func=None,
+def _meixner_paper_kernel(family, N, xs, swap, nodes, m_func=None,
                           numerator="difference-quotient"):
     """The printed Meixner double contour on |w1| = r1 < |w2| = r2 over the rows
     G_2N(w) w^(2N - x), with the Cauchy factor 1/(w1 w2 - 1) = f[(i + j) mod n],
@@ -285,8 +267,8 @@ def _meixner_paper_kernel(family, N, xs, ys, swap, nodes, m_func=None,
     r2 = 0.5 * (1.0 / r1 + 0.5 * (1.0 + 1.0 / s)) if swap else (s + 2) / 3.0
     t = unit_roots(nodes)
     w1, w2 = r1 * t, r2 * t
-    A, B = (meixner_G(2 * N, w, family.s) * w ** (2 * N - np.asarray(sites))[:, None]
-            for sites, w in ((xs, w1), (ys, w2)))
+    A, B = (meixner_G(2 * N, w, family.s) * w ** (2 * N - np.asarray(xs))[:, None]
+            for w in (w1, w2))
     f = 1.0 / (r1 * r2 * t - 1.0)
     if m_func is None:
         return _cauchy_sums(A, B, [(f, True, 1.0)]).real
@@ -306,7 +288,7 @@ def _nested_radii(family) -> tuple[float, float]:
     return 0.4 * rstar, 0.8 * rstar
 
 
-def _printed_nested_kernel(family, N, xs, ys, swap, nodes, m_func=None):
+def _printed_nested_kernel(family, N, xs, swap, nodes, m_func=None):
     """The printed concentric-circle forms over the rows c(t) a(t)^x
     (`_generating_logs`), t1 on the outer circle (inner if swapped), with the
     Cauchy factor (t2/t1)^N/(t1 - t2) = t1^-1 g[(j - i) mod n], g = q^N/(1 - q)
@@ -317,11 +299,11 @@ def _printed_nested_kernel(family, N, xs, ys, swap, nodes, m_func=None):
     inner, outer = _nested_radii(family)
     R1, R2 = (inner, outer) if swap else (outer, inner)
     t1, t2, q = R1 * t, R2 * t, (R2 / R1) * t
-    xs, ys = np.asarray(xs), np.asarray(ys)
+    xs = np.asarray(xs)
     log_c, log_a = _generating_logs(family, np.stack([t1, t2]))
-    A, B = (np.exp(log_c[k] + sites[:, None] * log_a[k]) for k, sites in enumerate((xs, ys)))
-    lw = family.log_weight(np.arange(int(max(np.max(xs), np.max(ys))) + 1, dtype=float))
-    pref = np.exp(0.5 * (lw[xs][:, None] + lw[ys][None, :]))
+    A, B = (np.exp(log_c[k] + xs[:, None] * log_a[k]) for k in range(2))
+    lw = family.log_weight(np.arange(int(np.max(xs)) + 1, dtype=float))
+    pref = np.exp(0.5 * (lw[xs][:, None] + lw[xs][None, :]))
     if m_func is None:
         return pref * _cauchy_sums(A, B, [(q ** N / (1.0 - q), False, 1.0 / t1)]).real
     return pref * _cauchy_sums(A, B, [(q ** N / (1.0 - q) ** 2, False, t1 ** -2.0)],
@@ -355,20 +337,20 @@ def _dual_y_radius(family, y, N, r_inner):
     return float(grid[np.argmin(cost)])
 
 
-def _dual_kernel(family, N, xs, ys, nodes):
+def _dual_kernel(family, N, xs, nodes):
     """Corrected two-centre double contour: extraction loop around 0 and a
     dual loop around the weight's generating singularity (-1 for Charlier,
     1/q for Krawtchouk), with per-column balanced radii."""
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    lw = family.log_weight(np.arange(int(max(np.max(xs), np.max(ys))) + 1, dtype=float))
+    xs = np.asarray(xs)
+    lw = family.log_weight(np.arange(int(np.max(xs)) + 1, dtype=float))
     t = unit_roots(nodes)
     x = xs[:, None]
     r_in = 0.45 if isinstance(family, Charlier) else 0.4 * min(1 / family.p, 1 / family.q)
     tin = r_in * t
     log_c, log_a = _generating_logs(family, tin)
     A = np.exp(log_c + x * log_a + 0.5 * lw[x]) * tin ** (-N) * tin
-    out = np.empty((len(xs), len(ys)))
-    for iy, y in enumerate(ys):
+    out = np.empty((len(xs), len(xs)))
+    for iy, y in enumerate(xs):
         rho = _dual_y_radius(family, y, N, r_in)
         if isinstance(family, Charlier):
             center, sign = -1.0, -1.0
@@ -432,15 +414,16 @@ def adjudicate_projection(family, N: int = 8) -> dict:
     xs = _adjudication_window(family, N)
     # `validate` reads the first entry (printed nesting) and the last (adjudicated)
     if isinstance(family, Meixner):
-        paper = partial(_meixner_paper_kernel, family, N, xs, xs, nodes=1024)
+        paper = partial(_meixner_paper_kernel, family, N, xs, nodes=1024)
         candidates = {"paper product<1": lambda: paper(swap=False),
                       "paper product>1": lambda: paper(swap=True)}
     else:
-        paper = partial(_printed_nested_kernel, family, N, xs, xs, nodes=1024)
+        paper = partial(_printed_nested_kernel, family, N, xs, nodes=1024)
         candidates = {"paper": lambda: paper(swap=False),
                       "paper-swapped": lambda: paper(swap=True),
-                      "dual": lambda: _dual_kernel(family, N, xs, xs, 1024)}
-    report = _score({"family": family.name, "N": N}, candidates, projection_direct(family, N, xs))
+                      "dual": lambda: _dual_kernel(family, N, xs, 1024)}
+    report = _score({"family": family.name, "N": N}, candidates,
+                    oracle_block(family, N, 4, xs).K)
     report["passes"] = report["winner_error"] < 1e-8
     return report
 
@@ -474,7 +457,7 @@ def adjudicate_composition(family, N: int = 6) -> dict:
     m = lambda z: symbol(family, z)
     m_inv = lambda z: inverse_eps_symbol(family, z)
     paper = partial(_meixner_paper_kernel if isinstance(family, Meixner) else _printed_nested_kernel,
-                    family, N, window, window, nodes=512)
+                    family, N, window, nodes=512)
     candidates = {"paper printed-symbol": lambda: paper(swap=False, m_func=m),
                   "paper swapped": lambda: paper(swap=True, m_func=m),
                   "paper inverse-symbol": lambda: paper(swap=False, m_func=m_inv),

@@ -25,7 +25,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .families import DomainError
+from .harness import _edge_frame, fit_amplitude
 from .kernels import KernelBlockSet, compose_columns, gram_block
+from .saddles import edge_data
 from .symbols import default_contour, eps_multiplier, inverse_eps_symbol
 
 
@@ -119,17 +121,15 @@ def edge_ratio_report(regime, test: GaussianTest, A: int) -> dict:
     diagonal-derivative prediction.
 
     Both windows are computed with the same realization; the measured ratio
-    is the least-squares amplitude of the spliced window on the unspliced
-    one, compared with M'(z*)/eps-hat'(z*) for M = eps-hat * m_h in the
-    family's contour variable.  The window is the right edge's s in [-3, 1].
+    is the least-squares amplitude (`fit_amplitude`) of the spliced window on
+    the unspliced one, compared with M'(z*)/eps-hat'(z*) for M = eps-hat * m_h
+    in the family's contour variable.  The window is the right edge frame's
+    s in [-3, 1].
     """
-    from .saddles import airy_window, edge_data
     fam, N = regime.family_and_N(A)
     ed = edge_data(fam, "right", N)
-    xs, _ = airy_window(ed, A, np.linspace(-3.0, 1.0, 11), fam)
-    spl = spliced_oracle(fam, N, test, xs).S
-    base = compose_columns(fam, N, xs).S
-    measured = float(np.sum(spl * base) / np.sum(base * base))
+    _, _, xs, _, _, _ = _edge_frame(regime, A, ed, np.linspace(-3.0, 1.0, 11))
+    measured = fit_amplitude(spliced_oracle(fam, N, test, xs).S, compose_columns(fam, N, xs).S)
     z_star = ed["z_star"]
     h = 1e-6
     eps_p = (inverse_eps_symbol(fam, z_star + h) - inverse_eps_symbol(fam, z_star - h)) / (2 * h)

@@ -31,14 +31,6 @@ from numpy.polynomial.legendre import leggauss
 from .families import Charlier, DomainError, Meixner
 
 
-def large_parameter(family, N: int) -> int:
-    if isinstance(family, Meixner):
-        return 2 * N
-    if isinstance(family, Charlier):
-        return N
-    return family.M
-
-
 def _phase(family, N):
     """(e, ((r_i, k_i, l_i), ...)) of the family's phase (module docstring)."""
     if isinstance(family, Meixner):
@@ -165,11 +157,3 @@ def edge_data(family, side: str = "right", N: int | None = None) -> dict:
             "kappa": complex(z ** 3 * d3 + 3 * z ** 2 * d2 + z * d1),
             "lam": float(lam), "side": side}
 
-
-def airy_window(ed: dict, A: int, s_grid, family):
-    """(sites, c_A) at the edge `ed` of `edge_data`: c_A = (A |kappa| / 2)^(1/3) / |lambda|
-    and the sites of `family` at floor(A u* + s c_A), s mirrored at a left edge."""
-    c_A = (A * abs(ed["kappa"]) / 2.0) ** (1.0 / 3.0) / abs(ed["lam"])
-    orient = 1.0 if ed["side"] == "right" else -1.0
-    xs = np.unique(np.floor(A * ed["u_star"] + orient * np.asarray(s_grid) * c_A).astype(int))
-    return xs[(xs >= 0) & (xs <= (family.M if family.finite else np.inf))], c_A

@@ -43,6 +43,22 @@ def test_kernel_oracle_provenance(tmp_path):
     assert meta["metadata"]["provenance"] == "oracle"
 
 
+@pytest.mark.parametrize("beta, oracle", [(4, False), (1, False), (4, True), (1, True)],
+                         ids=["contour-b4", "contour-b1", "oracle-b4", "oracle-b1"])
+def test_kernel_metadata_names_the_contour_checks(tmp_path, beta, oracle):
+    # the contour route records its composition outcome (beta = 4) or its
+    # rank-one degrees (beta = 1); the oracle route records neither
+    from pfkern.families import Charlier
+    from pfkern.kernels import adjudicate_composition
+    main(["kernel", "--family", "charlier", "--theta", "1", "--beta", str(beta), "--N", "4",
+          "--window", "0:10", *(["--oracle"] if oracle else []), "--out", str(tmp_path)])
+    meta = json.loads((tmp_path / f"kernel_charlier_b{beta}_N4.json").read_text())["metadata"]
+    extra = {} if oracle else (
+        {"adjudication": adjudicate_composition(Charlier(theta=1.0))["outcome"]} if beta == 4
+        else {"rank_one_indices": [4, 3]})
+    assert {k: meta[k] for k in ("adjudication", "rank_one_indices") if k in meta} == extra
+
+
 def test_kernel_dump_ops_on_the_block_lattice(tmp_path):
     from pfkern.families import Charlier
     from pfkern.kernels import oracle_lattice
@@ -339,6 +355,13 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
     (["asym", "gap", "--family", "charlier", "--tau", "1", "--u", "inf"], "--u inf"),
     (["splice", "reality", "--family", "charlier", "--theta", "1", "--sigma", "nan"], "sigma"),
     (["splice", "kernel", "--family", "charlier", "--theta", "1", "--sigma", "inf"], "sigma"),
+    (["asym", "crossover", "--family", "meixner", "--alpha", "nan"], "--alpha nan"),
+    (["asym", "crossover", "--family", "meixner", "--alpha", "-1"], "--alpha -1"),
+    (["asym", "crossover", "--family", "meixner", "--alpha", "inf"], "--alpha inf"),
+    (["asym", "crossover", "--family", "meixner", "--alpha", "40", "--N-list", "16"],
+     "--alpha 40"),
+    (["asym", "density", "--family", "charlier", "--tau", "1", "--grid", "0"], "--grid 0"),
+    (["asym", "density", "--family", "charlier", "--tau", "1", "--grid", "-3"], "--grid -3"),
 ], ids=["density-gamma-1.5", "edge-tau-0", "bulk-u-outside", "correction-u-packed",
         "gap-u-at-edge", "edge-ratio-meixner", "kernel-N-0", "splice-kernel-N-0",
         "kernel-window-empty", "kernel-window-negative", "kernel-window-past-M",
@@ -350,7 +373,9 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
         "crossover-gamma", "crossover-p", "krawtchouk-oracle-N-past-M",
         "krawtchouk-contour-N-past-M", "splice-krawtchouk-N-past-M", "theta-inf", "theta-nan",
         "bulk-tau-inf", "edge-tau-inf", "edge-ratio-tau-nan", "bulk-u-nan", "gap-u-inf",
-        "reality-sigma-nan", "splice-kernel-sigma-inf"])
+        "reality-sigma-nan", "splice-kernel-sigma-inf", "crossover-alpha-nan",
+        "crossover-alpha-negative", "crossover-alpha-inf", "crossover-alpha-past-2N",
+        "density-grid-0", "density-grid-negative"])
 def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named):
     # one error line that names the domain, no warning or traceback, and no
     # output: not even the new --out directory
@@ -383,6 +408,24 @@ def test_validate_on_small_and_even_krawtchouk_lattices(tmp_path, M, p):
     assert all(i["passes"] for i in rep["invariants"])
     assert any(i["name"].startswith(f"Krawtchouk(M={M | 1}, p={p}) D eps mutual inverse")
                for i in rep["invariants"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["bulk", "--u", "0.3", "--A-list", "4"],
+    ["bulk", "--u", "0.7", "--A-list", "16,32"],
+    ["correction", "--u", "0.7", "--A-list", "16,32"],
+    ["gap", "--u", "0.7", "--A", "16", "--lengths", "10"],
+], ids=["bulk-A-4", "bulk-u-0.7", "correction-u-0.7", "gap-u-0.7"])
+def test_krawtchouk_window_past_M_is_cut_to_the_lattice(tmp_path, capsys, argv):
+    # a bulk window or gap interval that runs past M keeps the sites 0..M
+    code = main(["asym", argv[0], "--family", "krawtchouk", "--gamma", "0.25", "--p", "0.4",
+                 *argv[1:], "--out", str(tmp_path)])
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    rep = json.loads(next(tmp_path.glob("*.json")).read_text())
+    if argv[0] == "gap":
+        assert rep["entries"][0]["points"] == 16 - 12 + 1     # sites ceil(16 * 0.7) = 12 to M
+    elif argv[0] == "bulk":
+        assert all(np.isfinite(e["sup_err_raw"]) for e in rep["entries"])
 
 
 def test_krawtchouk_edge_converges_to_airy(tmp_path):

@@ -32,6 +32,42 @@ def test_bulk_rank_one_shares_the_oracle_table(monkeypatch):
     assert len(builds) == 3
 
 
+def test_studies_hold_one_block_at_a_time(monkeypatch):
+    # a frame's block, and with it its lattice rows, is gone before the next
+    # frame's block is built, so a sweep's peak memory is one lattice's
+    import gc
+    import weakref
+    from pfkern import harness
+    live, build = [], harness.oracle_block
+
+    def tracked(*args):
+        gc.collect()
+        assert [ref for ref in live if ref() is not None] == []
+        blk = build(*args)
+        live.append(weakref.ref(blk))
+        return blk
+
+    monkeypatch.setattr(harness, "oracle_block", tracked)
+    bulk_convergence_test(CH, 1, 2.0, [24, 48])
+    correction_extract(CH, 1, 2.0, [24, 48])
+    edge_convergence_test(CH, 1, [48, 96], block="K")
+    assert len(live) == 6
+
+
+def test_beta4_projection_applies_eps_to_one_row(monkeypatch):
+    # K is the same at either beta, so a beta = 4 K request reads it off the
+    # beta = 1 block, whose Gram applies eps to one row, not to all r
+    from pfkern import kernels
+    shapes, apply = [], kernels.apply_eps
+    monkeypatch.setattr(kernels, "apply_eps",
+                        lambda fam, v: shapes.append(v.shape) or apply(fam, v))
+    rep = bulk_convergence_test(CH, 4, 2.0, [24, 48], block="K")
+    assert len(shapes) == 2 and all(shape[1] == 1 for shape in shapes)
+    rep1 = bulk_convergence_test(CH, 1, 2.0, [24, 48], block="K")
+    assert rep["entries"] == [{k: v for k, v in e.items() if k != "rank_one_sup"}
+                              for e in rep1["entries"]]
+
+
 def test_bulk_diag_within_error():
     rep = bulk_convergence_test(CH, 1, 2.0, [48])
     e = rep["entries"][0]
@@ -165,10 +201,10 @@ def test_grid_resample_matches_regular_grid_interpolator(seed):
     # the numpy bilinear resample against scipy's, extrapolation included:
     # the window nodes are floored sites, the grid reaches past both ends
     from scipy.interpolate import RegularGridInterpolator
-    from pfkern.harness import DEFAULT_GRID, _grid_resample, _window_positions
+    from pfkern.harness import DEFAULT_GRID, _grid_resample
     rng = np.random.default_rng(seed)
     A, u, rho = 96, rng.uniform(0.5, 2.5), rng.uniform(0.2, 0.8)
-    seff = (_window_positions(A, u, 1.0 / rho, DEFAULT_GRID) - A * u) * rho
+    seff = (np.unique(np.floor(A * u + DEFAULT_GRID / rho)) - A * u) * rho
     R = rng.normal(size=(seff.size, seff.size))
     for grid in (DEFAULT_GRID, np.linspace(-3.0, 3.0, 13)):
         f = RegularGridInterpolator((seff, seff), R, bounds_error=False, fill_value=None)

@@ -1,7 +1,8 @@
 """Static guards: every name a pfkern module imports is used in that module,
 every top-level definition of pfkern is reachable from `cli.main` or from a
-name the benchmark imports, one function builds every kernel block, and the
-process-wide caches are the listed ones."""
+name the benchmark imports, one function builds every kernel block, only
+`kernels` reads a block's factors, and the process-wide caches are the
+listed ones."""
 import ast
 import functools
 import pathlib
@@ -153,6 +154,20 @@ def test_one_block_builder():
                     and node.func.id == "KernelBlockSet" for node in ast.walk(fn)):
                 builders.append(f"{path.stem}.{fn.name}")
     assert builders == ["kernels.gram_block"]
+
+
+def test_only_kernels_reads_block_factors():
+    # the block forms (K, the rank-one term, the inserted blocks) are read off
+    # a block's factors in `kernels` alone, so a change of form lands there
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "factors"
+                    for node in ast.walk(fn)):
+                readers.append(f"{path.stem}.{fn.name}")
+    assert readers and [r for r in readers if not r.startswith("kernels.")] == []
 
 
 def test_process_wide_caches_are_the_listed_ones():

@@ -4,9 +4,8 @@ import pytest
 from pfkern.families import Charlier, Krawtchouk, Meixner
 from pfkern.kernels import (_dual_kernel, _meixner_paper_kernel, _printed_nested_kernel,
                             adjudicate_composition, adjudicate_projection,
-                            beta1_indices, compose_columns, default_window,
-                            oracle_block, projection_direct,
-                            rank_of, residual_rank, s1_block, s4_block)
+                            beta1_indices, compose_columns, default_window, gram_block,
+                            oracle_block, rank_of, residual_rank)
 from pfkern.symbols import inverse_eps_symbol, symbol
 
 FAMS = [Meixner(xi=0.25, beta_m=1.0), Charlier(theta=1.0), Krawtchouk(M=60, p=0.4)]
@@ -17,14 +16,14 @@ IDS = [f.name for f in FAMS]
 def test_projection_symmetry_and_trace(fam):
     N = 8
     xs = default_window(fam, N)
-    K = projection_direct(fam, N, xs)
+    K = oracle_block(fam, N, 4, xs).K
     assert np.max(np.abs(K - K.T)) < 1e-14
     # trace equals the rank once the window carries all the mass
     if fam.finite:
         assert np.trace(K) == pytest.approx(rank_of(fam, N), abs=1e-8)
     else:
         big = np.arange(0, 16 * N)
-        assert np.trace(projection_direct(fam, N, big)) == pytest.approx(
+        assert np.trace(oracle_block(fam, N, 4, big).K) == pytest.approx(
             rank_of(fam, N), abs=1e-8)
 
 
@@ -32,7 +31,7 @@ def test_projection_symmetry_and_trace(fam):
 def test_projection_idempotent(fam):
     N = 6
     lat = np.arange(0, fam.M + 1 if fam.finite else 140)
-    K = projection_direct(fam, N, lat)
+    K = oracle_block(fam, N, 4, lat).K
     assert np.max(np.abs(K @ K - K)) < 1e-9
 
 
@@ -40,10 +39,10 @@ def test_projection_idempotent(fam):
 @pytest.mark.parametrize("N", [4, 8, 12])
 def test_projection_contour_vs_direct(fam, N):
     xs = np.arange(0, min(4 * N, fam.M) + 1 if fam.finite else 4 * N + 1)
-    K = projection_direct(fam, N, xs)
+    K = oracle_block(fam, N, 4, xs).K
     # the adjudicated convention: Meixner's radius product > 1, else the dual form
-    Kc = (_meixner_paper_kernel(fam, N, xs, xs, True, 1024) if fam.name == "meixner"
-          else _dual_kernel(fam, N, xs, xs, 1024))
+    Kc = (_meixner_paper_kernel(fam, N, xs, True, 1024) if fam.name == "meixner"
+          else _dual_kernel(fam, N, xs, 1024))
     scale = np.max(np.abs(K))
     assert np.max(np.abs(Kc - K)) / scale < 1e-8
 
@@ -64,9 +63,26 @@ def test_oracle_blocks_structure(fam):
     assert blk.antisymmetry_defect() < 1e-9
     blk1 = oracle_block(fam, N, 1)
     # S - K has numerical rank one
-    K = projection_direct(fam, N, blk1.xs)
-    sv = np.linalg.svd(blk1.S - K, compute_uv=False)
+    sv = np.linalg.svd(blk1.S - blk.K, compute_uv=False)
     assert sv[1] < 1e-8 * sv[0]
+
+
+@pytest.mark.parametrize("fam", FAMS, ids=IDS)
+@pytest.mark.parametrize("beta", [1, 4])
+def test_named_block_parts_match_their_sums(fam, beta):
+    # K is the finite sum of the wave rows' products on the window, and at
+    # beta = 1 the rank-one term is what the block adds to it
+    from pfkern.wavefunctions import get_table
+    N, xs = 6, np.arange(3, 20)
+    blk = oracle_block(fam, N, beta, xs)
+    r = rank_of(fam, N)
+    phi = get_table(fam, r + 1, None if fam.finite else blk.meta["lattice_x_max"]).phi
+    K = sum(np.outer(phi[n, xs], phi[n, xs]) for n in range(r))
+    assert np.max(np.abs(blk.K - K)) <= 1e-15
+    if beta == 4:
+        assert blk.rank_one is None
+    else:
+        assert np.max(np.abs(blk.rank_one - (blk.S - blk.K))) <= 1e-15
 
 
 @pytest.mark.parametrize("fam", FAMS, ids=IDS)
@@ -147,9 +163,9 @@ def test_constant_symbol_degeneracy():
     # not: the documented zeta = 0 caveat.
     fam = Charlier(theta=1.0)
     xs = np.arange(0, 12)
-    S = _printed_nested_kernel(fam, 4, xs, xs, False, 512, lambda z: np.ones_like(z))
+    S = _printed_nested_kernel(fam, 4, xs, False, 512, lambda z: np.ones_like(z))
     assert np.max(np.abs(S)) < 1e-10
-    K = projection_direct(fam, 4, xs)
+    K = oracle_block(fam, 4, 4, xs).K
     assert np.max(np.abs(K)) > 0.1
 
 
@@ -169,8 +185,9 @@ def test_composition_adjudication_outcome(fam):
 
 @pytest.mark.parametrize("fam", FAMS, ids=IDS)
 def test_s4_block_matches_oracle(fam):
+    # the beta = 4 block of the contour route (`pfkern kernel`) against the oracle's
     N = 6
-    blk = s4_block(fam, N)
+    blk = gram_block(fam, N, 4, None, "contour")
     orc = oracle_block(fam, N, 4)
     scale = np.max(np.abs(orc.S))
     assert np.max(np.abs(blk.S - orc.S)) / scale < 1e-8
@@ -180,14 +197,13 @@ def test_s4_block_matches_oracle(fam):
 
 @pytest.mark.parametrize("fam", FAMS, ids=IDS)
 def test_s1_block_matches_oracle_and_rank_one(fam):
+    # the beta = 1 block of the contour route (`pfkern kernel`) against the oracle's
     N = 6
-    blk = s1_block(fam, N)
+    blk = gram_block(fam, N, 1, None, "contour")
     orc = oracle_block(fam, N, 1)
     scale = np.max(np.abs(orc.S))
     assert np.max(np.abs(blk.S - orc.S)) / scale < 1e-8
-    a, b = beta1_indices(fam, N)
-    assert blk.meta["rank_one_indices"] == (a, b)
-    sv = np.linalg.svd(blk.S - projection_direct(fam, N, blk.xs), compute_uv=False)
+    sv = np.linalg.svd(blk.S - blk.K, compute_uv=False)
     assert sv[1] < 1e-8 * sv[0]
 
 
@@ -195,8 +211,8 @@ def test_beta1_family_indices_differ():
     # Meixner uses degrees (2N, 2N-1); Charlier (N, N-1): different blocks
     assert beta1_indices(Meixner(xi=0.25, beta_m=1.0), 6) == (12, 11)
     assert beta1_indices(Charlier(theta=1.0), 6) == (6, 5)
-    mx1 = s1_block(Meixner(xi=0.25, beta_m=1.0), 4, np.arange(10))
-    ch1 = s1_block(Charlier(theta=1.0), 4, np.arange(10))
+    mx1 = gram_block(Meixner(xi=0.25, beta_m=1.0), 4, 1, np.arange(10), "contour")
+    ch1 = gram_block(Charlier(theta=1.0), 4, 1, np.arange(10), "contour")
     assert not np.allclose(mx1.S, ch1.S)
 
 
@@ -292,7 +308,7 @@ def _printed_cases(n=NAIVE_NODES):
     printed = lambda W1, W2: (W2 - W1) / ((W1 ** 2 - 1) * (W2 ** 2 - 1))
     dq = lambda m: (lambda W1, W2: (m(W1) - m(W2)) / (W1 - W2))
     meixner = lambda xs, swap, m=None, numerator="difference-quotient": _meixner_paper_kernel(
-        mx, 4, xs, xs, swap, n, m, numerator)
+        mx, 4, xs, swap, n, m, numerator)
     cases = {
         "meixner-paper": (lambda xs: meixner(xs, False),
                           lambda xs: _naive_meixner(mx, 4, xs, "product<1", nodes=n)),
@@ -312,13 +328,13 @@ def _printed_cases(n=NAIVE_NODES):
         for swap in (False, True):
             variant = "paper-swapped" if swap else "paper"
             cases[f"{fam.name}-{variant}"] = (
-                lambda xs, fam=fam, s=swap: _printed_nested_kernel(fam, 4, xs, xs, s, n),
+                lambda xs, fam=fam, s=swap: _printed_nested_kernel(fam, 4, xs, s, n),
                 lambda xs, fam=fam, s=swap: _naive_nested(fam, 4, xs, s, nodes=n))
             cases[f"{fam.name}-compose-{variant}"] = (
-                lambda xs, fam=fam, s=swap, m=m: _printed_nested_kernel(fam, 4, xs, xs, s, n, m),
+                lambda xs, fam=fam, s=swap, m=m: _printed_nested_kernel(fam, 4, xs, s, n, m),
                 lambda xs, fam=fam, s=swap, m=m: _naive_nested(fam, 4, xs, s, m, n))
         cases[f"{fam.name}-dual"] = (
-            lambda xs, fam=fam: _dual_kernel(fam, 4, xs, xs, n),
+            lambda xs, fam=fam: _dual_kernel(fam, 4, xs, n),
             lambda xs, fam=fam: _naive_dual(fam, 4, xs))
     return cases
 
@@ -351,9 +367,8 @@ def test_printed_formula_builds_no_cauchy_matrix(call):
     # a dense 1024-node Cauchy matrix alone is 16 MB, a 512-node one 4 MB
     import tracemalloc
     mx = Meixner(xi=0.45, beta_m=1.0)
-    run = {"projection": lambda: _meixner_paper_kernel(mx, 8, range(29), range(29), True, 1024),
-           "composition": lambda: _meixner_paper_kernel(mx, 6, np.arange(23), np.arange(23),
-                                                        False, 512,
+    run = {"projection": lambda: _meixner_paper_kernel(mx, 8, range(29), True, 1024),
+           "composition": lambda: _meixner_paper_kernel(mx, 6, np.arange(23), False, 512,
                                                         lambda z: symbol(mx, z))}[call]
     run()      # node tables and contour radii are cached on the first call
     tracemalloc.start()
@@ -372,7 +387,7 @@ def _dense_scores(fam):
     from pfkern.kernels import _max_rel
     out = {}
     xs = np.arange(0, min(3 * 8 + 5, fam.M + 1 if fam.finite else 10 ** 9))
-    K = projection_direct(fam, 8, xs)
+    K = oracle_block(fam, 8, 4, xs).K
     if fam.name == "meixner":
         for regime in ("product<1", "product>1"):
             out[f"paper {regime}"] = _naive_meixner(fam, 8, xs, regime, nodes=1024)[0]
@@ -471,7 +486,7 @@ def test_lazy_inserted_blocks_match_eager_assembly(fam, beta, route):
     from pfkern.symbols import contour_rows
     from pfkern.wavefunctions import get_table
     N = 6
-    blk = (s4_block if beta == 4 else s1_block)(fam, N, route=route)
+    blk = gram_block(fam, N, beta, None, route)
     xs = blk.xs
     lat = oracle_lattice(fam, N, xs)
     r = rank_of(fam, N)

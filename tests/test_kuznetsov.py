@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pfkern.families import Charlier, DomainError, Krawtchouk, Meixner
-from pfkern.kernels import compose_columns, default_window, gram_block, projection_direct
+from pfkern.kernels import compose_columns, default_window, gram_block, oracle_block
 from pfkern.kuznetsov import (GaussianTest, branch_jump, edge_ratio_report, m_h,
                               m_h_numeric, reality_symmetry_check, spliced_oracle,
                               spliced_s4)
@@ -86,7 +86,7 @@ def test_constant_limit():
 def test_spliced_s1_rank_one():
     fam = Charlier(theta=1.0)
     blk = spliced_s1(fam, 6, GaussianTest(sigma=2.0))
-    K = projection_direct(fam, 6, blk.xs)
+    K = oracle_block(fam, 6, 4, blk.xs).K
     sv = np.linalg.svd(blk.S - K, compute_uv=False)
     assert sv[1] < 1e-8 * sv[0]
 
@@ -102,7 +102,7 @@ def test_spliced_s1_matches_window_formula(fam):
     a, b = beta1_indices(fam, N)
     image = contour_rows(fam, [b], xs, eps_multiplier(fam, partial(m_h, test)))[0]
     phi_a = get_table(fam, a + 1, None if fam.finite else int(xs[-1])).phi[a, xs]
-    ref = projection_direct(fam, N, xs) + 0.5 * np.outer(phi_a, image)
+    ref = oracle_block(fam, N, 4, xs).K + 0.5 * np.outer(phi_a, image)
     blk = spliced_s1(fam, N, test)
     assert np.array_equal(blk.xs, xs)
     assert np.max(np.abs(blk.S - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -112,7 +112,7 @@ def test_spliced_s1_constant_limit():
     fam = Charlier(theta=1.0)
     sigma = 1e6
     blk = spliced_s1(fam, 6, GaussianTest(sigma=sigma))
-    K = projection_direct(fam, 6, blk.xs)
+    K = oracle_block(fam, 6, 4, blk.xs).K
     spliced_r1 = blk.S - K
     from pfkern.wavefunctions import get_table
     tab = get_table(fam, 8, x_max=int(blk.xs[-1]))

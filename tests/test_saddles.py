@@ -4,8 +4,7 @@ from scipy.integrate import quad
 
 from pfkern.families import Charlier, Krawtchouk, Meixner
 from pfkern.saddles import (EdgeClassification, bulk_support, cos_theta, edge_data,
-                            large_parameter, phase_derivative, rho_closed_form,
-                            saddle_pair, site_density)
+                            phase_derivative, rho_closed_form, saddle_pair, site_density)
 
 MX = Meixner(xi=0.25, beta_m=1.0)     # s = 1/2
 CH = Charlier(theta=32.0)             # tau = 1 at N = 32
@@ -22,8 +21,6 @@ def test_bulk_supports():
     assert bulk_support(MX) == pytest.approx((1 / 3, 3.0), rel=1e-14)
     assert bulk_support(CH, 32) == pytest.approx((0.0, 4.0), abs=1e-14)
     assert bulk_support(KR, 32) == pytest.approx((0.0, 1.0), abs=1e-14)
-    assert large_parameter(MX, 16) == 32
-    assert large_parameter(KR, 32) == 64
 
 
 def test_saddle_residual_and_conjugacy():
@@ -76,9 +73,9 @@ def test_cos_theta_iff_bulk():
 
 def test_site_density_vs_kernel_diagonal():
     fam = Charlier(theta=64.0)
-    from pfkern.kernels import projection_direct
+    from pfkern.kernels import oracle_block
     x = np.array([128])
-    K = projection_direct(fam, 64, x)
+    K = oracle_block(fam, 64, 4, x).K
     assert K[0, 0] == pytest.approx(site_density(fam, 2.0, 64), abs=2e-3)
 
 
