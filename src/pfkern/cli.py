@@ -130,14 +130,14 @@ def cmd_kernel(args, config) -> int:
     from .kernels import adjudicate_composition, beta1_indices, gram_block
     fam = _family(args)
     window = _window(args, fam)
+    adj = adjudicate_composition(fam)
     route, meta = "oracle" if args.oracle else "contour", {}
     if route == "contour":      # the contour block records what it was checked by
-        meta = ({"adjudication": adjudicate_composition(fam)["outcome"]} if args.beta == 4
+        meta = ({"adjudication": adj["outcome"]} if args.beta == 4
                 else {"rank_one_indices": beta1_indices(fam, args.N)})
     blk = gram_block(fam, args.N, args.beta, window, route, **meta)
     stem = _out(args, f"kernel_{fam.name}_b{args.beta}_N{args.N}")
     reports.write_kernel_csv(stem + ".csv", blk)
-    adj = adjudicate_composition(fam)
     reports.write_json(stem + ".json",
                        {"metadata": reports.block_metadata(blk),
                         "composition_adjudication": adj},

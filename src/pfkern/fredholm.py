@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .harness import _bulk_frame, _on_lattice
+from .harness import bulk_frame, on_lattice
 from .kernels import rank_of
 from .refkernels import sine_kernel
 from .wavefunctions import get_table
@@ -66,10 +66,10 @@ def bulk_scaled_gap_comparison(regime, A: int, u: float, lengths) -> dict:
     reported per length; a u not strictly inside the bulk support raises
     EdgeClassification.
     """
-    family, N, _, _, _, fields = _bulk_frame(regime, A, u)
+    family, N, _, _, _, fields = bulk_frame(regime, A, u)
     rho = fields["rho_site"]
     lo = int(np.ceil(A * u))
-    intervals = [_on_lattice(family, np.arange(lo, int(np.floor(A * u + L / rho)) + 1))
+    intervals = [on_lattice(family, np.arange(lo, int(np.floor(A * u + L / rho)) + 1))
                  for L in lengths]
     # one table for every length, on the lattice that the longest interval needs
     r = rank_of(family, N)

@@ -5,11 +5,11 @@ A `Regime` fixes the dimensionless shape of the ensemble while the large
 parameter A sweeps: Meixner keeps xi with A = 2N; Charlier keeps tau =
 theta/N with A = N; Krawtchouk keeps (gamma, p) with A = M, N = gamma M.
 
-Every study but the crossover reads a frame per A.  A frame (`_bulk_frame`,
-`_edge_frame`) is (family, N, window sites, microscopic coordinates s, sites
+Every study but the crossover reads a frame per A.  A frame (`bulk_frame`,
+`edge_frame`) is (family, N, window sites, microscopic coordinates s, sites
 per unit s, the entry's own fields): in the bulk x = floor(A u + s / rho_site)
 for s on `DEFAULT_GRID`, at a soft edge x = floor(A u* +- c_A s), cut to the
-lattice (`_on_lattice`).  `_compare` gives per frame (fields, s, block,
+lattice (`on_lattice`).  `_compare` gives a frame's (fields, s, block,
 limit(s), rank-one term): the oracle route's block and its beta = 1 rank-one
 term times the sites per unit s, at the realized (post-floor) s.  The bulk and
 edge studies `_sweep` it: per entry `c_fit` (one overall amplitude, always
@@ -63,44 +63,43 @@ DEFAULT_GRID = np.linspace(-2.0, 2.0, 17)
 _sine_kernel = lambda s: sine_kernel(s[:, None], s[None, :])
 
 
-def _on_lattice(fam, xs):
+def on_lattice(fam, xs):
     """The distinct sites of xs on the family's lattice: x >= 0, and x <= M for Krawtchouk."""
     xs = np.unique(xs)
     return xs[(xs >= 0) & (xs <= (fam.M if fam.finite else np.inf))]
 
 
-def _bulk_frame(regime, A, u):
+def bulk_frame(regime, A, u):
     """The frame at bulk position u: s = (x - A u) rho_site over `DEFAULT_GRID`;
     a u not strictly inside the bulk support raises EdgeClassification."""
     fam, N = regime.family_and_N(int(A))
     saddle_pair(fam, u, N)
     rho = site_density(fam, u, N)
-    xs = _on_lattice(fam, np.floor(A * u + DEFAULT_GRID * (1.0 / rho)).astype(int))
+    xs = on_lattice(fam, np.floor(A * u + DEFAULT_GRID * (1.0 / rho)).astype(int))
     return fam, N, xs, (xs - A * u) * rho, 1.0 / rho, {"A": int(A), "N": N, "rho_site": rho}
 
 
-def _edge_frame(regime, A, ed, s_grid):
+def edge_frame(regime, A, ed, s_grid):
     """The frame at the soft edge `ed` of `edge_data` over s in `s_grid`: s = +-(x - A u*) / c_A,
     mirrored at a left edge, with the Airy length c_A = (A |kappa| / 2)^(1/3) / |lambda| sites."""
     fam, N = regime.family_and_N(int(A))
     c_A = (A * abs(ed["kappa"]) / 2.0) ** (1.0 / 3.0) / abs(ed["lam"])
     orient = 1.0 if ed["side"] == "right" else -1.0
-    xs = _on_lattice(fam, np.floor(A * ed["u_star"] + orient * s_grid * c_A).astype(int))
+    xs = on_lattice(fam, np.floor(A * ed["u_star"] + orient * s_grid * c_A).astype(int))
     return fam, N, xs, orient * (xs - A * ed["u_star"]) / c_A, c_A, {"A": int(A), "c_A": c_A}
 
 
-def _compare(frames, beta, block, limit):
-    """Per frame: its fields, s in increasing order, and on the window in that order
+def _compare(frame, beta, block, limit):
+    """The frame's fields, s in increasing order, and on the window in that order
     the oracle route's block (S, SD, epsS, or K, at any beta from the beta = 1 block)
-    and beta = 1 rank-one term (else None), each times the sites per unit s, and limit(s)."""
-    for fam, N, xs, s, scale, fields in frames:
-        blk = oracle_block(fam, N, 1 if block == "K" else beta, xs)   # eps of 1 row, not r
-        V, rank_one = getattr(blk, block), blk.rank_one if beta == 1 else None
-        del blk     # and its lattice rows: a sweep holds one lattice's rows at a time
-        order = np.argsort(s)
-        pick = np.ix_(order, order)
-        rank_one = None if rank_one is None else (rank_one * scale)[pick]
-        yield fields, s[order], (V * scale)[pick], limit(s[order]), rank_one
+    times the sites per unit s, limit(s), and the beta = 1 rank-one term times the
+    same (else None)."""
+    fam, N, xs, s, scale, fields = frame
+    blk = oracle_block(fam, N, 1 if block == "K" else beta, xs)   # eps of 1 row, not r
+    order = np.argsort(s)
+    pick = np.ix_(order, order)
+    rank_one = (blk.rank_one * scale)[pick] if beta == 1 else None
+    return fields, s[order], (getattr(blk, block) * scale)[pick], limit(s[order]), rank_one
 
 
 def fit_amplitude(V, T):
@@ -111,7 +110,8 @@ def fit_amplitude(V, T):
 def _sweep(frames, beta, block, limit):
     """The entries of `frames` against `limit(s)` and their summary (module docstring)."""
     rows = []
-    for fields, _, V, T, rank_one in _compare(frames, beta, block, limit):
+    for frame in frames:
+        fields, _, V, T, rank_one = _compare(frame, beta, block, limit)
         c = fit_amplitude(V, T)
         entry = {**fields, "c_fit": c,
                  "sup_err_fitted": float(np.max(np.abs(V / c - T))) if c else float("inf"),
@@ -131,7 +131,7 @@ def _sweep(frames, beta, block, limit):
 def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
                           block: str = "S") -> dict:
     """The rescaled block against the sine kernel per A (`_sweep`)."""
-    frames = (_bulk_frame(regime, A, u) for A in A_list)
+    frames = (bulk_frame(regime, A, u) for A in A_list)
     return {"regime": regime.kind, "u": u, **_sweep(frames, beta, block, _sine_kernel)}
 
 
@@ -141,7 +141,7 @@ def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right"
     the first A and the `coalescence_exponent` (1/2) that makes A^(1/3) the Airy scale."""
     fam, N = regime.family_and_N(int(A_list[0]))
     ed = edge_data(fam, side, N)
-    frames = (_edge_frame(regime, A, ed, np.linspace(-3.5, 1.5, 13)) for A in A_list)
+    frames = (edge_frame(regime, A, ed, np.linspace(-3.5, 1.5, 13)) for A in A_list)
     return {"regime": regime.kind, "side": side, "u_star": ed["u_star"],
             "kappa": abs(ed["kappa"]), "lam": ed["lam"],
             **_sweep(frames, beta, block, airy_kernel),
@@ -189,8 +189,8 @@ def correction_extract(regime: Regime, beta: int, u: float, A_list) -> dict:
     first: it is separable, and the basis cannot represent it.
     """
     fields = []
-    frames = (_bulk_frame(regime, A, u) for A in A_list)
-    for entry, seff, V, T, rank_one in _compare(frames, beta, "S", _sine_kernel):
+    for A in A_list:
+        entry, seff, V, T, rank_one = _compare(bulk_frame(regime, A, u), beta, "S", _sine_kernel)
         if beta == 1:
             V = V - rank_one
         # resample onto the grid so fields are commensurate

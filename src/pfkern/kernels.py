@@ -423,7 +423,7 @@ def adjudicate_projection(family, N: int = 8) -> dict:
                       "paper-swapped": lambda: paper(swap=True),
                       "dual": lambda: _dual_kernel(family, N, xs, 1024)}
     report = _score({"family": family.name, "N": N}, candidates,
-                    oracle_block(family, N, 4, xs).K)
+                    oracle_block(family, N, 1, xs).K)   # eps of 1 row, not r
     report["passes"] = report["winner_error"] < 1e-8
     return report
 

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .families import DomainError
-from .harness import _edge_frame, fit_amplitude
+from .harness import edge_frame, fit_amplitude
 from .kernels import KernelBlockSet, compose_columns, gram_block
 from .saddles import edge_data
 from .symbols import default_contour, eps_multiplier, inverse_eps_symbol
@@ -128,7 +128,7 @@ def edge_ratio_report(regime, test: GaussianTest, A: int) -> dict:
     """
     fam, N = regime.family_and_N(A)
     ed = edge_data(fam, "right", N)
-    _, _, xs, _, _, _ = _edge_frame(regime, A, ed, np.linspace(-3.0, 1.0, 11))
+    _, _, xs, *_ = edge_frame(regime, A, ed, np.linspace(-3.0, 1.0, 11))
     measured = fit_amplitude(spliced_oracle(fam, N, test, xs).S, compose_columns(fam, N, xs).S)
     z_star = ed["z_star"]
     h = 1e-6

@@ -32,28 +32,6 @@ def test_bulk_rank_one_shares_the_oracle_table(monkeypatch):
     assert len(builds) == 3
 
 
-def test_studies_hold_one_block_at_a_time(monkeypatch):
-    # a frame's block, and with it its lattice rows, is gone before the next
-    # frame's block is built, so a sweep's peak memory is one lattice's
-    import gc
-    import weakref
-    from pfkern import harness
-    live, build = [], harness.oracle_block
-
-    def tracked(*args):
-        gc.collect()
-        assert [ref for ref in live if ref() is not None] == []
-        blk = build(*args)
-        live.append(weakref.ref(blk))
-        return blk
-
-    monkeypatch.setattr(harness, "oracle_block", tracked)
-    bulk_convergence_test(CH, 1, 2.0, [24, 48])
-    correction_extract(CH, 1, 2.0, [24, 48])
-    edge_convergence_test(CH, 1, [48, 96], block="K")
-    assert len(live) == 6
-
-
 def test_beta4_projection_applies_eps_to_one_row(monkeypatch):
     # K is the same at either beta, so a beta = 4 K request reads it off the
     # beta = 1 block, whose Gram applies eps to one row, not to all r

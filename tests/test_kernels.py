@@ -203,7 +203,7 @@ def test_s1_block_matches_oracle_and_rank_one(fam):
     orc = oracle_block(fam, N, 1)
     scale = np.max(np.abs(orc.S))
     assert np.max(np.abs(blk.S - orc.S)) / scale < 1e-8
-    sv = np.linalg.svd(blk.S - blk.K, compute_uv=False)
+    sv = np.linalg.svd(blk.S - orc.K, compute_uv=False)
     assert sv[1] < 1e-8 * sv[0]
 
 
