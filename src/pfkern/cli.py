@@ -94,6 +94,14 @@ def _out(args, name):
     return os.path.join(reports.output_dir(args.out), name)
 
 
+def _report(args, config, name, rep, summary=""):
+    """Write the study report `rep` as `name`, print `summary` and its path; exit code 0."""
+    path = _out(args, name)
+    reports.write_json(path, rep, config=config)
+    print(f"{summary}wrote {path}")
+    return 0
+
+
 def _parse_list(text, option, cast=int):
     """The positive finite values (int or float) of the comma-separated `text`
     given to `option`."""
@@ -191,25 +199,19 @@ def cmd_asym(args, config) -> int:
     if args.study == "bulk":
         rep = bulk_convergence_test(_regime(args), args.beta, _position(args),
                                     _parse_list(args.A_list, "--A-list"), block=args.block)
-        path = _out(args, f"bulk_{args.family}_b{args.beta}.json")
-        reports.write_json(path, rep, config=config)
-        print(f"slope {rep['slope']:.3f}; wrote {path}")
-        return 0
+        return _report(args, config, f"bulk_{args.family}_b{args.beta}.json", rep,
+                       f"slope {rep['slope']:.3f}; ")
     if args.study == "edge":
         rep = edge_convergence_test(_regime(args), args.beta,
                                     _parse_list(args.A_list, "--A-list"), block=args.block)
-        path = _out(args, f"edge_{args.family}_b{args.beta}.json")
-        reports.write_json(path, rep, config=config)
-        print(f"monotone decreasing: {rep['monotone_decreasing']}; wrote {path}")
-        return 0
+        return _report(args, config, f"edge_{args.family}_b{args.beta}.json", rep,
+                       f"monotone decreasing: {rep['monotone_decreasing']}; ")
     if args.study == "correction":
         rep = correction_extract(_regime(args), args.beta, _position(args),
                                  _parse_list(args.A_list, "--A-list"))
-        path = _out(args, f"correction_{args.family}_b{args.beta}.json")
-        reports.write_json(path, rep, config=config)
-        print(f"alpha_hat {rep['alpha_hat']:.4f} beta_hat {rep['beta_hat']:.4f} "
-              f"residual {rep['relative_residual']:.3f}; wrote {path}")
-        return 0
+        return _report(args, config, f"correction_{args.family}_b{args.beta}.json", rep,
+                       f"alpha_hat {rep['alpha_hat']:.4f} beta_hat {rep['beta_hat']:.4f} "
+                       f"residual {rep['relative_residual']:.3f}; ")
     if args.study == "crossover":
         unread = [f"--{n}" for n in ("xi", "tau", "gamma", "p") if getattr(args, n) is not None]
         if unread:
@@ -218,20 +220,14 @@ def cmd_asym(args, config) -> int:
         if not 0 < args.alpha < 2 * min(N_list):     # so that xi = 1 - alpha/(2N) is in (0, 1)
             raise DomainError(f"--alpha {args.alpha} is not in (0, 2 min(--N-list))")
         rep = crossover_test(args.alpha, N_list, beta=args.beta, block=args.block)
-        path = _out(args, "crossover.json")
-        reports.write_json(path, rep, config=config)
-        print(f"alpha_hat {rep['alpha_hat']:.3f} monotone {rep['monotone_decreasing']}; "
-              f"wrote {path}")
-        return 0
+        return _report(args, config, "crossover.json", rep,
+                       f"alpha_hat {rep['alpha_hat']:.3f} monotone {rep['monotone_decreasing']}; ")
     if args.study == "gap":
         from .fredholm import bulk_scaled_gap_comparison
         reg, u = _regime(args), _position(args)
         rep = bulk_scaled_gap_comparison(reg, _size(args, 256), u,
                                          _parse_list(args.lengths, "--lengths", float))
-        path = _out(args, "gap.json")
-        reports.write_json(path, rep, config=config)
-        print(f"wrote {path}")
-        return 0
+        return _report(args, config, "gap.json", rep)
     return 1
 
 
@@ -267,11 +263,9 @@ def cmd_splice(args, config) -> int:
         return 0
     if args.study == "edge-ratio":
         rep = edge_ratio_report(Regime(kind="charlier", tau=args.tau), test, A=_size(args, 96))
-        path = _out(args, "edge_ratio.json")
-        reports.write_json(path, rep, config=config)
-        print(f"measured {rep['measured_ratio']:.4f} vs predicted "
-              f"{rep['predicted_ratio']:.4f} (rel diff {rep['rel_diff']:.3f}); wrote {path}")
-        return 0
+        return _report(args, config, "edge_ratio.json", rep,
+                       f"measured {rep['measured_ratio']:.4f} vs predicted "
+                       f"{rep['predicted_ratio']:.4f} (rel diff {rep['rel_diff']:.3f}); ")
     return 1
 
 
@@ -329,17 +323,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = build_parser()    # built once per process; error() reads sys.stderr when called
 _ONE_FAMILY = {"asym crossover": "meixner", "splice edge-ratio": "charlier"}  # the family each runs
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.config:     # argv is --config[=]path, the command, its options; those win
             at = 2 if "=" in argv[0] else 3
-            args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
+            args = _PARSER.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
     except SystemExit as exc:
         return int(exc.code or 0)
     except (OSError, ValueError) as exc:

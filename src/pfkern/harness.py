@@ -65,7 +65,8 @@ _sine_kernel = lambda s: sine_kernel(s[:, None], s[None, :])
 
 def on_lattice(fam, xs):
     """The distinct sites of xs on the family's lattice: x >= 0, and x <= M for Krawtchouk."""
-    xs = np.unique(xs)
+    xs = np.sort(np.ravel(xs))
+    xs = xs[np.diff(xs, prepend=xs[:1] - 1) != 0]   # not np.unique: it imports numpy.ma (13 ms)
     return xs[(xs >= 0) & (xs <= (fam.M if fam.finite else np.inf))]
 
 

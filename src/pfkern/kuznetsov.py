@@ -19,19 +19,16 @@ the need to encircle the origin genuinely conflict for circle contours).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .families import DomainError
 from .harness import edge_frame, fit_amplitude
 from .kernels import KernelBlockSet, compose_columns, gram_block
+from .refkernels import legendre_nodes
 from .saddles import edge_data
 from .symbols import default_contour, eps_multiplier, inverse_eps_symbol
-
-
-_legendre_nodes = cache(leggauss)     # one eigenproblem per node count and process
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ class GaussianTest:
     def quadrature(self):
         """(t, weighted h) for even integrands: 400-node Gauss-Legendre on
         [0, T], doubled for the mirror half."""
-        x, wt = _legendre_nodes(400)
+        x, wt = legendre_nodes(400)
         T = self.tail_T()
         t = 0.5 * T * (x + 1.0)
         return t, T * wt * self.h(t)

@@ -1,13 +1,12 @@
 """Reference universal kernels: sine, Airy, Bessel.
 
-Each kernel is a closed form in special functions from numpy and
-scipy.special: the sine kernel is `np.sinc`, and the Airy and Bessel kernels
-take Ai, Ai' from `airy` and J from `jv`, one call per order for all their
+Each kernel is a closed form in special functions, all computed here in
+numpy: the sine kernel is `np.sinc`, the Airy kernel takes Ai, Ai' from
+`airy_ai` and the Bessel kernel J from `bessel_j`, one call for all their
 arguments.  Both are square: K(x_i, x_j) on one argument array x.  The
 Bessel kernel takes a stack of argument rows, so a fit over many scalings is
-one call.  Kernel formulas (not
-printed in the sources this library encodes) follow the standard literature
-conventions:
+one call.  Kernel formulas (not printed in the sources this library encodes)
+follow the standard literature conventions:
 
     K_sine(s, t) = sin(pi (s - t)) / (pi (s - t))
     K_Airy(x, y) = (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y)
@@ -16,8 +15,13 @@ conventions:
 """
 from __future__ import annotations
 
+import math
+from functools import cache
+
 import numpy as np
-from scipy.special import airy, jv
+from numpy.polynomial.legendre import leggauss
+
+legendre_nodes = cache(leggauss)     # one eigenproblem per node count and process
 
 
 def sine_kernel(s, t):
@@ -36,16 +40,59 @@ def sine_kernel_deriv(s, t):
     return float(val) if np.ndim(val) == 0 else val
 
 
+def airy_ai(x):
+    """(Ai(x), Ai'(x)) elementwise.  For |x| <= 8, Ai(x) = (1/pi) Re int exp(i (t^3/3 + x t)) dt
+    on [0, a], a = sqrt(max(-x, 0)), then on the ray a + e^(i pi/4) r, r <= 5.6, which leaves
+    the saddle a on its steepest descent, so |integrand| <= 1: 48 Gauss-Legendre nodes a piece.
+    Beyond, 32 terms of the asymptotic expansions (DLMF 9.7.5-6, 9.7.9-10), zeta >= 15."""
+    x = np.asarray(x, dtype=float)
+    near, ai, aip = np.abs(x) <= 8.0, np.empty_like(x), np.empty_like(x)
+    (g, w), c = legendre_nodes(48), 2.8 * np.exp(0.25j * np.pi)   # on [-1, 1]; half the ray
+    h = np.sqrt(np.maximum(-x[near], 0.0))[:, None] / 2     # half of a
+    t = np.concatenate([h * (g + 1), 2 * h + c * (g + 1)], axis=1)
+    f = np.concatenate([h * w, np.broadcast_to(c * w, h.shape[:1] + w.shape)], axis=1)
+    f *= np.exp(1j * (t ** 3 / 3 + x[near, None] * t))
+    ai[near], aip[near] = f.sum(axis=1).real / np.pi, -(f * t).sum(axis=1).imag / np.pi
+    k = np.arange(1.0, 32.0)            # u_k (DLMF 9.7.2) and v_k = -u_k (6k+1)/(6k-1)
+    u = np.cumprod(np.r_[1.0, (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216 * k * (2 * k - 1))])
+    y, pos = np.abs(x[~near]), x[~near] > 0
+    zeta = 2.0 / 3.0 * y ** 1.5
+    amp = np.where(pos, 0.5 * np.exp(-zeta), np.exp(-1j * (zeta - 0.25 * np.pi))) / np.sqrt(np.pi)
+    sums = amp[:, None] * ((np.where(pos, -1.0, 1j) / zeta)[:, None] ** np.r_[0, k]
+                           @ np.c_[u, np.r_[1.0, -u[1:] * (6 * k + 1) / (6 * k - 1)]])
+    ai[~near] = sums[:, 0].real / y ** 0.25
+    aip[~near] = -y ** 0.25 * np.where(pos, sums[:, 1].real, sums[:, 1].imag)
+    return ai, aip
+
+
 def airy_kernel(x):
     """[i, j] = K_Airy(x_i, x_j)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    ax, apx = airy(x)[:2]
-    X, Y = x[:, None], x[None, :]
-    num = ax[:, None] * apx[None, :] - apx[:, None] * ax[None, :]
-    den = X - Y
-    diag = apx[:, None] ** 2 - X * ax[:, None] ** 2
-    out = np.where(np.abs(den) < 1e-10, diag, num / np.where(np.abs(den) < 1e-10, 1.0, den))
-    return out
+    ax, apx = airy_ai(x)
+    num, den = ax[:, None] * apx - apx[:, None] * ax, x[:, None] - x
+    near = np.abs(den) < 1e-10
+    return np.where(near, apx[:, None] ** 2 - x[:, None] * ax[:, None] ** 2,
+                    num / np.where(near, 1.0, den))
+
+
+def bessel_j(alpha: float, x):
+    """(J_alpha(x), J_(alpha+1)(x)) elementwise, alpha, x >= 0: Miller's backward recurrence on
+    R_k = J_(alpha+k) / J_(alpha+k-1) = x / (2 (alpha + k) - x R_(k+1)), R = 0 above alpha + 2M,
+    M = ceil(x/2 + 2 x^(1/3) + 12) per x, normalised in the same pass by sum_m c_m J_(alpha+2m)
+    = (x/2)^alpha, c_0 = Gamma(alpha + 1), c_m = (alpha + 2m) Gamma(alpha + m) / m! (Horner)."""
+    x = np.asarray(x, dtype=float)
+    top = np.ceil(0.5 * x + 2.0 * np.cbrt(x) + 12.0)
+    m = np.arange(1, int(top.max(initial=0)) + 1)
+    c = np.r_[1.0, (alpha + 2 * m) * np.cumprod(np.r_[1.0, (alpha + m[1:] - 1) / m[1:]])]
+    ratio = total = np.zeros_like(x)
+    for j in range(len(m), -1, -1):
+        live = x * (j < top)                 # 0 at and above the start order
+        upper = live / (2.0 * (alpha + 2 * j + 2) - live * ratio)   # R_(2j+2)
+        ratio = live / (2.0 * (alpha + 2 * j + 1) - live * upper)   # R_(2j+1)
+        total = c[j] + ratio * upper * total
+    with np.errstate(divide="ignore"):     # log 0 gives J_alpha(0) = 0 for alpha > 0
+        j0 = (np.exp(alpha * np.log(0.5 * x) - math.lgamma(alpha + 1.0)) if alpha else 1.0) / total
+    return j0, j0 * ratio
 
 
 def bessel_kernel(alpha: float, x):
@@ -59,7 +106,7 @@ def bessel_kernel(alpha: float, x):
     both stay finite at x = 0, where J_{a-1} is infinite for 0 < a < 1."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     sx = np.sqrt(x)
-    jx, j1x = jv(alpha, sx), jv(alpha + 1, sx)
+    jx, j1x = bessel_j(alpha, sx)
     dx = alpha * jx - sx * j1x
     out = jx[..., :, None] * dx[..., None, :]
     den = dx[..., :, None] * jx[..., None, :]       # scratch until it holds 2 (x - y)

@@ -24,9 +24,8 @@ from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
-from .families import Charlier, Krawtchouk, Meixner, DomainError, QuadratureError
+from .families import Charlier, Krawtchouk, Meixner, DomainError, QuadratureError, log_gamma
 
 # ---------------------------------------------------------------------------
 # rational multipliers
@@ -147,17 +146,15 @@ def _running_powers(first, step, count):
 
 
 def degree_prefactor(family, n, x):
-    """(sign, log magnitude) of the factor multiplying the extraction.
+    """(sign, log n!, log h_n / 2, log w(x) / 2) of the factor multiplying the extraction.
 
     The monic norms come from the Jacobi recurrence, log h_n = sum_{k<=n}
     log b_k^2, with h_0 = 1 for the Poisson and binomial weights."""
     n = np.asarray(n)
     _, b2 = family.jacobi(np.arange(1, int(np.max(n)) + 1))
     log_h = np.concatenate([[0.0], np.cumsum(np.log(b2))])
-    lw = family.log_weight(np.asarray(x, dtype=float))
-    logmag = 0.5 * lw + gammaln(n + 1.0) - 0.5 * log_h[n]
     sign = np.where(n % 2 == 0, 1.0, -1.0) if isinstance(family, Krawtchouk) else np.ones(np.shape(n))
-    return sign, logmag
+    return sign, log_gamma(n + 1.0), 0.5 * log_h[n], 0.5 * family.log_weight(np.asarray(x, float))
 
 
 ContourSpec = namedtuple("ContourSpec", "radius node_count")   # origin-centred circle
@@ -217,16 +214,22 @@ def contour_rows(family, degrees, xs, multiplier=None):
     multiplier and 'single' without, one `_circle_rows` call per distinct circle."""
     kind = "single" if multiplier is None else "eps"
     degrees, xs = [int(k) for k in degrees], np.atleast_1d(xs)
+    top = max(degrees, default=0)
+    if family.finite and top > family.M:
+        raise DomainError(f"degree {top} exceeds Krawtchouk M={family.M}")
     circles = {}
     for i, k in enumerate(degrees):
         circles.setdefault(default_contour(family, kind, k), []).append(i)
+    prefactor = (None if isinstance(family, Meixner)
+                 else degree_prefactor(family, np.arange(top + 1), xs))
     out = np.empty((len(degrees), len(xs)))
     for contour, rows in circles.items():
-        out[rows] = _circle_rows(family, [degrees[i] for i in rows], xs, contour, multiplier)
+        out[rows] = _circle_rows(family, [degrees[i] for i in rows], xs, contour, multiplier,
+                                 prefactor)
     return out
 
 
-def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier=None):
+def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier=None, prefactor=None):
     """The rows of `contour_rows` for degrees that share one circle, and so its
     nodes z_j, weights z_j / n and multiplier values (the trapezoid sum of
     (1/(2 pi i)) oint f(z) dz is the mean over the n nodes of f(z) z).  The
@@ -238,13 +241,11 @@ def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier=None):
     over the degrees, and the [w^x] coefficient on z_j = r exp(2 pi i j / n)
     is r^-(x+1) FFT(core w)[(x+1) mod n], one FFT per chunk; sites x >= n
     alias onto x mod n, as the trapezoid sum does.  Charlier/Krawtchouk: one
-    `degree_integrand` and one `degree_prefactor` call per chunk; a row that
+    `degree_integrand` call per chunk, times the caller's `degree_prefactor`; a row that
     is not finite after the prefactor raises QuadratureError: e^(-theta z)
     overflows once theta r > 709, and the prefactor n! once n > 170.
     """
     degrees, k = np.asarray(degrees, dtype=np.int64), np.asarray(xs, dtype=np.int64) + 1
-    if family.finite and np.any(degrees > family.M):
-        raise DomainError(f"degree {degrees.max()} exceeds Krawtchouk M={family.M}")
     z = contour.radius * unit_roots(contour.node_count)
     mult_w = (1.0 if multiplier is None else multiplier(z)) * (z / contour.node_count)
     if isinstance(family, Meixner):
@@ -272,9 +273,10 @@ def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier=None):
             continue
         ns = degrees[part, None]
         raw = degree_integrand(family, xs, z, mult_w * z ** (-ns - 1)).real
-        sign, logmag = degree_prefactor(family, ns, xs)
+        sign, log_fact, half_log_h, site = prefactor
+        logmag = site + log_fact[ns] - half_log_h[ns]
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = np.exp(logmag, out=logmag) * (sign * raw)
+            rows = np.exp(logmag, out=logmag) * (sign[ns] * raw)
         bad = ~np.all(np.isfinite(rows), axis=1)
         if np.any(bad):
             raise QuadratureError(f"degree {ns[bad][0, 0]} extraction on radius "

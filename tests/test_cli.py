@@ -151,6 +151,42 @@ def test_config_flags_and_command_line_precedence(tmp_path):
     assert not list(tmp_path.glob("*_d.csv"))
 
 
+def _outputs(folder):
+    return {str(p.relative_to(folder)): p.read_bytes() for p in sorted(folder.rglob("*"))
+            if p.is_file() and p.suffix != ".cfg"}
+
+
+def test_consecutive_calls_match_fresh_processes(tmp_path, capsys):
+    # one parser serves every main call of a process: a sequence of calls,
+    # one of them with --config and one a usage error, gives the exit codes,
+    # printed lines and files that the same argvs give in fresh processes
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"window = 0:6\nout = {tmp_path / 'k'}\n")
+    density = ["asym", "density", "--family", "charlier", "--tau", "1", "--grid", "5",
+               "--out", str(tmp_path / "d")]
+    argvs = [density,
+             ["--config", str(cfg), "kernel", "--family", "charlier", "--theta", "1",
+              "--beta", "4", "--N", "4"],
+             ["kernel", "--family", "charlier"],
+             density[:-1] + [str(tmp_path / "d2")]]
+    seen = []
+    for argv in argvs:
+        code = main(argv)
+        seen.append((code, *capsys.readouterr(), _outputs(tmp_path)))
+    for path in tmp_path.rglob("*"):
+        if path.is_file() and path.suffix != ".cfg":
+            path.unlink()
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src"))
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "pfkern.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr, _outputs(tmp_path)))
+    assert [s[0] for s in seen] == [0, 3, 1, 0]
+    assert seen == fresh
+
+
 def test_json_report_identical_across_processes(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -245,6 +281,23 @@ def test_asym_crossover_beta4_runs(tmp_path):
     for e in rep["entries"]:
         assert np.isfinite(e["err_vs_bessel_alpha"]) and np.isfinite(e["err_vs_bessel_index0"])
         assert abs(e["amp_index0"]) < 0.05
+
+
+def test_asym_crossover_at_a_large_rate(tmp_path):
+    # alpha = 31.9 takes the Bessel kernel to orders near 33 and sqrt(u) near
+    # 75; the values were recorded with scipy.special.jv and are kept to 1e-12
+    code = main(["asym", "crossover", "--family", "meixner", "--alpha", "31.9",
+                 "--N-list", "16,32", "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "crossover.json").read_text())
+    got = [[e[k] for k in ("err_vs_bessel_alpha", "amp", "err_vs_bessel_index0", "amp_index0",
+                           "offset_index0")] for e in rep["entries"]]
+    want = [[1.8594577750618204, 0.8798629905727231, 1.0030470020996765, 0.8647435302604719, 1.2],
+            [1.2762534797995002, 1.0278979922908271, 0.6069995774737854, 0.9676260057063041, 1.6]]
+    scan = [v for _, v in rep["scan"]]
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(scan))
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    assert rep["alpha_hat"] == pytest.approx(32.7) and min(scan) == pytest.approx(0.5957233332536418, rel=1e-12)
 
 
 def test_adjudication_overflow_prints_no_warning(tmp_path):

@@ -118,8 +118,10 @@ def test_meixner_beta2_contour_rejected():
 
 def test_radius_independence():
     fam = Charlier(theta=1.0)
-    a = _circle_rows(fam, [6], [11], ContourSpec(radius=0.3, node_count=256))[0, 0]
-    b = _circle_rows(fam, [6], [11], ContourSpec(radius=0.8, node_count=256))[0, 0]
+    prefactor = degree_prefactor(fam, np.arange(7), [11])
+    a = _circle_rows(fam, [6], [11], ContourSpec(radius=0.3, node_count=256), None, prefactor)
+    b = _circle_rows(fam, [6], [11], ContourSpec(radius=0.8, node_count=256), None, prefactor)
+    a, b = a[0, 0], b[0, 0]
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -298,7 +300,8 @@ def test_degree_integrand_matches_defining_sum(fam, rows, spliced):
         for n, v, row in zip(ns, V, stacked):
             sites = np.unique(np.r_[np.arange(n % 8, L, 8), B - 1, B, B + 1, L - 1])
             if rows:    # where the prefactor is a normal double, not a subnormal one
-                sign, logmag = degree_prefactor(fam, n, sites)
+                sign, log_fact, half_log_h, site = degree_prefactor(fam, n, sites)
+                logmag = site + log_fact - half_log_h
                 normal = logmag > np.log(np.finfo(float).tiny)
                 sites, scale = sites[normal], np.exp(logmag[normal])
                 ref, mag = _defining_sums(fam, sites, z, v)
@@ -324,9 +327,10 @@ def test_charlier_extraction_memory_is_linear():
     import tracemalloc
     fam = Charlier(theta=96.0)
     spec, mult = default_contour(fam, "eps", 60), _spliced(fam)
+    prefactor = degree_prefactor(fam, np.arange(61), np.arange(785))
     tracemalloc.start()
     try:
-        vals = _circle_rows(fam, [60], np.arange(785), spec, mult)[0]
+        vals = _circle_rows(fam, [60], np.arange(785), spec, mult, prefactor)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,10 +2,13 @@
 every top-level definition of pfkern is reachable from `cli.main` or from a
 name the benchmark imports, one function builds every kernel block, only
 `kernels` reads a block's factors, and the process-wide caches are the
-listed ones."""
+listed ones.  One run-time guard: no pfkern process imports scipy."""
 import ast
 import functools
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -186,5 +189,26 @@ def test_process_wide_caches_are_the_listed_ones():
                     and is_cache(stmt.value):          # name = cache(fn)
                 cached.append(f"{path.stem}.{stmt.targets[0].id}")
     assert cached == ["kernels._contour_phi", "kernels.adjudicate_projection",
-                      "kernels.adjudicate_composition", "kuznetsov._legendre_nodes",
+                      "kernels.adjudicate_composition", "refkernels.legendre_nodes",
                       "saddles._saddle_rows", "symbols.unit_roots"]
+
+
+def test_no_pfkern_process_imports_scipy(tmp_path):
+    # every module, and the two requests that read Airy and Bessel functions
+    # (scipy.special was 0.22-0.27 s of a 0.4 s import); tests may use scipy
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import pfkern\n"
+        "for m in pkgutil.iter_modules(pfkern.__path__):\n"
+        "    importlib.import_module('pfkern.' + m.name)\n"
+        "from pfkern.cli import main\n"
+        f"assert main(['asym', 'edge', '--family', 'charlier', '--tau', '1', '--block', 'K',"
+        f" '--A-list', '32,64', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['asym', 'crossover', '--family', 'meixner', '--alpha', '1',"
+        f" '--N-list', '16,32', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

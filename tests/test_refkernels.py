@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import airy as scipy_airy, jv
 
-from pfkern.refkernels import airy_kernel, bessel_kernel, sine_kernel, sine_kernel_deriv
+from pfkern.refkernels import (airy_ai, airy_kernel, bessel_j, bessel_kernel, sine_kernel,
+                               sine_kernel_deriv)
 
 
 def test_sine_kernel_values():
@@ -40,6 +41,23 @@ def _airy_maclaurin(x, terms=40):
         g = g + b * x ** (3 * k + 1)
         gp = gp + (3 * k + 1) * b * x ** (3 * k)
     return c1 * f - c2 * g, c1 * fp - c2 * gp
+
+
+def test_airy_ai_against_scipy():
+    # the contour rule on [-8, 8] and the asymptotic expansions beyond
+    x = np.linspace(-30.0, 30.0, 6001)
+    ai, aip = airy_ai(x)
+    ref_ai, ref_aip = scipy_airy(x)[:2]
+    assert np.max(np.abs(ai - ref_ai)) < 1e-13 and np.max(np.abs(aip - ref_aip)) < 1e-13
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.1, 0.5, 1.0, 1.05, 2.7, 10.0, 33.0, 65.0])
+def test_bessel_j_against_scipy(nu):
+    x = np.linspace(0.0, 80.0, 4001)
+    j, j1 = bessel_j(nu, x)
+    assert np.max(np.abs(j - jv(nu, x))) < 1e-13 and np.max(np.abs(j1 - jv(nu + 1, x))) < 1e-13
+    # the start order follows each argument, not the largest one of the call
+    assert np.array_equal(bessel_j(nu, x[:2001])[0], j[:2001])
 
 
 def _airy_kernel_from(ai_x, aip_x, x, ai_y, aip_y, y):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pfkern.families import Charlier, DomainError, Krawtchouk, Meixner, truncate
+from pfkern.families import Charlier, DomainError, Krawtchouk, Meixner, log_gamma, truncate
 from pfkern.wavefunctions import get_table
 
 DESK = [
@@ -25,6 +25,16 @@ def test_weight_spot_values():
     assert weight(Meixner(xi=0.5, beta_m=2.0), 1) == pytest.approx(1.0, rel=1e-14)
     # C(4,2) (1/2)^4 = 0.375
     assert weight(Krawtchouk(M=4, p=0.5), 2) == pytest.approx(0.375, rel=1e-14)
+
+
+def test_log_gamma_against_math_lgamma():
+    # integers up to 10^7, the lattice bound `truncate` can reach, and
+    # half-integers; one call per array, and the shape of the argument kept
+    ints = np.unique(np.r_[1:20001, np.geomspace(1, 1e7, 4000).round()])
+    for x in (ints, ints - 0.5, np.linspace(0.01, 12.0, 1200)):
+        ref = np.array([math.lgamma(v) for v in x])
+        assert np.max(np.abs(log_gamma(x) - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-14
+    assert log_gamma(np.full((2, 3), 4.5)).shape == (2, 3) and log_gamma(5.0).shape == ()
 
 
 def test_weight_positive_and_domain():
