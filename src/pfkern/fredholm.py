@@ -13,7 +13,7 @@ from numpy.polynomial.legendre import leggauss
 from .harness import bulk_frame, on_lattice
 from .kernels import rank_of
 from .refkernels import sine_kernel
-from .wavefunctions import get_table
+from .wavefunctions import table_lattice, wave_table
 
 
 def nystrom_det(kernel, a: float, b: float, nodes: int = 40) -> float:
@@ -26,27 +26,26 @@ def nystrom_det(kernel, a: float, b: float, nodes: int = 40) -> float:
     return float(np.linalg.det(np.eye(nodes) - M))
 
 
-def gap_probability(kernel, a: float, b: float, tol: float = 1e-10,
-                    start_nodes: int = 16, max_nodes: int = 512):
+def gap_probability(kernel, a: float, b: float):
     """Nystrom determinant with a node-doubling convergence certificate.
 
-    Returns (value, certificate) where the certificate is the difference
-    between the last two levels.
+    Returns (value, certificate), the certificate the difference between the
+    last two levels: from 16 nodes, doubled until it is below 1e-10 or at 512.
     """
-    n = start_nodes
+    n = 16
     prev = nystrom_det(kernel, a, b, n)
     while True:
         n *= 2
         val = nystrom_det(kernel, a, b, n)
         err = abs(val - prev)
-        if err < tol or n >= max_nodes:
+        if err < 1e-10 or n >= 512:
             return val, err
         prev = val
 
 
-def sine_gap(length: float, **kw):
+def sine_gap(length: float):
     """det(I - K_sine) on [0, length]."""
-    return gap_probability(sine_kernel, 0.0, length, **kw)
+    return gap_probability(sine_kernel, 0.0, length)
 
 
 def discrete_gap(rows, points) -> float:
@@ -71,9 +70,10 @@ def bulk_scaled_gap_comparison(regime, A: int, u: float, lengths) -> dict:
     lo = int(np.ceil(A * u))
     intervals = [on_lattice(family, np.arange(lo, int(np.floor(A * u + L / rho)) + 1))
                  for L in lengths]
-    # one table for every length, on the lattice that the longest interval needs
+    # one table of rows 0..r-1 for every length, on the lattice the longest one needs
     r = rank_of(family, N)
-    phi = get_table(family, r + 1, None if family.finite else lo + max(map(len, intervals))).phi[:r]
+    phi = wave_table(family, r - 1,
+                     table_lattice(family, r + 1, lo + max(map(len, intervals)))).phi
     rows = []
     for L, pts in zip(lengths, intervals):
         d = discrete_gap(phi, pts)

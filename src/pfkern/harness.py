@@ -8,8 +8,8 @@ theta/N with A = N; Krawtchouk keeps (gamma, p) with A = M, N = gamma M.
 Every study but the crossover reads a frame per A.  A frame (`bulk_frame`,
 `edge_frame`) is (family, N, window sites, microscopic coordinates s, sites
 per unit s, the entry's own fields): in the bulk x = floor(A u + s / rho_site)
-for s on `DEFAULT_GRID`, at a soft edge x = floor(A u* +- c_A s), cut to the
-lattice (`on_lattice`).  `_compare` gives a frame's (fields, s, block,
+for s on `DEFAULT_GRID`, at the right soft edge x = floor(A u* + c_A s), cut
+to the lattice (`on_lattice`).  `_compare` gives a frame's (fields, s, block,
 limit(s), rank-one term): the oracle route's block and its beta = 1 rank-one
 term times the sites per unit s, at the realized (post-floor) s.  The bulk and
 edge studies `_sweep` it: per entry `c_fit` (one overall amplitude, always
@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Charlier, DomainError, Krawtchouk, Meixner
-from .kernels import _assemble_blocks, _rank_one_factors, beta1_indices, oracle_block, rank_of
+from .kernels import crossover_block, oracle_block
 from .refkernels import airy_kernel, bessel_kernel, sine_kernel, sine_kernel_deriv
 from .saddles import bulk_support, edge_data, saddle_pair, site_density
-from .symbols import contour_rows, eps_phi_via_contour
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,12 @@ def bulk_frame(regime, A, u):
 
 
 def edge_frame(regime, A, ed, s_grid):
-    """The frame at the soft edge `ed` of `edge_data` over s in `s_grid`: s = +-(x - A u*) / c_A,
-    mirrored at a left edge, with the Airy length c_A = (A |kappa| / 2)^(1/3) / |lambda| sites."""
+    """The frame at the right soft edge `ed` of `edge_data` over s in `s_grid`:
+    s = (x - A u*) / c_A, with the Airy length c_A = (A |kappa| / 2)^(1/3) / |lambda| sites."""
     fam, N = regime.family_and_N(int(A))
     c_A = (A * abs(ed["kappa"]) / 2.0) ** (1.0 / 3.0) / abs(ed["lam"])
-    orient = 1.0 if ed["side"] == "right" else -1.0
-    xs = on_lattice(fam, np.floor(A * ed["u_star"] + orient * s_grid * c_A).astype(int))
-    return fam, N, xs, orient * (xs - A * ed["u_star"]) / c_A, c_A, {"A": int(A), "c_A": c_A}
+    xs = on_lattice(fam, np.floor(A * ed["u_star"] + s_grid * c_A).astype(int))
+    return fam, N, xs, (xs - A * ed["u_star"]) / c_A, c_A, {"A": int(A), "c_A": c_A}
 
 
 def _compare(frame, beta, block, limit):
@@ -136,27 +134,24 @@ def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
     return {"regime": regime.kind, "u": u, **_sweep(frames, beta, block, _sine_kernel)}
 
 
-def edge_convergence_test(regime: Regime, beta: int, A_list, side: str = "right",
-                          block: str = "S") -> dict:
-    """The block against the Airy kernel per A (`_sweep`), with the edge data of
-    the first A and the `coalescence_exponent` (1/2) that makes A^(1/3) the Airy scale."""
+def edge_convergence_test(regime: Regime, beta: int, A_list, block: str = "S") -> dict:
+    """The block against the Airy kernel at the right soft edge per A (`_sweep`), with the
+    edge data of the first A and the `coalescence_exponent` (1/2) that sets the A^(1/3) scale."""
     fam, N = regime.family_and_N(int(A_list[0]))
-    ed = edge_data(fam, side, N)
+    ed = edge_data(fam, N)
     frames = (edge_frame(regime, A, ed, np.linspace(-3.5, 1.5, 13)) for A in A_list)
-    return {"regime": regime.kind, "side": side, "u_star": ed["u_star"],
+    return {"regime": regime.kind, "side": "right", "u_star": ed["u_star"],
             "kappa": abs(ed["kappa"]), "lam": ed["lam"],
             **_sweep(frames, beta, block, airy_kernel),
-            "coalescence_exponent": coalescence_exponent(regime, side)}
+            "coalescence_exponent": coalescence_exponent(regime)}
 
 
-def coalescence_exponent(regime: Regime, side: str = "right") -> float:
-    """Fit |z_+ - z_-| ~ C |u - u*|^p approaching a soft edge (p = 1/2), at A = 64."""
+def coalescence_exponent(regime: Regime) -> float:
+    """Fit |z_+ - z_-| ~ C |u - u*|^p approaching the right soft edge (p = 1/2), at A = 64."""
     fam, N = regime.family_and_N(64)
     lo, hi = bulk_support(fam, N)
-    u_star = hi if side == "right" else lo
-    inward = -1.0 if side == "right" else 1.0
     ds = np.geomspace(1e-4, 1e-2, 9) * (hi - lo)
-    gaps = [abs(np.subtract(*saddle_pair(fam, u_star + inward * d, N))) for d in ds]
+    gaps = [abs(np.subtract(*saddle_pair(fam, hi - d, N))) for d in ds]
     return float(np.polyfit(np.log(ds), np.log(gaps), 1)[0])
 
 
@@ -230,9 +225,10 @@ def _grid_resample(seff, R, grid):
 # Meixner -> hard-edge crossover
 
 
-def _bessel_fit(V, xs, index, scale, offsets=np.linspace(0.0, 1.6, 17)):
+def _bessel_fit(V, xs, index, scale):
     """Best (relative L2 error, offset, amplitude) of V against the Bessel
-    kernel at u = scale (x + offset), every offset from one stacked call."""
+    kernel at u = scale (x + offset), offsets 0, 0.1, ..., 1.6 from one stacked call."""
+    offsets = np.linspace(0.0, 1.6, 17)
     lam = scale * (xs + offsets[:, None])
     kernels = bessel_kernel(index, lam)
     kernels *= scale
@@ -258,18 +254,18 @@ def crossover_test(alpha: float, N_list, block: str = "S", beta: int = 4) -> dic
     while the printed statement names the rate alpha as the index, so the
     spec-facing comparison against bessel(alpha) is reported alongside the
     index-0 fit.  Only the S and K blocks are computed; SD and epsS raise
-    DomainError.  Both come from `_crossover_block` on the window alone, with
-    the beta = 4 Gram in closed form, so no lattice grows as xi -> 1.  The
-    beta = 4 S block is antisymmetric and the Bessel kernel symmetric, so
-    its fitted amplitudes are roundoff (`amp_index0` near 1e-14) and its
-    errors measure no convergence.
+    DomainError.  Both come from `kernels.crossover_block` on the window
+    alone, with the beta = 4 Gram in closed form, so no lattice grows as
+    xi -> 1.  The beta = 4 S block is antisymmetric and the Bessel kernel
+    symmetric, so its fitted amplitudes are roundoff (`amp_index0` near
+    1e-14) and its errors measure no convergence.
     """
     if block not in ("S", "K"):
         raise DomainError(f"crossover computes the S and K blocks, not {block}")
     xs = np.arange(41)
     rows = []
     for N in N_list:
-        V = _crossover_block(Meixner(xi=1.0 - alpha / (2.0 * N)), N, xs, beta, block)
+        V = crossover_block(Meixner(xi=1.0 - alpha / (2.0 * N)), N, xs, beta, block)
         err_spec, d_spec, amp_spec = _bessel_fit(V, xs, alpha, 4.0 * alpha)
         err_idx0, d0, amp0 = _bessel_fit(V, xs, 0.0, 4.0 * alpha)
         rows.append({"N": int(N), "xi": 1.0 - alpha / (2.0 * N),
@@ -286,24 +282,3 @@ def crossover_test(alpha: float, N_list, block: str = "S", beta: int = 4) -> dic
     return {"alpha": alpha, "beta": beta, "block": block, "entries": rows,
             "monotone_decreasing": bool(np.all(np.diff(errs) < 0)),
             "alpha_hat": alpha_hat, "scan": scan}
-
-
-def _crossover_block(family, N, xs, beta, block):
-    """Hard-edge window of the requested block for geometric-weight Meixner,
-    assembled without materializing the macroscopic lattice: window wave
-    functions from the contour representation and, for beta = 4, the eps
-    Gram E = G^-1 (eps = D^-1 in matrix form).  G = <phi_j, D phi_k> is the
-    antisymmetric Toeplitz matrix G_{j,j+d} = ((1 - s^2)/s)(-s)^(d-1), d >= 1."""
-    r = rank_of(family, N)
-    Phi = contour_rows(family, range(r + 1), xs)
-    if block == "K":
-        return Phi[:r].T @ Phi[:r]
-    if beta == 1:
-        a, b = beta1_indices(family, N)
-        factors = _rank_one_factors(Phi[:a + 1], eps_phi_via_contour(family, b, xs))
-    else:
-        s = family.s
-        row = np.r_[0.0, (1 - s * s) / s * (-s) ** np.arange(r - 1)]   # G_{0,d}
-        d = np.subtract.outer(np.arange(r), np.arange(r))   # d = j - k; G_{j,k} = row[k - j] if k > j
-        factors = Phi[:r], np.linalg.inv(np.where(d < 0, 1.0, -1.0) * row[np.abs(d)]), Phi[:r]
-    return _assemble_blocks(*factors)

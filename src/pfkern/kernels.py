@@ -13,11 +13,14 @@ and the eps inside E, and the rows are the provenance:
   kuznetsov.spliced_s4     contour   multiplier times m_h        contour
   kuznetsov.spliced_oracle oracle    multiplier times m_h        oracle
 
-(oracle rows: recurrence tables; contour rows: coefficient extraction,
-refused where K(x, x) > 1; multiplier: the contour image under the inverse
-eps symbol.)  Contour rows come from `symbols.contour_rows`, which extracts
-the degrees that share a `default_contour` circle together, and so shares
-that circle's nodes, multiplier values and FFTs.
+(oracle rows: one `wave_table` of degrees 0..r on the `oracle_lattice`;
+contour rows: coefficient extraction, refused where K(x, x) > 1; multiplier:
+the contour image under the inverse eps symbol.)  `crossover_block`, for
+`harness.crossover_test`, assembles the same sandwich on a window with no
+lattice: contour rows, and E = G^-1 in closed form at beta = 4.  Contour rows
+come from `symbols.contour_rows`, which extracts the degrees that share a
+`default_contour` circle together, and so shares that circle's nodes,
+multiplier values and FFTs.
 The inserted blocks of a lattice-eps block come from the same factors,
 SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps applied as
 stencil and prefix sums, so no lattice-by-lattice matrix is formed.  A
@@ -52,11 +55,11 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .families import Charlier, Meixner, QuadratureError, TruncatedLattice, truncate
+from .families import Charlier, DomainError, Meixner, QuadratureError, TruncatedLattice
 from .lattice_ops import apply_d, apply_eps
-from .symbols import (_generating_logs, contour_rows, eps_multiplier, inverse_eps_symbol,
-                      meixner_G, symbol, unit_roots)
-from .wavefunctions import get_table, _zone_need
+from .symbols import (contour_rows, eps_multiplier, eps_phi_via_contour, generating_logs,
+                      inverse_eps_symbol, meixner_G, symbol, unit_roots)
+from .wavefunctions import table_lattice, wave_table
 
 
 def rank_of(family, N: int) -> int:
@@ -151,7 +154,7 @@ def _rank_one_factors(rows, eps_b_row):
 
 
 def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
-               lattice: TruncatedLattice | None = None, **meta) -> KernelBlockSet:
+               **meta) -> KernelBlockSet:
     """The beta = 1 or 4 block on the window, with its factors.
 
     Rows phi_0..phi_r on the lattice come from the route: 'oracle' reads the
@@ -162,10 +165,10 @@ def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
     rank-one stacks.  The provenance is the route; `meta` adds to the
     lattice size."""
     window = default_window(family, N) if window is None else np.asarray(window)
-    lattice = lattice or oracle_lattice(family, N, window)
+    lattice = oracle_lattice(family, N, window)
     r = rank_of(family, N)
     if route == "oracle":
-        phi = _phi_on(family, r + 1, lattice)
+        phi = wave_table(family, r, lattice).phi
     else:
         phi = _contour_phi(family, r + 1, lattice)
         diag = float(np.max(np.sum(phi[:r] ** 2, axis=0)))   # max K(x, x), at most 1
@@ -191,17 +194,30 @@ def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
                           multiplier=multiplier)
 
 
+def crossover_block(family, N, xs, beta, block):
+    """Hard-edge window of the requested block for geometric-weight Meixner,
+    assembled without materializing the macroscopic lattice: window wave
+    functions from the contour representation and, for beta = 4, the eps
+    Gram E = G^-1 (eps = D^-1 in matrix form).  G = <phi_j, D phi_k> is the
+    antisymmetric Toeplitz matrix G_{j,j+d} = ((1 - s^2)/s)(-s)^(d-1), d >= 1."""
+    r = rank_of(family, N)
+    Phi = contour_rows(family, range(r + 1), xs)
+    if block == "K":
+        return Phi[:r].T @ Phi[:r]
+    if beta == 1:
+        a, b = beta1_indices(family, N)
+        factors = _rank_one_factors(Phi[:a + 1], eps_phi_via_contour(family, b, xs))
+    else:
+        s = family.s
+        row = np.r_[0.0, (1 - s * s) / s * (-s) ** np.arange(r - 1)]   # G_{0,d}
+        d = np.subtract.outer(np.arange(r), np.arange(r))   # d = j - k; G_{j,k} = row[k - j] if k > j
+        factors = Phi[:r], np.linalg.inv(np.where(d < 0, 1.0, -1.0) * row[np.abs(d)]), Phi[:r]
+    return _assemble_blocks(*factors)
+
+
 def oracle_lattice(family, N: int, window) -> TruncatedLattice:
-    """Lattice large enough that the window sits in the interior."""
-    if family.finite:
-        return truncate(family)
-    need = max(2 * int(np.max(window)) + 2, _zone_need(family, rank_of(family, N) + 1))
-    return truncate(family, x_min=need)
-
-
-def _phi_on(family, n_top, lattice):
-    tab = get_table(family, n_top, None if family.finite else lattice.x_max)
-    return tab.phi[:, : lattice.size]
+    """The `table_lattice` of degree r + 1 reaching 2 max(window) + 2: the window is interior."""
+    return table_lattice(family, rank_of(family, N) + 1, 2 * int(np.max(window)) + 2)
 
 
 @lru_cache(maxsize=1)
@@ -218,10 +234,9 @@ def _contour_phi(family, n_top, lattice):
 # entry points: each one builder call
 
 
-def oracle_block(family, N: int, beta: int, window=None,
-                 lattice: TruncatedLattice | None = None) -> KernelBlockSet:
+def oracle_block(family, N: int, beta: int, window=None) -> KernelBlockSet:
     """S, SD, epsS from the recurrence tables with the parity-split eps."""
-    return gram_block(family, N, beta, window, "oracle", lattice=lattice)
+    return gram_block(family, N, beta, window, "oracle")
 
 
 def compose_columns(family, N: int, xs) -> KernelBlockSet:
@@ -290,7 +305,7 @@ def _nested_radii(family) -> tuple[float, float]:
 
 def _printed_nested_kernel(family, N, xs, swap, nodes, m_func=None):
     """The printed concentric-circle forms over the rows c(t) a(t)^x
-    (`_generating_logs`), t1 on the outer circle (inner if swapped), with the
+    (`generating_logs`), t1 on the outer circle (inner if swapped), with the
     Cauchy factor (t2/t1)^N/(t1 - t2) = t1^-1 g[(j - i) mod n], g = q^N/(1 - q)
     with q = t2/t1 = (R2/R1) t, times a composition's difference quotient
     (m(t1) - m(t2))/(t1 - t2) if m_func is given: then the factor is
@@ -300,7 +315,7 @@ def _printed_nested_kernel(family, N, xs, swap, nodes, m_func=None):
     R1, R2 = (inner, outer) if swap else (outer, inner)
     t1, t2, q = R1 * t, R2 * t, (R2 / R1) * t
     xs = np.asarray(xs)
-    log_c, log_a = _generating_logs(family, np.stack([t1, t2]))
+    log_c, log_a = generating_logs(family, np.stack([t1, t2]))
     A, B = (np.exp(log_c[k] + xs[:, None] * log_a[k]) for k in range(2))
     lw = family.log_weight(np.arange(int(np.max(xs)) + 1, dtype=float))
     pref = np.exp(0.5 * (lw[xs][:, None] + lw[xs][None, :]))
@@ -347,7 +362,7 @@ def _dual_kernel(family, N, xs, nodes):
     x = xs[:, None]
     r_in = 0.45 if isinstance(family, Charlier) else 0.4 * min(1 / family.p, 1 / family.q)
     tin = r_in * t
-    log_c, log_a = _generating_logs(family, tin)
+    log_c, log_a = generating_logs(family, tin)
     A = np.exp(log_c + x * log_a + 0.5 * lw[x]) * tin ** (-N) * tin
     out = np.empty((len(xs), len(xs)))
     for iy, y in enumerate(xs):
@@ -379,9 +394,13 @@ def _max_rel(a, b):
     return float(f"{np.max(np.abs(a - b)) / scale:.12g}")
 
 
-def _adjudication_window(family, N: int) -> np.ndarray:
-    """Sites 0..3N + 4, or the whole lattice if smaller: where candidates are scored."""
-    return np.arange(min(3 * N + 5, family.M + 1) if family.finite else 3 * N + 5)
+def _adjudication_window(family, N: int) -> tuple[int, np.ndarray]:
+    """N capped at the Krawtchouk M, as a rank-N block reads rows 0..N of its M + 1,
+    and sites 0..3N + 4, or the whole lattice if smaller: where candidates are scored."""
+    if family.finite and family.M < 1:
+        raise DomainError(f"Krawtchouk M={family.M} has one site and no rank-one projection")
+    N = min(N, family.M) if family.finite else N
+    return N, np.arange(min(3 * N + 5, family.M + 1) if family.finite else 3 * N + 5)
 
 
 def _score(report: dict, candidates: dict, reference) -> dict:
@@ -403,15 +422,16 @@ def _score(report: dict, candidates: dict, reference) -> dict:
 
 
 @lru_cache(maxsize=16)
-def adjudicate_projection(family, N: int = 8) -> dict:
-    """Which contour convention reproduces the direct projection kernel.
+def adjudicate_projection(family) -> dict:
+    """Which contour convention reproduces the direct projection kernel, at N = 8
+    capped at the Krawtchouk M (`_adjudication_window`).
 
     Candidates at 1024 nodes, from the printed nesting (first) to the adjudicated
     convention (last), the two that `validate` reads: Meixner radius product < 1,
     then > 1; Charlier/Krawtchouk circles nested as printed, swapped, dual form."""
     if isinstance(family, Meixner) and family.beta_m != 1.0:
         raise ValueError("contour projection requires beta_m = 1")
-    xs = _adjudication_window(family, N)
+    N, xs = _adjudication_window(family, 8)
     # `validate` reads the first entry (printed nesting) and the last (adjudicated)
     if isinstance(family, Meixner):
         paper = partial(_meixner_paper_kernel, family, N, xs, nodes=1024)
@@ -436,9 +456,9 @@ def residual_rank(R):
 
 
 @lru_cache(maxsize=16)
-def adjudicate_composition(family, N: int = 6) -> dict:
+def adjudicate_composition(family) -> dict:
     """Printed composition vs the exact columns route vs the lattice oracle, at
-    N capped at the Krawtchouk M.
+    N = 6 capped at the Krawtchouk M (`_adjudication_window`).
 
     Candidates at 512 nodes: the difference quotient of the printed eps symbol,
     then of the exact `inverse_eps_symbol`, each nested as printed and swapped;
@@ -450,8 +470,7 @@ def adjudicate_composition(family, N: int = 6) -> dict:
         the multiplier realization and the lattice eps is low-rank (the
         boundary kernel of D), which is reported rather than hidden.
     """
-    N = min(N, family.M) if family.finite else N
-    window = _adjudication_window(family, N)
+    N, window = _adjudication_window(family, 6)
     oracle = oracle_block(family, N, 4, window)
     cols = compose_columns(family, N, window)
     m = lambda z: symbol(family, z)

@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .families import DomainError
+from .families import DomainError, QuadratureError
 from .harness import edge_frame, fit_amplitude
 from .kernels import KernelBlockSet, compose_columns, gram_block
 from .refkernels import legendre_nodes
@@ -57,13 +57,17 @@ class GaussianTest:
 
 
 def m_h(test: GaussianTest, w):
-    """The spectral symbol on the slit plane (principal branch), in closed
-    form: sqrt(pi/sigma) exp(-(log w)^2 / sigma)."""
+    """The spectral symbol on the slit plane (principal branch), in closed form:
+    sqrt(pi/sigma) exp(-(log w)^2 / sigma); QuadratureError where it overflows."""
     w = np.asarray(w, dtype=complex)
     if np.any((w.real <= 0) & (np.abs(w.imag) < 1e-300)):
         raise DomainError("m_h is undefined on the branch cut (-inf, 0]")
     lw = np.log(w)
-    return np.sqrt(np.pi / test.sigma) * np.exp(-lw * lw / test.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.sqrt(np.pi / test.sigma) * np.exp(-lw * lw / test.sigma)
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError(f"the Gaussian-test symbol m_h overflows at sigma={test.sigma:g}")
+    return vals
 
 
 def m_h_numeric(test: GaussianTest, w):
@@ -124,7 +128,7 @@ def edge_ratio_report(regime, test: GaussianTest, A: int) -> dict:
     s in [-3, 1].
     """
     fam, N = regime.family_and_N(A)
-    ed = edge_data(fam, "right", N)
+    ed = edge_data(fam, N)
     _, _, xs, *_ = edge_frame(regime, A, ed, np.linspace(-3.0, 1.0, 11))
     measured = fit_amplitude(spliced_oracle(fam, N, test, xs).S, compose_columns(fam, N, xs).S)
     z_star = ed["z_star"]

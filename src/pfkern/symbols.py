@@ -96,7 +96,7 @@ def meixner_G(m: int, omega, s: float):
     return np.where(zero, 0.0, G)
 
 
-def _generating_logs(family, z):
+def generating_logs(family, z):
     """(log c, log a) of the generating integrand g(z; x) = c a^x: c = e^(-theta z),
     a = 1 + z (Charlier); c = (1 + p z)^M, a = (1 - q z)/(1 + p z) (Krawtchouk)."""
     if isinstance(family, Charlier):
@@ -106,7 +106,7 @@ def _generating_logs(family, z):
 
 
 def degree_integrand(family, xs, z, v):
-    """sum_j c(z_j) a(z_j)^x v_j at the sites x >= 0 (`_generating_logs`), for one row
+    """sum_j c(z_j) a(z_j)^x v_j at the sites x >= 0 (`generating_logs`), for one row
     v of node values, or [row, x] for a stack of rows on one circle; with v_j =
     multiplier * weight * z_j^(-n-1) it is the z^n coefficient that `degree_prefactor`
     scales to phi_n(x).  Blocked: x = iB + k, B = floor(sqrt(max x + 1)), sums
@@ -114,7 +114,7 @@ def degree_integrand(family, xs, z, v):
     at each block start iB that holds sites.  A0 is a real exp of its log magnitude
     times a unit phase; the phases and P are running products, and only log v
     differs between the rows.  An overflowing term gives a non-finite sum."""
-    log_c, log_a = _generating_logs(family, z)
+    log_c, log_a = generating_logs(family, z)
     xs = np.asarray(xs, dtype=np.int64)
     lo, hi = int(xs.min(initial=0)), int(xs.max(initial=0))
     block = int(np.sqrt(hi + 1))
@@ -241,9 +241,9 @@ def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier=None, pre
     over the degrees, and the [w^x] coefficient on z_j = r exp(2 pi i j / n)
     is r^-(x+1) FFT(core w)[(x+1) mod n], one FFT per chunk; sites x >= n
     alias onto x mod n, as the trapezoid sum does.  Charlier/Krawtchouk: one
-    `degree_integrand` call per chunk, times the caller's `degree_prefactor`; a row that
-    is not finite after the prefactor raises QuadratureError: e^(-theta z)
-    overflows once theta r > 709, and the prefactor n! once n > 170.
+    `degree_integrand` call per chunk, times the caller's `degree_prefactor`.  In
+    every family a row that is not finite raises QuadratureError: e^(-theta z)
+    overflows once theta r > 709, the prefactor n! once n > 170.
     """
     degrees, k = np.asarray(degrees, dtype=np.int64), np.asarray(xs, dtype=np.int64) + 1
     z = contour.radius * unit_roots(contour.node_count)
@@ -262,24 +262,24 @@ def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier=None, pre
     step = max(1, 2 ** 14 // max(len(z), len(xs)))
     for lo in range(0, len(order), step):
         part = order[lo:lo + step]
-        if isinstance(family, Meixner):
-            chunk = np.empty((len(part), len(z)), dtype=complex)
-            for i, j in enumerate(part):
-                while n < degrees[j]:
-                    row *= ratio
-                    n += 1
-                chunk[i] = row
-            out[part] = (np.fft.fft(chunk, out=chunk)[:, bins] * scale).real
-            continue
-        ns = degrees[part, None]
-        raw = degree_integrand(family, xs, z, mult_w * z ** (-ns - 1)).real
-        sign, log_fact, half_log_h, site = prefactor
-        logmag = site + log_fact[ns] - half_log_h[ns]
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = np.exp(logmag, out=logmag) * (sign[ns] * raw)
+            if isinstance(family, Meixner):
+                chunk = np.empty((len(part), len(z)), dtype=complex)
+                for i, j in enumerate(part):
+                    while n < degrees[j]:
+                        row *= ratio
+                        n += 1
+                    chunk[i] = row
+                rows = (np.fft.fft(chunk, out=chunk)[:, bins] * scale).real
+            else:
+                ns = degrees[part, None]
+                raw = degree_integrand(family, xs, z, mult_w * z ** (-ns - 1)).real
+                sign, log_fact, half_log_h, site = prefactor
+                logmag = site + log_fact[ns] - half_log_h[ns]
+                rows = np.exp(logmag, out=logmag) * (sign[ns] * raw)
         bad = ~np.all(np.isfinite(rows), axis=1)
         if np.any(bad):
-            raise QuadratureError(f"degree {ns[bad][0, 0]} extraction on radius "
+            raise QuadratureError(f"degree {degrees[part][bad][0]} extraction on radius "
                                   f"{contour.radius:.6g} is not finite")
         out[part] = rows
     return out

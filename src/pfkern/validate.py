@@ -12,7 +12,8 @@ against the defining sums of `build_epsilon_direct`, and `apply_d` /
 `apply_eps` as mutual inverses on the wave functions of the same table
 (Krawtchouk with even M: of a second table, with M made odd).
 The contour-vs-direct invariant is the `adjudicate_projection` score of the
-adjudicated convention, or of the printed nesting when that is injected.
+adjudicated convention (or of the printed nesting, injected); idempotence is
+checked on the rank of that projection, N = 8 capped at the Krawtchouk M.
 """
 from __future__ import annotations
 
@@ -63,10 +64,10 @@ def run_validation(family=None, wrong_nesting: bool = False) -> dict:
         invariants.append(_item(f"{inv_fam!r} D eps mutual inverse (interior)",
                                 res["interior_residual"], 1e-8))
 
+        proj = adjudicate_projection(fam)
         invariants.append(_item(f"{fam!r} projection idempotence",
-                                _idempotence_defect(tab.phi[:rank_of(fam, 8)]), 1e-9))
+                                _idempotence_defect(tab.phi[:rank_of(fam, proj["N"])]), 1e-9))
         # the candidates run from the printed nesting to the adjudicated convention
-        proj = adjudicate_projection(fam, 8)
         scores = list(proj["candidates"].values())
         invariants.append(_item(f"{fam!r} contour vs direct projection"
                                 + (" [injected wrong nesting]" if wrong_nesting else ""),

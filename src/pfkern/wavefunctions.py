@@ -61,13 +61,6 @@ def _bad_edges(family, n_max, x):
     return left - 1.0, right + 1.0
 
 
-def _zone_need(family, n_max):
-    """Lattice size covering the top degree's zone plus its Airy tail."""
-    a, b2 = family.jacobi(float(n_max))
-    b = np.sqrt(max(b2, 0.0))
-    return int(np.ceil(a + 2 * b + 10 * max(1.0, b ** (2.0 / 3.0)))) + 10
-
-
 def wave_table(family, n_max: int, lattice: TruncatedLattice) -> WaveTable:
     """Build the full orthonormal table on the truncated lattice."""
     if family.finite and n_max > family.M // 2:
@@ -128,11 +121,18 @@ def wave_table(family, n_max: int, lattice: TruncatedLattice) -> WaveTable:
     return WaveTable(lattice=lattice, phi=phi, log_h=log_h)
 
 
+def table_lattice(family, n_max: int, x_max: int) -> TruncatedLattice:
+    """The truncated lattice of a table of degrees <= n_max: it covers the top degree's
+    oscillatory zone to a + 2b and its Airy tail, and reaches x_max (all of Krawtchouk's)."""
+    a, b2 = family.jacobi(float(n_max))
+    b = np.sqrt(max(b2, 0.0))
+    zone = int(np.ceil(a + 2 * b + 10 * max(1.0, b ** (2.0 / 3.0)))) + 10
+    return truncate(family, x_min=max(zone, n_max + 1, x_max))
+
+
 def get_table(family, n_max: int, x_max: int | None = None) -> WaveTable:
-    """Wave table for degrees <= n_max on the truncated lattice that covers
-    the top degree's oscillatory zone and reaches x_max; built on every call."""
+    """Wave table for degrees <= n_max (at most M for Krawtchouk) on the
+    `table_lattice` that reaches x_max; built on every call."""
     if family.finite:
         n_max = min(n_max, family.M)
-    x_min = max(_zone_need(family, n_max), n_max + 1, x_max or 0)
-    return wave_table(family, n_max, truncate(family, x_min=x_min))
-
+    return wave_table(family, n_max, table_lattice(family, n_max, x_max or 0))

@@ -463,6 +463,47 @@ def test_validate_on_small_and_even_krawtchouk_lattices(tmp_path, M, p):
                for i in rep["invariants"])
 
 
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_validate_on_the_smallest_krawtchouk_lattices(tmp_path, M):
+    # the projection checks run at N = 8 capped at M, on the M + 1 rows the
+    # lattice holds: a rank-M projection on M + 1 sites, not the identity
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["validate", "--family", "krawtchouk", "--M", str(M), "--p", "0.4",
+                     "--out", str(tmp_path)])
+    assert code in (0, 3)
+    rep = json.loads((tmp_path / "validate.json").read_text())
+    assert all(np.isfinite(i["residual"]) for i in rep["invariants"])
+    from pfkern.families import Krawtchouk
+    from pfkern.kernels import adjudicate_projection
+    assert adjudicate_projection(Krawtchouk(M=M, p=0.4))["N"] == min(8, M)
+
+
+def test_validate_on_a_one_site_krawtchouk_lattice_is_a_usage_error(tmp_path, capsys):
+    assert main(["validate", "--family", "krawtchouk", "--M", "0", "--p", "0.4",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "M=0" in capsys.readouterr().err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--family", "meixner", "--xi", "0.25", "--sigma", "0.01"],
+    ["reality", "--family", "charlier", "--theta", "1", "--sigma", "1e-3"],
+    ["kernel", "--family", "charlier", "--theta", "1", "--sigma", "0.01"],
+], ids=["kernel-meixner", "reality-charlier", "kernel-charlier"])
+def test_splice_symbol_overflow_is_a_numerical_failure(tmp_path, capsys, argv):
+    # exp(-(log w)^2 / sigma) overflows on the circles at small sigma: one error
+    # line, no output and no numpy warning, where it once wrote NaN
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["splice", *argv, "--out", str(tmp_path / "out")])
+    out = capsys.readouterr()
+    assert code == 2 and not (tmp_path / "out").exists()
+    assert out.err.splitlines() == [f"numerical failure: the Gaussian-test symbol m_h "
+                                    f"overflows at sigma={float(argv[-1]):g}"]
+
 @pytest.mark.parametrize("argv", [
     ["bulk", "--u", "0.3", "--A-list", "4"],
     ["bulk", "--u", "0.7", "--A-list", "16,32"],

@@ -359,3 +359,14 @@ def test_nonfinite_extraction_is_refused():
     v = w * z ** (-761)
     ref, mag = _defining_sums(fam, window, z, v)
     assert np.all(np.abs(degree_integrand(fam, window, z, v) - ref) <= 2e-13 * mag)
+
+
+@pytest.mark.parametrize("fam", [Meixner(xi=0.25), Charlier(theta=1.0), Krawtchouk(M=20, p=0.4)],
+                         ids=["meixner", "charlier", "krawtchouk"])
+def test_non_finite_rows_raise_in_every_family(fam):
+    # one infinite multiplier value on the circle makes every row non-finite:
+    # a QuadratureError, in the FFT route of Meixner too
+    blowup = lambda z: np.where(np.arange(z.size) == 1, np.inf, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(QuadratureError,
+                                                  match="degree 0 extraction on radius"):
+        contour_rows(fam, [0, 1], np.arange(6), blowup)

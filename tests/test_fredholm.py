@@ -17,8 +17,8 @@ def test_trivial_kernel_determinant_one():
 
 
 def test_nystrom_node_doubling_certificate():
-    val, cert = sine_gap(1.0, tol=1e-12)
-    assert cert < 1e-12
+    val, cert = sine_gap(1.0)
+    assert cert < 1e-10
     # classical value of the sine-kernel gap on [0,1] (unit density)
     assert val == pytest.approx(0.17, abs=0.02)
 
@@ -37,10 +37,10 @@ def test_discrete_gap_in_unit_interval_and_monotone():
 
 def test_gap_study_builds_one_table(monkeypatch):
     # every length reads the rows of one table, on the longest interval's lattice
-    from pfkern import wavefunctions
+    from pfkern import fredholm, wavefunctions
     builds = []
-    build = wavefunctions.wave_table
-    monkeypatch.setattr(wavefunctions, "wave_table",
+    build = fredholm.wave_table
+    monkeypatch.setattr(fredholm, "wave_table",
                         lambda *args: builds.append(args[2]) or build(*args))
     rep = bulk_scaled_gap_comparison(CH, 64, 2.0, [0.1, 1.6])
     assert [e["points"] for e in rep["entries"]] == [1, 7]
@@ -50,6 +50,29 @@ def test_gap_study_builds_one_table(monkeypatch):
     assert rep["entries"][0]["discrete"] == discrete_gap(phi, np.arange(128, 129))
     assert rep["entries"][1]["discrete"] == discrete_gap(phi, np.arange(128, 135))
 
+
+
+@pytest.mark.parametrize("regime, A, u", [(CH, 64, 2.0), (Regime(kind="meixner", xi=0.25), 64, 1.0),
+                                          (Regime(kind="krawtchouk", gamma=0.25, p=0.4), 64, 0.3)],
+                         ids=["charlier", "meixner", "krawtchouk"])
+def test_gap_study_builds_the_rows_it_reads(monkeypatch, regime, A, u):
+    # rows 0..r-1 of one table, sized once, on the lattice of degree r + 1 that
+    # reaches the longest interval
+    from pfkern import fredholm, wavefunctions
+    from pfkern.harness import bulk_frame
+    from pfkern.kernels import rank_of
+    tables, sizings = [], []
+    build, size = fredholm.wave_table, wavefunctions.truncate
+    monkeypatch.setattr(fredholm, "wave_table",
+                        lambda *args: tables.append(args[1:]) or build(*args))
+    monkeypatch.setattr(wavefunctions, "truncate",
+                        lambda *args, **kw: sizings.append(args) or size(*args, **kw))
+    rep = bulk_scaled_gap_comparison(regime, A, u, [0.5, 2.0])
+    fam, N, *_ = bulk_frame(regime, A, u)
+    r, ((n_max, lattice),) = rank_of(fam, N), tables
+    longest = int(np.ceil(A * u)) + max(e["points"] for e in rep["entries"])
+    assert len(sizings) == 1 and n_max == r - 1
+    assert lattice == wavefunctions.table_lattice(fam, r + 1, longest)
 
 def test_bulk_scaled_comparison():
     rep = bulk_scaled_gap_comparison(CH, 256, 3.0, [0.5, 1.0])

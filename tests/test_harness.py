@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from pfkern.families import Meixner, truncate
-from pfkern.harness import (Regime, _crossover_block, bulk_convergence_test,
-                            coalescence_exponent, correction_extract, crossover_test,
-                            edge_convergence_test)
-from pfkern.kernels import oracle_block, oracle_lattice
+from pfkern.harness import (Regime, bulk_convergence_test, coalescence_exponent,
+                            correction_extract, crossover_test, edge_convergence_test)
+from pfkern.kernels import crossover_block, oracle_lattice
+from pfkern.lattice_ops import apply_eps
+from pfkern.wavefunctions import wave_table
 
 CH = Regime(kind="charlier", tau=1.0)
 KR = Regime(kind="krawtchouk", gamma=0.25, p=0.4)
@@ -19,10 +20,10 @@ def test_bulk_beta1_charlier_small():
 
 
 def test_bulk_rank_one_shares_the_oracle_table(monkeypatch):
-    from pfkern import wavefunctions
+    from pfkern import kernels
     builds = []
-    build = wavefunctions.wave_table
-    monkeypatch.setattr(wavefunctions, "wave_table",
+    build = kernels.wave_table
+    monkeypatch.setattr(kernels, "wave_table",
                         lambda *args: builds.append(args[1]) or build(*args))
     bulk_convergence_test(CH, 1, 2.0, [24, 48])
     assert len(builds) == 2   # one wave table per A
@@ -135,14 +136,16 @@ def test_correction_extract_beta1_two_basis():
 
 
 def test_crossover_beta4_block_matches_doubled_lattice():
-    # E = G^-1 on contour rows against the oracle on a lattice twice the
-    # default length, which is itself off by up to 5e-5 as xi -> 1
+    # E = G^-1 on contour rows against the oracle's Gram sandwich, E = Phi eps(Phi)^T
+    # with the lattice eps, on a lattice twice the default length, which is itself
+    # off by up to 5e-5 as xi -> 1
     xs = np.arange(41)
     for xi in (0.25, 0.64, 0.81, 0.9, 1 - 1 / 32):
         fam = Meixner(xi=xi)
-        S = _crossover_block(fam, 8, xs, 4, "S")
+        S = crossover_block(fam, 8, xs, 4, "S")
         lattice = truncate(fam, x_min=2 * oracle_lattice(fam, 8, xs).x_max)
-        S_ref = oracle_block(fam, 8, 4, xs, lattice=lattice).S
+        phi = wave_table(fam, 15, lattice).phi      # rows 0..r-1, r = 2N = 16
+        S_ref = phi[:, xs].T @ (phi @ apply_eps(fam, phi.T)) @ phi[:, xs]
         assert np.max(np.abs(S - S_ref)) < 1e-11 * np.max(np.abs(S_ref))
 
 

@@ -49,7 +49,7 @@ def test_projection_contour_vs_direct(fam, N):
 
 @pytest.mark.parametrize("fam", FAMS, ids=IDS)
 def test_nesting_adjudication_unique_winner(fam):
-    rep = adjudicate_projection(fam, 8)
+    rep = adjudicate_projection(fam)
     assert rep["passes"]
     losers = [v for k, v in rep["candidates"].items() if k != rep["winner"]]
     assert min(losers) > 1e-3   # the other conventions are decisively rejected
@@ -111,14 +111,39 @@ def test_oracle_block_vs_dense_operators(fam, beta):
 
 
 def test_oracle_block_truncation_stability():
+    # the block on its own lattice against the same Gram sandwich, E = Phi eps(Phi)^T,
+    # on 241 sites
     fam = Charlier(theta=1.0)
     N = 6
     win = np.arange(0, 25)
     from pfkern.families import TruncatedLattice
-    a = oracle_block(fam, N, 4, win, TruncatedLattice(x_max=120))
-    b = oracle_block(fam, N, 4, win, TruncatedLattice(x_max=240))
-    assert np.max(np.abs(a.S - b.S)) < 1e-10
+    from pfkern.lattice_ops import apply_eps
+    from pfkern.wavefunctions import wave_table
+    a = oracle_block(fam, N, 4, win)
+    phi = wave_table(fam, N - 1, TruncatedLattice(x_max=240)).phi
+    b = phi[:, win].T @ (phi @ apply_eps(fam, phi.T)) @ phi[:, win]
+    assert a.meta["lattice_x_max"] < 240 and np.max(np.abs(a.S - b)) < 1e-10
 
+
+
+@pytest.mark.parametrize("fam", FAMS, ids=IDS)
+@pytest.mark.parametrize("beta", [1, 4])
+def test_oracle_block_sizes_one_table_of_the_rows_it_reads(monkeypatch, fam, beta):
+    # one lattice sizing and one table of rows 0..r, the rows a block reads, on
+    # the lattice that sizing the table again by the same rule returns unchanged
+    import pfkern.kernels as kernels
+    import pfkern.wavefunctions as wavefunctions
+    tables, sizings = [], []
+    build, size = kernels.wave_table, wavefunctions.truncate
+    monkeypatch.setattr(kernels, "wave_table",
+                        lambda *args: tables.append(args[1:]) or build(*args))
+    monkeypatch.setattr(wavefunctions, "truncate",
+                        lambda *args, **kw: sizings.append(args) or size(*args, **kw))
+    N = 8
+    blk = oracle_block(fam, N, beta, default_window(fam, N))
+    r, ((n_max, lattice),) = rank_of(fam, N), tables
+    assert len(sizings) == 1 and n_max == r and blk.meta["lattice_x_max"] == lattice.x_max
+    assert wavefunctions.table_lattice(fam, r + 1, lattice.x_max) == lattice
 
 @pytest.mark.parametrize("fam", FAMS, ids=IDS)
 def test_compose_columns_vs_oracle_structure(fam):
@@ -426,7 +451,7 @@ def test_adjudication_reports_match_the_dense_printed_forms(fam):
     # and outcome stays, a decisive score moves by roundoff only, and a
     # roundoff-level winner stays at roundoff
     proj, comp = _dense_scores(fam)
-    for rep, dense in ((adjudicate_projection(fam, 8), proj), (adjudicate_composition(fam), comp)):
+    for rep, dense in ((adjudicate_projection(fam), proj), (adjudicate_composition(fam), comp)):
         dense = {**rep["candidates"], **dense}      # the dual form is not a printed one
         assert set(dense) == set(rep["candidates"])
         winner = min(dense, key=dense.get)
@@ -466,7 +491,7 @@ def test_validation_reads_the_projection_adjudication(monkeypatch, fam):
     kernels.adjudicate_projection.cache_clear()
     kernels.adjudicate_composition.cache_clear()
     reports = run_validation(fam), run_validation(fam, wrong_nesting=True)
-    proj, comp = adjudicate_projection(fam, 8), adjudicate_composition(fam)
+    proj, comp = adjudicate_projection(fam), adjudicate_composition(fam)
     assert len(calls) == len(proj["candidates"]) + len(comp["candidates"])
     adjudicated, printed = (("paper product>1", "paper product<1") if fam.name == "meixner"
                             else ("dual", "paper"))

@@ -99,7 +99,7 @@ def test_argmax_on_admissible_circle():
 
 
 def test_edge_data_charlier():
-    ed = edge_data(CH, "right", 32)
+    ed = edge_data(CH, 32)
     assert ed["u_star"] == pytest.approx(4.0)
     assert ed["z_star"] == pytest.approx(1.0)
     assert ed["kappa"] == pytest.approx(-1.0)
