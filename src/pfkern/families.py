@@ -7,6 +7,7 @@ coefficients of the monic orthogonal polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,13 @@ def log_gamma(x):
     whole = low[(x[low] == np.rint(x[low])) & (x[low] > 0)]
     out[whole] = _LOG_FACTORIAL[x[whole].astype(int) - 1]
     return out.reshape(shape)
+
+
+@lru_cache(maxsize=16)
+def _log_gamma_at(x: float) -> float:
+    """log Gamma(x) at one point: a family's normalising constant, which every
+    `log_weight` call reads; cached here, not on the family, whose fields the reports write."""
+    return float(log_gamma(x))
 
 
 class DomainError(ValueError):
@@ -61,7 +69,7 @@ class Meixner:
     def log_weight(self, x):
         x = np.asarray(x, dtype=float)
         lg = log_gamma(np.stack([self.beta_m + x, x + 1]))     # one call for both arrays
-        return lg[0] - log_gamma(self.beta_m) - lg[1] + x * np.log(self.xi)
+        return lg[0] - _log_gamma_at(self.beta_m) - lg[1] + x * np.log(self.xi)
 
     def jacobi(self, n):
         """Monic recurrence p_{n+1} = (x - a_n) p_n - b_n^2 p_{n-1}."""
@@ -116,7 +124,7 @@ class Krawtchouk:
     def log_weight(self, x):
         x = np.asarray(x, dtype=float)
         lg = log_gamma(np.stack([x + 1, self.M - x + 1]))
-        return (log_gamma(self.M + 1.0) - lg[0] - lg[1]
+        return (_log_gamma_at(self.M + 1.0) - lg[0] - lg[1]
                 + x * np.log(self.p) + (self.M - x) * np.log(self.q))
 
     def jacobi(self, n):
@@ -145,14 +153,14 @@ class TruncatedLattice:
 
 
 def truncate(family, x_min: int = 0) -> TruncatedLattice:
-    """Smallest window from x_min on with w below 1e-16 of its peak and tail mass < 1e-14."""
+    """Smallest window from x_min on with w below 1e-16 of its peak and tail mass < 1e-14,
+    found by doubling a search window; each doubling weighs only the new sites."""
     if family.finite:
         return TruncatedLattice(x_max=family.M)
     block = 256
     x_hi = max(x_min, block)
+    lw = family.log_weight(np.arange(x_hi + 1))
     while True:
-        x = np.arange(x_hi + 1)
-        lw = family.log_weight(x)
         peak = lw.max()
         w = np.exp(lw - peak)
         csum = np.cumsum(w)
@@ -167,4 +175,5 @@ def truncate(family, x_min: int = 0) -> TruncatedLattice:
                 return TruncatedLattice(x_max=int(small[0]))
         if x_hi > 10_000_000:
             raise DomainError("truncation search failed; weight decays too slowly")
+        lw = np.concatenate([lw, family.log_weight(np.arange(x_hi + 1, 2 * x_hi + 1))])
         x_hi *= 2

@@ -1,8 +1,13 @@
 """Projection kernels and the beta = 1, 4 scalar/off-diagonal blocks.
 
 Every block on a window is one Gram sandwich S = L_x^T E R_y: row stacks
-L, R of wave functions on the truncated lattice around a small Gram E,
-E = Phi eps(Phi)^T for beta = 4 and the rank-one stacks for beta = 1.  One
+L, R of wave functions on the truncated lattice around a small Gram E.  At
+beta = 4, L = R = Phi = phi_0..phi_(r-1) and E = Phi eps(Phi)^T.  At beta = 1
+the rows phi_0..phi_a and eps phi_b share one buffer T = [phi_0..phi_a,
+eps phi_b], with L = T[:a + 1], R = T and the (a + 1) x (a + 2) Gram with
+E[k, k] = 1 for k < a and E[a, a + 1] = 1/2: K plus the rank-one term.  So a
+block holds one lattice-sized array, its rows: the oracle route writes
+eps phi_b into the spare row of the wave table's own buffer.  One
 builder, `gram_block`, forms every block; a caller only chooses the rows
 and the eps inside E, and the rows are the provenance:
 
@@ -23,7 +28,9 @@ come from `symbols.contour_rows`, which extracts the degrees that share a
 multiplier values and FFTs.
 The inserted blocks of a lattice-eps block come from the same factors,
 SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps applied as
-stencil and prefix sums, so no lattice-by-lattice matrix is formed.  A
+stencil and prefix sums, so no lattice-by-lattice matrix is formed; they, and
+the beta = 4 Gram, pass over the lattice `_ROW_BLOCK` rows at a time, and
+R D and eps L keep only the window columns.  A
 `KernelBlockSet` computes them on first read, so a caller that reads only S
 never pays for them.  It also names K (from the first `rank_of` rows of L) and
 the beta = 1 rank-one term `rank_one`, so no other module reads the factors.
@@ -61,6 +68,8 @@ from .symbols import (contour_rows, eps_multiplier, eps_phi_via_contour, generat
                       inverse_eps_symbol, meixner_G, symbol, unit_roots)
 from .wavefunctions import table_lattice, wave_table
 
+_ROW_BLOCK = 128    # rows per pass of D or eps over the lattice
+
 
 def rank_of(family, N: int) -> int:
     """Number of wave functions in the projection: 2N for Meixner, N else."""
@@ -85,9 +94,12 @@ class KernelBlockSet:
 
     Every block is square on its window: x and y both run over xs.
     `gram_block` builds every block from lattice factors (L, E, R),
-    S = L_x^T E R_y.  A block whose eps is the lattice operator computes
+    S = L_x^T E R_y, where L and R are views of one array of rows: Phi at
+    beta = 4, T = [phi_0..phi_a, eps phi_b] at beta = 1 (L = T[:a + 1],
+    R = T, E rectangular).  A block whose eps is the lattice operator computes
     SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y on first read, with D
-    and eps applied to the whole lattice as stencil and prefix sums.  A block
+    and eps applied as stencil and prefix sums, row block by row block, at
+    the window columns only.  A block
     whose eps is a contour multiplier (composed, spliced) has no inserted
     blocks: both read None.  K and rank_one (None at beta = 4) are the window
     projection and the beta = 1 term (1/2) phi_a (x) (eps phi_b)(y)."""
@@ -107,15 +119,15 @@ class KernelBlockSet:
         if self.multiplier is not None:
             return None
         L, E, R = self.factors
-        RD = -apply_d(self.family, R.T).T          # R D, since D^T = -D
-        return _assemble_blocks(L, E, RD, self.xs)
+        RD = -_window_rows(apply_d, self.family, R, self.xs)    # R D, since D^T = -D
+        return _assemble_blocks(L[:, self.xs], E, RD)
 
     @cached_property
     def epsS(self) -> np.ndarray | None:
         if self.multiplier is not None:
             return None
         L, E, R = self.factors
-        return _assemble_blocks(apply_eps(self.family, L.T).T, E, R, self.xs)
+        return _assemble_blocks(_window_rows(apply_eps, self.family, L, self.xs), E, R[:, self.xs])
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -139,18 +151,32 @@ class KernelBlockSet:
 
 def _assemble_blocks(L, E, R, xs=slice(None)):
     """S = L_x^T E R_y, x and y in xs (every site by default), for row stacks
-    L, R (k x sites) and a k x k Gram E."""
+    L, R (k x sites, l x sites) and a k x l Gram E."""
     return L[:, xs].T @ (E @ R[:, xs])
 
 
-def _rank_one_factors(rows, eps_b_row):
-    """(L, E, R) of K + (1/2) phi_a (x) (eps phi_b) from the rows phi_0..phi_a:
-    a = r (`beta1_indices`), so K takes all rows but the last.  L is `rows`
-    itself; the rank-one term is its last row against the extra row eps phi_b
-    of R, weighted 1/2 in E."""
-    E = np.eye(len(rows))
-    E[-1, -1] = 0.5
-    return rows, E, np.vstack([rows[:-1], eps_b_row])
+def _window_rows(op, family, rows, sites):
+    """op(family, rows.T).T, the lattice operator D or eps applied to each row, at
+    the columns `sites`; `_ROW_BLOCK` rows at a time, so no temporary holds more."""
+    return np.vstack([op(family, rows[lo:lo + _ROW_BLOCK].T)[sites].T
+                      for lo in range(0, len(rows), _ROW_BLOCK)])
+
+
+def _eps_rows(family, T, lo, hi, multiplier):
+    """eps phi_lo..eps phi_(hi - 1) on the lattice of the rows T = phi_0, phi_1, ...:
+    the lattice eps, or the contour image under z -> multiplier(z) if one is given."""
+    if multiplier is None:
+        return apply_eps(family, T[lo:hi].T).T
+    return contour_rows(family, range(lo, hi), np.arange(T.shape[1]), multiplier)
+
+
+def _rank_one_gram(a):
+    """E of the beta = 1 layout T = [phi_0..phi_a, eps phi_b] with L = T[:a + 1], R = T:
+    E[k, k] = 1 for k < a gives K, E[a, a + 1] = 1/2 the rank-one term, and every
+    other entry is zero, so each entry of E R is one product."""
+    E = np.eye(a + 1, a + 2)
+    E[a, a:] = 0.0, 0.5
+    return E
 
 
 def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
@@ -161,33 +187,33 @@ def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
     recurrence tables, 'contour' the contour extraction, which raises
     QuadratureError where its rows give K(x, x) > 1 + 1e-6.  eps is the
     lattice operator, or the contour image under z -> multiplier(z) if one is
-    given.  beta = 4: L = R = Phi with E = Phi eps(Phi)^T; beta = 1: the
-    rank-one stacks.  The provenance is the route; `meta` adds to the
-    lattice size."""
+    given.  beta = 4: L = R = Phi with E = Phi eps(Phi)^T, taken `_ROW_BLOCK`
+    columns at a time; beta = 1: eps phi_b goes into the spare row of the rows'
+    own buffer T (`_rank_one_gram`).  The provenance is the route; `meta` adds
+    to the lattice size."""
+    if beta not in (1, 4):
+        raise ValueError("beta must be 1 or 4")
     window = default_window(family, N) if window is None else np.asarray(window)
     lattice = oracle_lattice(family, N, window)
     r = rank_of(family, N)
+    spare = int(beta == 1)
     if route == "oracle":
-        phi = wave_table(family, r, lattice).phi
+        T = wave_table(family, r, lattice, spare).rows
     else:
         phi = _contour_phi(family, r + 1, lattice)
         diag = float(np.max(np.sum(phi[:r] ** 2, axis=0)))   # max K(x, x), at most 1
         if not diag <= 1.0 + 1e-6:
             raise QuadratureError(f"contour rows give K(x, x) = {diag:.3g} > 1 "
                                   f"on {lattice.size} sites")
-
-    def eps(lo, hi):     # rows eps phi_lo..eps phi_(hi - 1)
-        if multiplier is None:
-            return apply_eps(family, phi[lo:hi].T).T
-        return contour_rows(family, range(lo, hi), np.arange(lattice.size), multiplier)
-
+        T = np.vstack([phi, np.empty((spare, lattice.size))])    # a copy: the cache is read-only
     if beta == 4:
-        factors = phi[:r], phi[:r] @ eps(0, r).T, phi[:r]
-    elif beta == 1:
-        a, b = beta1_indices(family, N)
-        factors = _rank_one_factors(phi[:a + 1], eps(b, b + 1))
+        E = np.hstack([T[:r] @ _eps_rows(family, T, lo, min(lo + _ROW_BLOCK, r), multiplier).T
+                       for lo in range(0, r, _ROW_BLOCK)])
+        factors = T[:r], E, T[:r]
     else:
-        raise ValueError("beta must be 1 or 4")
+        a, b = beta1_indices(family, N)
+        T[a + 1] = _eps_rows(family, T, b, b + 1, multiplier)[0]
+        factors = T[:a + 1], _rank_one_gram(a), T
     return KernelBlockSet(family=family, beta=beta, N=N, xs=window,
                           S=_assemble_blocks(*factors, window), provenance=route,
                           meta={"lattice_x_max": lattice.x_max, **meta}, factors=factors,
@@ -206,7 +232,8 @@ def crossover_block(family, N, xs, beta, block):
         return Phi[:r].T @ Phi[:r]
     if beta == 1:
         a, b = beta1_indices(family, N)
-        factors = _rank_one_factors(Phi[:a + 1], eps_phi_via_contour(family, b, xs))
+        T = np.vstack([Phi, eps_phi_via_contour(family, b, xs)])
+        factors = T[:a + 1], _rank_one_gram(a), T
     else:
         s = family.s
         row = np.r_[0.0, (1 - s * s) / s * (-s) ** np.arange(r - 1)]   # G_{0,d}

@@ -8,8 +8,11 @@ filled through the self-duality phi_n(x) = (-1)^(n+x) phi_x(n) shared by all
 three families, which maps them into the stable region of the table.
 
 The table is built in one pass over the degree: each row is finished as soon
-as the recurrence reaches it (log magnitude, norm, duality fill), so phi is
-the only table-sized array and the recurrence itself keeps two rows.
+as the recurrence reaches it (log magnitude, norm, duality fill), in place in
+its own table row, so the table is the only table-sized array and the
+recurrence itself keeps three row buffers.  The table's buffer may carry
+`spare` rows past phi_n_max for its caller: the beta = 1 kernel block writes
+its eps phi_b row there, so the block holds one lattice-sized array.
 
 Norms h_n are always obtained by direct lattice summation (in log space),
 never from closed forms; closed forms appear only in tests.
@@ -31,15 +34,20 @@ _TINY_LOG = -745.0  # exp underflows to 0 below this
 
 @dataclass(frozen=True)
 class WaveTable:
-    """phi[n, x] for n <= n_max, x on the truncated lattice, plus log h_n."""
+    """phi[n, x] for n <= n_max, x on the truncated lattice, plus log h_n.
+    phi is the head of `rows`, the table's buffer; its spare rows are the caller's."""
 
     lattice: TruncatedLattice
-    phi: np.ndarray      # (n_max+1, x_max+1)
+    rows: np.ndarray     # (n_max+1+spare, x_max+1)
     log_h: np.ndarray    # (n_max+1,)
 
     @property
     def n_max(self) -> int:
-        return self.phi.shape[0] - 1
+        return self.log_h.size - 1
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.rows[: self.log_h.size]
 
 
 def _zone_edges(family, ns):
@@ -61,64 +69,70 @@ def _bad_edges(family, n_max, x):
     return left - 1.0, right + 1.0
 
 
-def wave_table(family, n_max: int, lattice: TruncatedLattice) -> WaveTable:
-    """Build the full orthonormal table on the truncated lattice."""
+def wave_table(family, n_max: int, lattice: TruncatedLattice, spare: int = 0) -> WaveTable:
+    """Build the full orthonormal table on the truncated lattice, in a buffer
+    with `spare` unwritten rows after it."""
     if family.finite and n_max > family.M // 2:
         # forward recurrence degrades for degrees near M; build the lower
         # half and complete with phi_n(x) = (-1)^(M-n+x) phi_{M-n}(M-x)
         M = family.M
         low = wave_table(family, M // 2, lattice)
-        phi = np.zeros((n_max + 1, lattice.size))
+        rows = np.zeros((n_max + 1 + spare, lattice.size))
         log_h = np.empty(n_max + 1)
         keep = min(n_max, M // 2)
-        phi[: keep + 1] = low.phi[: keep + 1]
+        rows[: keep + 1] = low.phi[: keep + 1]
         log_h[: keep + 1] = low.log_h[: keep + 1]
         xs = np.arange(lattice.size)
         for n in range(keep + 1, n_max + 1):
             sign = (-1.0) ** ((M - n + xs) % 2)
-            phi[n] = sign * low.phi[M - n, ::-1]
+            rows[n] = sign * low.phi[M - n, ::-1]
             _, b2 = family.jacobi(float(n))
             log_h[n] = log_h[n - 1] + np.log(b2)
-        return WaveTable(lattice=lattice, phi=phi, log_h=log_h)
+        return WaveTable(lattice=lattice, rows=rows, log_h=log_h)
     x = lattice.grid().astype(float)
     deep, dual = _bad_edges(family, n_max, x)
     a, b2 = (c.tolist() for c in family.jacobi(np.arange(n_max, dtype=float)))
-    phi = np.empty((n_max + 1, x.size))
+    rows = np.empty((n_max + 1 + spare, x.size))
     log_h = np.empty(n_max + 1)
     # scaled monic values r_cur = P_n exp(-e), r_prev = P_{n-1} exp(-e);
-    # shift = e + log sqrt(w), so log|P_n sqrt(w)| = log|r_cur| + shift
+    # shift = e + log sqrt(w), so log|P_n sqrt(w)| = log|r_cur| + shift.
+    # t holds the recurrence's product, then |r_cur|, then that log; each
+    # degree's u = exp(t - max t) is formed in its own table row
     r_prev, r_cur, shift = np.zeros_like(x), np.ones_like(x), 0.5 * family.log_weight(x)
+    t = np.empty_like(x)
     with np.errstate(divide="ignore"):          # log|r| = -inf at an exact root
         for n in range(n_max + 1):
             if n:       # b_0^2 = 0, so P_1 = x - a_0
-                r_prev, r_cur = r_cur, (x - a[n - 1]) * r_cur - b2[n - 1] * r_prev
-            mag = np.abs(r_cur)
+                np.multiply(np.subtract(x, a[n - 1], out=t), r_cur, out=t)
+                r_prev *= b2[n - 1]
+                r_prev, r_cur = r_cur, np.subtract(t, r_prev, out=r_prev)
+            mag = np.abs(r_cur, out=t)
             if mag.max() > _RESCALE_LIMIT:      # divide the big sites by |r_cur|
                 big = np.nonzero(mag > _RESCALE_LIMIT)[0]
                 sc, mag[big] = mag[big], 1.0
                 r_cur[big] /= sc
                 r_prev[big] /= sc
                 shift[big] += np.log(sc)
-            t = np.log(mag) + shift
+            np.add(np.log(mag, out=t), shift, out=t)
             # Trusted columns give a partial norm; the discarded columns' true
             # mass is sum_B phi_x(n)^2 by duality, with all dual rows (degree
             # x < n) already final, so h_n = (trusted sum) / (1 - that mass).
             cols = np.nonzero(n > dual[: np.searchsorted(x, deep[n])])[0]
             mass = 0.0
             if cols.size:
-                dual_vals = phi[cols, n]
+                dual_vals = rows[cols, n]
                 mass = dual_vals @ dual_vals
                 t[cols] = -np.inf
             t_max = t.max()
-            u = np.exp(t - t_max)
-            log_h[n] = 2.0 * t_max + math.log(u @ u) - math.log1p(-mass)
+            row = np.exp(np.subtract(t, t_max, out=rows[n]), out=rows[n])
+            log_h[n] = 2.0 * t_max + math.log(row @ row) - math.log1p(-mass)
             half = 0.5 * log_h[n]
-            row = np.copysign(u, r_cur, out=phi[n])
+            np.copysign(row, r_cur, out=row)
             row *= math.exp(t_max - half)
-            row[t - half <= _TINY_LOG] = 0.0
+            row[np.subtract(t, half, out=t) <= _TINY_LOG] = 0.0
             if cols.size:
                 row[cols] = np.where((n + cols) % 2 == 0, 1.0, -1.0) * dual_vals
-    return WaveTable(lattice=lattice, phi=phi, log_h=log_h)
+    return WaveTable(lattice=lattice, rows=rows, log_h=log_h)
 
 
 def table_lattice(family, n_max: int, x_max: int) -> TruncatedLattice:

@@ -214,30 +214,18 @@ def test_meixner_extraction_matches_defining_sum(case):
         assert np.max(np.abs(got[0, :3] - tab.phi[5, xs[:3]])) < 1e-12
 
 
-def test_meixner_rows_memory_is_chunked():
+def test_meixner_rows_memory_is_chunked(traced_peak):
     # 65 rows of 16384 nodes stacked would take 17 MB
-    import tracemalloc
     fam = Meixner(xi=1 - 1.05 / 64)
-    tracemalloc.start()
-    try:
-        rows = contour_rows(fam, range(65), range(41))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(lambda: contour_rows(fam, range(65), range(41)))
     assert rows.shape == (65, 41) and np.all(np.isfinite(rows))
     assert peak < 4 * 2 ** 20
 
 
-def test_meixner_extraction_memory_is_linear():
+def test_meixner_extraction_memory_is_linear(traced_peak):
     # xi = 0.99 takes 16384 nodes; a sites x nodes array would need 9.5 GB
-    import tracemalloc
     fam = Meixner(xi=0.99, beta_m=1.0)
-    tracemalloc.start()
-    try:
-        vals = contour_rows(fam, [3], np.arange(36368))[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    vals, peak = traced_peak(lambda: contour_rows(fam, [3], np.arange(36368))[0])
     assert vals.shape == (36368,) and np.all(np.isfinite(vals))
     assert peak < 64 * 2 ** 20
 
@@ -322,18 +310,13 @@ def test_degree_integrand_matches_defining_sum(fam, rows, spliced):
                     assert np.all(np.abs(val - ref) <= 1e-13 * mag), (n, sites)
 
 
-def test_charlier_extraction_memory_is_linear():
+def test_charlier_extraction_memory_is_linear(traced_peak):
     # one sites x nodes complex array alone would take 3.2 MB
-    import tracemalloc
     fam = Charlier(theta=96.0)
     spec, mult = default_contour(fam, "eps", 60), _spliced(fam)
     prefactor = degree_prefactor(fam, np.arange(61), np.arange(785))
-    tracemalloc.start()
-    try:
-        vals = _circle_rows(fam, [60], np.arange(785), spec, mult, prefactor)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    vals, peak = traced_peak(
+        lambda: _circle_rows(fam, [60], np.arange(785), spec, mult, prefactor)[0])
     assert vals.shape == (785,) and np.all(np.isfinite(vals))
     assert peak < 2 ** 20
 

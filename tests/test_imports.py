@@ -192,9 +192,9 @@ def test_private_reads_names_planted_violations():
         "from .kernels import crossover_block,", "from .kernels import _assemble_blocks, crossover_block,")
     sources["cli"] = sources["cli"].replace("reports.write_table_csv", "reports._default", 1)
     gate = _bench_sources()["bench/gate"].replace("import beta1_indices,",
-                                                  "import _rank_one_factors, beta1_indices,")
+                                                  "import _rank_one_gram, beta1_indices,")
     assert private_reads({**sources, "bench/gate": gate}) == [
-        "bench/gate: kernels._rank_one_factors", "cli: reports._default",
+        "bench/gate: kernels._rank_one_gram", "cli: reports._default",
         "harness: kernels._assemble_blocks"]
 
 
@@ -505,7 +505,8 @@ def test_process_wide_caches_are_the_listed_ones():
             elif isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call) \
                     and is_cache(stmt.value):          # name = cache(fn)
                 cached.append(f"{path.stem}.{stmt.targets[0].id}")
-    assert cached == ["kernels._contour_phi", "kernels.adjudicate_projection",
+    assert cached == ["families._log_gamma_at", "kernels._contour_phi",
+                      "kernels.adjudicate_projection",
                       "kernels.adjudicate_composition", "refkernels.legendre_nodes",
                       "saddles._saddle_rows", "symbols.unit_roots"]
 

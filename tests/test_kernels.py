@@ -136,7 +136,7 @@ def test_oracle_block_sizes_one_table_of_the_rows_it_reads(monkeypatch, fam, bet
     tables, sizings = [], []
     build, size = kernels.wave_table, wavefunctions.truncate
     monkeypatch.setattr(kernels, "wave_table",
-                        lambda *args: tables.append(args[1:]) or build(*args))
+                        lambda *args, **kw: tables.append(args[1:3]) or build(*args, **kw))
     monkeypatch.setattr(wavefunctions, "truncate",
                         lambda *args, **kw: sizings.append(args) or size(*args, **kw))
     N = 8
@@ -144,6 +144,89 @@ def test_oracle_block_sizes_one_table_of_the_rows_it_reads(monkeypatch, fam, bet
     r, ((n_max, lattice),) = rank_of(fam, N), tables
     assert len(sizings) == 1 and n_max == r and blk.meta["lattice_x_max"] == lattice.x_max
     assert wavefunctions.table_lattice(fam, r + 1, lattice.x_max) == lattice
+
+
+def _stacked_blocks(fam, N, beta, xs, route):
+    """S, SD, epsS, K and rank_one from factors stacked apart: at beta = 1 the rows
+    phi_0..phi_a against R = [phi_0..phi_(a-1), eps phi_b], a copy, with the square
+    E = diag(1, .., 1, 1/2); at beta = 4 E = Phi eps(Phi)^T in one product."""
+    from pfkern.kernels import oracle_lattice
+    from pfkern.lattice_ops import apply_d, apply_eps
+    from pfkern.symbols import contour_rows
+    from pfkern.wavefunctions import wave_table
+    lattice = oracle_lattice(fam, N, xs)
+    r = rank_of(fam, N)
+    phi = (wave_table(fam, r, lattice).phi if route == "oracle"
+           else contour_rows(fam, range(r + 1), np.arange(lattice.size)))
+    if beta == 4:
+        L = R = phi[:r]
+        E = L @ apply_eps(fam, L.T)
+    else:
+        a, b = beta1_indices(fam, N)
+        L, E = phi[:a + 1], np.eye(a + 1)
+        E[-1, -1] = 0.5
+        R = np.vstack([L[:-1], apply_eps(fam, phi[b])])
+    Lx, Rx = L[:, xs], R[:, xs]
+    return {"S": Lx.T @ (E @ Rx), "SD": Lx.T @ (E @ (-apply_d(fam, R.T).T)[:, xs]),
+            "epsS": apply_eps(fam, L.T).T[:, xs].T @ (E @ Rx),
+            "K": phi[:r, xs].T @ phi[:r, xs],       # two copies: a GEMM, not a SYRK
+            "rank_one": 0.5 * np.outer(L[-1, xs], R[-1, xs]) if beta == 1 else None}
+
+
+SMALL = [(fam, 6, default_window(fam, 6)) for fam in FAMS] + [
+    (Krawtchouk(M=8, p=0.4), 8, np.arange(9))]           # N = M: no degree M + 1
+LARGE = [(Charlier(theta=200.0), 200, np.arange(380, 421)),  # r = 200: two row blocks
+         (Meixner(xi=0.25), 100, np.arange(60, 101))]
+
+
+@pytest.mark.parametrize("beta", [1, 4])
+@pytest.mark.parametrize("route, fam, N, xs", [
+    pytest.param(route, *case, id=f"{route}-{case[0].name}-N{case[1]}")
+    for route, cases in (("oracle", SMALL + LARGE), ("contour", SMALL)) for case in cases])
+def test_factors_in_the_table_buffer_match_the_stacked_factors(route, fam, N, xs, beta):
+    # the beta = 1 rows share one buffer with eps phi_b under a rectangular E, and
+    # eps and D run in row blocks; every entry of E R is one product, and each
+    # block's columns are the same sums, so the blocks keep their bits
+    blk = gram_block(fam, N, beta, xs, route)
+    ref = _stacked_blocks(fam, N, beta, xs, route)
+    for name, want in ref.items():
+        got = getattr(blk, name)
+        assert (got is None) if want is None else np.array_equal(got, want), name
+
+
+def _charlier_bulk_768():
+    """(family, N, window, bytes of the table of rows 0..r) at the A = 768 Charlier
+    bulk frame: a 769 x 3925 table."""
+    from pfkern.harness import Regime, bulk_frame
+    from pfkern.kernels import oracle_lattice
+    fam, N, xs, *_ = bulk_frame(Regime(kind="charlier", tau=1.0), 768, 2.0)
+    return fam, N, xs, (rank_of(fam, N) + 1) * oracle_lattice(fam, N, xs).size * 8
+
+
+def test_beta1_block_holds_one_table(traced_peak):
+    # eps phi_b is written into the table's spare row, so the table is the
+    # block's one lattice-sized array; with R stacked apart S peaked at 2.2 tables
+    fam, N, xs, table = _charlier_bulk_768()
+    _, peak = traced_peak(lambda: oracle_block(fam, N, 1, xs).S)
+    assert peak <= 1.3 * table
+
+
+def test_beta4_gram_applies_eps_in_row_blocks(traced_peak):
+    # eps of all r rows at once peaked at 3.0 tables
+    fam, N, xs, table = _charlier_bulk_768()
+    _, peak = traced_peak(lambda: oracle_block(fam, N, 4, xs).S)
+    assert peak <= 1.75 * table
+
+
+@pytest.mark.parametrize("beta", [1, 4])
+@pytest.mark.parametrize("name", ["SD", "epsS"])
+def test_inserted_blocks_keep_only_window_columns(traced_peak, name, beta):
+    # R D and eps L over the whole lattice took 2.0 tables on top of the block
+    fam, N, xs, table = _charlier_bulk_768()
+    blk = oracle_block(fam, N, beta, xs)
+    _, peak = traced_peak(lambda: getattr(blk, name))
+    assert peak <= 0.5 * table
+
 
 @pytest.mark.parametrize("fam", FAMS, ids=IDS)
 def test_compose_columns_vs_oracle_structure(fam):
@@ -388,20 +471,14 @@ def test_printed_formula_matches_dense_cauchy_matrix_at_512_nodes(case):
 
 
 @pytest.mark.parametrize("call", ["projection", "composition"])
-def test_printed_formula_builds_no_cauchy_matrix(call):
+def test_printed_formula_builds_no_cauchy_matrix(traced_peak, call):
     # a dense 1024-node Cauchy matrix alone is 16 MB, a 512-node one 4 MB
-    import tracemalloc
     mx = Meixner(xi=0.45, beta_m=1.0)
     run = {"projection": lambda: _meixner_paper_kernel(mx, 8, range(29), True, 1024),
            "composition": lambda: _meixner_paper_kernel(mx, 6, np.arange(23), False, 512,
                                                         lambda z: symbol(mx, z))}[call]
     run()      # node tables and contour radii are cached on the first call
-    tracemalloc.start()
-    try:
-        out = run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(run)
     assert np.all(np.isfinite(out))
     assert peak < 4 * 2 ** 20
 

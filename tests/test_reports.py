@@ -38,19 +38,13 @@ def test_kernel_csv_matches_cell_by_cell_format(tmp_path):
     assert path.read_text().splitlines()[1].endswith(",nan,nan")
 
 
-def test_kernel_csv_streams_a_large_window(tmp_path):
+def test_kernel_csv_streams_a_large_window(tmp_path, traced_peak):
     # the Meixner xi = 0.446, N = 32, beta = 1 oracle window: 129 x 129 cells,
     # a 1.13 MB file.  Formatting every cell at once peaked at 5 MB
-    import tracemalloc
     blk = oracle_block(Meixner(xi=0.446), 32, 1)
     blk.SD, blk.epsS    # the lazy blocks are computed before the measurement
     path = tmp_path / "k.csv"
-    tracemalloc.start()
-    try:
-        write_kernel_csv(str(path), blk)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: write_kernel_csv(str(path), blk))
     _assert_csv(path, blk)
     assert peak < 1.5 * 2 ** 20
 

@@ -160,15 +160,9 @@ def test_wave_table_against_mpmath(fam):
     assert worst < 5e-13
 
 
-def test_wave_table_peak_memory_is_one_table():
+def test_wave_table_peak_memory_is_one_table(traced_peak):
     # one pass per degree: phi is the only table-sized array of the build
-    import tracemalloc
-    tracemalloc.start()
-    try:
-        tab = get_table(Charlier(theta=768.0), 769)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    tab, peak = traced_peak(lambda: get_table(Charlier(theta=768.0), 769))
     assert peak <= 1.5 * tab.phi.nbytes
 
 
@@ -192,3 +186,34 @@ def test_a_table_is_freed_with_its_last_reader():
     del tab
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("fam, n", [(Charlier(theta=30.0), 30), (Krawtchouk(M=20, p=0.4), 20)],
+                         ids=["charlier", "krawtchouk"])
+def test_wave_table_spare_rows_extend_its_buffer(fam, n):
+    # spare rows follow phi in one buffer and change no value of it
+    from pfkern.wavefunctions import table_lattice, wave_table
+    lattice = table_lattice(fam, n + 1, 0)
+    tab = wave_table(fam, n, lattice, 2)
+    assert tab.rows.shape == (n + 3, lattice.size) and tab.n_max == n
+    assert tab.phi.base is tab.rows and np.array_equal(tab.phi, wave_table(fam, n, lattice).phi)
+
+
+def test_log_weight_takes_one_log_gamma_call(monkeypatch):
+    # the scalar log Gamma(beta_m) or log M! is computed once, not on every call
+    import pfkern.families as families
+    calls, lg = [], families.log_gamma
+    monkeypatch.setattr(families, "log_gamma", lambda x: calls.append(np.shape(x)) or lg(x))
+    for fam in (Meixner(xi=0.3, beta_m=2.5), Krawtchouk(M=40, p=0.3)):
+        first = fam.log_weight(np.arange(5.0))
+        calls.clear()
+        assert np.array_equal(fam.log_weight(np.arange(5.0)), first) and calls == [(2, 5)]
+
+
+def test_truncate_weighs_each_site_once(monkeypatch):
+    # each doubling of the search window adds the new sites' log weights only
+    sites, lw = [], Charlier.log_weight
+    monkeypatch.setattr(Charlier, "log_weight", lambda self, x: sites.append(x) or lw(self, x))
+    lattice = truncate(Charlier(theta=2000.0))
+    assert len(sites) > 2 and np.array_equal(np.concatenate(sites), np.arange(sites[-1][-1] + 1))
+    assert lattice.x_max < sites[-1][-1]
