@@ -152,9 +152,9 @@ class TruncatedLattice:
         return np.arange(self.x_max + 1)
 
 
-def truncate(family, x_min: int = 0) -> TruncatedLattice:
-    """Smallest window from x_min on with w below 1e-16 of its peak and tail mass < 1e-14,
-    found by doubling a search window; each doubling weighs only the new sites."""
+def truncate(family, x_min: int) -> TruncatedLattice:
+    """Smallest window {0..x_max}, x_max >= x_min, with w(x_max) below 1e-16 of the peak and
+    tail mass < 1e-14, found by doubling a search window; each doubling weighs only new sites."""
     if family.finite:
         return TruncatedLattice(x_max=family.M)
     block = 256

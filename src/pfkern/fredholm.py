@@ -16,7 +16,7 @@ from .refkernels import sine_kernel
 from .wavefunctions import table_lattice, wave_table
 
 
-def nystrom_det(kernel, a: float, b: float, nodes: int = 40) -> float:
+def nystrom_det(kernel, a: float, b: float, nodes: int) -> float:
     """det(I - K) on [a, b] with Gauss-Legendre discretization."""
     x, w = leggauss(nodes)
     x = 0.5 * (b - a) * (x + 1.0) + a

@@ -55,6 +55,8 @@ class Regime:
         if self.kind == "charlier":
             return Charlier(theta=self.tau * A), A
         N = int(round(self.gamma * A))
+        if not 0 < N < A:       # the phase has no bulk at N = 0 or M
+            raise DomainError(f"--gamma {self.gamma} at A = {A} gives N = {N}, not in (0, M = A)")
         return Krawtchouk(M=A, p=self.p), N
 
 
@@ -127,14 +129,13 @@ def _sweep(frames, beta, block, limit):
             "monotone_decreasing": bool(np.all(np.diff(errs) < 0))}
 
 
-def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list,
-                          block: str = "S") -> dict:
+def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list, block: str) -> dict:
     """The rescaled block against the sine kernel per A (`_sweep`)."""
     frames = (bulk_frame(regime, A, u) for A in A_list)
     return {"regime": regime.kind, "u": u, **_sweep(frames, beta, block, _sine_kernel)}
 
 
-def edge_convergence_test(regime: Regime, beta: int, A_list, block: str = "S") -> dict:
+def edge_convergence_test(regime: Regime, beta: int, A_list, block: str) -> dict:
     """The block against the Airy kernel at the right soft edge per A (`_sweep`), with the
     edge data of the first A and the `coalescence_exponent` (1/2) that sets the A^(1/3) scale."""
     fam, N = regime.family_and_N(int(A_list[0]))
@@ -243,7 +244,7 @@ def _bessel_fit(V, xs, index, scale):
     return best or (float("inf"), 0.0, 0.0)
 
 
-def crossover_test(alpha: float, N_list, block: str = "S", beta: int = 4) -> dict:
+def crossover_test(alpha: float, N_list, block: str, beta: int) -> dict:
     """Meixner hard edge with xi = 1 - alpha/(2N) against the Bessel kernel.
 
     The lattice maps to the Bessel variable through u = c_h A (x + d) with

@@ -109,10 +109,10 @@ class KernelBlockSet:
     N: int
     xs: np.ndarray
     S: np.ndarray
-    provenance: str = "oracle"
-    meta: dict = field(default_factory=dict)
-    factors: tuple | None = field(default=None, repr=False, compare=False)
-    multiplier: object = field(default=None, repr=False, compare=False)
+    provenance: str
+    meta: dict
+    factors: tuple = field(repr=False, compare=False)
+    multiplier: object = field(repr=False, compare=False)
 
     @cached_property
     def SD(self) -> np.ndarray | None:
@@ -181,7 +181,7 @@ def _rank_one_gram(a):
 
 def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
                **meta) -> KernelBlockSet:
-    """The beta = 1 or 4 block on the window, with its factors.
+    """The beta = 1 or 4 block, x and y both over the window's lattice sites, with its factors.
 
     Rows phi_0..phi_r on the lattice come from the route: 'oracle' reads the
     recurrence tables, 'contour' the contour extraction, which raises
@@ -193,7 +193,7 @@ def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
     to the lattice size."""
     if beta not in (1, 4):
         raise ValueError("beta must be 1 or 4")
-    window = default_window(family, N) if window is None else np.asarray(window)
+    window = np.asarray(window)
     lattice = oracle_lattice(family, N, window)
     r = rank_of(family, N)
     spare = int(beta == 1)
@@ -261,8 +261,8 @@ def _contour_phi(family, n_top, lattice):
 # entry points: each one builder call
 
 
-def oracle_block(family, N: int, beta: int, window=None) -> KernelBlockSet:
-    """S, SD, epsS from the recurrence tables with the parity-split eps."""
+def oracle_block(family, N: int, beta: int, window) -> KernelBlockSet:
+    """S, SD, epsS on the window from the recurrence tables with the parity-split eps."""
     return gram_block(family, N, beta, window, "oracle")
 
 

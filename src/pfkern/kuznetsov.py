@@ -101,17 +101,17 @@ def branch_jump(test: GaussianTest, radius: float) -> float:
     return float(abs(a - b))
 
 
-def spliced_s4(family, N: int, test: GaussianTest, window=None) -> KernelBlockSet:
+def spliced_s4(family, N: int, test: GaussianTest, window) -> KernelBlockSet:
     """K (T_h eps) K with every factor coming from contour quadrature:
     multiplier columns for T_h eps and contour-extracted wave functions for
     both projections (the spliced oracle below evaluates the same operator
     from the recurrence tables instead)."""
     return gram_block(family, N, 4, window, "contour", eps_multiplier(family, partial(m_h, test)),
                       sigma=test.sigma,
-                      branch_jump=branch_jump(test, default_contour(family, degree=N).radius))
+                      branch_jump=branch_jump(test, default_contour(family, "single", N).radius))
 
 
-def spliced_oracle(family, N: int, test: GaussianTest, window=None) -> KernelBlockSet:
+def spliced_oracle(family, N: int, test: GaussianTest, window) -> KernelBlockSet:
     """Independent evaluation: identical multiplier realization, but all
     projection sums taken from the recurrence tables on a larger lattice."""
     return gram_block(family, N, 4, window, "oracle", eps_multiplier(family, partial(m_h, test)))

@@ -19,8 +19,8 @@ def _default(o):
     return str(o)
 
 
-def write_json(path: str, payload: dict, config: dict | None = None) -> None:
-    doc = {"library_version": VERSION, "config": config or {}, **payload}
+def write_json(path: str, payload: dict, config: dict) -> None:
+    doc = {"library_version": VERSION, "config": config, **payload}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, default=_default, sort_keys=True)
         fh.write("\n")

@@ -32,28 +32,26 @@ from .families import Charlier, DomainError, Meixner
 
 
 def _phase(family, N):
-    """(e, ((r_i, k_i, l_i), ...)) of the family's phase (module docstring)."""
+    """(e, ((r_i, k_i, l_i), ...)) of the family's phase at N (module docstring)."""
     if isinstance(family, Meixner):
         s = family.s
         return 0.0, ((s, 1.0, 0.0), (1.0 / s, -1.0, 0.0), (0.0, 0.0, -1.0))
     if isinstance(family, Charlier):
-        if N is None:
-            raise DomainError("Charlier bulk regime requires N (tau = theta/N)")
         return -family.theta / N, ((-1.0, 0.0, 1.0), (0.0, -1.0, 0.0))
     return 0.0, ((-1.0 / family.p, 1.0, -1.0), (1.0 / family.q, 0.0, 1.0),
-                 (0.0, -(N or 0) / family.M, 0.0))
+                 (0.0, -N / family.M, 0.0))
 
 
 class EdgeClassification(DomainError):
     """u is not strictly inside the bulk support."""
 
-    def __init__(self, family, u: float, N: int | None = None):
+    def __init__(self, family, u: float, N: int):
         lo, hi = bulk_support(family, N)
         super().__init__(f"u={u} is not strictly inside the {family.name} bulk "
                          f"support ({lo:.6g}, {hi:.6g})")
 
 
-def phase_derivative(family, z, u: float, N: int | None = None, order: int = 1):
+def phase_derivative(family, z, u: float, N: int, order: int):
     """d^order Phi / dz^order at z, for order >= 1."""
     e, terms = _phase(family, N)
     z = np.asarray(z, dtype=complex)
@@ -73,14 +71,14 @@ def _saddle_rows(family, N):
             sum(l * p for (_, _, l), p in zip(terms, rest)))
 
 
-def _quadratic(family, u: float, N: int | None):
+def _quadratic(family, u: float, N: int):
     """The saddle quadratic's (a, b, c) at u, signed so that a > 0, and d/du of it."""
     const, slope = _saddle_rows(family, N)
     sign = np.copysign(1.0, const[0] + u * slope[0])
     return sign * (const + u * slope), sign * slope
 
 
-def bulk_support(family, N: int | None = None) -> tuple[float, float]:
+def bulk_support(family, N: int) -> tuple[float, float]:
     """The roots in u of b(u)^2 - 4 a(u) c(u), a quadratic in u."""
     (a, b, c), (a1, b1, c1) = _saddle_rows(family, N)
     q2, q1, q0 = b1 * b1 - 4 * a1 * c1, 2 * b * b1 - 4 * (a * c1 + a1 * c), b * b - 4 * a * c
@@ -89,12 +87,12 @@ def bulk_support(family, N: int | None = None) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def cos_theta(family, u: float, N: int | None = None) -> float:
+def cos_theta(family, u: float, N: int) -> float:
     (a, b, c), _ = _quadratic(family, u, N)
     return float(-b / (2 * np.sqrt(a * c)))
 
 
-def rho_closed_form(family, u: float, N: int | None = None) -> float:
+def rho_closed_form(family, u: float, N: int) -> float:
     """The printed angular density (arcsine type; integrates to one)."""
     (a, b, c), (a1, b1, c1) = _quadratic(family, u, N)
     root_ac = np.sqrt(a * c)
@@ -105,7 +103,7 @@ def rho_closed_form(family, u: float, N: int | None = None) -> float:
     return float(abs(dcos) / (np.pi * np.sqrt(1.0 - cth * cth)))
 
 
-def saddle_pair(family, u: float, N: int | None = None) -> tuple[complex, complex]:
+def saddle_pair(family, u: float, N: int) -> tuple[complex, complex]:
     """The conjugate saddles (z+, z-), Im z+ > 0, at u strictly inside the bulk."""
     (a, b, c), _ = _quadratic(family, u, N)
     disc = b * b - 4 * a * c
@@ -115,7 +113,7 @@ def saddle_pair(family, u: float, N: int | None = None) -> tuple[complex, comple
     return complex(zp), complex(np.conj(zp))
 
 
-def site_density(family, u: float, N: int | None = None) -> float:
+def site_density(family, u: float, N: int) -> float:
     """Particles per lattice site at x ~ A u, |Im dPhi/du (z+)| / pi: it vanishes like
     a square root at a soft edge and saturates at a packed one.  Outside the bulk
     it is 1 past a packed edge (cos theta <= -1) and 0 past a soft one."""
@@ -127,7 +125,7 @@ def site_density(family, u: float, N: int | None = None) -> float:
     return float(abs(dphi_du.imag) / np.pi)
 
 
-def density_total_mass(family, N: int | None = None) -> float:
+def density_total_mass(family, N: int) -> float:
     """Total mass of the closed-form density over the bulk support, by 64
     Gauss-Legendre nodes in phi, u = mid - half cos(phi): rho du is smooth in phi
     (constant for Charlier and Krawtchouk), free of the endpoint singularities."""
@@ -140,7 +138,7 @@ def density_total_mass(family, N: int | None = None) -> float:
     return float(0.5 * np.pi * np.sum(wt * vals * half * np.sin(phi)))
 
 
-def edge_data(family, N: int | None = None) -> dict:
+def edge_data(family, N: int) -> dict:
     """Double root z* and the normal-form kappa and lambda at the right soft edge u*,
     the top of the bulk support.  A z* on a singularity r_i of the phase: DomainError."""
     u_star = bulk_support(family, N)[1]

@@ -168,7 +168,7 @@ def unit_roots(n: int) -> np.ndarray:
     return roots
 
 
-def default_contour(family, kind: str = "single", degree: int = 0) -> ContourSpec:
+def default_contour(family, kind: str, degree: int) -> ContourSpec:
     """Extraction circles, centred at the origin, with a power-of-two node count.
 
     'single' radii balance the integrand maximum against r^(-degree)
@@ -229,7 +229,7 @@ def contour_rows(family, degrees, xs, multiplier=None):
     return out
 
 
-def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier=None, prefactor=None):
+def _circle_rows(family, degrees, xs, contour: ContourSpec, multiplier, prefactor):
     """The rows of `contour_rows` for degrees that share one circle, and so its
     nodes z_j, weights z_j / n and multiplier values (the trapezoid sum of
     (1/(2 pi i)) oint f(z) dz is the mean over the n nodes of f(z) z).  The

@@ -38,7 +38,7 @@ def _item(name, residual, tol):
             "passes": bool(residual < tol)}
 
 
-def run_validation(family=None, wrong_nesting: bool = False) -> dict:
+def run_validation(family, wrong_nesting: bool) -> dict:
     fams = (family,) if family is not None else DESK_FAMILIES
     invariants = []
     findings = []

@@ -415,6 +415,10 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
      "--alpha 40"),
     (["asym", "density", "--family", "charlier", "--tau", "1", "--grid", "0"], "--grid 0"),
     (["asym", "density", "--family", "charlier", "--tau", "1", "--grid", "-3"], "--grid -3"),
+    (["asym", "density", "--family", "krawtchouk", "--gamma", "0.25", "--p", "0.4", "--A", "2"],
+     "--gamma 0.25 at A = 2"),
+    (["asym", "edge", "--family", "krawtchouk", "--gamma", "0.9", "--p", "0.4",
+      "--A-list", "2,4"], "--gamma 0.9 at A = 2"),
 ], ids=["density-gamma-1.5", "edge-tau-0", "bulk-u-outside", "correction-u-packed",
         "gap-u-at-edge", "edge-ratio-meixner", "kernel-N-0", "splice-kernel-N-0",
         "kernel-window-empty", "kernel-window-negative", "kernel-window-past-M",
@@ -428,7 +432,8 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
         "bulk-tau-inf", "edge-tau-inf", "edge-ratio-tau-nan", "bulk-u-nan", "gap-u-inf",
         "reality-sigma-nan", "splice-kernel-sigma-inf", "crossover-alpha-nan",
         "crossover-alpha-negative", "crossover-alpha-inf", "crossover-alpha-past-2N",
-        "density-grid-0", "density-grid-negative"])
+        "density-grid-0", "density-grid-negative", "krawtchouk-density-N-0",
+        "krawtchouk-edge-N-M"])
 def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named):
     # one error line that names the domain, no warning or traceback, and no
     # output: not even the new --out directory
@@ -531,6 +536,34 @@ def test_krawtchouk_edge_converges_to_airy(tmp_path):
     rep = json.loads((tmp_path / "edge_krawtchouk_b1.json").read_text())
     assert rep["monotone_decreasing"]
     assert abs(rep["entries"][-1]["c_fit"] - 1) < 0.05
+
+
+ASYM_REGIMES = ([("krawtchouk", {"gamma": g, "p": p}) for g in (0.01, 0.25, 0.9)
+                 for p in (0.05, 0.4, 0.95)]
+                + [("charlier", {"tau": t}) for t in (0.05, 1.0, 20.0)]
+                + [("meixner", {"xi": x}) for x in (0.01, 0.5, 0.97)])
+
+
+@pytest.mark.parametrize("A", [2, 8, 64])
+@pytest.mark.parametrize("study", ["density", "bulk", "edge", "gap"])
+@pytest.mark.parametrize("kind, params", ASYM_REGIMES,
+                         ids=["-".join(map(str, [k, *p.values()])) for k, p in ASYM_REGIMES])
+def test_asym_studies_end_in_an_exit_code(tmp_path, capsys, kind, params, study, A):
+    # small and extreme regimes, down to Krawtchouk N = round(gamma A) = 0 or M;
+    # bulk and gap read u at the middle of the bulk support at A = 64.  Every
+    # request ends in an exit code (a RuntimeWarning is an error here): success
+    # is silent on stderr, a refusal or a numerical failure is one line
+    from pfkern.harness import Regime
+    from pfkern.saddles import bulk_support
+    argv = ["asym", study, "--family", kind, "--out", str(tmp_path)]
+    argv += [f"--{name}={value}" for name, value in params.items()]
+    argv += ["--A-list", str(A)] if study in ("bulk", "edge") else ["--A", str(A)]
+    if study in ("bulk", "gap"):
+        lo, hi = bulk_support(*Regime(kind, **params).family_and_N(64))
+        argv.append(f"--u={(lo + hi) / 2!r}")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or code in (1, 2) and err.count("\n") == 1, (code, err)
 
 
 def test_density_summary_reports_total_mass(tmp_path, capsys):

@@ -138,7 +138,7 @@ def test_charlier_phi0_contour_residue():
 def test_eps_phi_contour_vs_lattice(fam):
     # Meixner's eps is the contour multiplier; the other families apply the
     # lattice eps to their contour rows, as the contour route of gram_block does
-    lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=160)
+    lat = truncate(fam, 0) if fam.finite else TruncatedLattice(x_max=160)
     tab = get_table(fam, 12, x_max=None if fam.finite else lat.x_max)
     eps = build_epsilon_direct(fam, lat).mat
     d = build_d(fam, lat).mat
@@ -166,9 +166,10 @@ def test_contour_rows_pick_the_eps_circle_exactly_with_a_multiplier():
     assert (single.node_count, eps.node_count) == (256, 2048)
     for n in (0, 3, 7):
         assert {default_contour(fam, "single", n), default_contour(fam, "eps", n)} == {single, eps}
-        assert np.array_equal(contour_rows(fam, [n], xs), _circle_rows(fam, [n], xs, single))
+        assert np.array_equal(contour_rows(fam, [n], xs),
+                              _circle_rows(fam, [n], xs, single, None, None))
         assert np.array_equal(contour_rows(fam, [n], xs, mult),
-                              _circle_rows(fam, [n], xs, eps, mult))
+                              _circle_rows(fam, [n], xs, eps, mult, None))
         # a scalar site gives the float of the array call's entry
         one = eps_phi_via_contour(fam, n, 4)
         assert type(one) is float and one == eps_phi_via_contour(fam, n, xs)[4]
@@ -199,12 +200,13 @@ def test_meixner_extraction_matches_defining_sum(case):
         fam = Meixner(xi=0.36, beta_m=1.0)
         spec = ContourSpec(radius=0.8, node_count=64)
         degrees, xs = [5], np.array([0, 1, 7, 62, 63, 64, 65, 130, 200])
-        got = _circle_rows(fam, degrees, xs, spec)
+        got = _circle_rows(fam, degrees, xs, spec, None, None)
     else:
         fam = Meixner(xi=1 - 1.05 / 64)
-        spec = default_contour(fam)
+        spec = default_contour(fam, "single", 0)
         degrees, xs = range(65), np.arange(41)
-        assert spec.node_count == 16384 and {default_contour(fam, degree=n) for n in degrees} == {spec}
+        assert spec.node_count == 16384
+        assert {default_contour(fam, "single", n) for n in degrees} == {spec}
         got = contour_rows(fam, degrees, xs)
     ref, mag = _meixner_defining_sums(fam, spec, degrees, xs)
     assert np.all(np.abs(got - ref) <= 1e-13 * mag)
@@ -338,7 +340,7 @@ def test_nonfinite_extraction_is_refused():
     # a per-site evaluation 7e-14 off the reference; the blocked sum is 1.0e-13
     window = np.arange(700, 761)
     assert np.all(np.isfinite(contour_rows(fam, [760], window)))
-    z, w = _nodes_and_weights(default_contour(fam, degree=760))
+    z, w = _nodes_and_weights(default_contour(fam, "single", 760))
     v = w * z ** (-761)
     ref, mag = _defining_sums(fam, window, z, v)
     assert np.all(np.abs(degree_integrand(fam, window, z, v) - ref) <= 2e-13 * mag)

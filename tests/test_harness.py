@@ -13,7 +13,7 @@ KR = Regime(kind="krawtchouk", gamma=0.25, p=0.4)
 
 
 def test_bulk_beta1_charlier_small():
-    rep = bulk_convergence_test(CH, 1, 2.0, [24, 48])
+    rep = bulk_convergence_test(CH, 1, 2.0, [24, 48], block="S")
     for e in rep["entries"]:
         assert abs(e["c_fit"] - 1) < 0.1
     assert rep["entries"][1]["sup_err_fitted"] < rep["entries"][0]["sup_err_fitted"]
@@ -25,7 +25,7 @@ def test_bulk_rank_one_shares_the_oracle_table(monkeypatch):
     build = kernels.wave_table
     monkeypatch.setattr(kernels, "wave_table",
                         lambda *args: builds.append(args[1]) or build(*args))
-    bulk_convergence_test(CH, 1, 2.0, [24, 48])
+    bulk_convergence_test(CH, 1, 2.0, [24, 48], block="S")
     assert len(builds) == 2   # one wave table per A
     # K and the rank-one term of the edge study come from the same block
     builds.clear()
@@ -48,7 +48,7 @@ def test_beta4_projection_applies_eps_to_one_row(monkeypatch):
 
 
 def test_bulk_diag_within_error():
-    rep = bulk_convergence_test(CH, 1, 2.0, [48])
+    rep = bulk_convergence_test(CH, 1, 2.0, [48], block="S")
     e = rep["entries"][0]
     assert e["diag_err"] <= e["sup_err_raw"] + 1e-12
 
@@ -57,7 +57,7 @@ def test_bulk_beta4_scalar_documents_shape_failure():
     # K eps K is antisymmetric: its least-squares sine amplitude is ~0 and
     # no constant makes it sine-shaped; the harness must report that rather
     # than blow up
-    rep = bulk_convergence_test(CH, 4, 2.0, [24, 48])
+    rep = bulk_convergence_test(CH, 4, 2.0, [24, 48], block="S")
     for e in rep["entries"]:
         assert abs(e["c_fit"]) < 0.05
         assert e["sup_err_raw"] > 0.5
@@ -76,7 +76,7 @@ SWEEP_FIELDS = {"c_fit", "sup_err_fitted", "sup_err_raw", "diag_err", "rank_one_
 
 def test_bulk_entries_keep_their_recorded_values():
     # recorded before the bulk and edge studies shared one sweep
-    rep = bulk_convergence_test(CH, 1, 2.0, [24, 48])
+    rep = bulk_convergence_test(CH, 1, 2.0, [24, 48], block="S")
     recorded = [(24, 0.9966296524720533, 0.17559763057444, 0.17837615306226684,
                  0.11309517670747564),
                 (48, 0.9967046497098376, 0.11601415759129896, 0.11233650001325524,
@@ -169,7 +169,7 @@ def test_crossover_fits_keep_their_recorded_values(alpha, alpha_hat, entries):
     # block K of the hard-edge crossover, recorded from per-degree contour
     # extraction and one Bessel kernel call per offset: the recovered rate and
     # the offsets stay, amplitudes and errors move by roundoff only
-    rep = crossover_test(alpha, [16, 32], block="K")
+    rep = crossover_test(alpha, [16, 32], block="K", beta=4)
     assert rep["alpha_hat"] == alpha_hat
     for e, (N, amp, amp0, err, err0) in zip(rep["entries"], entries):
         assert e["N"] == N and e["offset_index0"] == 0.5

@@ -1,10 +1,10 @@
 """Static guards: every name a pfkern module imports is used in that module,
 every top-level definition of pfkern is reachable from `cli.main` or from a
 name the benchmark imports, no module (nor the benchmark) reads another's
-underscore names, every setting of pfkern takes two values in use, one
-function builds every kernel block, only `kernels` reads a block's factors,
-and the process-wide caches are the listed ones.  One run-time guard: no
-pfkern process imports scipy."""
+underscore names, every setting of pfkern takes two values in use and every
+default is taken by some call, one function builds every kernel block, only
+`kernels` reads a block's factors, and the process-wide caches are the listed
+ones.  One run-time guard: no pfkern process imports scipy."""
 import ast
 import functools
 import os
@@ -214,14 +214,18 @@ def _literal(node):
 
 def _signature(node):
     """(names in call order, name -> default node, **kwargs name, number of
-    positional names) of a function, or of a class: its dataclass fields,
-    else its __init__ after self."""
+    positional names) of a function, or of a class: its dataclass fields (a
+    `field(...)` without `default` or `default_factory` is none), else its
+    __init__ after self."""
     skip = 0
     if isinstance(node, ast.ClassDef):
         if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
             fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
             names = [f.target.id for f in fields]
-            return names, {f.target.id: f.value for f in fields if f.value}, None, len(names)
+            bare = lambda v: isinstance(v, ast.Call) and getattr(v.func, "id", None) == "field" \
+                and not {k.arg for k in v.keywords} & {"default", "default_factory"}
+            defaults = {f.target.id: f.value for f in fields if f.value and not bare(f.value)}
+            return names, defaults, None, len(names)
         init = [s for s in node.body if isinstance(s, ast.FunctionDef) and s.name == "__init__"]
         node, skip = (init[0], 1) if init else (ast.parse("def f(): pass").body[0], 0)
     args = node.args
@@ -267,12 +271,13 @@ class SettingsIndex:
     A call site is a call by a name or module attribute that a caller imports
     from pfkern (or defines, in `src`); a `functools.partial` of one (either
     branch of `partial(a if c else b, ...)`) completed by each call of the name
-    it is bound to; or a reference that is not a call or a class test, which
-    may be called with anything.  An argument's values are its literal, the
-    values of the enclosing function's parameter that it passes on unchanged
-    (a `**kwargs` splat passes the enclosing function's keywords on), else
-    MANY; a parameter that a call omits takes its default there, unless a
-    `*args` or `**mapping` splat of unknown keys may fill it (MANY)."""
+    it is bound to; or a reference that is not a call or a class test (an
+    `isinstance` argument or an `except` clause's class), which may be called
+    with anything.  An argument's values are its literal, the values of the
+    enclosing function's parameter that it passes on unchanged (a `**kwargs`
+    splat passes the enclosing function's keywords on), else MANY; a parameter
+    that a call omits takes its default there, unless a `*args` or `**mapping`
+    splat of unknown keys may fill it (MANY)."""
 
     def __init__(self, src, callers):
         trees = {mod: ast.parse(text) for mod, text in callers.items()}
@@ -349,6 +354,8 @@ class SettingsIndex:
             else:
                 for key in targets(call.func):
                     self.sites[key].append(self._site(mod, scope, call.args, call.keywords))
+        for handler in (n for n in nodes if isinstance(n, ast.ExceptHandler) and n.type):
+            seen |= {id(n) for n in ast.walk(handler.type)}
         for node in nodes:
             if id(node) not in seen and isinstance(getattr(node, "ctx", None), ast.Load):
                 for key in targets(node):
@@ -415,6 +422,20 @@ class SettingsIndex:
                 {v for owner in forwards for v in self.kwargs_values(owner, seen | {key})}
         return out
 
+    def untaken_defaults(self):
+        """'module.name.parameter' of every default and dataclass-field default that
+        no call site takes: each passes the parameter by position or keyword.  A
+        call with a `*`/`**` splat of unknown keys or a `**kwargs` pass-through,
+        and a reference that is no call, may take it."""
+        found = []
+        for key, (names, defaults, _, positional) in self.sigs.items():
+            for name in [n for n in names if n in defaults]:
+                index = names.index(name)
+                if not any(index >= min(positional, len(args)) and name not in kw
+                           for _, _, args, kw, _, _ in self.sites[key]):
+                    found.append(f"{key[0]}.{key[1]}.{name}")
+        return sorted(found)
+
     def single_valued(self):
         """'module.name.parameter' of every default, dataclass-field default and
         **kwargs that takes fewer than two distinct values over its call sites
@@ -450,16 +471,45 @@ def test_settings_guard_names_planted_single_values():
                                 "gap_probability(sine_kernel, 0.0, length, **kw)"))
     src["kernels"] = src["kernels"].replace('numerator="printed"', 'numerator="difference-quotient"')
     # a parameter passed on unchanged takes its caller's values
-    src["saddles"] = src["saddles"].replace("N: int | None = None) -> dict:",
-                                            "N: int | None = None, side=1) -> dict:")
+    src["saddles"] = src["saddles"].replace("def edge_data(family, N: int) -> dict:",
+                                            "def edge_data(family, N: int, side=1) -> dict:")
     src["harness"] = src["harness"].replace("edge_data(fam, N)", "edge_data(fam, N, side)").replace(
-        "block: str = \"S\") -> dict:\n    \"\"\"The block against the Airy",
-        "block: str = \"S\", side=1) -> dict:\n    \"\"\"The block against the Airy")
+        "int, A_list, block: str) -> dict:", "int, A_list, block: str, side=1) -> dict:")
     found = SettingsIndex(src, {**src, **_bench_sources()}).single_valued()
     assert found == sorted(SETTINGS_ALLOWED + [
         "fredholm.gap_probability.tol", "fredholm.sine_gap.**kw",
         "harness.edge_convergence_test.side", "kernels._meixner_paper_kernel.numerator",
         "saddles.edge_data.side"])
+
+
+# a default that no call in src/ or bench/ takes is a second path that no user runs
+DEFAULTS_ALLOWED = []
+
+
+def test_every_default_is_taken():
+    # tests are no callers: a default only they omit is dead code
+    src = _sources(SRC)
+    assert SettingsIndex(src, {**src, **_bench_sources()}).untaken_defaults() == DEFAULTS_ALLOWED
+
+
+def test_untaken_defaults_names_planted_violations():
+    src = _sources(SRC)
+    # named: a default that its one call passes, and one whose class an `except`
+    # clause names (a class test, not a reference that may be called)
+    src["fredholm"] = (src["fredholm"].replace("def sine_gap(length: float):",
+                                               "def sine_gap(length: float = 1.0, **kw):")
+                       # not named: a default that a **kwargs pass-through may take
+                       .replace("b: float):\n", "b: float, tol: float = 1e-10):\n")
+                       .replace("gap_probability(sine_kernel, 0.0, length)",
+                                "gap_probability(sine_kernel, 0.0, length, **kw)"))
+    src["saddles"] = src["saddles"].replace("def __init__(self, family, u: float, N: int):",
+                                            "def __init__(self, family, u: float, N: int = 0):")
+    # not named: a default of a function that is passed on by reference (`_sweep`'s limit)
+    src["refkernels"] = src["refkernels"].replace("def airy_kernel(x):",
+                                                  "def airy_kernel(x, scale=1.0):")
+    found = SettingsIndex(src, {**src, **_bench_sources()}).untaken_defaults()
+    assert found == sorted(DEFAULTS_ALLOWED + ["fredholm.sine_gap.length",
+                                               "saddles.EdgeClassification.N"])
 
 
 def test_one_block_builder():

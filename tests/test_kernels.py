@@ -58,10 +58,10 @@ def test_nesting_adjudication_unique_winner(fam):
 @pytest.mark.parametrize("fam", FAMS, ids=IDS)
 def test_oracle_blocks_structure(fam):
     N = 6
-    blk = oracle_block(fam, N, 4)
+    blk = oracle_block(fam, N, 4, default_window(fam, N))
     # K eps K is antisymmetric
     assert blk.antisymmetry_defect() < 1e-9
-    blk1 = oracle_block(fam, N, 1)
+    blk1 = oracle_block(fam, N, 1, default_window(fam, N))
     # S - K has numerical rank one
     sv = np.linalg.svd(blk1.S - blk.K, compute_uv=False)
     assert sv[1] < 1e-8 * sv[0]
@@ -93,7 +93,7 @@ def test_oracle_block_vs_dense_operators(fam, beta):
     from pfkern.lattice_ops import build_d, build_epsilon_direct
     from pfkern.wavefunctions import get_table
     N = 6
-    blk = oracle_block(fam, N, beta)
+    blk = oracle_block(fam, N, beta, default_window(fam, N))
     lat = oracle_lattice(fam, N, blk.xs)
     r = rank_of(fam, N)
     phi = get_table(fam, r + 1, None if fam.finite else lat.x_max).phi[:, :lat.size]
@@ -295,8 +295,8 @@ def test_composition_adjudication_outcome(fam):
 def test_s4_block_matches_oracle(fam):
     # the beta = 4 block of the contour route (`pfkern kernel`) against the oracle's
     N = 6
-    blk = gram_block(fam, N, 4, None, "contour")
-    orc = oracle_block(fam, N, 4)
+    blk = gram_block(fam, N, 4, default_window(fam, N), "contour")
+    orc = oracle_block(fam, N, 4, default_window(fam, N))
     scale = np.max(np.abs(orc.S))
     assert np.max(np.abs(blk.S - orc.S)) / scale < 1e-8
     assert np.max(np.abs(blk.SD - orc.SD)) / np.max(np.abs(orc.SD)) < 1e-8
@@ -307,8 +307,8 @@ def test_s4_block_matches_oracle(fam):
 def test_s1_block_matches_oracle_and_rank_one(fam):
     # the beta = 1 block of the contour route (`pfkern kernel`) against the oracle's
     N = 6
-    blk = gram_block(fam, N, 1, None, "contour")
-    orc = oracle_block(fam, N, 1)
+    blk = gram_block(fam, N, 1, default_window(fam, N), "contour")
+    orc = oracle_block(fam, N, 1, default_window(fam, N))
     scale = np.max(np.abs(orc.S))
     assert np.max(np.abs(blk.S - orc.S)) / scale < 1e-8
     sv = np.linalg.svd(blk.S - orc.K, compute_uv=False)
@@ -567,7 +567,7 @@ def test_validation_reads_the_projection_adjudication(monkeypatch, fam):
         monkeypatch.setattr(kernels, name, counted)
     kernels.adjudicate_projection.cache_clear()
     kernels.adjudicate_composition.cache_clear()
-    reports = run_validation(fam), run_validation(fam, wrong_nesting=True)
+    reports = run_validation(fam, False), run_validation(fam, wrong_nesting=True)
     proj, comp = adjudicate_projection(fam), adjudicate_composition(fam)
     assert len(calls) == len(proj["candidates"]) + len(comp["candidates"])
     adjudicated, printed = (("paper product>1", "paper product<1") if fam.name == "meixner"
@@ -588,7 +588,7 @@ def test_lazy_inserted_blocks_match_eager_assembly(fam, beta, route):
     from pfkern.symbols import contour_rows
     from pfkern.wavefunctions import get_table
     N = 6
-    blk = gram_block(fam, N, beta, None, route)
+    blk = gram_block(fam, N, beta, default_window(fam, N), route)
     xs = blk.xs
     lat = oracle_lattice(fam, N, xs)
     r = rank_of(fam, N)

@@ -26,7 +26,7 @@ FAMS = [Charlier(theta=1.0), Meixner(xi=0.25, beta_m=1.0), Krawtchouk(M=60, p=0.
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
 def test_apply_d_matches_build_d(fam):
-    lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=80)
+    lat = truncate(fam, 0) if fam.finite else TruncatedLattice(x_max=80)
     v = np.random.default_rng(5).standard_normal((lat.size, 3))
     ref = build_d(fam, lat).mat @ v
     assert np.max(np.abs(apply_d(fam, v) - ref)) < 1e-14 * np.max(np.abs(ref))
@@ -36,7 +36,7 @@ def test_apply_d_matches_build_d(fam):
 def test_d_bandedness():
     # D = D+ - D-: one positive superdiagonal, its negative below, zero elsewhere
     for fam in (Charlier(theta=4.0), *FAMS):
-        lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=30)
+        lat = truncate(fam, 0) if fam.finite else TruncatedLattice(x_max=30)
         d = build_d(fam, lat).mat
         idx = np.arange(lat.x_max)
         band = np.zeros_like(d, dtype=bool)
@@ -58,7 +58,7 @@ def test_dplus_entry_charlier():
 def test_dminus_first_row_zero():
     # the D- half of D is its subdiagonal, which has nothing in row 0
     for fam in FAMS:
-        lat = TruncatedLattice(x_max=20) if not fam.finite else truncate(fam)
+        lat = TruncatedLattice(x_max=20) if not fam.finite else truncate(fam, 0)
         d = build_d(fam, lat).mat
         assert np.all(np.tril(d)[0] == 0.0)
 
@@ -107,7 +107,7 @@ def test_upsilon_pattern():
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
 def test_direct_equals_factored(fam):
     # the defining sums against the factorization as the blocks run it
-    lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=80)
+    lat = truncate(fam, 0) if fam.finite else TruncatedLattice(x_max=80)
     d = build_epsilon_direct(fam, lat).mat
     f = apply_eps(fam, np.eye(lat.size))
     win = interior_window(lat)
@@ -116,7 +116,7 @@ def test_direct_equals_factored(fam):
 
 @pytest.mark.parametrize("fam", FAMS, ids=lambda f: f.name)
 def test_epsilon_antisymmetric(fam):
-    lat = truncate(fam) if fam.finite else TruncatedLattice(x_max=80)
+    lat = truncate(fam, 0) if fam.finite else TruncatedLattice(x_max=80)
     e = build_epsilon_direct(fam, lat)
     win = interior_window(lat)
     assert np.max(np.abs(e.mat[win, win] + e.mat.T[win, win])) < 1e-10
@@ -126,7 +126,7 @@ def test_epsilon_antisymmetric(fam):
 def test_apply_eps_refuses_overflowing_factors():
     # the exponents alpha, beta reach about +-theta/2: at theta = 1536 exp
     # overflows, which is a numerical failure rather than a warning and NaN entries
-    lat = truncate(Charlier(theta=1536.0))
+    lat = truncate(Charlier(theta=1536.0), 0)
     with pytest.raises(QuadratureError, match=f"{lat.size} lattice"):
         apply_eps(Charlier(theta=1536.0), np.ones(lat.size))
 
@@ -160,7 +160,7 @@ def test_mutual_inverse_krawtchouk_even_m_boundary_defect():
     #   (eps D phi_n)(2m) - phi_n(2m) = -T(m) phi_n(M),
     #   T(m) = sqrt(w(2m)/w(M)) prod_{j=m}^{M/2-1} w(2j+1)/w(2j)
     fam = Krawtchouk(M=60, p=0.4)
-    lat = truncate(fam)
+    lat = truncate(fam, 0)
     tab = get_table(fam, 22)
     D = build_d(fam, lat).mat
     E = build_epsilon_direct(fam, lat).mat

@@ -1,7 +1,7 @@
 import numpy as np
 
 from pfkern.families import Charlier, Meixner
-from pfkern.kernels import oracle_block
+from pfkern.kernels import default_window, oracle_block
 from pfkern.reports import write_kernel_csv
 
 
@@ -41,7 +41,8 @@ def test_kernel_csv_matches_cell_by_cell_format(tmp_path):
 def test_kernel_csv_streams_a_large_window(tmp_path, traced_peak):
     # the Meixner xi = 0.446, N = 32, beta = 1 oracle window: 129 x 129 cells,
     # a 1.13 MB file.  Formatting every cell at once peaked at 5 MB
-    blk = oracle_block(Meixner(xi=0.446), 32, 1)
+    fam = Meixner(xi=0.446)
+    blk = oracle_block(fam, 32, 1, default_window(fam, 32))
     blk.SD, blk.epsS    # the lazy blocks are computed before the measurement
     path = tmp_path / "k.csv"
     _, peak = traced_peak(lambda: write_kernel_csv(str(path), blk))

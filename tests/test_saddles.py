@@ -12,13 +12,13 @@ KR = Krawtchouk(M=64, p=0.5)          # gamma = 1/2 at N = 32
 
 
 def test_cos_theta_spot_values():
-    assert cos_theta(CH, 2.0, N=32) == pytest.approx(0.0, abs=1e-14)
-    assert cos_theta(MX, 1.0) == pytest.approx(0.5, rel=1e-14)
-    assert cos_theta(KR, 0.5, N=32) == pytest.approx(0.0, abs=1e-14)
+    assert cos_theta(CH, 2.0, 32) == pytest.approx(0.0, abs=1e-14)
+    assert cos_theta(MX, 1.0, 16) == pytest.approx(0.5, rel=1e-14)
+    assert cos_theta(KR, 0.5, 32) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_bulk_supports():
-    assert bulk_support(MX) == pytest.approx((1 / 3, 3.0), rel=1e-14)
+    assert bulk_support(MX, 16) == pytest.approx((1 / 3, 3.0), rel=1e-14)
     assert bulk_support(CH, 32) == pytest.approx((0.0, 4.0), abs=1e-14)
     assert bulk_support(KR, 32) == pytest.approx((0.0, 1.0), abs=1e-14)
 
@@ -51,7 +51,7 @@ def test_krawtchouk_saddle_modulus():
 def test_density_spot_values():
     rho = rho_closed_form(CH, 2.0, 32)
     assert rho == pytest.approx(1.0 / (2 * np.pi), rel=1e-13)
-    rho_m = rho_closed_form(MX, 1.0)
+    rho_m = rho_closed_form(MX, 1.0, 16)
     assert rho_m == pytest.approx(np.sqrt(0.75) / np.pi, rel=1e-12)
 
 
@@ -62,13 +62,13 @@ def test_density_integrates_to_one(fam, N):
 
 
 def test_cos_theta_iff_bulk():
-    lo, hi = bulk_support(MX)
+    lo, hi = bulk_support(MX, 16)
     for u in np.linspace(lo + 1e-3, hi - 1e-3, 9):
-        assert -1 < cos_theta(MX, u) < 1
+        assert -1 < cos_theta(MX, u, 16) < 1
     for u in (lo - 0.05, hi + 0.05):
-        assert abs(cos_theta(MX, u)) >= 1
+        assert abs(cos_theta(MX, u, 16)) >= 1
         with pytest.raises(EdgeClassification):
-            saddle_pair(MX, u)
+            saddle_pair(MX, u, 16)
 
 
 def test_site_density_vs_kernel_diagonal():
@@ -82,7 +82,7 @@ def test_site_density_vs_kernel_diagonal():
 def test_site_density_edges():
     # soft right edge: density vanishes; saturated Meixner left edge: -> 1
     assert site_density(CH, 4.2, 32) == 0.0
-    assert site_density(MX, 0.2) == 1.0
+    assert site_density(MX, 0.2, 16) == 1.0
 
 
 def test_argmax_on_admissible_circle():

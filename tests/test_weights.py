@@ -51,7 +51,7 @@ def test_weight_positive_and_domain():
 
 def test_truncation_certificate():
     for fam in DESK:
-        lat = truncate(fam)
+        lat = truncate(fam, 0)
         if fam.finite:
             assert lat.x_max == fam.M
             continue
@@ -214,6 +214,6 @@ def test_truncate_weighs_each_site_once(monkeypatch):
     # each doubling of the search window adds the new sites' log weights only
     sites, lw = [], Charlier.log_weight
     monkeypatch.setattr(Charlier, "log_weight", lambda self, x: sites.append(x) or lw(self, x))
-    lattice = truncate(Charlier(theta=2000.0))
+    lattice = truncate(Charlier(theta=2000.0), 0)
     assert len(sites) > 2 and np.array_equal(np.concatenate(sites), np.arange(sites[-1][-1] + 1))
     assert lattice.x_max < sites[-1][-1]
