@@ -74,12 +74,14 @@ def _position(args):
 
 def _window(args, family):
     """The lo:hi `--window` (the default window if unset) for a positive `--N`,
-    at most M for Krawtchouk."""
-    from .kernels import default_window
+    at most M for Krawtchouk, and of even rank at beta = 4 (every splice is)."""
+    from .kernels import default_window, refuse_odd_rank
     if args.N < 1:
         raise DomainError(f"--N must be positive, got {args.N}")
     if family.finite and args.N > family.M:
         raise DomainError(f"--N {args.N} exceeds the Krawtchouk lattice size M={family.M}")
+    if getattr(args, "beta", 4) == 4:
+        refuse_odd_rank(family, args.N, "")
     if not args.window:
         return default_window(family, args.N)
     # a bound that is not a decimal integer reads as -1, outside every lattice

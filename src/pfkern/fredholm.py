@@ -3,7 +3,8 @@ method for continuum reference kernels, and finite determinants for the
 discrete kernels restricted to lattice intervals.  The bulk gap study takes
 (regime, A, u, lengths) like every study of `harness`: it reads rho_site and
 (family, N) from the bulk frame at (A, u), cuts its intervals to the lattice
-by the frames' rule, and reads one wave table for all its interval lengths.
+by the frames' rule, and reads K on the longest interval from the window route
+of `kernels.gram_block` (rows at its sites alone, no wave table).
 """
 from __future__ import annotations
 
@@ -11,9 +12,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .harness import bulk_frame, on_lattice
-from .kernels import rank_of
+from .kernels import gram_block
 from .refkernels import sine_kernel
-from .wavefunctions import table_lattice, wave_table
 
 
 def nystrom_det(kernel, a: float, b: float, nodes: int) -> float:
@@ -48,13 +48,10 @@ def sine_gap(length: float):
     return gap_probability(sine_kernel, 0.0, length)
 
 
-def discrete_gap(rows, points) -> float:
-    """det(I - K) for the projection kernel K = rows^T rows restricted to the
-    lattice points of an interval (rows phi_0..phi_(r-1)); 1 if it is empty."""
-    if points.size == 0:
-        return 1.0
-    K = rows[:, points].T @ rows[:, points]
-    return float(np.linalg.det(np.eye(len(points)) - K))
+def discrete_gap(K) -> float:
+    """det(I - K) for the projection kernel K restricted to the lattice points of an
+    interval; 1 if it has none."""
+    return float(np.linalg.det(np.eye(len(K)) - K))
 
 
 def bulk_scaled_gap_comparison(regime, A: int, u: float, lengths) -> dict:
@@ -70,13 +67,12 @@ def bulk_scaled_gap_comparison(regime, A: int, u: float, lengths) -> dict:
     lo = int(np.ceil(A * u))
     intervals = [on_lattice(family, np.arange(lo, int(np.floor(A * u + L / rho)) + 1))
                  for L in lengths]
-    # one table of rows 0..r-1 for every length, on the lattice the longest one needs
-    r = rank_of(family, N)
-    phi = wave_table(family, r - 1,
-                     table_lattice(family, r + 1, lo + max(map(len, intervals)))).phi
+    # every interval is a head of the longest: one K on its sites, from window rows
+    longest = max(intervals, key=len)
+    K = gram_block(family, N, 2, longest, "window").K if longest.size else np.empty((0, 0))
     rows = []
     for L, pts in zip(lengths, intervals):
-        d = discrete_gap(phi, pts)
+        d = discrete_gap(K[:len(pts), :len(pts)])
         s, cert = sine_gap((len(pts)) * rho)
         rows.append({"length": float(L), "points": int(len(pts)),
                      "effective_length": float(len(pts) * rho),

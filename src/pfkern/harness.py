@@ -10,8 +10,9 @@ Every study but the crossover reads a frame per A.  A frame (`bulk_frame`,
 per unit s, the entry's own fields): in the bulk x = floor(A u + s / rho_site)
 for s on `DEFAULT_GRID`, at the right soft edge x = floor(A u* + c_A s), cut
 to the lattice (`on_lattice`).  `_compare` gives a frame's (fields, s, block,
-limit(s), rank-one term): the oracle route's block and its beta = 1 rank-one
-term times the sites per unit s, at the realized (post-floor) s.  The bulk and
+limit(s), rank-one term): the block (K and the beta = 1 S from window rows, with no
+wave table) and its beta = 1 rank-one term times the sites per unit s, at the
+realized (post-floor) s.  The bulk and
 edge studies `_sweep` it: per entry `c_fit` (one overall amplitude, always
 fitted and reported rather than assumed), `sup_err_fitted`, `sup_err_raw`,
 `diag_err` and, for beta = 1, `rank_one_sup`; over the entries the log-log
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Charlier, DomainError, Krawtchouk, Meixner
-from .kernels import crossover_block, oracle_block
+from .kernels import crossover_block, gram_block, oracle_block, refuse_odd_rank
 from .refkernels import airy_kernel, bessel_kernel, sine_kernel, sine_kernel_deriv
 from .saddles import bulk_support, edge_data, saddle_pair, site_density
 
@@ -92,11 +93,14 @@ def edge_frame(regime, A, ed, s_grid):
 
 def _compare(frame, beta, block, limit):
     """The frame's fields, s in increasing order, and on the window in that order
-    the oracle route's block (S, SD, epsS, or K, at any beta from the beta = 1 block)
-    times the sites per unit s, limit(s), and the beta = 1 rank-one term times the
-    same (else None)."""
+    the block (the window route's K or beta = 1 S, else the oracle route's; a beta = 4
+    block but K is refused at odd rank) times the sites per unit s, limit(s), and the
+    beta = 1 rank-one term times the same (else None)."""
     fam, N, xs, s, scale, fields = frame
-    blk = oracle_block(fam, N, 1 if block == "K" else beta, xs)   # eps of 1 row, not r
+    if beta == 4 and block != "K":
+        refuse_odd_rank(fam, N, f" at A = {fields['A']}")
+    blk = gram_block(fam, N, 2 if beta == 4 else 1, xs, "window") \
+        if block == "K" or (block, beta) == ("S", 1) else oracle_block(fam, N, beta, xs)
     order = np.argsort(s)
     pick = np.ix_(order, order)
     rank_one = (blk.rank_one * scale)[pick] if beta == 1 else None
@@ -137,19 +141,19 @@ def bulk_convergence_test(regime: Regime, beta: int, u: float, A_list, block: st
 
 def edge_convergence_test(regime: Regime, beta: int, A_list, block: str) -> dict:
     """The block against the Airy kernel at the right soft edge per A (`_sweep`), with the
-    edge data of the first A and the `coalescence_exponent` (1/2) that sets the A^(1/3) scale."""
+    edge data and the `coalescence_exponent` (1/2, which sets the A^(1/3) scale) of the first A."""
     fam, N = regime.family_and_N(int(A_list[0]))
     ed = edge_data(fam, N)
     frames = (edge_frame(regime, A, ed, np.linspace(-3.5, 1.5, 13)) for A in A_list)
     return {"regime": regime.kind, "side": "right", "u_star": ed["u_star"],
             "kappa": abs(ed["kappa"]), "lam": ed["lam"],
             **_sweep(frames, beta, block, airy_kernel),
-            "coalescence_exponent": coalescence_exponent(regime)}
+            "coalescence_exponent": coalescence_exponent(regime, A_list[0])}
 
 
-def coalescence_exponent(regime: Regime) -> float:
-    """Fit |z_+ - z_-| ~ C |u - u*|^p approaching the right soft edge (p = 1/2), at A = 64."""
-    fam, N = regime.family_and_N(64)
+def coalescence_exponent(regime: Regime, A: int) -> float:
+    """Fit |z_+ - z_-| ~ C |u - u*|^p approaching the right soft edge (p = 1/2), at A."""
+    fam, N = regime.family_and_N(int(A))
     lo, hi = bulk_support(fam, N)
     ds = np.geomspace(1e-4, 1e-2, 9) * (hi - lo)
     gaps = [abs(np.subtract(*saddle_pair(fam, hi - d, N))) for d in ds]

@@ -17,15 +17,17 @@ and the eps inside E, and the rows are the provenance:
   compose_columns          oracle    multiplier                  oracle
   kuznetsov.spliced_s4     contour   multiplier times m_h        contour
   kuznetsov.spliced_oracle oracle    multiplier times m_h        oracle
+  harness, fredholm        window    lattice, on one full row    window
 
-(oracle rows: one `wave_table` of degrees 0..r on the `oracle_lattice`;
-contour rows: coefficient extraction, refused where K(x, x) > 1; multiplier:
-the contour image under the inverse eps symbol.)  `crossover_block`, for
-`harness.crossover_test`, assembles the same sandwich on a window with no
-lattice: contour rows, and E = G^-1 in closed form at beta = 4.  Contour rows
-come from `symbols.contour_rows`, which extracts the degrees that share a
-`default_contour` circle together, and so shares that circle's nodes,
-multiplier values and FFTs.
+(oracle rows: one `wave_table` of degrees 0..r on the `oracle_lattice`; contour
+rows: coefficient extraction, refused where K(x, x) > 1; multiplier: the contour
+image under the inverse eps symbol; window rows: `window_rows` at the window sites
+alone, no E: S = K at beta = 2, K plus the rank-one term at beta = 1, whose eps phi_b
+of one `full_row` is the block's one lattice-sized array.)  `crossover_block`, for
+`harness.crossover_test`, assembles the same sandwich on a window with no lattice:
+contour rows, and E = G^-1 in closed form at beta = 4.  Contour rows come from
+`symbols.contour_rows`, which extracts the degrees that share a `default_contour`
+circle together, and so shares that circle's nodes, multiplier values and FFTs.
 The inserted blocks of a lattice-eps block come from the same factors,
 SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y, with D and eps applied as
 stencil and prefix sums, so no lattice-by-lattice matrix is formed; they, and
@@ -66,7 +68,7 @@ from .families import Charlier, DomainError, Meixner, QuadratureError, Truncated
 from .lattice_ops import apply_d, apply_eps
 from .symbols import (contour_rows, eps_multiplier, eps_phi_via_contour, generating_logs,
                       inverse_eps_symbol, meixner_G, symbol, unit_roots)
-from .wavefunctions import table_lattice, wave_table
+from .wavefunctions import full_row, table_lattice, wave_table, window_rows
 
 _ROW_BLOCK = 128    # rows per pass of D or eps over the lattice
 
@@ -74,6 +76,12 @@ _ROW_BLOCK = 128    # rows per pass of D or eps over the lattice
 def rank_of(family, N: int) -> int:
     """Number of wave functions in the projection: 2N for Meixner, N else."""
     return 2 * N if isinstance(family, Meixner) else N
+
+
+def refuse_odd_rank(family, N: int, where: str) -> None:
+    """Refuse a beta = 4 request of odd rank: its Pfaffian law pairs the wave functions."""
+    if rank_of(family, N) % 2:
+        raise DomainError(f"beta = 4 needs an even rank, but N = {N}{where} gives an odd one")
 
 
 def beta1_indices(family, N: int) -> tuple[int, int]:
@@ -99,10 +107,11 @@ class KernelBlockSet:
     R = T, E rectangular).  A block whose eps is the lattice operator computes
     SD = L_x^T E (R D)_y and epsS = (eps L^T)_x E R_y on first read, with D
     and eps applied as stencil and prefix sums, row block by row block, at
-    the window columns only.  A block
-    whose eps is a contour multiplier (composed, spliced) has no inserted
-    blocks: both read None.  K and rank_one (None at beta = 4) are the window
-    projection and the beta = 1 term (1/2) phi_a (x) (eps phi_b)(y)."""
+    the window columns only.  A block whose eps is a contour multiplier
+    (composed, spliced), or whose rows are the window route's (at the window
+    columns alone, E None), has no inserted blocks: both read None.  K and
+    rank_one (None but at beta = 1) are the window projection and the beta = 1
+    term (1/2) phi_a (x) (eps phi_b)(y)."""
 
     family: object
     beta: int
@@ -114,9 +123,13 @@ class KernelBlockSet:
     factors: tuple = field(repr=False, compare=False)
     multiplier: object = field(repr=False, compare=False)
 
+    @property
+    def _cols(self):        # the factors' columns at the window: window rows hold no others
+        return slice(None) if self.provenance == "window" else self.xs
+
     @cached_property
     def SD(self) -> np.ndarray | None:
-        if self.multiplier is not None:
+        if self.multiplier is not None or self.provenance == "window":
             return None
         L, E, R = self.factors
         RD = -_window_rows(apply_d, self.family, R, self.xs)    # R D, since D^T = -D
@@ -124,7 +137,7 @@ class KernelBlockSet:
 
     @cached_property
     def epsS(self) -> np.ndarray | None:
-        if self.multiplier is not None:
+        if self.multiplier is not None or self.provenance == "window":
             return None
         L, E, R = self.factors
         return _assemble_blocks(_window_rows(apply_eps, self.family, L, self.xs), E, R[:, self.xs])
@@ -132,14 +145,14 @@ class KernelBlockSet:
     @cached_property
     def K(self) -> np.ndarray:
         L = self.factors[0][:rank_of(self.family, self.N)]
-        return L[:, self.xs].T @ L[:, self.xs]      # two copies: a GEMM, as the S blocks
+        return L[:, self._cols].T @ L[:, self._cols]    # two copies: a GEMM, as the S blocks
 
     @cached_property
     def rank_one(self) -> np.ndarray | None:
         if self.beta != 1:
             return None
-        L, E, R = self.factors
-        return E[-1, -1] * np.outer(L[-1, self.xs], R[-1, self.xs])
+        L, _, R = self.factors
+        return 0.5 * np.outer(L[-1, self._cols], R[-1, self._cols])     # E[a, a + 1] = 1/2
 
     def antisymmetry_defect(self) -> float:
         return float(np.max(np.abs(self.S + self.S.T)))
@@ -184,19 +197,31 @@ def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
     """The beta = 1 or 4 block, x and y both over the window's lattice sites, with its factors.
 
     Rows phi_0..phi_r on the lattice come from the route: 'oracle' reads the
-    recurrence tables, 'contour' the contour extraction, which raises
+    recurrence tables ('window', at beta = 1 or 2, the rows at the window alone:
+    module docstring), 'contour' the contour extraction, which raises
     QuadratureError where its rows give K(x, x) > 1 + 1e-6.  eps is the
     lattice operator, or the contour image under z -> multiplier(z) if one is
     given.  beta = 4: L = R = Phi with E = Phi eps(Phi)^T, taken `_ROW_BLOCK`
     columns at a time; beta = 1: eps phi_b goes into the spare row of the rows'
     own buffer T (`_rank_one_gram`).  The provenance is the route; `meta` adds
     to the lattice size."""
-    if beta not in (1, 4):
-        raise ValueError("beta must be 1 or 4")
+    if beta not in ((1, 2) if route == "window" else (1, 4)):
+        raise ValueError("beta must be 1 or 4, or 2 (K alone) on the window route")
     window = np.asarray(window)
-    lattice = oracle_lattice(family, N, window)
     r = rank_of(family, N)
     spare = int(beta == 1)
+    if route == "window":       # rows at the window alone, and eps of the one full row phi_b
+        T = window_rows(family, r - 1 + spare, window)
+        S = T[:r].T @ T[:r]
+        if beta == 1:           # eps phi_b on the oracle lattice, which no beta = 2 block reads
+            lattice = oracle_lattice(family, N, window)
+            meta = {"lattice_x_max": lattice.x_max, **meta}
+            phi_b = full_row(family, beta1_indices(family, N)[1], lattice.size)
+            T = np.vstack([T, apply_eps(family, phi_b)[window]])
+            S += 0.5 * np.outer(T[r], T[r + 1])
+        return KernelBlockSet(family=family, beta=beta, N=N, xs=window, S=S, provenance=route,
+                              meta=meta, factors=(T[:r + spare], None, T), multiplier=multiplier)
+    lattice = oracle_lattice(family, N, window)
     if route == "oracle":
         T = wave_table(family, r, lattice, spare).rows
     else:

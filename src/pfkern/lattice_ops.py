@@ -81,13 +81,15 @@ def eps_separable_exponents(family, size: int):
 
 def apply_eps(family, vecs: np.ndarray) -> np.ndarray:
     """eps @ vecs for one vector or a stack of columns, via the separable
-    parity-split form with suffix/prefix sums; O(size) per vector.  Raises
-    QuadratureError where a factor exp(alpha) or exp(beta) overflows."""
+    parity-split form with suffix/prefix sums; O(size) per vector.  Where exp(alpha) or
+    exp(beta) would overflow, the chains shift to alpha - c, beta + c, c = max alpha (each
+    entry exp(alpha_m + beta_k) stays); QuadratureError if a factor still overflows."""
     v = np.atleast_2d(vecs.T).T  # (size, ncols)
     size = v.shape[0]
     alpha, beta = eps_separable_exponents(family, size)
+    c = alpha.max() if np.r_[alpha, beta].max(initial=0.0) > np.log(np.finfo(float).max) else 0.0
     with np.errstate(over="ignore"):
-        f_even, f_odd = np.exp(alpha)[:, None], np.exp(beta)[:, None]
+        f_even, f_odd = np.exp(alpha - c)[:, None], np.exp(beta + c)[:, None]
     if np.isinf(f_even).any() or np.isinf(f_odd).any():
         raise QuadratureError(f"eps factors exp(alpha), exp(beta) overflow on {size} lattice sites")
     out = np.zeros_like(v, dtype=float)

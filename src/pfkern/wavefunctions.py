@@ -1,6 +1,6 @@
 """Orthonormal wave functions phi_n(x) = P_n(x) sqrt(w(x)) / sqrt(h_n).
 
-Evaluation strategy: the monic three-term recurrence is run forward in the
+The table (`wave_table`): the monic three-term recurrence is run forward in the
 degree with dynamic rescaling (exponent carried per lattice point).  Forward
 recurrence is unstable deep in the left classically-forbidden region
 x << a_n - 2 b_n, where phi_n is the minimal solution; those entries are
@@ -14,10 +14,11 @@ recurrence itself keeps three row buffers.  The table's buffer may carry
 `spare` rows past phi_n_max for its caller: the beta = 1 kernel block writes
 its eps phi_b row there, so the block holds one lattice-sized array.
 
-Norms h_n are always obtained by direct lattice summation (in log space),
-never from closed forms; closed forms appear only in tests.
-No table is kept between calls: it lives as long as the block or study
-that reads it, so a sweep holds one table at a time, not all it has built.
+The table's norms h_n are lattice sums (in log space); no table is kept between calls.
+With no table, `window_rows` runs the orthonormal recurrence at the requested sites
+alone, so its norms are the closed form h_n = h_0 prod_(k<=n) b_k^2, h_0 = sum w, and
+`full_row` gives one degree on the whole lattice in O(L) by the self-duality, with
+Miller's backward recurrence past the turning point (Gautschi, SIAM Rev. 9, 1967).
 """
 from __future__ import annotations
 
@@ -133,6 +134,56 @@ def wave_table(family, n_max: int, lattice: TruncatedLattice, spare: int = 0) ->
             if cols.size:
                 row[cols] = np.where((n + cols) % 2 == 0, 1.0, -1.0) * dual_vals
     return WaveTable(lattice=lattice, rows=rows, log_h=log_h)
+
+
+def _recurrence(c, d, log0):
+    """(u, s) with v_k = u_k exp(s_k) solving v_(k+1) = c_k v_k - d_k v_(k-1) from v_0 = exp(log0),
+    v_(-1) = 0, for float lists c, d; u is rescaled to 1 where it passes _RESCALE_LIMIT."""
+    u, s, prev, cur, shift = [1.0], [log0], 0.0, 1.0, log0
+    for ck, dk in zip(c, d):
+        prev, cur = cur, ck * cur - dk * prev
+        if abs(cur) > _RESCALE_LIMIT:
+            prev, cur, shift = prev / abs(cur), math.copysign(1.0, cur), shift + math.log(abs(cur))
+        u.append(cur)
+        s.append(shift)
+    return np.array(u), np.array(s)
+
+
+def _column(family, x: int, n_max: int) -> np.ndarray:
+    """phi_0(x)..phi_n_max(x) by the degree recurrence at the one site x: forward from phi_0 =
+    sqrt(w(x) / h_0) (h_0 = 1, or (1 - xi)^-beta_m for Meixner) to the turning point t, the dual
+    zone edge a_x + 2 b_x or, for Krawtchouk, the last degree whose zone holds x if earlier; past
+    t, where phi_n(x) is the minimal solution, Miller's backward recurrence scaled to meet it at
+    t, from M + 1 (b = 0) for Krawtchouk, else from where |l-/l+| (roots of l^2 - c l + d) has
+    multiplied to e^-40 past n_max."""
+    a, b2 = family.jacobi(np.arange((family.M if family.finite else 2 * n_max + 64) + 2.0))
+    b = np.sqrt(b2)
+    a_x, b2_x = family.jacobi(float(x))
+    inside = np.flatnonzero((x - a[:n_max + 1]) ** 2 <= 4.0 * b2[:n_max + 1])
+    t = min(n_max, int(a_x + 2.0 * math.sqrt(b2_x)), *inside[-1:])
+    top = family.M if family.finite and t < n_max else t
+    if top < n_max:
+        c, d = np.abs(x - a[n_max:-2]) / b[n_max + 1:-1], b[n_max:-2] / b[n_max + 1:-1]
+        top = n_max + int(np.searchsorted(
+            2.0 * np.cumsum(np.arctanh(np.sqrt(np.maximum(c * c - 4.0 * d, 0.0)) / c)), 40.0))
+    log_h0 = -family.beta_m * math.log1p(-family.xi) if family.name == "meixner" else 0.0
+    u, s = _recurrence(((x - a[:t]) / b[1:t + 1]).tolist(), (b[:t] / b[1:t + 1]).tolist(),
+                       0.5 * (float(family.log_weight(float(x))) - log_h0))
+    n = np.arange(top, t, -1)
+    v, e = _recurrence(((x - a[n]) / b[n]).tolist(), (b[n + 1] / b[n]).tolist(), 0.0)
+    tail = v[-2::-1] * (u[-1] / v[-1]) * np.exp(e[-2::-1] - e[-1] + s[-1])
+    return np.concatenate([u * np.exp(s), tail])[:n_max + 1]
+
+
+def window_rows(family, n_max: int, sites) -> np.ndarray:
+    """phi_0..phi_n_max at the sites alone, one column per site (`_column`)."""
+    return np.stack([_column(family, int(x), n_max) for x in sites], axis=1)
+
+
+def full_row(family, n: int, size: int) -> np.ndarray:
+    """phi_n at the sites 0..size-1 in O(size) by the duality phi_n(y) = (-1)^(n+y) phi_y(n)."""
+    row = _column(family, n, size - 1)
+    return np.where((n + np.arange(size)) % 2, -row, row)
 
 
 def table_lattice(family, n_max: int, x_max: int) -> TruncatedLattice:

@@ -419,6 +419,12 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
      "--gamma 0.25 at A = 2"),
     (["asym", "edge", "--family", "krawtchouk", "--gamma", "0.9", "--p", "0.4",
       "--A-list", "2,4"], "--gamma 0.9 at A = 2"),
+    # a beta = 4 block of odd rank has no Pfaffian law
+    (["kernel", "--family", "charlier", "--theta", "2", "--beta", "4", "--N", "3", "--oracle"],
+     "N = 3 gives an odd one"),
+    (["splice", "kernel", "--family", "charlier", "--theta", "1", "--N", "5"], "N = 5 gives an odd one"),
+    (["asym", "bulk", "--family", "charlier", "--tau", "1", "--beta", "4", "--u", "2",
+      "--A-list", "25,49"], "N = 25 at A = 25 gives an odd one"),
 ], ids=["density-gamma-1.5", "edge-tau-0", "bulk-u-outside", "correction-u-packed",
         "gap-u-at-edge", "edge-ratio-meixner", "kernel-N-0", "splice-kernel-N-0",
         "kernel-window-empty", "kernel-window-negative", "kernel-window-past-M",
@@ -433,7 +439,8 @@ def test_asym_missing_parameter_is_a_usage_error(tmp_path, capsys, argv, missing
         "reality-sigma-nan", "splice-kernel-sigma-inf", "crossover-alpha-nan",
         "crossover-alpha-negative", "crossover-alpha-inf", "crossover-alpha-past-2N",
         "density-grid-0", "density-grid-negative", "krawtchouk-density-N-0",
-        "krawtchouk-edge-N-M"])
+        "krawtchouk-edge-N-M", "kernel-beta4-odd-rank", "splice-odd-rank",
+        "bulk-beta4-odd-rank"])
 def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named):
     # one error line that names the domain, no warning or traceback, and no
     # output: not even the new --out directory
@@ -441,6 +448,57 @@ def test_input_outside_the_domain_is_a_usage_error(tmp_path, capsys, argv, named
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and named in err
     assert not list(tmp_path.iterdir())
+
+
+def test_beta4_K_at_odd_rank_is_the_projection(tmp_path):
+    # K is the projection at any rank, so a beta = 4 K request is answered
+    assert main(["asym", "bulk", "--family", "charlier", "--tau", "1", "--beta", "4", "--u", "2",
+                 "--block", "K", "--A-list", "25,49", "--out", str(tmp_path)]) == 0
+
+
+def test_small_gamma_edge_study_runs_at_the_A_it_is_given(tmp_path):
+    # gamma = 0.005 gives N = 0 at A = 64, which the edge study no longer visits:
+    # its coalescence exponent is read at the first A of the list (N = 3)
+    assert main(["asym", "edge", "--family", "krawtchouk", "--gamma", "0.005", "--p", "0.4",
+                 "--A-list", "512,1024", "--block", "K", "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "edge_krawtchouk_b1.json").read_text())
+    assert rep["coalescence_exponent"] == pytest.approx(0.5, abs=0.05)
+
+
+LARGE_A = {"charlier": (["--tau", "1"], "2"), "meixner": (["--xi", "0.25"], "1"),
+           "krawtchouk": (["--gamma", "0.25", "--p", "0.4"], "0.3")}
+
+
+@pytest.mark.parametrize("study", ["bulk-S", "bulk-K", "edge-K"])
+@pytest.mark.parametrize("kind", list(LARGE_A))
+def test_studies_run_at_A_6144(tmp_path, traced_peak, kind, study):
+    # a wave table of all degrees would be 6145 x 28,000 doubles (1.4 GB) for
+    # Charlier; the window rows and one full row stay far below 64 MB
+    import warnings
+    params, u = LARGE_A[kind]
+    name, block = study.split("-")
+    argv = ["asym", name, "--family", kind, *params, "--beta", "1", "--block", block,
+            "--A-list", "6144", "--out", str(tmp_path)] + (["--u", u] if name == "bulk" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, peak = traced_peak(lambda: main(argv))
+    assert code == 0 and peak < 64e6
+
+
+@pytest.mark.parametrize("argv", [
+    ["bulk", "--u", "2", "--block", "S"], ["bulk", "--u", "2", "--block", "K"],
+    ["bulk", "--u", "2", "--beta", "4", "--block", "K"], ["edge", "--block", "K"],
+    ["correction", "--u", "2", "--A-list", "48,96"], ["gap", "--u", "3", "--A", "256"]],
+    ids=["bulk-S", "bulk-K", "bulk-beta4-K", "edge-K", "correction", "gap"])
+def test_studies_build_no_wave_table(tmp_path, monkeypatch, argv):
+    # K and the beta = 1 S come from the window route: rows at the window sites
+    from pfkern import kernels, wavefunctions
+    def refuse(*args, **kw):
+        raise AssertionError("a study built a wave table")
+    monkeypatch.setattr(kernels, "wave_table", refuse)
+    monkeypatch.setattr(wavefunctions, "wave_table", refuse)
+    assert main(["asym", *argv[:1], "--family", "charlier", "--tau", "1", *argv[1:],
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_kernel_on_a_krawtchouk_lattice_shorter_than_the_adjudication(tmp_path):

@@ -10,8 +10,7 @@ import pytest
 
 from pfkern.families import Charlier, Krawtchouk, Meixner
 from pfkern.fredholm import discrete_gap
-from pfkern.kernels import oracle_block, rank_of
-from pfkern.wavefunctions import get_table
+from pfkern.kernels import gram_block, oracle_block, rank_of
 
 
 def beta2_enumeration(family, n, size, gaps):
@@ -38,11 +37,13 @@ GAPS = [np.arange(0, 2), np.arange(3, 7), np.array([5])]
 @pytest.mark.parametrize("family, N, size", CASES,
                          ids=["krawtchouk-M12-N3", "charlier-N3", "meixner-N1", "meixner-N2"])
 def test_oracle_kernel_and_gaps_match_the_enumeration(family, N, size):
+    # K from the wave table and from the window rows (no table)
     rho1, rho2, empty = beta2_enumeration(family, rank_of(family, N), size, GAPS)
-    K = oracle_block(family, N, 4, np.arange(size)).K
-    assert np.max(np.abs(np.diag(K) - rho1)) <= 1e-12
-    det2 = np.outer(np.diag(K), np.diag(K)) - K * K.T
-    np.fill_diagonal(det2, 0.0)
-    assert np.max(np.abs(det2 - rho2)) <= 1e-12
-    rows = get_table(family, rank_of(family, N) - 1, size).phi
-    assert np.max(np.abs([discrete_gap(rows, J) - e for J, e in zip(GAPS, empty)])) <= 1e-12
+    sites = np.arange(size)
+    for K in (oracle_block(family, N, 4, sites).K, gram_block(family, N, 2, sites, "window").K):
+        assert np.max(np.abs(np.diag(K) - rho1)) <= 1e-12
+        det2 = np.outer(np.diag(K), np.diag(K)) - K * K.T
+        np.fill_diagonal(det2, 0.0)
+        assert np.max(np.abs(det2 - rho2)) <= 1e-12
+        gaps = [discrete_gap(K[np.ix_(J, J)]) for J in GAPS]
+        assert np.max(np.abs(np.subtract(gaps, empty))) <= 1e-12

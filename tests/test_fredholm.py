@@ -35,44 +35,44 @@ def test_discrete_gap_in_unit_interval_and_monotone():
     assert (empty["points"], empty["discrete"]) == (0, 1.0)
 
 
-def test_gap_study_builds_one_table(monkeypatch):
-    # every length reads the rows of one table, on the longest interval's lattice
-    from pfkern import fredholm, wavefunctions
-    builds = []
-    build = fredholm.wave_table
-    monkeypatch.setattr(fredholm, "wave_table",
-                        lambda *args: builds.append(args[2]) or build(*args))
+def test_gap_study_builds_one_kernel(monkeypatch):
+    # every length reads the head of one K, on the longest interval's sites, from
+    # the window route: no wave table
+    from pfkern import fredholm, kernels
+    monkeypatch.setattr(kernels, "wave_table", lambda *args: pytest.fail("built a wave table"))
+    blocks, build = [], fredholm.gram_block
+    monkeypatch.setattr(fredholm, "gram_block",
+                        lambda *args: blocks.append(args[1:]) or build(*args))
     rep = bulk_scaled_gap_comparison(CH, 64, 2.0, [0.1, 1.6])
     assert [e["points"] for e in rep["entries"]] == [1, 7]
-    assert len(builds) == 1 and builds[0].x_max >= 134
-    # each determinant is the one on that interval's own sites
-    phi = wavefunctions.get_table(Charlier(theta=64.0), 65, 135).phi[:64]
-    assert rep["entries"][0]["discrete"] == discrete_gap(phi, np.arange(128, 129))
-    assert rep["entries"][1]["discrete"] == discrete_gap(phi, np.arange(128, 135))
-
+    ((N, beta, sites, route),) = blocks
+    assert (N, beta, route) == (64, 2, "window") and np.array_equal(sites, np.arange(128, 135))
+    # each determinant is the one on that interval's own sites, and the table's K agrees
+    K = build(Charlier(theta=64.0), 64, 2, np.arange(128, 135), "window").K
+    assert rep["entries"][0]["discrete"] == discrete_gap(K[:1, :1])
+    assert rep["entries"][1]["discrete"] == discrete_gap(K)
+    monkeypatch.undo()
+    table_K = kernels.oracle_block(Charlier(theta=64.0), 64, 1, np.arange(128, 135)).K
+    assert rep["entries"][1]["discrete"] == pytest.approx(discrete_gap(table_K), rel=1e-12)
 
 
 @pytest.mark.parametrize("regime, A, u", [(CH, 64, 2.0), (Regime(kind="meixner", xi=0.25), 64, 1.0),
                                           (Regime(kind="krawtchouk", gamma=0.25, p=0.4), 64, 0.3)],
                          ids=["charlier", "meixner", "krawtchouk"])
 def test_gap_study_builds_the_rows_it_reads(monkeypatch, regime, A, u):
-    # rows 0..r-1 of one table, sized once, on the lattice of degree r + 1 that
-    # reaches the longest interval
-    from pfkern import fredholm, wavefunctions
+    # rows 0..r-1 at the sites of the longest interval alone, built once
+    from pfkern import kernels
     from pfkern.harness import bulk_frame
     from pfkern.kernels import rank_of
-    tables, sizings = [], []
-    build, size = fredholm.wave_table, wavefunctions.truncate
-    monkeypatch.setattr(fredholm, "wave_table",
-                        lambda *args: tables.append(args[1:]) or build(*args))
-    monkeypatch.setattr(wavefunctions, "truncate",
-                        lambda *args, **kw: sizings.append(args) or size(*args, **kw))
+    built, rows = [], kernels.window_rows
+    monkeypatch.setattr(kernels, "window_rows",
+                        lambda *args: built.append(args[1:]) or rows(*args))
     rep = bulk_scaled_gap_comparison(regime, A, u, [0.5, 2.0])
     fam, N, *_ = bulk_frame(regime, A, u)
-    r, ((n_max, lattice),) = rank_of(fam, N), tables
-    longest = int(np.ceil(A * u)) + max(e["points"] for e in rep["entries"])
-    assert len(sizings) == 1 and n_max == r - 1
-    assert lattice == wavefunctions.table_lattice(fam, r + 1, longest)
+    lo, points = int(np.ceil(A * u)), max(e["points"] for e in rep["entries"])
+    ((n_max, sites),) = built
+    assert n_max == rank_of(fam, N) - 1 and np.array_equal(sites, np.arange(lo, lo + points))
+
 
 def test_bulk_scaled_comparison():
     rep = bulk_scaled_gap_comparison(CH, 256, 3.0, [0.5, 1.0])

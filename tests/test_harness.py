@@ -19,29 +19,33 @@ def test_bulk_beta1_charlier_small():
     assert rep["entries"][1]["sup_err_fitted"] < rep["entries"][0]["sup_err_fitted"]
 
 
-def test_bulk_rank_one_shares_the_oracle_table(monkeypatch):
+def _no_table(*args, **kw):
+    raise AssertionError("the study built a wave table")
+
+
+def test_bulk_rank_one_reads_one_full_row(monkeypatch):
+    # the studies build no wave table: rows at the window, and for the beta = 1
+    # rank-one term one full row phi_b, b = r - 1, per A
     from pfkern import kernels
-    builds = []
-    build = kernels.wave_table
-    monkeypatch.setattr(kernels, "wave_table",
-                        lambda *args: builds.append(args[1]) or build(*args))
+    monkeypatch.setattr(kernels, "wave_table", _no_table)
+    rows, full = [], kernels.full_row
+    monkeypatch.setattr(kernels, "full_row", lambda fam, n, size: rows.append(n) or full(fam, n, size))
     bulk_convergence_test(CH, 1, 2.0, [24, 48], block="S")
-    assert len(builds) == 2   # one wave table per A
+    assert rows == [23, 47]
     # K and the rank-one term of the edge study come from the same block
-    builds.clear()
+    rows.clear()
     edge_convergence_test(CH, 1, [48, 96, 192], block="K")
-    assert len(builds) == 3
+    assert rows == [47, 95, 191]
 
 
-def test_beta4_projection_applies_eps_to_one_row(monkeypatch):
-    # K is the same at either beta, so a beta = 4 K request reads it off the
-    # beta = 1 block, whose Gram applies eps to one row, not to all r
+def test_beta4_projection_applies_no_eps(monkeypatch):
+    # K is the same at either beta; a beta = 4 K request reads the rows at the
+    # window alone: no eps, no full row, no table
     from pfkern import kernels
-    shapes, apply = [], kernels.apply_eps
-    monkeypatch.setattr(kernels, "apply_eps",
-                        lambda fam, v: shapes.append(v.shape) or apply(fam, v))
+    for name in ("apply_eps", "full_row", "wave_table"):
+        monkeypatch.setattr(kernels, name, _no_table)
     rep = bulk_convergence_test(CH, 4, 2.0, [24, 48], block="K")
-    assert len(shapes) == 2 and all(shape[1] == 1 for shape in shapes)
+    monkeypatch.undo()
     rep1 = bulk_convergence_test(CH, 1, 2.0, [24, 48], block="K")
     assert rep["entries"] == [{k: v for k, v in e.items() if k != "rank_one_sup"}
                               for e in rep1["entries"]]
@@ -118,12 +122,19 @@ def test_bulk_and_edge_reports_carry_the_sweep_summary():
 
 
 def test_coalescence_square_root():
-    assert coalescence_exponent(CH) == pytest.approx(0.5, abs=0.05)
-    assert coalescence_exponent(KR) == pytest.approx(0.5, abs=0.05)
-    assert coalescence_exponent(Regime(kind="meixner", xi=0.25)) == pytest.approx(0.5, abs=0.05)
-    # the edge report carries it
+    assert coalescence_exponent(CH, 64) == pytest.approx(0.5, abs=0.05)
+    assert coalescence_exponent(KR, 64) == pytest.approx(0.5, abs=0.05)
+    assert coalescence_exponent(Regime(kind="meixner", xi=0.25), 64) == pytest.approx(0.5, abs=0.05)
+    # the edge report carries it, at the first A of the list
     rep = edge_convergence_test(CH, 1, [48, 96], block="K")
-    assert rep["coalescence_exponent"] == coalescence_exponent(CH)
+    assert rep["coalescence_exponent"] == coalescence_exponent(CH, 48)
+
+
+def test_coalescence_at_the_first_A_of_a_small_gamma_edge_study():
+    # gamma = 0.005 has N = 0 at A = 64, but N = 3 at the first A asked for
+    rep = edge_convergence_test(Regime(kind="krawtchouk", gamma=0.005, p=0.4), 1, [512, 1024],
+                                block="K")
+    assert rep["coalescence_exponent"] == pytest.approx(0.5, abs=0.05)
 
 
 def test_correction_extract_beta1_two_basis():

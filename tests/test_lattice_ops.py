@@ -4,7 +4,8 @@ import pytest
 from pfkern.families import (Charlier, Krawtchouk, Meixner, QuadratureError, TruncatedLattice,
                              truncate)
 from pfkern.lattice_ops import (apply_d, apply_eps, build_d, build_epsilon_direct,
-                                check_mutual_inverse, dump_csv, interior_window)
+                                check_mutual_inverse, dump_csv, eps_separable_exponents,
+                                interior_window)
 from pfkern.wavefunctions import get_table
 
 
@@ -123,12 +124,31 @@ def test_epsilon_antisymmetric(fam):
 
 
 @pytest.mark.filterwarnings("error")
+class GrowingWeight:
+    """w(x) = e^(x^2) test weight: its eps entries themselves pass 1e308."""
+
+    def log_weight(self, x):
+        return np.asarray(x, dtype=float) ** 2
+
+
 def test_apply_eps_refuses_overflowing_factors():
-    # the exponents alpha, beta reach about +-theta/2: at theta = 1536 exp
-    # overflows, which is a numerical failure rather than a warning and NaN entries
-    lat = truncate(Charlier(theta=1536.0), 0)
-    with pytest.raises(QuadratureError, match=f"{lat.size} lattice"):
-        apply_eps(Charlier(theta=1536.0), np.ones(lat.size))
+    # alpha_m = m and beta_k = k + 1/2 both grow, so no shift brings them into
+    # range: a numerical failure rather than a warning and NaN entries
+    with pytest.raises(QuadratureError, match="2000 lattice"):
+        apply_eps(GrowingWeight(), np.ones(2000))
+
+
+@pytest.mark.parametrize("fam, x_max", [(Charlier(theta=1536.0), 4000),
+                                        (Krawtchouk(M=3072, p=0.4), None)],
+                         ids=["charlier-1536", "krawtchouk-3072"])
+def test_apply_eps_shifts_chains_that_sit_far_apart(fam, x_max):
+    # alpha near -768 and beta near +770 at theta = 1536 (+-785 at M = 3072):
+    # exp(alpha) and exp(beta) apart leave the double range, their shifted
+    # products do not, and D eps = eps D = 1 holds on the interior window
+    alpha, beta = eps_separable_exponents(fam, truncate(fam, x_max or 0).size)
+    assert alpha.max() < -709 and beta.max() > 709
+    res = check_mutual_inverse(fam, get_table(fam, 20, x_max))
+    assert res["interior_residual"] < 1e-12
 
 
 def test_mutual_inverse_charlier():

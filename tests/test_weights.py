@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pfkern.families import Charlier, DomainError, Krawtchouk, Meixner, log_gamma, truncate
-from pfkern.wavefunctions import get_table
+from pfkern.wavefunctions import full_row, get_table, window_rows
 
 DESK = [
     Meixner(xi=0.5, beta_m=1.0),
@@ -152,12 +152,17 @@ def test_wave_table_against_mpmath(fam):
     if fam.name == "meixner":
         deep, dual = _bad_edges(fam, 769, np.arange(tab.lattice.size, dtype=float))
         assert all(x < deep[769] and 769 > dual[x] for x in (0, 3, 50))
-    worst = 0.0
+    # the window rows at the same sites, and the full row of the top degree
+    rows = window_rows(fam, 769, sites)
+    top = full_row(fam, 769, tab.lattice.size)
+    worst = np.zeros(3)
     with mp.workdps(400):
         for n in (0, 1, 2, 100, 383, 384, 600, 768, 769):
-            for x in sites:
-                worst = max(worst, abs(float(_phi_mpmath(fam, n, x)) - tab.phi[n, x]))
-    assert worst < 5e-13
+            for i, x in enumerate(sites):
+                exact = float(_phi_mpmath(fam, n, x))
+                worst = np.maximum(worst, abs(exact - np.array(
+                    [tab.phi[n, x], rows[n, i], top[x] if n == 769 else exact])))
+    assert np.all(worst < 5e-13)
 
 
 def test_wave_table_peak_memory_is_one_table(traced_peak):
@@ -217,3 +222,80 @@ def test_truncate_weighs_each_site_once(monkeypatch):
     lattice = truncate(Charlier(theta=2000.0), 0)
     assert len(sites) > 2 and np.array_equal(np.concatenate(sites), np.arange(sites[-1][-1] + 1))
     assert lattice.x_max < sites[-1][-1]
+
+
+def _study_window(regime, A, where):
+    """(family, N, window sites) of the bulk frame at u = where, or of the right edge frame."""
+    from pfkern.harness import bulk_frame, edge_frame
+    from pfkern.saddles import edge_data
+    if where == "edge":
+        fam, N = regime.family_and_N(A)
+        return edge_frame(regime, A, edge_data(fam, N), np.linspace(-3.5, 1.5, 13))[:3]
+    return bulk_frame(regime, A, where)[:3]
+
+
+STUDY_WINDOWS = [("charlier", {"tau": 1.0}, 2.0), ("meixner", {"xi": 0.25}, 1.0),
+                 ("krawtchouk", {"gamma": 0.25, "p": 0.4}, 0.3),
+                 ("krawtchouk", {"gamma": 0.9, "p": 0.4}, 0.5)]
+
+
+@pytest.mark.parametrize("A", [96, 768])
+@pytest.mark.parametrize("where", ["bulk", "edge"])
+@pytest.mark.parametrize("kind, params, u", STUDY_WINDOWS,
+                         ids=["charlier", "meixner", "krawtchouk", "krawtchouk-gamma0.9"])
+def test_window_rows_match_the_table(kind, params, u, where, A):
+    # phi_0..phi_r at the studies' windows, with no table, against the table's
+    # columns, relative to the largest entry of the block K they give
+    from pfkern.harness import Regime
+    from pfkern.kernels import oracle_lattice, rank_of
+    from pfkern.wavefunctions import wave_table
+    fam, N, xs = _study_window(Regime(kind, **params), A, u if where == "bulk" else "edge")
+    r = rank_of(fam, N)
+    table = wave_table(fam, r, oracle_lattice(fam, N, xs)).phi[:, xs]
+    K = table[:r].T @ table[:r]
+    assert np.max(np.abs(window_rows(fam, r, xs) - table)) <= 1e-11 * np.max(np.abs(K))
+
+
+@pytest.mark.parametrize("p", [0.05, 0.95])
+@pytest.mark.parametrize("where", ["bulk", "edge"])
+def test_window_rows_at_extreme_p_against_exact_arithmetic(p, where):
+    # gamma = 0.9 at p near 0 or 1: each site is past the zone of the top degrees,
+    # where the rows come from the backward recurrence; 300-digit forward
+    # recurrence as the reference
+    import mpmath as mp
+    from pfkern.harness import Regime
+    from pfkern.kernels import rank_of
+    from pfkern.saddles import bulk_support
+    regime = Regime("krawtchouk", gamma=0.9, p=p)
+    fam, N = regime.family_and_N(96)
+    fam, N, xs = _study_window(regime, 96, sum(bulk_support(fam, N)) / 2
+                               if where == "bulk" else "edge")
+    r, M = rank_of(fam, N), fam.M
+    with mp.workdps(300):
+        pp, q = mp.mpf(p), 1 - mp.mpf(p)
+        exact = np.empty((r + 1, xs.size))
+        for j, x in enumerate(xs):
+            prev, cur = mp.mpf(0), mp.sqrt(mp.binomial(M, x) * pp ** x * q ** (M - x))
+            exact[0, j] = float(cur)
+            for n in range(r):
+                b_n, b_next = (mp.sqrt(k * pp * q * (M - k + 1)) for k in (n, n + 1))
+                prev, cur = cur, ((x - pp * (M - n) - n * q) * cur - b_n * prev) / b_next
+                exact[n + 1, j] = float(cur)
+    assert np.max(np.abs(window_rows(fam, r, xs) - exact)) < 1e-13
+
+
+@pytest.mark.parametrize("kind, params, u", STUDY_WINDOWS,
+                         ids=["charlier", "meixner", "krawtchouk", "krawtchouk-gamma0.9"])
+def test_full_row_matches_the_table_past_the_turning_point(kind, params, u):
+    # phi_b, b = r - 1, over the whole oracle lattice in O(L): forward to the
+    # turning point, Miller's backward recurrence past it
+    from pfkern.harness import Regime
+    from pfkern.kernels import beta1_indices, oracle_lattice
+    from pfkern.wavefunctions import wave_table
+    fam, N, xs = _study_window(Regime(kind, **params), 384, u)
+    lattice = oracle_lattice(fam, N, xs)
+    b = beta1_indices(fam, N)[1]
+    want = wave_table(fam, b, lattice).phi[b]
+    a_b, b2_b = fam.jacobi(float(b))
+    assert a_b + 2 * np.sqrt(b2_b) < lattice.x_max or fam.finite   # a tail past the turning point
+    assert np.max(np.abs(full_row(fam, b, lattice.size) - want)) <= 1e-12 * np.max(np.abs(want))
