@@ -9,16 +9,15 @@ of `kernels.gram_block` (rows at its sites alone, no wave table).
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .harness import bulk_frame, on_lattice
 from .kernels import gram_block
-from .refkernels import sine_kernel
+from .refkernels import legendre_nodes, sine_kernel
 
 
 def nystrom_det(kernel, a: float, b: float, nodes: int) -> float:
     """det(I - K) on [a, b] with Gauss-Legendre discretization."""
-    x, w = leggauss(nodes)
+    x, w = legendre_nodes(nodes)
     x = 0.5 * (b - a) * (x + 1.0) + a
     w = 0.5 * (b - a) * w
     root = np.sqrt(w)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .families import Charlier, DomainError, Krawtchouk, Meixner
 from .kernels import crossover_block, gram_block, oracle_block, refuse_odd_rank
-from .refkernels import airy_kernel, bessel_kernel, sine_kernel, sine_kernel_deriv
+from .refkernels import airy_kernel, bessel_j, bessel_kernel, sine_kernel, sine_kernel_deriv
 from .saddles import bulk_support, edge_data, saddle_pair, site_density
 
 
@@ -230,22 +230,37 @@ def _grid_resample(seff, R, grid):
 # Meixner -> hard-edge crossover
 
 
-def _bessel_fit(V, xs, index, scale):
-    """Best (relative L2 error, offset, amplitude) of V against the Bessel
-    kernel at u = scale (x + offset), offsets 0, 0.1, ..., 1.6 from one stacked call."""
-    offsets = np.linspace(0.0, 1.6, 17)
-    lam = scale * (xs + offsets[:, None])
-    kernels = bessel_kernel(index, lam)
-    kernels *= scale
-    best = None
-    for d, T in zip(offsets, kernels):
+def _bessel_fit(V, xs, index, scales):
+    """Per scale, the best (relative L2 error, offset, amplitude) of V against the Bessel kernel T
+    at u = scale (x + offset), offsets 0, 0.1, ..., 1.6, amplitude <V, T> / |T|^2 > 0 (else
+    (inf, 0, 0)).  The squared error is |V|^2 |T|^2 / <V, T>^2 - 1, so the offset is picked from
+    <V, T> and |T|^2, with no kernel built: off the diagonal T = (j_i d_j - d_i j_j) C_ij / 2,
+    C_ij = 1 / (x_i - x_j), j = J_a(sqrt u), d = a j - sqrt u J_(a+1)(sqrt u).  Only the picked
+    kernel is built and scored, or all 17 where some <V, T> is roundoff (the beta = 4 S)."""
+    offsets, scales = np.linspace(0.0, 1.6, 17), np.asarray(scales, dtype=float)[:, None, None]
+    sl = np.sqrt(scales * (xs + offsets[:, None]))          # [scale, offset, site]
+    j, j1 = bessel_j(index, sl)
+    d = index * j - sl * j1
+    C = 1.0 / (np.subtract.outer(xs, xs) + np.eye(xs.size)) - np.eye(xs.size)
+    W, Q, jd = V * C, C * C, j * d
+    diag = scales * 0.25 * (j * j + j1 * j1 - 2.0 * index * j * j1 / np.where(sl > 0, sl, 1.0))
+    vt = 0.5 * np.sum(j * (d @ W.T) - d * (j @ W.T), axis=2) + diag @ np.diag(V)
+    tt = 0.5 * np.sum(j * j * ((d * d) @ Q) - jd * (jd @ Q), axis=2) + np.sum(diag * diag, axis=2)
+    loose = np.any(np.abs(vt) <= 1e-12 * np.linalg.norm(V) * np.sqrt(tt), axis=1)
+    pick = np.argmin(np.where(vt > 0, tt / np.where(vt > 0, vt, 1.0) ** 2, np.inf), axis=1)
+    ks, ds = np.array([(k, i) for k, p in enumerate(pick)
+                       for i in (range(offsets.size) if loose[k] else [p])]).T
+    kernels = bessel_kernel(index, scales[ks, :, 0] * (xs + offsets[ds, None]))
+    kernels *= scales[ks]
+    best = [None] * pick.size
+    for k, i, T in zip(ks, ds, kernels):
         c = fit_amplitude(V, T)
         if c <= 0:
             continue
         err = float(np.linalg.norm(V / c - T) / np.linalg.norm(T))
-        if best is None or err < best[0]:
-            best = (err, float(d), c)
-    return best or (float("inf"), 0.0, 0.0)
+        if best[k] is None or err < best[k][0]:
+            best[k] = (err, float(offsets[i]), c)
+    return [b or (float("inf"), 0.0, 0.0) for b in best]
 
 
 def crossover_test(alpha: float, N_list, block: str, beta: int) -> dict:
@@ -260,10 +275,12 @@ def crossover_test(alpha: float, N_list, block: str, beta: int) -> dict:
     spec-facing comparison against bessel(alpha) is reported alongside the
     index-0 fit.  Only the S and K blocks are computed; SD and epsS raise
     DomainError.  Both come from `kernels.crossover_block` on the window
-    alone, with the beta = 4 Gram in closed form, so no lattice grows as
-    xi -> 1.  The beta = 4 S block is antisymmetric and the Bessel kernel
-    symmetric, so its fitted amplitudes are roundoff (`amp_index0` near
-    1e-14) and its errors measure no convergence.
+    alone (window rows, the beta = 4 Gram in closed form), so no lattice grows
+    as xi -> 1.  Each fit of an N, and the whole rate scan, is one
+    `_bessel_fit` call, which picks the offsets with no kernel built.  The
+    beta = 4 S block is antisymmetric and the Bessel kernel symmetric, so its
+    fitted amplitudes are roundoff (`amp_index0` near 1e-14) and its errors
+    measure no convergence.
     """
     if block not in ("S", "K"):
         raise DomainError(f"crossover computes the S and K blocks, not {block}")
@@ -271,18 +288,16 @@ def crossover_test(alpha: float, N_list, block: str, beta: int) -> dict:
     rows = []
     for N in N_list:
         V = crossover_block(Meixner(xi=1.0 - alpha / (2.0 * N)), N, xs, beta, block)
-        err_spec, d_spec, amp_spec = _bessel_fit(V, xs, alpha, 4.0 * alpha)
-        err_idx0, d0, amp0 = _bessel_fit(V, xs, 0.0, 4.0 * alpha)
+        (err_spec, d_spec, amp_spec), = _bessel_fit(V, xs, alpha, [4.0 * alpha])
+        (err_idx0, d0, amp0), = _bessel_fit(V, xs, 0.0, [4.0 * alpha])
         rows.append({"N": int(N), "xi": 1.0 - alpha / (2.0 * N),
                      "err_vs_bessel_alpha": err_spec, "amp": amp_spec,
                      "err_vs_bessel_index0": err_idx0, "amp_index0": amp0,
                      "offset_index0": d0, "c_h": 4.0 * alpha / (2.0 * N)})
     errs = [r["err_vs_bessel_alpha"] for r in rows]
     # rate recovery at the largest N (the last V) via the tied-scale scan
-    scan = []
-    for a_try in np.linspace(max(0.1, alpha - 0.8), alpha + 0.8, 33):
-        err, _, _ = _bessel_fit(V, xs, 0.0, 4.0 * a_try)
-        scan.append((float(a_try), err))
+    tries = np.linspace(max(0.1, alpha - 0.8), alpha + 0.8, 33)
+    scan = [(float(a), fit[0]) for a, fit in zip(tries, _bessel_fit(V, xs, 0.0, 4.0 * tries))]
     alpha_hat = float(min(scan, key=lambda t: t[1])[0])
     return {"alpha": alpha, "beta": beta, "block": block, "entries": rows,
             "monotone_decreasing": bool(np.all(np.diff(errs) < 0)),

@@ -18,6 +18,7 @@ and the eps inside E, and the rows are the provenance:
   kuznetsov.spliced_s4     contour   multiplier times m_h        contour
   kuznetsov.spliced_oracle oracle    multiplier times m_h        oracle
   harness, fredholm        window    lattice, on one full row    window
+  crossover_block          window    contour eps phi_b, or G^-1  (a bare array)
 
 (oracle rows: one `wave_table` of degrees 0..r on the `oracle_lattice`; contour
 rows: coefficient extraction, refused where K(x, x) > 1; multiplier: the contour
@@ -25,7 +26,8 @@ image under the inverse eps symbol; window rows: `window_rows` at the window sit
 alone, no E: S = K at beta = 2, K plus the rank-one term at beta = 1, whose eps phi_b
 of one `full_row` is the block's one lattice-sized array.)  `crossover_block`, for
 `harness.crossover_test`, assembles the same sandwich on a window with no lattice:
-contour rows, and E = G^-1 in closed form at beta = 4.  Contour rows come from
+window rows, eps phi_b by `eps_phi_via_contour` at beta = 1, and E = G^-1 in closed
+form at beta = 4, so no lattice grows as xi -> 1.  Contour rows come from
 `symbols.contour_rows`, which extracts the degrees that share a `default_contour`
 circle together, and so shares that circle's nodes, multiplier values and FFTs.
 The inserted blocks of a lattice-eps block come from the same factors,
@@ -247,12 +249,12 @@ def gram_block(family, N: int, beta: int, window, route: str, multiplier=None,
 
 def crossover_block(family, N, xs, beta, block):
     """Hard-edge window of the requested block for geometric-weight Meixner,
-    assembled without materializing the macroscopic lattice: window wave
-    functions from the contour representation and, for beta = 4, the eps
-    Gram E = G^-1 (eps = D^-1 in matrix form).  G = <phi_j, D phi_k> is the
+    assembled without materializing the macroscopic lattice: `window_rows` at
+    the window sites, eps phi_b from the contour at beta = 1 and, for beta = 4,
+    the eps Gram E = G^-1 (eps = D^-1 in matrix form).  G = <phi_j, D phi_k> is the
     antisymmetric Toeplitz matrix G_{j,j+d} = ((1 - s^2)/s)(-s)^(d-1), d >= 1."""
     r = rank_of(family, N)
-    Phi = contour_rows(family, range(r + 1), xs)
+    Phi = window_rows(family, r, xs)
     if block == "K":
         return Phi[:r].T @ Phi[:r]
     if beta == 1:

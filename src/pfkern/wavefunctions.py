@@ -152,20 +152,25 @@ def _recurrence(c, d, log0):
 def _column(family, x: int, n_max: int) -> np.ndarray:
     """phi_0(x)..phi_n_max(x) by the degree recurrence at the one site x: forward from phi_0 =
     sqrt(w(x) / h_0) (h_0 = 1, or (1 - xi)^-beta_m for Meixner) to the turning point t, the dual
-    zone edge a_x + 2 b_x or, for Krawtchouk, the last degree whose zone holds x if earlier; past
-    t, where phi_n(x) is the minimal solution, Miller's backward recurrence scaled to meet it at
-    t, from M + 1 (b = 0) for Krawtchouk, else from where |l-/l+| (roots of l^2 - c l + d) has
-    multiplied to e^-40 past n_max."""
-    a, b2 = family.jacobi(np.arange((family.M if family.finite else 2 * n_max + 64) + 2.0))
-    b = np.sqrt(b2)
+    zone edge a_x + 2 b_x or, for Krawtchouk alone (Meixner's zone edges are not dual), the last
+    degree whose zone holds x if earlier; past t, where phi_n(x) is the minimal solution, Miller's
+    backward recurrence scaled to meet it at t, from M + 1 (b = 0) for Krawtchouk, else from where
+    |l-/l+| (roots of l^2 - c l + d) has multiplied to e^-40 past n_max, the coefficients doubled
+    until it has (about 40 / (1 - xi) degrees as xi -> 1)."""
     a_x, b2_x = family.jacobi(float(x))
-    inside = np.flatnonzero((x - a[:n_max + 1]) ** 2 <= 4.0 * b2[:n_max + 1])
-    t = min(n_max, int(a_x + 2.0 * math.sqrt(b2_x)), *inside[-1:])
-    top = family.M if family.finite and t < n_max else t
-    if top < n_max:
+    t, top, decay = min(n_max, int(a_x + 2.0 * math.sqrt(b2_x))), n_max + 32, [0.0]
+    while decay[-1] < 40.0:
+        top *= 2
+        a, b2 = family.jacobi(np.arange((family.M if family.finite else top) + 2.0))
+        b = np.sqrt(b2)
+        if family.finite:
+            inside = np.flatnonzero((x - a[:n_max + 1]) ** 2 <= 4.0 * b2[:n_max + 1])
+            t = min([t, *inside[-1:]])
+        if family.finite or t == n_max:
+            break
         c, d = np.abs(x - a[n_max:-2]) / b[n_max + 1:-1], b[n_max:-2] / b[n_max + 1:-1]
-        top = n_max + int(np.searchsorted(
-            2.0 * np.cumsum(np.arctanh(np.sqrt(np.maximum(c * c - 4.0 * d, 0.0)) / c)), 40.0))
+        decay = 2.0 * np.cumsum(np.arctanh(np.sqrt(np.maximum(c * c - 4.0 * d, 0.0)) / c))
+    top = t if t == n_max else family.M if family.finite else n_max + int(decay.searchsorted(40.0))
     log_h0 = -family.beta_m * math.log1p(-family.xi) if family.name == "meixner" else 0.0
     u, s = _recurrence(((x - a[:t]) / b[1:t + 1]).tolist(), (b[:t] / b[1:t + 1]).tolist(),
                        0.5 * (float(family.log_weight(float(x))) - log_h0))

@@ -283,21 +283,36 @@ def test_asym_crossover_beta4_runs(tmp_path):
         assert abs(e["amp_index0"]) < 0.05
 
 
-def test_asym_crossover_at_a_large_rate(tmp_path):
-    # alpha = 31.9 takes the Bessel kernel to orders near 33 and sqrt(u) near
-    # 75; the values were recorded with scipy.special.jv and are kept to 1e-12
-    code = main(["asym", "crossover", "--family", "meixner", "--alpha", "31.9",
-                 "--N-list", "16,32", "--out", str(tmp_path)])
-    assert code == 0
-    rep = json.loads((tmp_path / "crossover.json").read_text())
-    got = [[e[k] for k in ("err_vs_bessel_alpha", "amp", "err_vs_bessel_index0", "amp_index0",
-                           "offset_index0")] for e in rep["entries"]]
-    want = [[1.8594577750618204, 0.8798629905727231, 1.0030470020996765, 0.8647435302604719, 1.2],
-            [1.2762534797995002, 1.0278979922908271, 0.6069995774737854, 0.9676260057063041, 1.6]]
-    scan = [v for _, v in rep["scan"]]
-    assert np.all(np.isfinite(got)) and np.all(np.isfinite(scan))
-    assert np.allclose(got, want, rtol=1e-12, atol=0)
-    assert rep["alpha_hat"] == pytest.approx(32.7) and min(scan) == pytest.approx(0.5957233332536418, rel=1e-12)
+def test_asym_crossover_at_a_large_rate(tmp_path, monkeypatch, meixner_rows_mpmath):
+    # alpha = 31.9 takes the Bessel kernel to orders near 33 and sqrt(u) near 75.  The
+    # values were recorded from the window rows and are kept to 1e-12; the study gives
+    # them too on blocks whose rows phi_0..phi_r come from a 60-digit recurrence
+    import pfkern.harness as harness
+    from pfkern.kernels import beta1_indices
+    from pfkern.symbols import eps_phi_via_contour
+    want = [[1.8594577750618246, 0.8798629905727238, 1.0030470020996798, 0.864743530260472, 1.2],
+            [1.2762534832388577, 1.0278979800237582, 0.6069995874429853, 0.9676259914953699, 1.6]]
+    fields = ("err_vs_bessel_alpha", "amp", "err_vs_bessel_index0", "amp_index0", "offset_index0")
+
+    def exact_block(fam, N, xs, beta, block):
+        a, b = beta1_indices(fam, N)
+        phi = meixner_rows_mpmath(fam.xi, a, xs)
+        return phi[:a].T @ phi[:a] + 0.5 * np.outer(phi[a], eps_phi_via_contour(fam, b, xs))
+
+    for route in ("window", "mpmath"):
+        if route == "mpmath":
+            monkeypatch.setattr(harness, "crossover_block", exact_block)
+        out = tmp_path / route
+        code = main(["asym", "crossover", "--family", "meixner", "--alpha", "31.9",
+                     "--N-list", "16,32", "--out", str(out)])
+        assert code == 0
+        rep = json.loads((out / "crossover.json").read_text())
+        got = [[e[k] for k in fields] for e in rep["entries"]]
+        scan = [v for _, v in rep["scan"]]
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(scan))
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        assert rep["alpha_hat"] == pytest.approx(32.7)
+        assert min(scan) == pytest.approx(0.5957233429792538, rel=1e-12)
 
 
 def test_adjudication_overflow_prints_no_warning(tmp_path):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from pfkern.families import Meixner, truncate
-from pfkern.harness import (Regime, bulk_convergence_test, coalescence_exponent,
-                            correction_extract, crossover_test, edge_convergence_test)
+from pfkern.harness import (Regime, _bessel_fit, bulk_convergence_test, coalescence_exponent,
+                            correction_extract, crossover_test, edge_convergence_test,
+                            fit_amplitude)
 from pfkern.kernels import crossover_block, oracle_lattice
 from pfkern.lattice_ops import apply_eps
+from pfkern.refkernels import bessel_kernel
 from pfkern.wavefunctions import wave_table
 
 CH = Regime(kind="charlier", tau=1.0)
@@ -167,6 +169,34 @@ def test_crossover_small():
     assert abs(rep["alpha_hat"] - 1.0) <= 0.2
 
 
+def _bessel_fit_by_loop(V, xs, index, scale):
+    """Every one of the 17 offsets' kernels built and scored, the best kept."""
+    best = None
+    for d in np.linspace(0.0, 1.6, 17):
+        T = bessel_kernel(index, scale * (xs + d)) * scale
+        c = fit_amplitude(V, T)
+        if c <= 0:
+            continue
+        err = float(np.linalg.norm(V / c - T) / np.linalg.norm(T))
+        if best is None or err < best[0]:
+            best = (err, float(d), c)
+    return best or (float("inf"), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("beta, block", [(1, "S"), (1, "K"), (4, "S")])
+@pytest.mark.parametrize("alpha", [0.5, 0.95, 1.05, 31.9])
+def test_bessel_fit_picks_as_the_loop_over_all_offsets(alpha, beta, block):
+    # offsets picked from the bilinear forms <V, T> and |T|^2 give the loop's picks and
+    # values, also on the antisymmetric beta = 4 S, where every <V, T> is roundoff
+    xs = np.arange(41)
+    tries = 4.0 * np.linspace(max(0.1, alpha - 0.8), alpha + 0.8, 33)
+    for N in (16, 32):
+        V = crossover_block(Meixner(xi=1.0 - alpha / (2.0 * N)), N, xs, beta, block)
+        for index, scales in ((alpha, [4.0 * alpha]), (0.0, [4.0 * alpha]), (0.0, tries)):
+            assert _bessel_fit(V, xs, index, scales) == \
+                [_bessel_fit_by_loop(V, xs, index, scale) for scale in scales]
+
+
 @pytest.mark.parametrize("alpha, alpha_hat, entries", [
     (0.5, 0.5125, [(16, 1.076981851908662, 1.0049700714718373, 0.23065935339386126,
                     0.008349172373613746),
@@ -178,8 +208,9 @@ def test_crossover_small():
                    0.022409936111600772)])])
 def test_crossover_fits_keep_their_recorded_values(alpha, alpha_hat, entries):
     # block K of the hard-edge crossover, recorded from per-degree contour
-    # extraction and one Bessel kernel call per offset: the recovered rate and
-    # the offsets stay, amplitudes and errors move by roundoff only
+    # extraction and one Bessel kernel call per offset; on window rows, with
+    # offsets picked from bilinear forms, the recovered rate and the offsets
+    # stay, amplitudes and errors move by roundoff only
     rep = crossover_test(alpha, [16, 32], block="K", beta=4)
     assert rep["alpha_hat"] == alpha_hat
     for e, (N, amp, amp0, err, err0) in zip(rep["entries"], entries):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import airy as scipy_airy, jv
 
-from pfkern.refkernels import (airy_ai, airy_kernel, bessel_j, bessel_kernel, sine_kernel,
-                               sine_kernel_deriv)
+from pfkern.refkernels import (airy_ai, airy_kernel, bessel_j, bessel_kernel, legendre_nodes,
+                               sine_kernel, sine_kernel_deriv)
 
 
 def test_sine_kernel_values():
@@ -169,3 +169,26 @@ def test_bessel_kernel_stacked_rows_match_single_rows():
         assert K.shape == (17, 41, 41)
         for x, k in zip(lam, K):
             assert np.array_equal(k, bessel_kernel(a, x))
+
+
+@pytest.mark.parametrize("n", [7, 48, 400])
+def test_legendre_nodes_against_mpmath(n):
+    # in 40 digits at each float node x >= 0: P_n and P_n' by the recurrence, one Newton step
+    # to the root r (off by ~1e-30), P_n'(r) = P_n' - P_n'' (x - r) with P_n'' from Legendre's
+    # equation, and the weight 2 / ((1 - r^2) P_n'(r)^2); the rule is symmetric and odd n
+    # holds 0 itself
+    x, w = legendre_nodes(n)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert n % 2 == 0 or x[n // 2] == 0.0
+    with mpmath.workdps(40):
+        t = np.array([mpmath.mpf(v) for v in x[n // 2:]], dtype=object)
+        p0, p1 = np.full(t.shape, mpmath.mpf(1), dtype=object), t
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * t * p1 - (m - 1) * p0) / m
+        dp = n * (p0 - t * p1) / (1 - t * t)
+        step = p1 / dp
+        root = t - step
+        dp = dp - (2 * t * dp - n * (n + 1) * p1) / (1 - t * t) * step
+        exact = 2 / ((1 - root * root) * dp * dp)
+        assert max(abs(float(a - b)) for a, b in zip(x[n // 2:], root)) <= 2e-16
+        assert max(abs(float(a / b - 1)) for a, b in zip(w[n // 2:], exact)) <= 5e-12

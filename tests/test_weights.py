@@ -299,3 +299,14 @@ def test_full_row_matches_the_table_past_the_turning_point(kind, params, u):
     a_b, b2_b = fam.jacobi(float(b))
     assert a_b + 2 * np.sqrt(b2_b) < lattice.x_max or fam.finite   # a tail past the turning point
     assert np.max(np.abs(full_row(fam, b, lattice.size) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N", [16, 32, 64, 256])
+@pytest.mark.parametrize("alpha", [0.25, 0.97, 1.0, 1.034445, 1.05, 8.0, 31.9])
+def test_window_rows_at_the_hard_edge_against_mpmath(meixner_rows_mpmath, alpha, N):
+    # the crossover's window, sites 0..40 at xi = 1 - alpha/(2N): Miller's start lies about
+    # 40 / (1 - xi) degrees past n_max, and just above a_0 = xi/(1 - xi) the Meixner zone
+    # holds sites whose dual zone edge is far later
+    xi, xs = 1.0 - alpha / (2 * N), np.arange(41)
+    err = np.max(np.abs(window_rows(Meixner(xi=xi), 2 * N, xs) - meixner_rows_mpmath(xi, 2 * N, xs)))
+    assert err < (1e-13 if N <= 64 else 1e-12)
